@@ -5,16 +5,13 @@ __version__ = "0.1.0"
 from .features import (
     FeatureMap,
     MemoryBudgetError,
-    approx_kernel,
     designer_basis,
-    embed,
     feature_matrix,
     sample_feature_map,
 )
 from .oracles import (
     DesignerKernel,
     ExactKernel,
-    FeatureMapKernel,
     GaussianKernel,
     MonteCarloKernel,
     krr_gram_fit,
@@ -28,10 +25,8 @@ from .filters import (
     SpectralFilter,
     Tikhonov,
     audit_filter,
-    filter_value,
     make_filter,
     qualification_sufficient,
-    residual_value,
 )
 from .estimator import (
     DivergenceError,

@@ -53,6 +53,9 @@ def _load_plan(args, fallback: ExperimentPlan) -> ExperimentPlan:
 
 def _cmd_fit(args) -> int:
     config = json.loads(Path(args.config).read_text())
+    missing = [key for key in ("data", "feature_map", "filter") if key not in config]
+    if missing:
+        raise ValueError(f"fit config is missing required keys: {', '.join(missing)}")
     data = config["data"]
     if "path" in data:
         X, y = ingest_csv_dataset(data["path"], **data.get("options", {}))
@@ -65,8 +68,7 @@ def _cmd_fit(args) -> int:
     fmap = sample_feature_map(
         m["kind"], X.shape[1], m["num_samples"], m.get("params", {}), args.seed or 0
     )
-    fdesc = dict(config["filter"])
-    filt = make_filter(fdesc.pop("kind"), **fdesc)
+    filt = make_filter(**config["filter"])
     lam = config.get("lambda")
     iterations = config.get("iterations")
     if isinstance(filt, IterativeFilter) and iterations is not None:

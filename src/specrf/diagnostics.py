@@ -7,7 +7,6 @@ coefficient space -- no quadrature anywhere.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -21,7 +20,7 @@ from .features import (
     feature_matrix,
     sample_feature_map,
 )
-from .filters import IterativeFilter, SpectralFilter
+from .filters import SpectralFilter
 from .oracles import ExactKernel
 
 DEFAULT_DELTA = 0.1
@@ -112,7 +111,7 @@ def make_designer_problem(
     sup_g = float(np.sum(np.abs(g) * np.where(j == 1, 1.0, np.sqrt(2.0))))
     # N(lam) <= sum mu_j / lam, so c_b = trace works on [mu_J, inf); record the
     # tighter standard constant for the declared exponent
-    c_b = float(np.max(np.array([_exact_effective_dimension(mu, l) * l**b for l in np.logspace(-6, 0, 25)])))
+    c_b = float(np.max(np.array([effective_dimension(mu, l) * l**b for l in np.logspace(-6, 0, 25)])))
     return DesignerProblem(
         map=fmap,
         b=float(b),
@@ -142,10 +141,6 @@ def sample_dataset(
     return x[:, None], y
 
 
-def _exact_effective_dimension(eigenvalues: np.ndarray, lam: float) -> float:
-    return float(np.sum(eigenvalues / (eigenvalues + lam)))
-
-
 def effective_dimension(eigenvalues: np.ndarray, lam: float) -> float:
     """N(lam) = sum_j mu_j / (mu_j + lam)."""
     if lam <= 0:
@@ -153,17 +148,7 @@ def effective_dimension(eigenvalues: np.ndarray, lam: float) -> float:
     eigenvalues = np.asarray(eigenvalues, dtype=float)
     if np.any(eigenvalues < 0):
         raise ValueError("eigenvalues must be nonnegative")
-    return _exact_effective_dimension(eigenvalues, lam)
-
-
-def _filter_on_spectrum(
-    filt: SpectralFilter, mu: np.ndarray, lam: float, iterations: int | None
-) -> np.ndarray:
-    if iterations is not None:
-        if not isinstance(filt, IterativeFilter):
-            raise ValueError(f"{filt.name} does not take an iteration count")
-        return filt.value_at_iterations(mu, iterations)
-    return filt.value(mu, lam)
+    return float(np.sum(eigenvalues / (eigenvalues + lam)))
 
 
 def compute_f_star(
@@ -176,8 +161,12 @@ def compute_f_star(
 
     coefficient_j = mu_j phi_lambda(mu_j) g_j, bias = ||g - S f*||_{L2}.
     """
+    lam, iterations = filt.resolve(lam, iterations)
     mu = problem.eigenvalues
-    phi = _filter_on_spectrum(filt, mu, lam, iterations)
+    if iterations is None:
+        phi = filt.value(mu, lam)
+    else:
+        phi = filt.value_at_iterations(mu, iterations)
     coeffs = mu * phi * problem.g_coeffs
     residual = 1.0 - mu * phi
     bias = float(np.sqrt(np.sum((residual * problem.g_coeffs) ** 2)))
@@ -249,8 +238,8 @@ def effective_dimension_comparison(
     Z = feature_matrix(map_random, X_probe)
     eigs_m = np.maximum(np.linalg.eigvalsh(Z.T @ Z / n), 0.0)
     eigs_ref = np.maximum(np.linalg.eigvalsh(kernel_ref.gram(X_probe)) / n, 0.0)
-    n_m = _exact_effective_dimension(eigs_m, lam)
-    n_ref = _exact_effective_dimension(eigs_ref, lam)
+    n_m = effective_dimension(eigs_m, lam)
+    n_ref = effective_dimension(eigs_ref, lam)
     threshold = 4.0 * (1.0 + 2.0 * math.log(2.0 / delta))
     if n_ref < EFFDIM_INDETERMINATE or n_m < EFFDIM_INDETERMINATE:
         return {
@@ -268,11 +257,3 @@ def effective_dimension_comparison(
         "threshold": threshold,
         "status": "flagged" if ratio > threshold else "ok",
     }
-
-
-def diagnostics_record(quantity: str, lam: float, value: float, bound: float | None, status: str) -> str:
-    """One JSON line in the emitted diagnostics format."""
-    return json.dumps(
-        {"quantity": quantity, "lambda": lam, "value": value, "bound": bound, "status": status},
-        sort_keys=True,
-    )

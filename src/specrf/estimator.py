@@ -14,13 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .features import (
-    DEFAULT_MEMORY_BUDGET,
-    FeatureMap,
-    MemoryBudgetError,
-    feature_matrix,
-)
-from .filters import Heavyball, IterativeFilter, Landweber, SpectralFilter, make_filter
+from . import features
+from .features import FeatureMap, MemoryBudgetError, feature_matrix, sample_feature_map
+from .filters import IterativeFilter, SpectralFilter, make_filter
 
 EIG_DIM_CAP = 4096
 DIVERGENCE_FACTOR = 1e3
@@ -51,22 +47,24 @@ def _data_fingerprint(X: np.ndarray, y: np.ndarray, map_seed: int) -> dict:
 
 
 def assemble_empirical_operators(
-    feature_map: FeatureMap,
-    X: np.ndarray,
-    y: np.ndarray,
-    memory_budget: int = DEFAULT_MEMORY_BUDGET,
+    feature_map: FeatureMap, X: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Return (Sigma_hat, s_hat) = (Z^T Z / n, Z^T y / n)."""
+    """Return (Sigma_hat, s_hat) = (Z^T Z / n, Z^T y / n).
+
+    Every fit reads its data here, so non-finite data is rejected here.
+    """
     y = np.asarray(y, dtype=float).reshape(-1)
     X = np.asarray(X, dtype=float)
     if X.shape[0] < 1:
         raise ValueError("need at least one sample")
     if y.size != X.shape[0]:
         raise ValueError("X and y length mismatch")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ValueError("training data contains NaN or inf values")
     dim = feature_map.embedding_dim
-    if dim * dim * 8 > memory_budget:
+    if dim * dim * 8 > features.DEFAULT_MEMORY_BUDGET:
         raise MemoryBudgetError(f"covariance of dimension {dim} exceeds memory budget")
-    Z = feature_matrix(feature_map, X, memory_budget=memory_budget)
+    Z = feature_matrix(feature_map, X)
     n = X.shape[0]
     return Z.T @ Z / n, Z.T @ y / n
 
@@ -78,36 +76,26 @@ def fit_spectral(
     filt: SpectralFilter,
     lam: float | None = None,
     iterations: int | None = None,
-    eig_dim_cap: int = EIG_DIM_CAP,
 ) -> RfModel:
     """Fit via eigendecomposition of the empirical covariance."""
-    if lam is None and iterations is None:
-        raise ValueError("one of lam or iterations is required")
-    if iterations is not None and not filt.iterative:
-        raise ValueError(f"{filt.name} does not take an iteration count")
-    if iterations is None and filt.iterative:
-        iterations = filt.iterations_for_lambda(lam)
-    if lam is None:
-        lam = filt.lambda_for_iterations(iterations)
-    if not 0.0 < lam <= 1.0:
-        raise ValueError("lam must lie in (0, 1]")
-    if feature_map.embedding_dim > eig_dim_cap:
+    lam, iterations = filt.resolve(lam, iterations)
+    if feature_map.embedding_dim > EIG_DIM_CAP:
         raise ValueError(
-            f"embedding dimension {feature_map.embedding_dim} exceeds eigensolver cap {eig_dim_cap}"
+            f"embedding dimension {feature_map.embedding_dim} exceeds eigensolver cap {EIG_DIM_CAP}"
         )
     sigma, sy = assemble_empirical_operators(feature_map, X, y)
     evals, evecs = np.linalg.eigh(sigma)
     evals = np.maximum(evals, 0.0)  # round-off can leave tiny negatives
-    if isinstance(filt, IterativeFilter):
-        phi = filt.value_at_iterations(evals, iterations)
-    else:
+    if iterations is None:
         phi = filt.value(evals, lam)
+    else:
+        phi = filt.value_at_iterations(evals, iterations)
     theta = evecs @ (phi * (evecs.T @ sy))
     return RfModel(
         map=feature_map,
         theta=theta,
         filter=filt,
-        lam=float(lam),
+        lam=lam,
         iterations=iterations,
         fit_path="spectral",
         train_fingerprint=_data_fingerprint(np.asarray(X, float), np.asarray(y, float), feature_map.seed),
@@ -207,16 +195,10 @@ def save_model(model: RfModel, path: str) -> None:
 
 
 def load_model(path: str) -> RfModel:
-    from .features import sample_feature_map
-
     with open(path) as fh:
         payload = json.load(fh)
-    m = payload["map"]
-    feature_map = sample_feature_map(
-        m["kind"], m["input_dim"], m["num_samples"], m["params"], m["seed"]
-    )
-    fdesc = dict(payload["filter"])
-    filt = make_filter(fdesc.pop("kind"), **fdesc)
+    feature_map = sample_feature_map(**payload["map"])
+    filt = make_filter(**payload["filter"])
     theta = np.frombuffer(base64.b64decode(payload["theta_b64"]), dtype="<f8").copy()
     return RfModel(
         map=feature_map,

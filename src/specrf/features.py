@@ -66,10 +66,7 @@ class FeatureMap:
 
     @staticmethod
     def from_json(text: str) -> "FeatureMap":
-        d = json.loads(text)
-        return sample_feature_map(
-            d["kind"], d["input_dim"], d["num_samples"], d["params"], d["seed"]
-        )
+        return sample_feature_map(**json.loads(text))
 
 
 def designer_basis(num_funcs: int, x: np.ndarray) -> np.ndarray:
@@ -187,26 +184,24 @@ def sample_feature_map(
     )
 
 
-def _check_input(feature_map: FeatureMap, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (feature_map.input_dim,):
+def feature_matrix(feature_map: FeatureMap, X: np.ndarray) -> np.ndarray:
+    """Stack embeddings of the rows of X into an n x (p*M) matrix.
+
+    The allocation is checked against DEFAULT_MEMORY_BUDGET, read at call time.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or (X.shape[0] > 0 and X.shape[1] != feature_map.input_dim):
         raise ValueError(
-            f"expected input of dimension {feature_map.input_dim}, got shape {x.shape}"
+            f"expected n x {feature_map.input_dim} input, got shape {X.shape}"
         )
-    if feature_map.kind == NTK_ONE_LAYER:
-        rho_max = feature_map.params["rho_max"]
-        if np.linalg.norm(x) > rho_max:
-            raise ValueError(f"NTK input norm exceeds rho_max = {rho_max}")
-    return x
-
-
-def embed(feature_map: FeatureMap, x: np.ndarray) -> np.ndarray:
-    """Embed a single input; see feature_matrix for the batched version."""
-    x = _check_input(feature_map, x)
-    return _embed_rows(feature_map, x[None, :])[0]
-
-
-def _embed_rows(feature_map: FeatureMap, X: np.ndarray) -> np.ndarray:
+    n = X.shape[0]
+    needed = n * feature_map.embedding_dim * 8
+    if needed > DEFAULT_MEMORY_BUDGET:
+        raise MemoryBudgetError(
+            f"feature matrix needs {needed} bytes, budget is {DEFAULT_MEMORY_BUDGET}"
+        )
+    if n == 0:
+        return np.zeros((0, feature_map.embedding_dim))
     scale = 1.0 / np.sqrt(feature_map.num_samples)
     if feature_map.kind == GAUSSIAN_RFF:
         proj = X @ feature_map.frequencies.T + feature_map.phases
@@ -217,6 +212,9 @@ def _embed_rows(feature_map: FeatureMap, X: np.ndarray) -> np.ndarray:
         # deterministic features sqrt(mu_j) e_j(x); no Monte Carlo scaling
         return designer_basis(feature_map.num_samples, X[:, 0]) * np.sqrt(mu)
 
+    rho_max = feature_map.params["rho_max"]
+    if np.any(np.linalg.norm(X, axis=1) > rho_max):
+        raise ValueError(f"NTK input norm exceeds rho_max = {rho_max}")
     # NTK: components tau*x_i*act'(w.x) for i in [d], act(w.x), tau*gamma*act'(w.x)
     activation = feature_map.params["activation"]
     tau = feature_map.params["tau"]
@@ -231,7 +229,7 @@ def _embed_rows(feature_map: FeatureMap, X: np.ndarray) -> np.ndarray:
     else:
         act = proj
         dact = np.ones_like(proj)
-    n, M = proj.shape
+    M = proj.shape[1]
     d = feature_map.input_dim
     out = np.empty((n, (d + 2) * M))
     for i in range(d):
@@ -239,35 +237,3 @@ def _embed_rows(feature_map: FeatureMap, X: np.ndarray) -> np.ndarray:
     out[:, d * M : (d + 1) * M] = act
     out[:, (d + 1) * M :] = tau * gamma * dact
     return scale * out
-
-
-def feature_matrix(
-    feature_map: FeatureMap,
-    X: np.ndarray,
-    memory_budget: int = DEFAULT_MEMORY_BUDGET,
-) -> np.ndarray:
-    """Stack embeddings of the rows of X into an n x (p*M) matrix."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or (X.shape[0] > 0 and X.shape[1] != feature_map.input_dim):
-        raise ValueError(
-            f"expected n x {feature_map.input_dim} input, got shape {X.shape}"
-        )
-    n = X.shape[0]
-    needed = n * feature_map.embedding_dim * 8
-    if needed > memory_budget:
-        raise MemoryBudgetError(
-            f"feature matrix needs {needed} bytes, budget is {memory_budget}"
-        )
-    if n == 0:
-        return np.zeros((0, feature_map.embedding_dim))
-    if feature_map.kind == NTK_ONE_LAYER:
-        rho_max = feature_map.params["rho_max"]
-        norms = np.linalg.norm(X, axis=1)
-        if np.any(norms > rho_max):
-            raise ValueError(f"NTK input norm exceeds rho_max = {rho_max}")
-    return _embed_rows(feature_map, X)
-
-
-def approx_kernel(feature_map: FeatureMap, x: np.ndarray, y: np.ndarray) -> float:
-    """K_M(x, y) = <embed(x), embed(y)>."""
-    return float(embed(feature_map, x) @ embed(feature_map, y))

@@ -55,6 +55,27 @@ class SpectralFilter:
     def iterations_for_lambda(self, lam: float) -> int:
         raise ValueError(f"{self.name} is not an iterative filter")
 
+    def resolve(
+        self, lam: float | None = None, iterations: int | None = None
+    ) -> tuple[float, int | None]:
+        """The (lambda, T) pair a fit with this filter uses.
+
+        Give lam, iterations or both. An iterative filter derives the missing
+        one through iterations_for_lambda / lambda_for_iterations, so T is
+        set for it and None for every other filter, which takes no T.
+        """
+        if lam is None and iterations is None:
+            raise ValueError("one of lam or iterations is required")
+        if iterations is not None and not self.iterative:
+            raise ValueError(f"{self.name} does not take an iteration count")
+        if iterations is None and self.iterative:
+            iterations = self.iterations_for_lambda(lam)
+        if lam is None:
+            lam = self.lambda_for_iterations(iterations)
+        if not 0.0 < lam <= 1.0:
+            raise ValueError("lam must lie in (0, 1]")
+        return float(lam), iterations
+
     def descriptor(self) -> dict:
         return {"kind": self.name}
 
@@ -125,18 +146,15 @@ class Landweber(IterativeFilter):
         if T < 1:
             raise ValueError("T must be >= 1")
         t = np.asarray(t, dtype=float)
-        # (1 - (1-alpha t)^T)/t via expm1 to avoid cancellation; t=0 -> alpha*T
+        # (1 - (1-alpha t)^T)/t; t=0 -> alpha*T
         out = np.full_like(t, float(self.alpha * T))
-        pos = t > 0
-        tp = t[pos]
-        # expm1/log1p path avoids cancellation for small alpha*t; past 1 the
+        # expm1/log1p avoids cancellation while alpha*t < 1; from 1 on the
         # base is nonpositive and the direct power is exact
-        with np.errstate(divide="ignore"):
-            out[pos] = np.where(
-                self.alpha * tp >= 1.0,
-                (1.0 - (1.0 - self.alpha * tp) ** T) / tp,
-                -np.expm1(T * np.log1p(-np.minimum(self.alpha * tp, 1.0 - 1e-300))) / tp,
-            )
+        small = (t > 0) & (self.alpha * t < 1.0)
+        big = self.alpha * t >= 1.0
+        ts, tb = t[small], t[big]
+        out[small] = -np.expm1(T * np.log1p(-self.alpha * ts)) / ts
+        out[big] = (1.0 - (1.0 - self.alpha * tb) ** T) / tb
         return out
 
     def declared_cq(self, q):
@@ -201,14 +219,6 @@ def make_filter(kind: str, **kwargs) -> SpectralFilter:
     if kind == "heavyball":
         return Heavyball(**kwargs)
     raise ValueError(f"unknown filter kind {kind!r}")
-
-
-def filter_value(f: SpectralFilter, t, lam: float):
-    return f.value(t, lam)
-
-
-def residual_value(f: SpectralFilter, t, lam: float):
-    return f.residual(t, lam)
 
 
 def qualification_sufficient(f: SpectralFilter, r: float) -> bool:

@@ -11,7 +11,7 @@ import json
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -186,7 +186,11 @@ class ExperimentPlan:
 
     @staticmethod
     def from_json(text: str) -> "ExperimentPlan":
-        return ExperimentPlan(**json.loads(text))
+        conf = json.loads(text)
+        unknown = sorted(set(conf) - {f.name for f in fields(ExperimentPlan)})
+        if unknown:
+            raise ValueError(f"unknown plan keys: {', '.join(unknown)}")
+        return ExperimentPlan(**conf)
 
 
 def default_heatmap_plan(n: int = 5000, repetitions: int = 20, base_seed: int = 0) -> ExperimentPlan:
@@ -285,8 +289,7 @@ def run_heatmap(plan: ExperimentPlan, workers: int = 1) -> dict:
         raise ValueError("plan.experiment must be heatmap or plateau_check")
     if not plan.m_grid or not plan.t_grid:
         raise ValueError("m_grid and t_grid must be nonempty")
-    fdesc = dict(plan.filter)
-    filt = make_filter(fdesc.pop("kind"), **fdesc)
+    filt = make_filter(**plan.filter)
     if not isinstance(filt, IterativeFilter):
         raise ValueError("heatmap requires an iterative filter")
     t_grid = sorted(set(int(t) for t in plan.t_grid))
@@ -348,7 +351,11 @@ def run_heatmap(plan: ExperimentPlan, workers: int = 1) -> dict:
 
 def run_plateau_check(plan: ExperimentPlan, heatmap: dict | None = None, workers: int = 1) -> dict:
     """PASS iff best-over-T error at M = 4 sqrt(n) d stays within
-    (1 + tol) of the error at M = 20 sqrt(n) d."""
+    (1 + tol) of the error at M = 20 sqrt(n) d.
+
+    The verdict is FAIL, with `reason` set, when an anchor has no surviving
+    cell or its best cell has fewer than MIN_PLATEAU_REPS repetitions.
+    """
     d = int(plan.problem.get("input_dim", 1))
     m_small, m_big = plateau_anchors(plan.n_train, d)
     if m_small not in plan.m_grid or m_big not in plan.m_grid:
@@ -366,10 +373,18 @@ def run_plateau_check(plan: ExperimentPlan, heatmap: dict | None = None, workers
         m = cell["M"]
         if m not in best or cell["mean_test_mse"] < best[m]["mean_test_mse"]:
             best[m] = cell
-    err_small, err_big = best[m_small], best[m_big]
-    passed = err_small["mean_test_mse"] <= (1.0 + plan.plateau_tol) * err_big["mean_test_mse"]
+    err_small, err_big = best.get(m_small), best.get(m_big)
+    reps = {m: best[m]["reps"] if m in best else 0 for m in (m_small, m_big)}
+    short = [f"M = {m} has {r}" for m, r in reps.items() if r < MIN_PLATEAU_REPS]
+    if short:
+        passed = False
+        reason = f"anchor best cells below {MIN_PLATEAU_REPS} repetitions: {', '.join(short)}"
+    else:
+        passed = err_small["mean_test_mse"] <= (1.0 + plan.plateau_tol) * err_big["mean_test_mse"]
+        reason = None
     return {
         "pass": bool(passed),
+        "reason": reason,
         "tol": plan.plateau_tol,
         "anchor_small": err_small,
         "anchor_big": err_big,
@@ -414,8 +429,7 @@ def run_rate_sweep(plan: ExperimentPlan, workers: int = 1) -> dict:
     sched = plan.schedule
     r, b = sched["r"], sched["b"]
     problem = _problem_from_plan(plan)
-    fdesc = dict(plan.filter)
-    filt = make_filter(fdesc.pop("kind"), **fdesc)
+    filt = make_filter(**plan.filter)
     configs = []
     for n in plan.n_grid:
         lam = lambda_schedule(n, r, b, sched["delta"], sched["C_lambda"])

@@ -9,7 +9,13 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .features import FeatureMap, designer_basis, feature_matrix, sample_feature_map
+from .features import (
+    FeatureMap,
+    MemoryBudgetError,
+    designer_basis,
+    feature_matrix,
+    sample_feature_map,
+)
 
 GRAM_N_CAP = 5000
 PSD_TOL = 1e-10  # eigenvalues >= -PSD_TOL * trace accepted as numerical zero
@@ -39,7 +45,7 @@ class ExactKernel:
         if X.ndim != 2 or X.shape[1] != self.input_dim:
             raise ValueError(f"expected n x {self.input_dim} matrix, got {X.shape}")
         if n_cap is not None and X.shape[0] > n_cap:
-            raise MemoryError(f"gram capped at n <= {n_cap}, got n = {X.shape[0]}")
+            raise MemoryBudgetError(f"gram capped at n <= {n_cap}, got n = {X.shape[0]}")
         return X
 
 
@@ -85,7 +91,8 @@ class DesignerKernel(ExactKernel):
 
 
 class MonteCarloKernel(ExactKernel):
-    """High-sample-count feature map used as a sampled reference kernel."""
+    """The kernel K_M = <z(x), z(y)> of a feature map; with a high sample
+    count it serves as a sampled reference kernel."""
 
     def __init__(self, feature_map: FeatureMap):
         self.input_dim = feature_map.input_dim
@@ -102,10 +109,6 @@ class MonteCarloKernel(ExactKernel):
             return ZX @ ZX.T
         Y = self._check_rows(Y)
         return ZX @ feature_matrix(self.feature_map, Y).T
-
-
-class FeatureMapKernel(MonteCarloKernel):
-    """The kernel K_M induced by a given feature map (no extra sampling)."""
 
 
 def check_psd(gram: np.ndarray, tol: float = PSD_TOL) -> bool:

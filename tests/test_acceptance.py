@@ -26,7 +26,7 @@ from specrf.harness import (
     run_rate_sweep,
     write_results_csv,
 )
-from specrf.oracles import FeatureMapKernel, GaussianKernel, MonteCarloKernel, krr_gram_fit, krr_predict
+from specrf.oracles import GaussianKernel, MonteCarloKernel, krr_gram_fit, krr_predict
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -103,7 +103,7 @@ def test_primal_ridge_matches_gram_ridge():
         X_test = rng.standard_normal((30, d))
         fmap = sample_feature_map("gaussian_rff", d, M, {"bandwidth": bw}, 2000 + i)
         model = fit_spectral(fmap, X, y, make_filter("tikhonov"), lam=lam)
-        kernel = FeatureMapKernel(fmap)
+        kernel = MonteCarloKernel(fmap)
         dual = krr_predict(kernel, X, krr_gram_fit(kernel, X, y, lam), X_test)
         gap = float(np.max(np.abs(predict(model, X_test) - dual)))
         worst = max(worst, gap / max(float(np.max(np.abs(dual))), 1e-12))

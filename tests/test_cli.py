@@ -126,3 +126,41 @@ def test_plateau_command_exit_codes(tmp_path):
     assert code in (EXIT_OK, EXIT_CHECK_FAILED)
     summary = json.loads((tmp_path / "p" / "summary.json").read_text())
     assert summary["plateau"]["pass"] == (code == EXIT_OK)
+
+
+def test_fit_rejects_non_finite_csv_cell(tmp_path, capsys):
+    data = tmp_path / "train.csv"
+    rows = ["%f,%f" % (0.3 * i % 1.0, 0.1 * i % 1.0) for i in range(40)]
+    rows[7] = "nan,0.5"
+    data.write_text("\n".join(rows) + "\n")
+    config = {
+        "data": {"path": str(data)},
+        "feature_map": {"kind": "gaussian_rff", "num_samples": 16},
+        "filter": {"kind": "tikhonov"},
+        "lambda": 0.1,
+    }
+    cfg = tmp_path / "fit.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["fit", "--config", str(cfg), "--out-dir", str(tmp_path / "m")]) == EXIT_ERROR
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "m" / "model.json").exists()
+
+
+def test_fit_config_missing_keys_is_an_error(tmp_path, capsys):
+    cfg = tmp_path / "fit.json"
+    cfg.write_text(json.dumps({"data": {"designer": {"J": 8, "b": 1.0, "r": 0.5}}}))
+    assert main(["fit", "--config", str(cfg), "--out-dir", str(tmp_path / "m")]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "feature_map, filter" in err
+
+
+def test_unknown_plan_key_is_an_error(tmp_path, capsys):
+    plan = json.loads(_tiny_plan_file(tmp_path).read_text())
+    plan["repetitons"] = 3
+    cfg = tmp_path / "typo.json"
+    cfg.write_text(json.dumps(plan))
+    assert main(["heatmap", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "repetitons" in err

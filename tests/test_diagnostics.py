@@ -1,12 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 
 from specrf.diagnostics import (
     HardLearningError,
     compute_f_star,
-    diagnostics_record,
     effective_dimension,
     effective_dimension_comparison,
     excess_risk_exact,
@@ -146,15 +143,3 @@ def test_effective_dimension_comparison_on_rff():
     assert 0.2 < out["ratio"] < out["threshold"]
     with pytest.raises(ValueError, match="500"):
         effective_dimension_comparison(fmap, GaussianKernel(2, 1.0), X[:100], 0.05)
-
-
-def test_diagnostics_record_is_json_line():
-    line = diagnostics_record("bias", 0.1, 0.05, 0.2, "ok")
-    parsed = json.loads(line)
-    assert parsed == {
-        "bound": 0.2,
-        "lambda": 0.1,
-        "quantity": "bias",
-        "status": "ok",
-        "value": 0.05,
-    }

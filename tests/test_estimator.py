@@ -13,7 +13,7 @@ from specrf.estimator import (
 )
 from specrf.features import feature_matrix, sample_feature_map
 from specrf.filters import make_filter
-from specrf.oracles import FeatureMapKernel, krr_gram_fit, krr_predict
+from specrf.oracles import MonteCarloKernel, krr_gram_fit, krr_predict
 
 
 def _toy(seed=0, n=120, d=2, M=24):
@@ -38,9 +38,9 @@ def test_ridge_primal_equals_dual():
     fmap, X, y = _toy(seed=3)
     lam = 0.05
     model = fit_spectral(fmap, X, y, make_filter("tikhonov"), lam=lam)
-    alpha = krr_gram_fit(FeatureMapKernel(fmap), X, y, lam)
+    alpha = krr_gram_fit(MonteCarloKernel(fmap), X, y, lam)
     X_test = np.random.default_rng(9).standard_normal((50, 2))
-    dual = krr_predict(FeatureMapKernel(fmap), X, alpha, X_test)
+    dual = krr_predict(MonteCarloKernel(fmap), X, alpha, X_test)
     np.testing.assert_allclose(predict(model, X_test), dual, atol=1e-9)
 
 
@@ -107,7 +107,7 @@ def test_fit_spectral_argument_validation():
         fit_spectral(fmap, X, y, tik, lam=1.5)
     big = sample_feature_map("gaussian_rff", 2, 5000, {}, 0)
     with pytest.raises(ValueError, match="eigensolver cap"):
-        fit_spectral(big, X, y, tik, lam=0.1, eig_dim_cap=4096)
+        fit_spectral(big, X, y, tik, lam=0.1)
 
 
 def test_iterative_filter_iteration_count_derived_from_lambda():
@@ -134,6 +134,19 @@ def test_mse_rejects_empty_test_set():
     model = fit_spectral(fmap, X, y, make_filter("tikhonov"), lam=0.1)
     with pytest.raises(ValueError, match="empty"):
         mse(model, np.zeros((0, 2)), np.zeros(0))
+
+
+@pytest.mark.parametrize("bad", ["nan_label", "inf_input"])
+def test_non_finite_training_data_rejected_on_both_paths(bad):
+    fmap, X, y = _toy()
+    if bad == "nan_label":
+        y[3] = np.nan
+    else:
+        X[5, 1] = np.inf
+    with pytest.raises(ValueError, match="NaN or inf"):
+        fit_spectral(fmap, X, y, make_filter("tikhonov"), lam=0.1)
+    with pytest.raises(ValueError, match="NaN or inf"):
+        fit_iterative(fmap, X, y, make_filter("landweber", alpha=0.5), 8)
 
 
 def test_length_mismatch_rejected():

@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specrf import features
 from specrf.features import (
     DESIGNER_FINITE_RANK,
     GAUSSIAN_RFF,
     NTK_ONE_LAYER,
     FeatureMap,
     MemoryBudgetError,
-    approx_kernel,
     designer_basis,
-    embed,
     feature_matrix,
     sample_feature_map,
 )
@@ -32,17 +31,12 @@ def test_designer_basis_orthonormal_under_quadrature():
 def test_designer_embed_known_values():
     mu = np.array([1.0, 0.25, 1.0 / 9.0])
     f = sample_feature_map(DESIGNER_FINITE_RANK, 1, 3, {"eigenvalues": mu}, 0)
+    Z = feature_matrix(f, np.array([[0.0], [0.5]]))
     np.testing.assert_allclose(
-        embed(f, np.array([0.0])),
-        [1.0, 0.7071067811865476, 0.47140452079103173],
-        atol=1e-14,
+        Z[0], [1.0, 0.7071067811865476, 0.47140452079103173], atol=1e-14
     )
     # at x = 0.5 the second basis function vanishes and the third flips sign
-    np.testing.assert_allclose(
-        embed(f, np.array([0.5])),
-        [1.0, 0.0, -0.47140452079103173],
-        atol=1e-14,
-    )
+    np.testing.assert_allclose(Z[1], [1.0, 0.0, -0.47140452079103173], atol=1e-14)
     assert f.kappa_sq == pytest.approx(1.7222222222222223)
 
 
@@ -51,8 +45,10 @@ def test_designer_map_is_exact_not_monte_carlo():
     mu4 = np.arange(1, 5, dtype=float) ** -2.0
     f2 = sample_feature_map(DESIGNER_FINITE_RANK, 1, 2, {"eigenvalues": mu4[:2]}, 0)
     f4 = sample_feature_map(DESIGNER_FINITE_RANK, 1, 4, {"eigenvalues": mu4}, 0)
-    x = np.array([0.3])
-    np.testing.assert_allclose(embed(f2, x), embed(f4, x)[:2], atol=1e-15)
+    X = np.array([[0.3]])
+    np.testing.assert_allclose(
+        feature_matrix(f2, X), feature_matrix(f4, X)[:, :2], atol=1e-15
+    )
 
 
 def test_rff_frequencies_seed_determined():
@@ -109,7 +105,8 @@ def test_ntk_identity_activation_matches_closed_form_kernel():
     y = rng.standard_normal(d) / 2
     exact = 2.0 * float(x @ y) + 1.0
     # only the (w.x)(w.y) component fluctuates; its std is O(1/sqrt(M))
-    assert abs(approx_kernel(f, x, y) - exact) < 5.0 / np.sqrt(M)
+    Z = feature_matrix(f, np.stack([x, y]))
+    assert abs(float(Z[0] @ Z[1]) - exact) < 5.0 / np.sqrt(M)
 
 
 def test_ntk_tanh_kappa_certified_relu_not():
@@ -122,7 +119,7 @@ def test_ntk_tanh_kappa_certified_relu_not():
 def test_ntk_rejects_inputs_outside_declared_ball():
     f = sample_feature_map(NTK_ONE_LAYER, 2, 8, {"rho_max": 1.0}, 0)
     with pytest.raises(ValueError, match="rho_max"):
-        embed(f, np.array([2.0, 0.0]))
+        feature_matrix(f, np.array([[2.0, 0.0]]))
     with pytest.raises(ValueError, match="rho_max"):
         feature_matrix(f, np.array([[0.1, 0.0], [3.0, 0.0]]))
 
@@ -140,10 +137,11 @@ def test_descriptor_roundtrip_regenerates_frequencies():
         assert g.kappa_sq == f.kappa_sq
 
 
-def test_feature_matrix_memory_budget():
+def test_feature_matrix_memory_budget(monkeypatch):
     f = sample_feature_map(GAUSSIAN_RFF, 2, 1000, {}, 0)
+    monkeypatch.setattr(features, "DEFAULT_MEMORY_BUDGET", 1000)
     with pytest.raises(MemoryBudgetError):
-        feature_matrix(f, np.zeros((1000, 2)), memory_budget=1000)
+        feature_matrix(f, np.zeros((1000, 2)))
 
 
 def test_validation_errors():
@@ -162,8 +160,8 @@ def test_validation_errors():
             DESIGNER_FINITE_RANK, 1, 3, {"eigenvalues": [1.0, 0.2, 0.5]}, 0
         )
     f = sample_feature_map(GAUSSIAN_RFF, 3, 4, {}, 0)
-    with pytest.raises(ValueError, match="dimension"):
-        embed(f, np.zeros(2))
+    with pytest.raises(ValueError, match="expected n x 3 input"):
+        feature_matrix(f, np.zeros((1, 2)))
 
 
 def test_empty_feature_matrix():
@@ -179,7 +177,7 @@ def test_empty_feature_matrix():
 )
 def test_designer_kernel_symmetric_and_bounded(x, y, seed):
     f = sample_feature_map(DESIGNER_FINITE_RANK, 1, 8, {"decay_exponent": 1.0}, seed)
-    kxy = approx_kernel(f, np.array([x]), np.array([y]))
-    kyx = approx_kernel(f, np.array([y]), np.array([x]))
-    assert kxy == pytest.approx(kyx, abs=1e-12)
-    assert abs(kxy) <= f.kappa_sq + 1e-12
+    Z = feature_matrix(f, np.array([[x], [y]]))
+    K = Z @ Z.T
+    assert K[0, 1] == pytest.approx(K[1, 0], abs=1e-12)
+    assert np.all(np.abs(K) <= f.kappa_sq + 1e-12)

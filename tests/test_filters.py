@@ -9,17 +9,15 @@ from specrf.filters import (
     Heavyball,
     Landweber,
     audit_filter,
-    filter_value,
     make_filter,
     qualification_sufficient,
-    residual_value,
 )
 
 
 def test_tikhonov_known_values():
     f = make_filter("tikhonov")
-    assert filter_value(f, 0.5, 0.1) == pytest.approx(1.0 / 0.6)
-    assert residual_value(f, 0.5, 0.1) == pytest.approx(0.1 / 0.6)
+    assert f.value(0.5, 0.1) == pytest.approx(1.0 / 0.6)
+    assert f.residual(0.5, 0.1) == pytest.approx(0.1 / 0.6)
     # residual identity r = 1 - t*phi holds vectorized
     t = np.linspace(0.0, 1.0, 11)
     np.testing.assert_allclose(f.residual(t, 0.3), 1.0 - t * f.value(t, 0.3))

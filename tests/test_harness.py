@@ -187,6 +187,27 @@ def test_plateau_validation():
         run_plateau_check(plan)
 
 
+def test_plateau_fails_when_an_anchor_lacks_repetitions():
+    # n = 100 puts the anchors at M = 40 and M = 200
+    plan = default_heatmap_plan(n=100, repetitions=10)
+
+    def cell(m, t, mean, reps):
+        return {"M": m, "T": t, "mean_test_mse": mean, "std_test_mse": 0.0, "reps": reps}
+
+    full = [cell(40, 1, 0.5, 10), cell(200, 1, 0.5, 10)]
+    assert run_plateau_check(plan, heatmap={"aggregates": full})["pass"]
+    # the best cell at M = 200 lost a repetition; its mean alone would pass
+    short = [cell(40, 1, 0.5, 10), cell(200, 1, 0.49, 9), cell(200, 4, 0.6, 10)]
+    out = run_plateau_check(plan, heatmap={"aggregates": short})
+    assert out["pass"] is False
+    assert "M = 200 has 9" in out["reason"]
+    # every repetition at M = 40 failed, so no cell survives there
+    out = run_plateau_check(plan, heatmap={"aggregates": [cell(200, 1, 0.5, 10)]})
+    assert out["pass"] is False
+    assert out["anchor_small"] is None
+    assert "M = 40 has 0" in out["reason"]
+
+
 def test_rate_sweep_exact_recovery_flags_degenerate():
     plan = ExperimentPlan(
         experiment="rate_sweep",
