@@ -30,6 +30,7 @@ from .filters import (
 )
 from .estimator import (
     DivergenceError,
+    Moments,
     RfModel,
     assemble_empirical_operators,
     fit_iterative,

@@ -31,8 +31,6 @@ from .harness import (
     run_heatmap,
     run_plateau_check,
     run_rate_sweep,
-    standardize_features,
-    trial_seed,
     write_outputs,
 )
 
@@ -56,15 +54,22 @@ def _cmd_fit(args) -> int:
     missing = [key for key in ("data", "feature_map", "filter") if key not in config]
     if missing:
         raise ValueError(f"fit config is missing required keys: {', '.join(missing)}")
-    data = config["data"]
+    data, m = config["data"], config["feature_map"]
+    sources = [key for key in ("path", "designer") if key in data]
+    if len(sources) != 1:
+        raise ValueError("fit config data needs exactly one of path or designer")
+    allowed = {"path": {"path", "options"}, "designer": {"designer", "n"}}[sources[0]]
+    unknown = sorted(set(data) - allowed)
+    if unknown:
+        raise ValueError(f"unknown fit config data keys: {', '.join(unknown)}")
+    missing = [key for key in ("kind", "num_samples") if key not in m]
+    if missing:
+        raise ValueError(f"fit config feature_map is missing required keys: {', '.join(missing)}")
     if "path" in data:
         X, y = ingest_csv_dataset(data["path"], **data.get("options", {}))
-        if data.get("standardize", False):
-            X, _ = standardize_features(X)
     else:
         problem = make_designer_problem(**data["designer"])
         X, y = sample_dataset(problem, data.get("n", 1000), args.seed or 0)
-    m = config["feature_map"]
     fmap = sample_feature_map(
         m["kind"], X.shape[1], m["num_samples"], m.get("params", {}), args.seed or 0
     )

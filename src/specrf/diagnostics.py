@@ -194,11 +194,12 @@ def excess_risk_exact(problem: DesignerProblem, model: RfModel) -> dict:
 def sup_norm_f_star(
     problem: DesignerProblem,
     filt: SpectralFilter,
-    lam: float,
+    lam: float | None,
     iterations: int | None = None,
     grid_size: int = 10_001,
 ) -> dict:
-    """Sup norm of S f*_lambda on [0,1] against its monitored analytic bound."""
+    """Sup norm of S f*_lambda on [0,1] against its monitored bound at the resolved lambda."""
+    lam, iterations = filt.resolve(lam, iterations)
     coeffs, _ = compute_f_star(problem, filt, lam, iterations)
     grid = np.linspace(0.0, 1.0, grid_size)
     values = designer_basis(problem.rank, grid) @ coeffs

@@ -1,9 +1,10 @@
 """Random-feature estimator: spectral and iterative fitting paths.
 
 Both paths realize theta = phi_lambda(Sigma_hat) s_hat with
-Sigma_hat = Z^T Z / n and s_hat = Z^T y / n; the spectral path filters the
-eigenvalues of Sigma_hat, the iterative path runs (momentum) gradient
-descent whose T-step polynomial is the same filter.
+Sigma_hat = Z^T Z / n and s_hat = Z^T y / n, and read the data only through
+the Moments record that assemble_empirical_operators returns. The spectral
+path filters the eigenvalues of Sigma_hat, the iterative path runs
+(momentum) gradient descent whose T-step polynomial is the same filter.
 """
 from __future__ import annotations
 
@@ -39,19 +40,23 @@ class RfModel:
     snapshots: dict | None = field(default=None, repr=False)
 
 
-def _data_fingerprint(X: np.ndarray, y: np.ndarray, map_seed: int) -> dict:
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(X, dtype=float).tobytes())
-    h.update(np.ascontiguousarray(y, dtype=float).tobytes())
-    return {"n": int(X.shape[0]), "map_seed": int(map_seed), "data_sha256": h.hexdigest()}
+@dataclass(frozen=True)
+class Moments:
+    """All a fit reads of its data: Sigma_hat = Z^T Z / n, s_hat = Z^T y / n,
+    yy = mean y^2, and a fingerprint holding n, the map seed and a data hash."""
+
+    sigma: np.ndarray = field(repr=False)
+    s: np.ndarray = field(repr=False)
+    yy: float
+    fingerprint: dict
 
 
 def assemble_empirical_operators(
     feature_map: FeatureMap, X: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Return (Sigma_hat, s_hat) = (Z^T Z / n, Z^T y / n).
+) -> Moments:
+    """Validate, embed, reduce and hash the data; the one place a fit reads it.
 
-    Every fit reads its data here, so non-finite data is rejected here.
+    Non-finite data is rejected here, so both fit paths reject it.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     X = np.asarray(X, dtype=float)
@@ -66,7 +71,11 @@ def assemble_empirical_operators(
         raise MemoryBudgetError(f"covariance of dimension {dim} exceeds memory budget")
     Z = feature_matrix(feature_map, X)
     n = X.shape[0]
-    return Z.T @ Z / n, Z.T @ y / n
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(X).tobytes())
+    h.update(np.ascontiguousarray(y).tobytes())
+    fingerprint = {"n": n, "map_seed": int(feature_map.seed), "data_sha256": h.hexdigest()}
+    return Moments(Z.T @ Z / n, Z.T @ y / n, float(np.mean(y**2)), fingerprint)
 
 
 def fit_spectral(
@@ -83,22 +92,17 @@ def fit_spectral(
         raise ValueError(
             f"embedding dimension {feature_map.embedding_dim} exceeds eigensolver cap {EIG_DIM_CAP}"
         )
-    sigma, sy = assemble_empirical_operators(feature_map, X, y)
-    evals, evecs = np.linalg.eigh(sigma)
+    moments = assemble_empirical_operators(feature_map, X, y)
+    evals, evecs = np.linalg.eigh(moments.sigma)
     evals = np.maximum(evals, 0.0)  # round-off can leave tiny negatives
     if iterations is None:
         phi = filt.value(evals, lam)
     else:
         phi = filt.value_at_iterations(evals, iterations)
-    theta = evecs @ (phi * (evecs.T @ sy))
+    theta = evecs @ (phi * (evecs.T @ moments.s))
     return RfModel(
-        map=feature_map,
-        theta=theta,
-        filter=filt,
-        lam=lam,
-        iterations=iterations,
-        fit_path="spectral",
-        train_fingerprint=_data_fingerprint(np.asarray(X, float), np.asarray(y, float), feature_map.seed),
+        map=feature_map, theta=theta, filter=filt, lam=lam, iterations=iterations,
+        fit_path="spectral", train_fingerprint=moments.fingerprint,
     )
 
 
@@ -108,21 +112,20 @@ def fit_iterative(
     y: np.ndarray,
     filt: IterativeFilter,
     iterations: int,
-    record_loss: bool = False,
     snapshots: tuple[int, ...] = (),
 ) -> RfModel:
     """Run the parameter-space (momentum) gradient iteration for T steps.
 
-    `snapshots` asks for copies of theta after the listed iteration counts;
-    they are returned in model.snapshots keyed by T.
+    model.losses holds the training loss before the first step and after
+    each step. `snapshots` asks for copies of theta after the listed
+    iteration counts; they are returned in model.snapshots keyed by T.
     """
     if not isinstance(filt, IterativeFilter):
         raise ValueError("fit_iterative requires a Landweber or Heavyball filter")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    sigma, sy = assemble_empirical_operators(feature_map, X, y)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    mean_y_sq = float(np.mean(y**2))
+    moments = assemble_empirical_operators(feature_map, X, y)
+    sigma, s, yy = moments.sigma, moments.s, moments.yy
 
     # stability precheck: trace bounds the spectral norm
     alpha = filt.alpha
@@ -136,46 +139,39 @@ def fit_iterative(
             )
 
     beta = getattr(filt, "beta", 0.0)
-    theta_prev = np.zeros_like(sy)
-    theta = np.zeros_like(sy)
-    losses = [mean_y_sq] if record_loss else None
+    theta_prev = np.zeros_like(s)
+    theta = np.zeros_like(s)
+    sigma_theta = np.zeros_like(s)  # Sigma @ theta, shared by a step's loss and the next gradient
+    losses = [yy]
     wanted = {int(T) for T in snapshots}
     taken: dict[int, np.ndarray] = {}
-    initial_loss = max(mean_y_sq, 1e-300)
+    initial_loss = max(yy, 1e-300)
     for t in range(1, iterations + 1):
-        grad = sigma @ theta - sy
-        theta_next = theta - alpha * grad + beta * (theta - theta_prev)
+        theta_next = theta - alpha * (sigma_theta - s) + beta * (theta - theta_prev)
         theta_prev, theta = theta, theta_next
-        loss = float(theta @ (sigma @ theta) - 2.0 * theta @ sy + mean_y_sq)
+        sigma_theta = sigma @ theta
+        loss = float(theta @ sigma_theta - 2.0 * theta @ s + yy)
         if loss > DIVERGENCE_FACTOR * initial_loss:
             raise DivergenceError(f"training loss diverged at iteration {t}")
-        if record_loss:
-            losses.append(loss)
+        losses.append(loss)
         if t in wanted:
             taken[t] = theta.copy()
     return RfModel(
-        map=feature_map,
-        theta=theta,
-        filter=filt,
-        lam=filt.lambda_for_iterations(iterations),
-        iterations=iterations,
-        fit_path="iterative",
-        train_fingerprint=_data_fingerprint(np.asarray(X, float), y, feature_map.seed),
-        losses=np.asarray(losses) if record_loss else None,
-        snapshots=taken if snapshots else None,
+        map=feature_map, theta=theta, filter=filt, lam=filt.lambda_for_iterations(iterations),
+        iterations=iterations, fit_path="iterative", train_fingerprint=moments.fingerprint,
+        losses=np.asarray(losses), snapshots=taken if snapshots else None,
     )
 
 
-def predict(model: RfModel, X: np.ndarray, theta: np.ndarray | None = None) -> np.ndarray:
-    theta = model.theta if theta is None else theta
-    return feature_matrix(model.map, np.asarray(X, dtype=float)) @ theta
+def predict(model: RfModel, X: np.ndarray) -> np.ndarray:
+    return feature_matrix(model.map, np.asarray(X, dtype=float)) @ model.theta
 
 
-def mse(model: RfModel, X: np.ndarray, y: np.ndarray, theta: np.ndarray | None = None) -> float:
+def mse(model: RfModel, X: np.ndarray, y: np.ndarray) -> float:
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.size == 0:
         raise ValueError("empty test set")
-    return float(np.mean((predict(model, X, theta=theta) - y) ** 2))
+    return float(np.mean((predict(model, X) - y) ** 2))
 
 
 def save_model(model: RfModel, path: str) -> None:
@@ -200,6 +196,9 @@ def load_model(path: str) -> RfModel:
     feature_map = sample_feature_map(**payload["map"])
     filt = make_filter(**payload["filter"])
     theta = np.frombuffer(base64.b64decode(payload["theta_b64"]), dtype="<f8").copy()
+    dim = feature_map.embedding_dim
+    if theta.size != dim:
+        raise ValueError(f"model theta has {theta.size} entries, its map's embedding_dim is {dim}")
     return RfModel(
         map=feature_map,
         theta=theta,

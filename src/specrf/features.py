@@ -6,9 +6,7 @@ finite-rank designer map) of a kernel with an integral representation.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
@@ -60,13 +58,6 @@ class FeatureMap:
             "params": params,
             "seed": self.seed,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.descriptor(), sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "FeatureMap":
-        return sample_feature_map(**json.loads(text))
 
 
 def designer_basis(num_funcs: int, x: np.ndarray) -> np.ndarray:

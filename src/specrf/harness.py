@@ -7,6 +7,7 @@ reordering and any worker count.
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import math
 import warnings
@@ -17,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import DesignerProblem, excess_risk_exact, make_designer_problem, sample_dataset
-from .estimator import fit_iterative, fit_spectral, mse
-from .features import sample_feature_map
+from .estimator import fit_iterative, fit_spectral
+from .features import feature_matrix, sample_feature_map
 from .filters import IterativeFilter, make_filter
 
 RESULTS_HEADER = ("n", "M", "T", "lambda", "rep", "metric", "value")
@@ -250,8 +251,12 @@ def _synthetic_data(plan: ExperimentPlan, seed: int, n: int) -> tuple[np.ndarray
 def _load_plan_dataset(plan: ExperimentPlan) -> tuple[np.ndarray, np.ndarray]:
     opts = dict(plan.problem)
     opts.pop("type")
-    path = opts.pop("path")
-    return ingest_csv_dataset(path, **opts)
+    unknown = sorted(set(opts) - set(inspect.signature(ingest_csv_dataset).parameters))
+    if unknown:
+        raise ValueError(f"dataset problem keys not taken by ingest: {', '.join(unknown)}")
+    if "path" not in opts:
+        raise ValueError("dataset problem needs a path")
+    return ingest_csv_dataset(**opts)
 
 
 def _heatmap_trial_data(plan: ExperimentPlan, rep_seed: int, dataset):
@@ -289,6 +294,8 @@ def run_heatmap(plan: ExperimentPlan, workers: int = 1) -> dict:
         raise ValueError("plan.experiment must be heatmap or plateau_check")
     if not plan.m_grid or not plan.t_grid:
         raise ValueError("m_grid and t_grid must be nonempty")
+    if plan.n_test < 1:
+        raise ValueError("n_test must be >= 1")
     filt = make_filter(**plan.filter)
     if not isinstance(filt, IterativeFilter):
         raise ValueError("heatmap requires an iterative filter")
@@ -298,24 +305,21 @@ def run_heatmap(plan: ExperimentPlan, workers: int = 1) -> dict:
     def trial(mi: int, rep: int):
         m = plan.m_grid[mi]
         seed = trial_seed(plan.base_seed, 0, mi, 0, rep)
-        fmap = sample_feature_map(
-            plan.feature_map["kind"],
-            int(plan.problem.get("input_dim", 1)),
-            m,
-            plan.feature_map.get("params", {}),
-            trial_seed(seed, 2),
-        )
         X_tr, y_tr, X_te, y_te = _heatmap_trial_data(plan, seed, dataset)
+        fm = plan.feature_map
+        fmap = sample_feature_map(
+            fm["kind"], X_tr.shape[1], m, fm.get("params", {}), trial_seed(seed, 2)
+        )
         try:
             model = fit_iterative(
                 fmap, X_tr, y_tr, filt, iterations=max(t_grid), snapshots=tuple(t_grid)
             )
         except Exception as exc:  # cell marked failed, run continues
             return [(m, t, None, repr(exc)) for t in t_grid]
-        return [
-            (m, t, mse(model, X_te, y_te, theta=model.snapshots[t]), None)
-            for t in t_grid
-        ]
+        # one embedding and one product score every snapshot
+        thetas = np.column_stack([model.snapshots[t] for t in t_grid])
+        errors = np.mean((feature_matrix(fmap, X_te) @ thetas - y_te[:, None]) ** 2, axis=0)
+        return [(m, t, float(e), None) for t, e in zip(t_grid, errors)]
 
     jobs = {
         (mi, rep): (lambda mi=mi, rep=rep: trial(mi, rep))

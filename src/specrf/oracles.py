@@ -9,13 +9,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .features import (
-    FeatureMap,
-    MemoryBudgetError,
-    designer_basis,
-    feature_matrix,
-    sample_feature_map,
-)
+from .features import FeatureMap, MemoryBudgetError, designer_basis, feature_matrix
 
 GRAM_N_CAP = 5000
 PSD_TOL = 1e-10  # eigenvalues >= -PSD_TOL * trace accepted as numerical zero
@@ -97,10 +91,6 @@ class MonteCarloKernel(ExactKernel):
     def __init__(self, feature_map: FeatureMap):
         self.input_dim = feature_map.input_dim
         self.feature_map = feature_map
-
-    @classmethod
-    def sample(cls, kind: str, input_dim: int, num_samples: int, params: dict, seed: int):
-        return cls(sample_feature_map(kind, input_dim, num_samples, params, seed))
 
     def gram(self, X, Y=None):
         X = self._check_rows(X)

@@ -128,7 +128,9 @@ def test_monte_carlo_kernel_error_decay():
     for M in (256, 1024):
         errs = [
             float(np.median(np.abs(
-                MonteCarloKernel.sample("gaussian_rff", d, M, {"bandwidth": 1.0}, s).gram(X, Y) - ref
+                MonteCarloKernel(
+                    sample_feature_map("gaussian_rff", d, M, {"bandwidth": 1.0}, s)
+                ).gram(X, Y) - ref
             )))
             for s in range(50)
         ]

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from specrf.cli import EXIT_CHECK_FAILED, EXIT_ERROR, EXIT_OK, main
 from specrf.harness import ExperimentPlan
 
@@ -153,6 +155,27 @@ def test_fit_config_missing_keys_is_an_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "feature_map, filter" in err
+
+
+@pytest.mark.parametrize("change,named", [
+    ({"feature_map": {"kind": "gaussian_rff"}}, "num_samples"),
+    ({"data": {"n": 100}}, "path or designer"),
+    ({"data": {"path": "train.csv", "standardize": True}}, "standardize"),
+])
+def test_fit_config_nested_key_errors(tmp_path, capsys, change, named):
+    config = {
+        "data": {"designer": {"J": 8, "b": 1.0, "r": 0.5}, "n": 100},
+        "feature_map": {"kind": "gaussian_rff", "num_samples": 16},
+        "filter": {"kind": "tikhonov"},
+        "lambda": 0.1,
+        **change,
+    }
+    cfg = tmp_path / "fit.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["fit", "--config", str(cfg), "--out-dir", str(tmp_path / "m")]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert named in err
 
 
 def test_unknown_plan_key_is_an_error(tmp_path, capsys):

@@ -134,6 +134,14 @@ def test_sup_norm_within_monitored_bound():
         assert out["status"] == "monitored"
 
 
+def test_sup_norm_resolves_lambda_from_iterations():
+    p = make_designer_problem(J=32, b=1.0, r=0.5, noise_std=0.0, seed=0)
+    out = sup_norm_f_star(p, make_filter("landweber", alpha=0.5), None, iterations=8, grid_size=2001)
+    assert out["lam"] == 0.25
+    assert np.isfinite(out["bound"])
+    assert out["within_bound"]
+
+
 def test_effective_dimension_comparison_on_rff():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((600, 2))

@@ -1,3 +1,6 @@
+import base64
+import json
+
 import numpy as np
 import pytest
 
@@ -26,12 +29,20 @@ def _toy(seed=0, n=120, d=2, M=24):
 
 def test_empirical_operators_shapes_and_scaling():
     fmap, X, y = _toy()
-    sigma, sy = assemble_empirical_operators(fmap, X, y)
+    moments = assemble_empirical_operators(fmap, X, y)
     Z = feature_matrix(fmap, X)
-    np.testing.assert_allclose(sigma, Z.T @ Z / len(y), atol=1e-13)
-    np.testing.assert_allclose(sy, Z.T @ y / len(y), atol=1e-13)
+    np.testing.assert_allclose(moments.sigma, Z.T @ Z / len(y), atol=1e-13)
+    np.testing.assert_allclose(moments.s, Z.T @ y / len(y), atol=1e-13)
+    assert moments.yy == pytest.approx(np.mean(y**2), rel=1e-15)
+    assert moments.fingerprint["n"] == len(y)
+    assert moments.fingerprint["map_seed"] == fmap.seed
     # the trace equals the mean squared embedding norm, capped by kappa^2
-    assert np.trace(sigma) <= fmap.kappa_sq + 1e-12
+    assert np.trace(moments.sigma) <= fmap.kappa_sq + 1e-12
+    # the fingerprint tracks the data, not only its size
+    y2 = y.copy()
+    y2[0] += 1.0
+    other = assemble_empirical_operators(fmap, X, y2).fingerprint
+    assert other["data_sha256"] != moments.fingerprint["data_sha256"]
 
 
 def test_ridge_primal_equals_dual():
@@ -69,9 +80,12 @@ def test_fit_invariant_under_row_permutation():
 
 def test_gradient_descent_loss_monotone():
     fmap, X, y = _toy(seed=7)
-    model = fit_iterative(fmap, X, y, make_filter("landweber", alpha=0.9), 200, record_loss=True)
+    model = fit_iterative(fmap, X, y, make_filter("landweber", alpha=0.9), 200)
     assert model.losses is not None and len(model.losses) == 201
     assert np.all(np.diff(model.losses) <= 1e-12)
+    # losses[0] is mean y^2 (theta = 0); the last is the training MSE of the final theta
+    assert model.losses[0] == pytest.approx(np.mean(y**2), rel=1e-15)
+    assert model.losses[-1] == pytest.approx(mse(model, X, y), rel=1e-10)
 
 
 def test_snapshots_track_requested_iterations():
@@ -127,6 +141,18 @@ def test_model_roundtrip_through_disk(tmp_path):
     X_test = np.random.default_rng(2).standard_normal((20, 2))
     np.testing.assert_array_equal(predict(loaded, X_test), predict(model, X_test))
     assert loaded.train_fingerprint == model.train_fingerprint
+
+
+def test_load_model_rejects_theta_of_wrong_length(tmp_path):
+    fmap, X, y = _toy(M=16)
+    path = tmp_path / "model.json"
+    save_model(fit_spectral(fmap, X, y, make_filter("tikhonov"), lam=0.1), path)
+    payload = json.loads(path.read_text())
+    short = np.frombuffer(base64.b64decode(payload["theta_b64"]), dtype="<f8")[:10]
+    payload["theta_b64"] = base64.b64encode(short.tobytes()).decode("ascii")
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="10 entries.*embedding_dim is 16"):
+        load_model(path)
 
 
 def test_mse_rejects_empty_test_set():

@@ -1,10 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from specrf.estimator import fit_iterative, mse
+from specrf.features import sample_feature_map
+from specrf.filters import make_filter
 from specrf.harness import (
     ExperimentPlan,
+    _heatmap_trial_data,
     default_heatmap_plan,
     default_rate_plan,
     format_value,
@@ -162,6 +167,50 @@ def test_heatmap_smoke():
     for cell in out["aggregates"]:
         assert cell["reps"] == 2
         assert cell["mean_test_mse"] > 0
+
+
+def test_heatmap_rows_equal_mse_of_the_fit_iterative_snapshots():
+    plan = _tiny_heatmap_plan()
+    rows = run_heatmap(plan)["rows"]
+    filt = make_filter(**plan.filter)
+    checked = 0
+    for mi, m in enumerate(plan.m_grid):
+        for rep in range(plan.repetitions):
+            seed = trial_seed(plan.base_seed, 0, mi, 0, rep)
+            X_tr, y_tr, X_te, y_te = _heatmap_trial_data(plan, seed, None)
+            fm = plan.feature_map
+            fmap = sample_feature_map(fm["kind"], 1, m, fm["params"], trial_seed(seed, 2))
+            model = fit_iterative(fmap, X_tr, y_tr, filt, max(plan.t_grid), snapshots=plan.t_grid)
+            for n, M, t, lam, r, metric, value in rows:
+                if (M, r) == (m, rep):
+                    want = mse(dataclasses.replace(model, theta=model.snapshots[t]), X_te, y_te)
+                    assert value == pytest.approx(want, rel=1e-12, abs=0.0)
+                    checked += 1
+    assert checked == len(rows) == 8
+
+
+def _dataset_plan(tmp_path, **problem):
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((120, 2))
+    y = np.sin(X[:, 0]) + X[:, 1] ** 2
+    path = tmp_path / "data.csv"
+    np.savetxt(path, np.column_stack([y, X]), delimiter=",")
+    plan = _tiny_heatmap_plan()
+    plan.n_train, plan.n_test = 80, 40
+    plan.problem = {"type": "dataset", "path": str(path), **problem}
+    return plan
+
+
+def test_heatmap_on_a_dataset_with_several_feature_columns(tmp_path):
+    out = run_heatmap(_dataset_plan(tmp_path))
+    assert out["failures"] == []
+    assert len(out["rows"]) == 8
+    assert all(np.isfinite(row[-1]) for row in out["rows"])
+
+
+def test_dataset_plan_rejects_keys_ingest_does_not_take(tmp_path):
+    with pytest.raises(ValueError, match="input_dim"):
+        run_heatmap(_dataset_plan(tmp_path, input_dim=2))
 
 
 def test_heatmap_deterministic_across_workers():

@@ -43,7 +43,7 @@ def test_monte_carlo_kernel_error_shrinks_with_samples():
     ref = GaussianKernel(2, 1.0).gram(X)
 
     def med_err(M, seed):
-        km = MonteCarloKernel.sample("gaussian_rff", 2, M, {"bandwidth": 1.0}, seed)
+        km = MonteCarloKernel(sample_feature_map("gaussian_rff", 2, M, {"bandwidth": 1.0}, seed))
         return np.median(np.abs(km.gram(X) - ref))
 
     small = np.median([med_err(128, s) for s in range(20)])
