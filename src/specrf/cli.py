@@ -25,6 +25,7 @@ from .features import sample_feature_map
 from .filters import IterativeFilter, audit_filter, make_filter
 from .harness import (
     ExperimentPlan,
+    check_call_keys,
     default_heatmap_plan,
     default_rate_plan,
     ingest_csv_dataset,
@@ -65,9 +66,14 @@ def _cmd_fit(args) -> int:
     missing = [key for key in ("kind", "num_samples") if key not in m]
     if missing:
         raise ValueError(f"fit config feature_map is missing required keys: {', '.join(missing)}")
+    if "kind" not in config["filter"]:
+        raise ValueError("fit config filter is missing required keys: kind")
     if "path" in data:
-        X, y = ingest_csv_dataset(data["path"], **data.get("options", {}))
+        options = data.get("options", {})
+        check_call_keys(ingest_csv_dataset, options, "fit config data.options", supplied=("path",))
+        X, y = ingest_csv_dataset(data["path"], **options)
     else:
+        check_call_keys(make_designer_problem, data["designer"], "fit config data.designer")
         problem = make_designer_problem(**data["designer"])
         X, y = sample_dataset(problem, data.get("n", 1000), args.seed or 0)
     fmap = sample_feature_map(

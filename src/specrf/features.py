@@ -63,8 +63,10 @@ class FeatureMap:
 def designer_basis(num_funcs: int, x: np.ndarray) -> np.ndarray:
     """Orthonormal cosine basis on L^2([0,1]): e_1 = 1, e_j = sqrt(2) cos((j-1) pi x)."""
     x = np.atleast_1d(np.asarray(x, dtype=float)).reshape(-1)
-    j = np.arange(num_funcs)
-    out = np.sqrt(2.0) * np.cos(np.pi * np.outer(x, j))
+    out = np.outer(x, np.arange(num_funcs))
+    out *= np.pi
+    np.cos(out, out=out)
+    out *= np.sqrt(2.0)
     out[:, 0] = 1.0
     return out
 
@@ -178,7 +180,8 @@ def sample_feature_map(
 def feature_matrix(feature_map: FeatureMap, X: np.ndarray) -> np.ndarray:
     """Stack embeddings of the rows of X into an n x (p*M) matrix.
 
-    The allocation is checked against DEFAULT_MEMORY_BUDGET, read at call time.
+    The output is the only n x (p*M) allocation: every map writes into it in
+    place. Its size is checked against DEFAULT_MEMORY_BUDGET, read at call time.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or (X.shape[0] > 0 and X.shape[1] != feature_map.input_dim):
@@ -195,13 +198,18 @@ def feature_matrix(feature_map: FeatureMap, X: np.ndarray) -> np.ndarray:
         return np.zeros((0, feature_map.embedding_dim))
     scale = 1.0 / np.sqrt(feature_map.num_samples)
     if feature_map.kind == GAUSSIAN_RFF:
-        proj = X @ feature_map.frequencies.T + feature_map.phases
-        return scale * np.sqrt(2.0) * np.cos(proj)
+        proj = X @ feature_map.frequencies.T
+        proj += feature_map.phases
+        np.cos(proj, out=proj)
+        proj *= scale * np.sqrt(2.0)
+        return proj
 
     if feature_map.kind == DESIGNER_FINITE_RANK:
         mu = feature_map.params["eigenvalues"]
         # deterministic features sqrt(mu_j) e_j(x); no Monte Carlo scaling
-        return designer_basis(feature_map.num_samples, X[:, 0]) * np.sqrt(mu)
+        out = designer_basis(feature_map.num_samples, X[:, 0])
+        out *= np.sqrt(mu)
+        return out
 
     rho_max = feature_map.params["rho_max"]
     if np.any(np.linalg.norm(X, axis=1) > rho_max):
@@ -224,7 +232,8 @@ def feature_matrix(feature_map: FeatureMap, X: np.ndarray) -> np.ndarray:
     d = feature_map.input_dim
     out = np.empty((n, (d + 2) * M))
     for i in range(d):
-        out[:, i * M : (i + 1) * M] = tau * X[:, i : i + 1] * dact
+        np.multiply(tau * X[:, i : i + 1], dact, out=out[:, i * M : (i + 1) * M])
     out[:, d * M : (d + 1) * M] = act
-    out[:, (d + 1) * M :] = tau * gamma * dact
-    return scale * out
+    np.multiply(tau * gamma, dact, out=out[:, (d + 1) * M :])
+    out *= scale
+    return out

@@ -7,6 +7,7 @@ against powers of t.
 """
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass, field
@@ -210,15 +211,15 @@ class Heavyball(IterativeFilter):
 
 
 def make_filter(kind: str, **kwargs) -> SpectralFilter:
-    if kind == "tikhonov":
-        return Tikhonov()
-    if kind == "spectral_cutoff":
-        return SpectralCutoff()
-    if kind == "landweber":
-        return Landweber(**kwargs)
-    if kind == "heavyball":
-        return Heavyball(**kwargs)
-    raise ValueError(f"unknown filter kind {kind!r}")
+    """Build a filter from its descriptor; a key its kind does not take is an error."""
+    kinds = (Tikhonov, SpectralCutoff, Landweber, Heavyball)
+    cls = next((c for c in kinds if c.name == kind), None)
+    if cls is None:
+        raise ValueError(f"unknown filter kind {kind!r}")
+    unknown = sorted(set(kwargs) - set(inspect.signature(cls).parameters))
+    if unknown:
+        raise ValueError(f"filter {kind} does not take keys: {', '.join(unknown)}")
+    return cls(**kwargs)
 
 
 def qualification_sufficient(f: SpectralFilter, r: float) -> bool:

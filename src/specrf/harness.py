@@ -107,9 +107,13 @@ def ingest_csv_dataset(
             if not record or all(cell.strip() == "" for cell in record):
                 continue
             try:
-                rows.append([float(cell) for cell in record])
+                row = [float(cell) for cell in record]
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: non-numeric cell ({exc})") from exc
+            if not all(map(math.isfinite, row)):
+                cell = next(c for c, v in zip(record, row) if not math.isfinite(v))
+                raise ValueError(f"{path}:{lineno}: non-finite cell {cell.strip()!r}")
+            rows.append(row)
             if max_rows is not None and len(rows) >= max_rows:
                 break
     if not rows:
@@ -248,14 +252,23 @@ def _synthetic_data(plan: ExperimentPlan, seed: int, n: int) -> tuple[np.ndarray
     return X, y
 
 
+def check_call_keys(fn, given: dict, where: str, supplied: tuple = ()) -> None:
+    """Raise ValueError naming the keys of `given` that fn takes no parameter
+    for, or fn's parameters without default that neither `given` nor the
+    caller's own arguments (`supplied`) provide."""
+    params = {k: p for k, p in inspect.signature(fn).parameters.items() if k not in supplied}
+    unknown = sorted(set(given) - set(params))
+    if unknown:
+        raise ValueError(f"{where} keys not taken by {fn.__name__}: {', '.join(unknown)}")
+    missing = [k for k, p in params.items() if p.default is p.empty and k not in given]
+    if missing:
+        raise ValueError(f"{where} is missing required keys: {', '.join(missing)}")
+
+
 def _load_plan_dataset(plan: ExperimentPlan) -> tuple[np.ndarray, np.ndarray]:
     opts = dict(plan.problem)
     opts.pop("type")
-    unknown = sorted(set(opts) - set(inspect.signature(ingest_csv_dataset).parameters))
-    if unknown:
-        raise ValueError(f"dataset problem keys not taken by ingest: {', '.join(unknown)}")
-    if "path" not in opts:
-        raise ValueError("dataset problem needs a path")
+    check_call_keys(ingest_csv_dataset, opts, "dataset problem")
     return ingest_csv_dataset(**opts)
 
 

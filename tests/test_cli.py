@@ -161,6 +161,14 @@ def test_fit_config_missing_keys_is_an_error(tmp_path, capsys):
     ({"feature_map": {"kind": "gaussian_rff"}}, "num_samples"),
     ({"data": {"n": 100}}, "path or designer"),
     ({"data": {"path": "train.csv", "standardize": True}}, "standardize"),
+    ({"data": {"designer": {"J": 8, "b": 1.0, "r": 0.5, "foo": 1}}},
+     "data.designer keys not taken by make_designer_problem: foo"),
+    ({"data": {"designer": {"J": 8, "b": 1.0}}}, "data.designer is missing required keys: r"),
+    ({"data": {"path": "train.csv", "options": {"stdz": True}}},
+     "data.options keys not taken by ingest_csv_dataset: stdz"),
+    ({"data": {"path": "train.csv", "options": {"path": "b.csv"}}}, "ingest_csv_dataset: path"),
+    ({"filter": {"alpha": 0.5}}, "filter is missing required keys: kind"),
+    ({"filter": {"kind": "tikhonov", "alpha": 0.5}}, "filter tikhonov does not take keys: alpha"),
 ])
 def test_fit_config_nested_key_errors(tmp_path, capsys, change, named):
     config = {

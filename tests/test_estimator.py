@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from specrf import features
 from specrf.estimator import (
+    ROW_BLOCK,
     DivergenceError,
     assemble_empirical_operators,
     fit_iterative,
@@ -14,7 +16,7 @@ from specrf.estimator import (
     predict,
     save_model,
 )
-from specrf.features import feature_matrix, sample_feature_map
+from specrf.features import MemoryBudgetError, feature_matrix, sample_feature_map
 from specrf.filters import make_filter
 from specrf.oracles import MonteCarloKernel, krr_gram_fit, krr_predict
 
@@ -43,6 +45,53 @@ def test_empirical_operators_shapes_and_scaling():
     y2[0] += 1.0
     other = assemble_empirical_operators(fmap, X, y2).fingerprint
     assert other["data_sha256"] != moments.fingerprint["data_sha256"]
+
+
+def _relative_error(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def test_moments_accumulate_over_row_blocks():
+    n = int(2.5 * ROW_BLOCK)
+    fmap, X, y = _toy(seed=5, n=n, M=16)
+    moments = assemble_empirical_operators(fmap, X, y)
+    Z = feature_matrix(fmap, X)
+    assert _relative_error(moments.sigma, Z.T @ Z / n) <= 1e-12
+    assert _relative_error(moments.s, Z.T @ y / n) <= 1e-12
+    assert moments.fingerprint["n"] == n
+    # one block: the same products as a single Z^T Z, bit for bit
+    X1, y1 = X[:ROW_BLOCK], y[:ROW_BLOCK]
+    Z1 = Z[:ROW_BLOCK]
+    single = assemble_empirical_operators(fmap, X1, y1)
+    assert np.array_equal(single.sigma, Z1.T @ Z1 / ROW_BLOCK)
+    assert np.array_equal(single.s, Z1.T @ y1 / ROW_BLOCK)
+
+
+def test_predict_streams_over_row_blocks():
+    fmap, X, y = _toy(seed=6, n=2 * ROW_BLOCK + 7, M=16)
+    model = fit_spectral(fmap, X, y, make_filter("tikhonov"), lam=0.01)
+    assert _relative_error(predict(model, X), feature_matrix(fmap, X) @ model.theta) <= 1e-12
+    assert predict(model, X[:0]).shape == (0,)
+    for bad in (X[:, :1], X[0], 0.5):
+        with pytest.raises(ValueError, match="expected n x 2 input"):
+            predict(model, bad)
+
+
+def test_fit_streams_past_the_embedding_memory_budget(monkeypatch):
+    n, M = 3 * ROW_BLOCK, 64
+    fmap, X, y = _toy(seed=7, n=n, M=M)
+    # one block's embedding fits the budget, the whole n x M embedding does not
+    budget = 2 * ROW_BLOCK * M * 8
+    assert M * M * 8 < budget < n * M * 8
+    monkeypatch.setattr(features, "DEFAULT_MEMORY_BUDGET", budget)
+    model = fit_spectral(fmap, X, y, make_filter("tikhonov"), lam=0.01)
+    assert np.isfinite(mse(model, X, y))
+    fit_iterative(fmap, X, y, make_filter("landweber", alpha=0.5), 4)
+    with pytest.raises(MemoryBudgetError, match="feature matrix"):
+        feature_matrix(fmap, X)
+    wide = sample_feature_map("gaussian_rff", 2, 1024, {}, 0)  # 1024^2 * 8 bytes
+    with pytest.raises(MemoryBudgetError, match="covariance"):
+        fit_spectral(wide, X[:10], y[:10], make_filter("tikhonov"), lam=0.01)
 
 
 def test_ridge_primal_equals_dual():

@@ -88,6 +88,46 @@ def test_embedding_norm_within_declared_bound(kind, dim, params):
     assert np.max(np.sum(Z**2, axis=1)) <= f.kappa_sq + 1e-12
 
 
+def _closed_form_embedding(f, X):
+    """The embedding written as plain expressions, one temporary per step."""
+    scale = 1.0 / np.sqrt(f.num_samples)
+    if f.kind == GAUSSIAN_RFF:
+        return scale * np.sqrt(2.0) * np.cos(X @ f.frequencies.T + f.phases)
+    if f.kind == DESIGNER_FINITE_RANK:
+        basis = np.sqrt(2.0) * np.cos(np.pi * np.outer(X[:, 0], np.arange(f.num_samples)))
+        basis[:, 0] = 1.0
+        return basis * np.sqrt(f.params["eigenvalues"])
+    tau, gamma = f.params["tau"], f.params["gamma"]
+    proj = X @ f.frequencies.T
+    act, dact = {
+        "relu": (np.maximum(proj, 0.0), (proj > 0).astype(float)),
+        "tanh": (np.tanh(proj), 1.0 - np.tanh(proj) ** 2),
+        "identity": (proj, np.ones_like(proj)),
+    }[f.params["activation"]]
+    parts = [tau * X[:, i : i + 1] * dact for i in range(f.input_dim)]
+    return scale * np.hstack(parts + [act, tau * gamma * dact])
+
+
+@pytest.mark.parametrize(
+    "kind,dim,params",
+    [
+        (GAUSSIAN_RFF, 3, {"bandwidth": 0.7}),
+        (NTK_ONE_LAYER, 3, {"activation": "relu", "tau": 0.7, "gamma": 1.3}),
+        (NTK_ONE_LAYER, 2, {"activation": "tanh"}),
+        (NTK_ONE_LAYER, 2, {"activation": "identity", "tau": 2.0}),
+        (DESIGNER_FINITE_RANK, 1, {"decay_exponent": 0.5}),
+    ],
+)
+def test_feature_matrix_equals_closed_form_bit_for_bit(kind, dim, params):
+    f = sample_feature_map(kind, dim, 40, params, 3)
+    rng = np.random.default_rng(4)
+    if kind == DESIGNER_FINITE_RANK:
+        X = rng.uniform(0.0, 1.0, (300, 1))
+    else:
+        X = rng.standard_normal((300, dim))
+    assert np.array_equal(feature_matrix(f, X), _closed_form_embedding(f, X))
+
+
 def test_ntk_component_count_and_dim():
     f = sample_feature_map(NTK_ONE_LAYER, 3, 16, {"activation": "relu"}, 0)
     assert f.component_count == 5

@@ -90,6 +90,17 @@ def test_make_filter_unknown_kind():
         make_filter("wiener")
 
 
+@pytest.mark.parametrize("kind,kwargs,named", [
+    ("tikhonov", {"alpha": 0.5}, "alpha"),
+    ("spectral_cutoff", {"beta": 0.5, "alpha": 0.1}, "alpha, beta"),
+    ("landweber", {"alpha": 0.5, "beta": 0.5}, "beta"),
+    ("heavyball", {"alpha": 0.1, "momentum": 0.5}, "momentum"),
+])
+def test_make_filter_rejects_keys_its_kind_does_not_take(kind, kwargs, named):
+    with pytest.raises(ValueError, match=f"filter {kind} does not take keys: {named}$"):
+        make_filter(kind, **kwargs)
+
+
 def test_qualification_threshold():
     tik = make_filter("tikhonov")
     assert qualification_sufficient(tik, 0.5)

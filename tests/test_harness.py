@@ -107,6 +107,14 @@ def test_ingest_error_reporting(tmp_path):
         ingest_csv_dataset(str(p), label_col=5)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", " NaN", "1e999"])
+def test_ingest_rejects_non_finite_cells(tmp_path, cell):
+    p = tmp_path / "data.csv"
+    p.write_text(f"label,a,b\n1,2,3\n4,{cell},6\n7,8,9\n")
+    with pytest.raises(ValueError, match=r"data\.csv:3: non-finite cell"):
+        ingest_csv_dataset(str(p), has_header=True)
+
+
 def test_ingest_column_selection_and_dim_warning(tmp_path):
     p = tmp_path / "wide.csv"
     p.write_text("0,1,2,3,4\n1,5,6,7,8\n")
