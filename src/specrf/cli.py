@@ -25,7 +25,8 @@ from .features import sample_feature_map
 from .filters import IterativeFilter, audit_filter, make_filter
 from .harness import (
     ExperimentPlan,
-    check_call_keys,
+    call_checked,
+    check_keys,
     default_heatmap_plan,
     default_rate_plan,
     ingest_csv_dataset,
@@ -51,35 +52,29 @@ def _load_plan(args, fallback: ExperimentPlan) -> ExperimentPlan:
 
 
 def _cmd_fit(args) -> int:
+    if not args.config:
+        raise ValueError("fit requires --config")
     config = json.loads(Path(args.config).read_text())
-    missing = [key for key in ("data", "feature_map", "filter") if key not in config]
-    if missing:
-        raise ValueError(f"fit config is missing required keys: {', '.join(missing)}")
-    data, m = config["data"], config["feature_map"]
-    sources = [key for key in ("path", "designer") if key in data]
+    where, taker = "fit config", "specrf fit"
+    check_keys(config, where, ("data", "feature_map", "filter"), ("lambda", "iterations"), taker)
+    filt = make_filter(**config["filter"])
+    data, seed = config["data"], args.seed or 0
+    forms = {"path": ("options",), "designer": ("n",)}  # source key -> optional keys
+    sources = [key for key in forms if key in data]
     if len(sources) != 1:
         raise ValueError("fit config data needs exactly one of path or designer")
-    allowed = {"path": {"path", "options"}, "designer": {"designer", "n"}}[sources[0]]
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise ValueError(f"unknown fit config data keys: {', '.join(unknown)}")
-    missing = [key for key in ("kind", "num_samples") if key not in m]
-    if missing:
-        raise ValueError(f"fit config feature_map is missing required keys: {', '.join(missing)}")
-    if "kind" not in config["filter"]:
-        raise ValueError("fit config filter is missing required keys: kind")
+    check_keys(data, f"{where} data", sources, forms[sources[0]], taker)
     if "path" in data:
-        options = data.get("options", {})
-        check_call_keys(ingest_csv_dataset, options, "fit config data.options", supplied=("path",))
-        X, y = ingest_csv_dataset(data["path"], **options)
+        X, y = call_checked(
+            ingest_csv_dataset, data.get("options", {}), f"{where} data.options", path=data["path"]
+        )
     else:
-        check_call_keys(make_designer_problem, data["designer"], "fit config data.designer")
-        problem = make_designer_problem(**data["designer"])
-        X, y = sample_dataset(problem, data.get("n", 1000), args.seed or 0)
-    fmap = sample_feature_map(
-        m["kind"], X.shape[1], m["num_samples"], m.get("params", {}), args.seed or 0
+        problem = call_checked(make_designer_problem, data["designer"], f"{where} data.designer")
+        X, y = sample_dataset(problem, data.get("n", 1000), seed)
+    fmap = call_checked(
+        sample_feature_map, {"params": {}, **config["feature_map"]}, f"{where} feature_map",
+        input_dim=X.shape[1], seed=seed,
     )
-    filt = make_filter(**config["filter"])
     lam = config.get("lambda")
     iterations = config.get("iterations")
     if isinstance(filt, IterativeFilter) and iterations is not None:
@@ -192,25 +187,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="JSON plan/config path")
-        p.add_argument("--seed", type=int, default=None, help="base seed override")
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--out-dir", default="specrf-out")
-
-    for name, fn in (
-        ("fit", _cmd_fit),
-        ("heatmap", _cmd_heatmap),
-        ("rate-sweep", _cmd_rate_sweep),
-        ("plateau", _cmd_plateau),
-        ("audit-filters", _cmd_audit_filters),
-        ("diagnose", _cmd_diagnose),
+    flags = {
+        "--config": dict(help="JSON plan/config path"),
+        "--seed": dict(type=int, default=None, help="base seed override"),
+        "--workers": dict(type=int, default=1),
+        "--out-dir": dict(default="specrf-out"),
+    }
+    sweep = ("--config", "--seed", "--workers", "--out-dir")
+    for name, fn, names in (
+        ("fit", _cmd_fit, ("--config", "--seed", "--out-dir")),
+        ("heatmap", _cmd_heatmap, sweep),
+        ("rate-sweep", _cmd_rate_sweep, sweep),
+        ("plateau", _cmd_plateau, sweep),
+        ("audit-filters", _cmd_audit_filters, ("--out-dir",)),
+        ("diagnose", _cmd_diagnose, ("--seed", "--out-dir")),
     ):
         p = sub.add_parser(name)
-        common(p)
         p.set_defaults(fn=fn)
-        if name == "fit":
-            p.set_defaults(config_required=True)
+        for flag in names:
+            p.add_argument(flag, **flags[flag])
         if name == "diagnose":
             p.add_argument("--rank", type=int, default=64)
             p.add_argument("--b", type=float, default=1.0)
@@ -221,9 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "config_required", False) and not args.config:
-        print("fit requires --config", file=sys.stderr)
-        return EXIT_ERROR
     try:
         return args.fn(args)
     except (ValueError, OSError, RuntimeError) as exc:

@@ -84,8 +84,9 @@ def make_designer_problem(
 
     h defaults to the normalized weights z_j = 1/j scaled to norm R.
     """
-    if J < 2:
-        raise ValueError("rank J must be >= 2")
+    if J != int(J) or J < 2:
+        raise ValueError(f"rank J must be an integer >= 2, not {J!r}")
+    J = int(J)
     if not 0.0 < b <= 1.0:
         raise ValueError("b must lie in (0, 1]")
     if r <= 0 or R <= 0:

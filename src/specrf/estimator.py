@@ -191,7 +191,7 @@ def fit_iterative(
 
 
 def predict(model: RfModel, X: np.ndarray) -> np.ndarray:
-    """Z @ theta, embedding X ROW_BLOCK rows at a time."""
+    """Z @ theta, embedding X ROW_BLOCK rows at a time; a D x k theta gives n x k."""
     X = np.asarray(X, dtype=float)
     return np.concatenate([Zb @ model.theta for _, Zb in _embedded_blocks(model.map, X)])
 

@@ -14,7 +14,12 @@ GAUSSIAN_RFF = "gaussian_rff"
 NTK_ONE_LAYER = "ntk_one_layer"
 DESIGNER_FINITE_RANK = "designer_finite_rank"
 
-KINDS = (GAUSSIAN_RFF, NTK_ONE_LAYER, DESIGNER_FINITE_RANK)
+# kind -> the params keys it reads, which are exactly those descriptor() writes
+PARAMS = {
+    GAUSSIAN_RFF: ("bandwidth",),
+    NTK_ONE_LAYER: ("activation", "tau", "gamma", "rho_max"),
+    DESIGNER_FINITE_RANK: ("eigenvalues", "decay_exponent"),
+}
 ACTIVATIONS = ("relu", "tanh", "identity")
 
 DEFAULT_NTK_RHO_MAX = 10.0
@@ -90,12 +95,15 @@ def sample_feature_map(
     For the designer map the "frequencies" are the deterministic index set
     1..rank and the seed is recorded but unused.
     """
-    if kind not in KINDS:
+    if kind not in PARAMS:
         raise ValueError(f"unknown feature map kind {kind!r}")
     if input_dim < 1:
         raise ValueError("input_dim must be >= 1")
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
+    unknown = sorted(set(params) - set(PARAMS[kind]))
+    if unknown:
+        raise ValueError(f"feature map {kind} does not take params: {', '.join(unknown)}")
     params = dict(params)
     rng = np.random.default_rng(seed)
 

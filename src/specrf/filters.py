@@ -210,8 +210,10 @@ class Heavyball(IterativeFilter):
         return {"kind": self.name, "alpha": self.alpha, "beta": self.beta}
 
 
-def make_filter(kind: str, **kwargs) -> SpectralFilter:
-    """Build a filter from its descriptor; a key its kind does not take is an error."""
+def make_filter(kind: str | None = None, **kwargs) -> SpectralFilter:
+    """Build a filter from its descriptor; a missing kind or a key it does not take is an error."""
+    if kind is None:
+        raise ValueError("filter is missing required keys: kind")
     kinds = (Tikhonov, SpectralCutoff, Landweber, Heavyball)
     cls = next((c for c in kinds if c.name == kind), None)
     if cls is None:

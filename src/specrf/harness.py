@@ -8,18 +8,19 @@ from __future__ import annotations
 
 import csv
 import inspect
+import itertools
 import json
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .diagnostics import DesignerProblem, excess_risk_exact, make_designer_problem, sample_dataset
-from .estimator import fit_iterative, fit_spectral
-from .features import feature_matrix, sample_feature_map
+from .estimator import fit_iterative, fit_spectral, predict
+from .features import sample_feature_map
 from .filters import IterativeFilter, make_filter
 
 RESULTS_HEADER = ("n", "M", "T", "lambda", "rep", "metric", "value")
@@ -152,7 +153,28 @@ def standardize_features(
 
 
 # ---------------------------------------------------------------------------
-# Plans
+# Plans. Each nested config dict holds the keyword arguments of the function
+# it feeds, so that function's signature says which keys the dict may hold.
+
+
+def check_keys(given: dict, where: str, required, optional, taker: str) -> None:
+    """Raise ValueError naming the keys of `given` outside required + optional,
+    which `taker` does not take, or the required keys it lacks."""
+    unknown = sorted(set(given) - set(required) - set(optional))
+    if unknown:
+        raise ValueError(f"{where} keys not taken by {taker}: {', '.join(unknown)}")
+    missing = [key for key in required if key not in given]
+    if missing:
+        raise ValueError(f"{where} is missing required keys: {', '.join(missing)}")
+
+
+def call_checked(fn, conf: dict, where: str, **fixed):
+    """fn(**conf, **fixed), once conf's keys are checked against fn's
+    parameters other than the caller's own `fixed` ones."""
+    params = [p for p in inspect.signature(fn).parameters.values() if p.name not in fixed]
+    required = [p.name for p in params if p.default is p.empty]
+    check_keys(conf, where, required, [p.name for p in params], fn.__name__)
+    return fn(**conf, **fixed)
 
 
 @dataclass
@@ -183,32 +205,26 @@ class ExperimentPlan:
             "b": 1.0,
             "delta": SCHEDULE_DELTA_DEFAULT,
         }
-        sched.update(self.schedule)
-        self.schedule = sched
+        check_keys(self.schedule, "plan schedule", (), sched, "lambda_schedule or m_schedule")
+        self.schedule = {**sched, **self.schedule}
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2)
 
     @staticmethod
     def from_json(text: str) -> "ExperimentPlan":
-        conf = json.loads(text)
-        unknown = sorted(set(conf) - {f.name for f in fields(ExperimentPlan)})
-        if unknown:
-            raise ValueError(f"unknown plan keys: {', '.join(unknown)}")
-        return ExperimentPlan(**conf)
+        return call_checked(ExperimentPlan, json.loads(text), "plan")
 
 
 def default_heatmap_plan(n: int = 5000, repetitions: int = 20, base_seed: int = 0) -> ExperimentPlan:
     """Synthetic d=1 plan mirroring the gradient-descent heatmap experiment."""
-    root = math.sqrt(n)
-    anchors = [round(4 * root), round(20 * root)]
     return ExperimentPlan(
         experiment="heatmap",
         base_seed=base_seed,
         repetitions=repetitions,
         n_train=n,
         n_test=n,
-        m_grid=anchors,
+        m_grid=list(plateau_anchors(n, 1)),
         t_grid=[1, 4, 16, 64, 256],
     )
 
@@ -241,43 +257,37 @@ def _synthetic_target(X: np.ndarray) -> np.ndarray:
     return np.cos(np.outer(s, j - 1.0)) @ (j**-1.5)
 
 
-def _synthetic_data(plan: ExperimentPlan, seed: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _synthetic_data(seed: int, n: int, input_dim: int = 1, noise_std: float = 0.3):
     rng = np.random.default_rng(seed)
-    d = int(plan.problem.get("input_dim", 1))
-    X = rng.standard_normal((n, d))
+    X = rng.standard_normal((n, int(input_dim)))
     y = _synthetic_target(X)
-    noise = float(plan.problem.get("noise_std", 0.3))
-    if noise > 0:
-        y = y + noise * rng.standard_normal(n)
+    if noise_std > 0:
+        y = y + noise_std * rng.standard_normal(n)
     return X, y
 
 
-def check_call_keys(fn, given: dict, where: str, supplied: tuple = ()) -> None:
-    """Raise ValueError naming the keys of `given` that fn takes no parameter
-    for, or fn's parameters without default that neither `given` nor the
-    caller's own arguments (`supplied`) provide."""
-    params = {k: p for k, p in inspect.signature(fn).parameters.items() if k not in supplied}
-    unknown = sorted(set(given) - set(params))
-    if unknown:
-        raise ValueError(f"{where} keys not taken by {fn.__name__}: {', '.join(unknown)}")
-    missing = [k for k, p in params.items() if p.default is p.empty and k not in given]
-    if missing:
-        raise ValueError(f"{where} is missing required keys: {', '.join(missing)}")
+def _problem_conf(plan: ExperimentPlan, *types: str) -> tuple[str, dict]:
+    """The plan's problem type, which must be one of `types`, and its other keys."""
+    conf = dict(plan.problem)
+    kind = conf.pop("type", None)
+    if kind not in types:
+        raise ValueError(f"{plan.experiment} takes problem type {' or '.join(types)}, not {kind!r}")
+    return kind, conf
 
 
-def _load_plan_dataset(plan: ExperimentPlan) -> tuple[np.ndarray, np.ndarray]:
-    opts = dict(plan.problem)
-    opts.pop("type")
-    check_call_keys(ingest_csv_dataset, opts, "dataset problem")
-    return ingest_csv_dataset(**opts)
+def _heatmap_problem(plan: ExperimentPlan):
+    """The plan's checked synthetic or dataset problem: a function from a
+    repetition's seed to its (X_tr, y_tr, X_te, y_te), and the input dimension."""
+    kind, conf = _problem_conf(plan, "synthetic", "dataset")
+    if kind == "synthetic":  # zero rows: checks the keys and gives the input dimension
+        X0, _ = call_checked(_synthetic_data, conf, "synthetic problem", seed=0, n=0)
 
+        def draw(rep_seed: int):
+            X_tr, y_tr = _synthetic_data(trial_seed(rep_seed, 0), plan.n_train, **conf)
+            return X_tr, y_tr, *_synthetic_data(trial_seed(rep_seed, 1), plan.n_test, **conf)
 
-def _heatmap_trial_data(plan: ExperimentPlan, rep_seed: int, dataset):
-    if plan.problem["type"] == "synthetic":
-        X_tr, y_tr = _synthetic_data(plan, trial_seed(rep_seed, 0), plan.n_train)
-        X_te, y_te = _synthetic_data(plan, trial_seed(rep_seed, 1), plan.n_test)
-        return X_tr, y_tr, X_te, y_te
-    X, y = dataset
+        return draw, X0.shape[1]
+    X, y = call_checked(ingest_csv_dataset, conf, "dataset problem")
     need = plan.n_train + plan.n_test
     if X.shape[0] < need:
         raise ValueError(f"dataset has {X.shape[0]} rows, plan needs {need}")
@@ -285,18 +295,20 @@ def _heatmap_trial_data(plan: ExperimentPlan, rep_seed: int, dataset):
     perm = np.random.default_rng(trial_seed(plan.base_seed, 0xD5)).permutation(X.shape[0])
     tr, te = perm[: plan.n_train], perm[plan.n_train : need]
     X_tr, X_te = standardize_features(X[tr], X[te])
-    return X_tr, y[tr], X_te, y[te]
+    split = X_tr, y[tr], X_te, y[te]
+    return (lambda rep_seed: split), X.shape[1]
 
 
 # ---------------------------------------------------------------------------
 # Runners
 
 
-def _run_trials(jobs: dict, worker_count: int) -> dict:
-    if worker_count <= 1:
-        return {key: fn() for key, fn in jobs.items()}
-    with ThreadPoolExecutor(max_workers=worker_count) as pool:
-        futures = {key: pool.submit(fn) for key, fn in jobs.items()}
+def _run_trials(trial, keys, workers: int) -> dict:
+    """{key: trial(*key)} over `keys`, on a pool of `workers` threads."""
+    if workers <= 1:
+        return {key: trial(*key) for key in keys}
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = {key: pool.submit(trial, *key) for key in keys}
         return {key: fut.result() for key, fut in futures.items()}
 
 
@@ -313,33 +325,29 @@ def run_heatmap(plan: ExperimentPlan, workers: int = 1) -> dict:
     if not isinstance(filt, IterativeFilter):
         raise ValueError("heatmap requires an iterative filter")
     t_grid = sorted(set(int(t) for t in plan.t_grid))
-    dataset = _load_plan_dataset(plan) if plan.problem["type"] == "dataset" else None
+    draw, input_dim = _heatmap_problem(plan)
+    fm = {"params": {}, **plan.feature_map}  # checked once here, before any trial
+    call_checked(sample_feature_map, fm, "plan feature_map", input_dim=input_dim,
+                 num_samples=plan.m_grid[0], seed=plan.base_seed)
 
     def trial(mi: int, rep: int):
         m = plan.m_grid[mi]
         seed = trial_seed(plan.base_seed, 0, mi, 0, rep)
-        X_tr, y_tr, X_te, y_te = _heatmap_trial_data(plan, seed, dataset)
-        fm = plan.feature_map
-        fmap = sample_feature_map(
-            fm["kind"], X_tr.shape[1], m, fm.get("params", {}), trial_seed(seed, 2)
-        )
+        X_tr, y_tr, X_te, y_te = draw(seed)
+        fmap = sample_feature_map(**fm, input_dim=input_dim, num_samples=m, seed=trial_seed(seed, 2))
         try:
             model = fit_iterative(
                 fmap, X_tr, y_tr, filt, iterations=max(t_grid), snapshots=tuple(t_grid)
             )
         except Exception as exc:  # cell marked failed, run continues
             return [(m, t, None, repr(exc)) for t in t_grid]
-        # one embedding and one product score every snapshot
+        # one streamed pass over the test set scores every snapshot
         thetas = np.column_stack([model.snapshots[t] for t in t_grid])
-        errors = np.mean((feature_matrix(fmap, X_te) @ thetas - y_te[:, None]) ** 2, axis=0)
+        errors = np.mean((predict(replace(model, theta=thetas), X_te) - y_te[:, None]) ** 2, axis=0)
         return [(m, t, float(e), None) for t, e in zip(t_grid, errors)]
 
-    jobs = {
-        (mi, rep): (lambda mi=mi, rep=rep: trial(mi, rep))
-        for mi in range(len(plan.m_grid))
-        for rep in range(plan.repetitions)
-    }
-    outcomes = _run_trials(jobs, workers)
+    keys = itertools.product(range(len(plan.m_grid)), range(plan.repetitions))
+    outcomes = _run_trials(trial, keys, workers)
 
     rows, failures = [], []
     for (mi, rep) in sorted(outcomes):
@@ -373,8 +381,7 @@ def run_plateau_check(plan: ExperimentPlan, heatmap: dict | None = None, workers
     The verdict is FAIL, with `reason` set, when an anchor has no surviving
     cell or its best cell has fewer than MIN_PLATEAU_REPS repetitions.
     """
-    d = int(plan.problem.get("input_dim", 1))
-    m_small, m_big = plateau_anchors(plan.n_train, d)
+    m_small, m_big = plateau_anchors(plan.n_train, _heatmap_problem(plan)[1])
     if m_small not in plan.m_grid or m_big not in plan.m_grid:
         raise ValueError(
             f"anchors not in grid: need M = {m_small} and M = {m_big} in m_grid"
@@ -410,18 +417,11 @@ def run_plateau_check(plan: ExperimentPlan, heatmap: dict | None = None, workers
 
 
 def _problem_from_plan(plan: ExperimentPlan) -> DesignerProblem:
-    conf = dict(plan.problem)
-    if conf.pop("type") != "designer":
-        raise ValueError("rate sweep needs a designer problem")
-    return make_designer_problem(
-        J=int(conf.get("J", 512)),
-        b=float(conf.get("b", plan.schedule["b"])),
-        r=float(conf.get("r", plan.schedule["r"])),
-        R=float(conf.get("R", 1.0)),
-        noise_std=float(conf.get("noise_std", 0.5)),
-        seed=plan.base_seed,
-        eigenvalue_scale=float(conf.get("eigenvalue_scale", 1.0)),
-    )
+    _, conf = _problem_conf(plan, "designer")
+    # the plan's keys override the defaults that differ from make_designer_problem's
+    defaults = {"J": 512, "b": plan.schedule["b"], "r": plan.schedule["r"], "noise_std": 0.5}
+    return call_checked(make_designer_problem, {**defaults, **conf}, "designer problem",
+                        seed=plan.base_seed, h_weights=None)
 
 
 def ols_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -463,12 +463,8 @@ def run_rate_sweep(plan: ExperimentPlan, workers: int = 1) -> dict:
             model = fit_spectral(fmap, X, y, filt, lam=lam)
         return excess_risk_exact(problem, model)["total"]
 
-    jobs = {
-        (ni, rep): (lambda ni=ni, rep=rep: trial(ni, rep))
-        for ni in range(len(plan.n_grid))
-        for rep in range(plan.repetitions)
-    }
-    outcomes = _run_trials(jobs, workers)
+    keys = itertools.product(range(len(plan.n_grid)), range(plan.repetitions))
+    outcomes = _run_trials(trial, keys, workers)
 
     rows = []
     means = []

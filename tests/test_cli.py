@@ -195,3 +195,77 @@ def test_unknown_plan_key_is_an_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "repetitons" in err
+
+
+def _tiny_rate_plan():
+    return json.loads(ExperimentPlan(
+        experiment="rate_sweep",
+        repetitions=1,
+        n_grid=[64, 128, 256, 512, 1024],
+        problem={"type": "designer", "J": 8, "b": 1.0, "r": 0.5},
+        filter={"kind": "tikhonov"},
+    ).to_json())
+
+
+_FIT_CONFIG = {
+    "data": {"designer": {"J": 8, "b": 1.0, "r": 0.5}, "n": 100},
+    "feature_map": {"kind": "gaussian_rff", "num_samples": 16},
+    "filter": {"kind": "tikhonov"},
+    "lambda": 0.1,
+}
+_DESIGNER = {"type": "designer", "J": 8, "b": 1.0, "r": 0.5}
+
+
+@pytest.mark.parametrize("command,change,named", [
+    ("heatmap", {"filter": {"alpha": 0.5}}, "filter is missing required keys: kind"),
+    ("heatmap", {"feature_map": {"params": {"bandwidth": 1.0}}}, "missing required keys: kind"),
+    ("heatmap", {"feature_map": {"kind": "gaussian_rff", "bandwith": 2.0}}, "bandwith"),
+    ("heatmap", {"feature_map": {"kind": "gaussian_rff", "params": {"bandwith": 2.0}}}, "bandwith"),
+    ("heatmap", {"problem": _DESIGNER}, "'designer'"),
+    ("heatmap", {"problem": {"type": "synthetc", "input_dim": 1}}, "'synthetc'"),
+    ("heatmap", {"problem": {"input_dim": 1, "noise_std": 0.3}}, "problem type"),
+    ("heatmap", {"problem": {"type": "synthetic", "noise_sd": 0.1}}, "noise_sd"),
+    ("heatmap", {"schedule": {"C_lamda": 2.0}}, "C_lamda"),
+    ("rate-sweep", {"problem": {**_DESIGNER, "seed": 3}}, "seed"),
+    ("rate-sweep", {"problem": {**_DESIGNER, "noise": 0.1}}, "noise"),
+    ("fit", {"filter": {"kind": "landweber", "alpha": 0.5}, "iteration": 3}, "iteration"),
+    ("fit", {"feature_map": {"kind": "gaussian_rff", "num_samples": 16, "bandwith": 2.0}},
+     "bandwith"),
+    ("rate-sweep", {"problem": {**_DESIGNER, "h_weights": [1.0] * 8}}, "h_weights"),
+    ("rate-sweep", {"problem": {**_DESIGNER, "J": 8.5}}, "rank J"),
+], ids=[
+    "plan-filter-without-kind", "plan-feature_map-without-kind", "plan-feature_map-typo",
+    "plan-feature_map-params-typo", "heatmap-problem-designer", "heatmap-problem-type-typo",
+    "plan-problem-without-type", "synthetic-problem-typo", "schedule-typo", "rate-problem-seed",
+    "rate-problem-typo", "fit-top-level-typo", "fit-feature_map-typo", "rate-problem-h_weights",
+    "rate-problem-fractional-rank",
+])
+def test_bad_config_exits_1_with_one_error_line(tmp_path, capsys, command, change, named):
+    base = {
+        "heatmap": json.loads(_tiny_plan_file(tmp_path).read_text()),
+        "rate-sweep": _tiny_rate_plan(),
+        "fit": _FIT_CONFIG,
+    }[command]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**base, **change}))
+    assert main([command, "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert named in err
+    assert "Traceback" not in err
+
+
+def test_audit_filters_rejects_flags_it_does_not_read(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["audit-filters", "--config", "x", "--out-dir", str(tmp_path / "audits")])
+    assert exc.value.code != EXIT_OK
+    assert "unrecognized arguments: --config x" in capsys.readouterr().err
+
+
+def test_integral_float_rank_runs_on_both_designer_paths(tmp_path):
+    plan, fit = _tiny_rate_plan(), json.loads(json.dumps(_FIT_CONFIG))
+    plan["problem"]["J"] = fit["data"]["designer"]["J"] = 8.0
+    for command, conf in (("rate-sweep", plan), ("fit", fit)):
+        cfg = tmp_path / f"{command}.json"
+        cfg.write_text(json.dumps(conf))
+        assert main([command, "--config", str(cfg), "--out-dir", str(tmp_path / command)]) == EXIT_OK

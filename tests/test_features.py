@@ -220,3 +220,14 @@ def test_designer_kernel_symmetric_and_bounded(x, y, seed):
     K = Z @ Z.T
     assert K[0, 1] == pytest.approx(K[1, 0], abs=1e-12)
     assert np.all(np.abs(K) <= f.kappa_sq + 1e-12)
+
+
+@pytest.mark.parametrize("kind,dim,params,named", [
+    (GAUSSIAN_RFF, 2, {"bandwith": 2.0}, "bandwith"),
+    (GAUSSIAN_RFF, 2, {"bandwidth": 2.0, "activation": "relu"}, "activation"),
+    (NTK_ONE_LAYER, 2, {"bandwidth": 1.0}, "bandwidth"),
+    (DESIGNER_FINITE_RANK, 1, {"decay": 0.5}, "decay"),
+])
+def test_sample_feature_map_rejects_params_its_kind_does_not_read(kind, dim, params, named):
+    with pytest.raises(ValueError, match=f"{kind} does not take params: {named}"):
+        sample_feature_map(kind, dim, 4, params, 0)

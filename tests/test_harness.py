@@ -9,7 +9,7 @@ from specrf.features import sample_feature_map
 from specrf.filters import make_filter
 from specrf.harness import (
     ExperimentPlan,
-    _heatmap_trial_data,
+    _heatmap_problem,
     default_heatmap_plan,
     default_rate_plan,
     format_value,
@@ -185,7 +185,7 @@ def test_heatmap_rows_equal_mse_of_the_fit_iterative_snapshots():
     for mi, m in enumerate(plan.m_grid):
         for rep in range(plan.repetitions):
             seed = trial_seed(plan.base_seed, 0, mi, 0, rep)
-            X_tr, y_tr, X_te, y_te = _heatmap_trial_data(plan, seed, None)
+            X_tr, y_tr, X_te, y_te = _heatmap_problem(plan)[0](seed)
             fm = plan.feature_map
             fmap = sample_feature_map(fm["kind"], 1, m, fm["params"], trial_seed(seed, 2))
             model = fit_iterative(fmap, X_tr, y_tr, filt, max(plan.t_grid), snapshots=plan.t_grid)
@@ -299,3 +299,11 @@ def test_rate_sweep_caps_features_at_problem_rank():
     out = run_rate_sweep(plan)
     assert all(c["M"] <= 16 for c in out["configs"])
     assert any(c["M_schedule"] > 16 for c in out["configs"])
+
+
+def test_plateau_anchors_use_the_dataset_input_dimension(tmp_path):
+    plan = _dataset_plan(tmp_path)  # two feature columns, n_train = 80
+    plan.experiment, plan.repetitions = "plateau_check", 10
+    plan.m_grid = [round(4 * math.sqrt(80)), round(20 * math.sqrt(80))]  # the d = 1 anchors
+    with pytest.raises(ValueError, match="need M = 72 and M = 358"):
+        run_plateau_check(plan)
