@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 acceptance-check failure (audit or plateau), 1
-execution error.
+execution or usage error, reported as one `error:` line on stderr.
 """
 from __future__ import annotations
 
@@ -20,13 +20,14 @@ from .diagnostics import (
     sample_dataset,
     sup_norm_f_star,
 )
-from .estimator import fit_iterative, fit_spectral, mse, save_model
+from .estimator import fit_iterative, fit_spectral, save_model
 from .features import sample_feature_map
-from .filters import IterativeFilter, audit_filter, make_filter
+from .filters import audit_filter, make_filter
 from .harness import (
     ExperimentPlan,
     call_checked,
     check_keys,
+    check_object,
     default_heatmap_plan,
     default_rate_plan,
     ingest_csv_dataset,
@@ -57,8 +58,8 @@ def _cmd_fit(args) -> int:
     config = json.loads(Path(args.config).read_text())
     where, taker = "fit config", "specrf fit"
     check_keys(config, where, ("data", "feature_map", "filter"), ("lambda", "iterations"), taker)
-    filt = make_filter(**config["filter"])
-    data, seed = config["data"], args.seed or 0
+    filt = make_filter(**check_object(config["filter"], f"{where} filter"))
+    data, seed = check_object(config["data"], f"{where} data"), args.seed or 0
     forms = {"path": ("options",), "designer": ("n",)}  # source key -> optional keys
     sources = [key for key in forms if key in data]
     if len(sources) != 1:
@@ -71,13 +72,11 @@ def _cmd_fit(args) -> int:
     else:
         problem = call_checked(make_designer_problem, data["designer"], f"{where} data.designer")
         X, y = sample_dataset(problem, data.get("n", 1000), seed)
-    fmap = call_checked(
-        sample_feature_map, {"params": {}, **config["feature_map"]}, f"{where} feature_map",
-        input_dim=X.shape[1], seed=seed,
-    )
-    lam = config.get("lambda")
-    iterations = config.get("iterations")
-    if isinstance(filt, IterativeFilter) and iterations is not None:
+    fm_where = f"{where} feature_map"
+    fm = {"params": {}, **check_object(config["feature_map"], fm_where)}
+    fmap = call_checked(sample_feature_map, fm, fm_where, input_dim=X.shape[1], seed=seed)
+    lam, iterations = config.get("lambda"), config.get("iterations")
+    if filt.iterative and iterations is not None:
         model = fit_iterative(fmap, X, y, filt, iterations)
     else:
         model = fit_spectral(fmap, X, y, filt, lam=lam, iterations=iterations)
@@ -85,7 +84,7 @@ def _cmd_fit(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     save_model(model, out / "model.json")
     report = {
-        "train_mse": mse(model, X, y),
+        "train_mse": float(model.losses[-1]),
         "lambda": model.lam,
         "iterations": model.iterations,
         "fit_path": model.fit_path,
@@ -179,8 +178,16 @@ def _cmd_diagnose(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one `error:` line and exit 1; subparsers inherit it."""
+
+    def error(self, message):
+        print(f"error: {message}", file=sys.stderr)
+        raise SystemExit(EXIT_ERROR)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="specrf",
         description="Spectral regularization learning with random features",
     )

@@ -35,14 +35,11 @@ class HardLearningError(ValueError):
 class DesignerProblem:
     map: FeatureMap
     b: float
-    c_b: float
     r: float
     R: float
     h_coeffs: np.ndarray
     g_coeffs: np.ndarray
     noise_std: float
-    noise_Q: float
-    noise_Z: float
     seed: int
 
     @property
@@ -109,22 +106,9 @@ def make_designer_problem(
     fmap = sample_feature_map(
         DESIGNER_FINITE_RANK, 1, J, {"eigenvalues": mu, "decay_exponent": b}, seed
     )
-    sup_g = float(np.sum(np.abs(g) * np.where(j == 1, 1.0, np.sqrt(2.0))))
-    # N(lam) <= sum mu_j / lam, so c_b = trace works on [mu_J, inf); record the
-    # tighter standard constant for the declared exponent
-    c_b = float(np.max(np.array([effective_dimension(mu, l) * l**b for l in np.logspace(-6, 0, 25)])))
     return DesignerProblem(
-        map=fmap,
-        b=float(b),
-        c_b=c_b,
-        r=float(r),
-        R=float(R),
-        h_coeffs=h,
-        g_coeffs=g,
-        noise_std=float(noise_std),
-        noise_Q=max(float(noise_std), sup_g),
-        noise_Z=float(noise_std),
-        seed=int(seed),
+        map=fmap, b=float(b), r=float(r), R=float(R), h_coeffs=h, g_coeffs=g,
+        noise_std=float(noise_std), seed=int(seed),
     )
 
 

@@ -113,7 +113,8 @@ def fit_spectral(
     lam: float | None = None,
     iterations: int | None = None,
 ) -> RfModel:
-    """Fit via eigendecomposition of the empirical covariance."""
+    """Fit via eigendecomposition of the empirical covariance. model.losses
+    holds the training loss at theta = 0 and at the fitted theta."""
     lam, iterations = filt.resolve(lam, iterations)
     if feature_map.embedding_dim > EIG_DIM_CAP:
         raise ValueError(
@@ -127,9 +128,11 @@ def fit_spectral(
     else:
         phi = filt.value_at_iterations(evals, iterations)
     theta = evecs @ (phi * (evecs.T @ moments.s))
+    s, yy = moments.s, moments.yy
     return RfModel(
         map=feature_map, theta=theta, filter=filt, lam=lam, iterations=iterations,
         fit_path="spectral", train_fingerprint=moments.fingerprint,
+        losses=np.array([yy, theta @ (moments.sigma @ theta) - 2.0 * theta @ s + yy]),
     )
 
 
@@ -147,7 +150,7 @@ def fit_iterative(
     each step. `snapshots` asks for copies of theta after the listed
     iteration counts; they are returned in model.snapshots keyed by T.
     """
-    if not isinstance(filt, IterativeFilter):
+    if not filt.iterative:
         raise ValueError("fit_iterative requires a Landweber or Heavyball filter")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -229,11 +232,7 @@ def load_model(path: str) -> RfModel:
     if theta.size != dim:
         raise ValueError(f"model theta has {theta.size} entries, its map's embedding_dim is {dim}")
     return RfModel(
-        map=feature_map,
-        theta=theta,
-        filter=filt,
-        lam=payload["lam"],
-        iterations=payload["iterations"],
-        fit_path=payload["fit_path"],
+        map=feature_map, theta=theta, filter=filt, lam=payload["lam"],
+        iterations=payload["iterations"], fit_path=payload["fit_path"],
         train_fingerprint=payload["train_fingerprint"],
     )

@@ -101,6 +101,8 @@ def sample_feature_map(
         raise ValueError("input_dim must be >= 1")
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
+    if not isinstance(params, dict):
+        raise ValueError(f"feature map params must be a JSON object, not {type(params).__name__}")
     unknown = sorted(set(params) - set(PARAMS[kind]))
     if unknown:
         raise ValueError(f"feature map {kind} does not take params: {', '.join(unknown)}")

@@ -41,20 +41,9 @@ class SpectralFilter:
         """phi_lambda(t); vectorized over t, continuous extension at t = 0."""
         raise NotImplementedError
 
-    def residual(self, t, lam: float):
-        """r_lambda(t) = 1 - t*phi_lambda(t), computed from value()."""
-        t = np.asarray(t, dtype=float)
-        return 1.0 - t * self.value(t, lam)
-
     def declared_cq(self, q: float) -> float | None:
         """Certified qualification constant for exponent q, or None."""
         return None
-
-    def lambda_for_iterations(self, T: int) -> float:
-        raise ValueError(f"{self.name} is not an iterative filter")
-
-    def iterations_for_lambda(self, lam: float) -> int:
-        raise ValueError(f"{self.name} is not an iterative filter")
 
     def resolve(
         self, lam: float | None = None, iterations: int | None = None

@@ -11,7 +11,6 @@ import inspect
 import itertools
 import json
 import math
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -21,7 +20,7 @@ import numpy as np
 from .diagnostics import DesignerProblem, excess_risk_exact, make_designer_problem, sample_dataset
 from .estimator import fit_iterative, fit_spectral, predict
 from .features import sample_feature_map
-from .filters import IterativeFilter, make_filter
+from .filters import make_filter
 
 RESULTS_HEADER = ("n", "M", "T", "lambda", "rep", "metric", "value")
 SCHEDULE_DELTA_DEFAULT = 2.0 / math.e  # log(2/delta) = 1
@@ -96,7 +95,6 @@ def ingest_csv_dataset(
     max_rows: int | None = None,
     feature_cols: list[int] | None = None,
     standardize: bool = False,
-    expected_dim: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Parse a numeric CSV into (X, y); label column defaults to the first."""
     rows: list[list[float]] = []
@@ -130,12 +128,6 @@ def ingest_csv_dataset(
     X = np.delete(data, label_col % width, axis=1)
     if feature_cols is not None:
         X = X[:, feature_cols]
-    if expected_dim is not None and X.shape[1] != expected_dim:
-        warnings.warn(
-            f"{path}: got {X.shape[1]} feature columns, expected {expected_dim}; "
-            "select columns explicitly via feature_cols",
-            stacklevel=2,
-        )
     if standardize:
         X, _ = standardize_features(X)
     return X, y
@@ -157,10 +149,18 @@ def standardize_features(
 # it feeds, so that function's signature says which keys the dict may hold.
 
 
+def check_object(given, where: str) -> dict:
+    """`given`, or a ValueError naming `where` when it is not a JSON object."""
+    if not isinstance(given, dict):
+        kind = "null" if given is None else type(given).__name__
+        raise ValueError(f"{where} must be a JSON object, not {kind}")
+    return given
+
+
 def check_keys(given: dict, where: str, required, optional, taker: str) -> None:
-    """Raise ValueError naming the keys of `given` outside required + optional,
-    which `taker` does not take, or the required keys it lacks."""
-    unknown = sorted(set(given) - set(required) - set(optional))
+    """Raise ValueError when `given` is not a JSON object, or naming its keys outside
+    required + optional, which `taker` does not take, or the required keys it lacks."""
+    unknown = sorted(set(check_object(given, where)) - set(required) - set(optional))
     if unknown:
         raise ValueError(f"{where} keys not taken by {taker}: {', '.join(unknown)}")
     missing = [key for key in required if key not in given]
@@ -268,7 +268,7 @@ def _synthetic_data(seed: int, n: int, input_dim: int = 1, noise_std: float = 0.
 
 def _problem_conf(plan: ExperimentPlan, *types: str) -> tuple[str, dict]:
     """The plan's problem type, which must be one of `types`, and its other keys."""
-    conf = dict(plan.problem)
+    conf = dict(check_object(plan.problem, "plan problem"))
     kind = conf.pop("type", None)
     if kind not in types:
         raise ValueError(f"{plan.experiment} takes problem type {' or '.join(types)}, not {kind!r}")
@@ -276,8 +276,14 @@ def _problem_conf(plan: ExperimentPlan, *types: str) -> tuple[str, dict]:
 
 
 def _heatmap_problem(plan: ExperimentPlan):
-    """The plan's checked synthetic or dataset problem: a function from a
-    repetition's seed to its (X_tr, y_tr, X_te, y_te), and the input dimension."""
+    """Check a heatmap plan; return its synthetic or dataset problem as a function from
+    a repetition's seed to its (X_tr, y_tr, X_te, y_te), and the input dimension."""
+    if plan.experiment not in ("heatmap", "plateau_check"):
+        raise ValueError("plan.experiment must be heatmap or plateau_check")
+    if not plan.m_grid or not plan.t_grid:
+        raise ValueError("m_grid and t_grid must be nonempty")
+    if plan.n_test < 1:
+        raise ValueError("n_test must be >= 1")
     kind, conf = _problem_conf(plan, "synthetic", "dataset")
     if kind == "synthetic":  # zero rows: checks the keys and gives the input dimension
         X0, _ = call_checked(_synthetic_data, conf, "synthetic problem", seed=0, n=0)
@@ -315,18 +321,16 @@ def _run_trials(trial, keys, workers: int) -> dict:
 def run_heatmap(plan: ExperimentPlan, workers: int = 1) -> dict:
     """Grid over (M, T): per cell, `repetitions` fits with fresh feature
     seeds; returns per-trial rows plus mean/std aggregates."""
-    if plan.experiment not in ("heatmap", "plateau_check"):
-        raise ValueError("plan.experiment must be heatmap or plateau_check")
-    if not plan.m_grid or not plan.t_grid:
-        raise ValueError("m_grid and t_grid must be nonempty")
-    if plan.n_test < 1:
-        raise ValueError("n_test must be >= 1")
-    filt = make_filter(**plan.filter)
-    if not isinstance(filt, IterativeFilter):
+    return _heatmap_grid(plan, workers, *_heatmap_problem(plan))
+
+
+def _heatmap_grid(plan: ExperimentPlan, workers: int, draw, input_dim: int) -> dict:
+    """run_heatmap on the problem that _heatmap_problem(plan) returned."""
+    filt = make_filter(**check_object(plan.filter, "plan filter"))  # make_filter checks the keys
+    if not filt.iterative:
         raise ValueError("heatmap requires an iterative filter")
     t_grid = sorted(set(int(t) for t in plan.t_grid))
-    draw, input_dim = _heatmap_problem(plan)
-    fm = {"params": {}, **plan.feature_map}  # checked once here, before any trial
+    fm = {"params": {}, **check_object(plan.feature_map, "plan feature_map")}  # checked once here
     call_checked(sample_feature_map, fm, "plan feature_map", input_dim=input_dim,
                  num_samples=plan.m_grid[0], seed=plan.base_seed)
 
@@ -381,7 +385,8 @@ def run_plateau_check(plan: ExperimentPlan, heatmap: dict | None = None, workers
     The verdict is FAIL, with `reason` set, when an anchor has no surviving
     cell or its best cell has fewer than MIN_PLATEAU_REPS repetitions.
     """
-    m_small, m_big = plateau_anchors(plan.n_train, _heatmap_problem(plan)[1])
+    draw, input_dim = _heatmap_problem(plan)  # built once, so a dataset is read once
+    m_small, m_big = plateau_anchors(plan.n_train, input_dim)
     if m_small not in plan.m_grid or m_big not in plan.m_grid:
         raise ValueError(
             f"anchors not in grid: need M = {m_small} and M = {m_big} in m_grid"
@@ -391,7 +396,7 @@ def run_plateau_check(plan: ExperimentPlan, heatmap: dict | None = None, workers
             f"refusing to judge plateau with < {MIN_PLATEAU_REPS} repetitions"
         )
     if heatmap is None:
-        heatmap = run_heatmap(plan, workers=workers)
+        heatmap = _heatmap_grid(plan, workers, draw, input_dim)
     best = {}
     for cell in heatmap["aggregates"]:
         m = cell["M"]
@@ -446,7 +451,7 @@ def run_rate_sweep(plan: ExperimentPlan, workers: int = 1) -> dict:
     sched = plan.schedule
     r, b = sched["r"], sched["b"]
     problem = _problem_from_plan(plan)
-    filt = make_filter(**plan.filter)
+    filt = make_filter(**check_object(plan.filter, "plan filter"))
     configs = []
     for n in plan.n_grid:
         lam = lambda_schedule(n, r, b, sched["delta"], sched["C_lambda"])
@@ -457,7 +462,7 @@ def run_rate_sweep(plan: ExperimentPlan, workers: int = 1) -> dict:
         n, lam, m_used, _ = configs[ni]
         fmap = problem.truncated_map(m_used)
         X, y = sample_dataset(problem, n, trial_seed(plan.base_seed, ni, 0, 0, rep))
-        if isinstance(filt, IterativeFilter):
+        if filt.iterative:
             model = fit_iterative(fmap, X, y, filt, filt.iterations_for_lambda(lam))
         else:
             model = fit_spectral(fmap, X, y, filt, lam=lam)

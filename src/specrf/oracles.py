@@ -20,19 +20,8 @@ class ExactKernel:
 
     input_dim: int
 
-    def pair(self, x: np.ndarray, y: np.ndarray) -> float:
-        x = self._check(x)
-        y = self._check(y)
-        return float(self.gram(x[None, :], y[None, :])[0, 0])
-
     def gram(self, X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
         raise NotImplementedError
-
-    def _check(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.input_dim,):
-            raise ValueError(f"expected dimension {self.input_dim}, got {x.shape}")
-        return x
 
     def _check_rows(self, X: np.ndarray, n_cap: int | None = GRAM_N_CAP) -> np.ndarray:
         X = np.asarray(X, dtype=float)

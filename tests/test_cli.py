@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from specrf.cli import EXIT_CHECK_FAILED, EXIT_ERROR, EXIT_OK, main
-from specrf.harness import ExperimentPlan
+from specrf.estimator import load_model, mse
+from specrf.harness import ExperimentPlan, ingest_csv_dataset
 
 
 def _tiny_plan_file(tmp_path, seed=0):
@@ -233,12 +235,22 @@ _DESIGNER = {"type": "designer", "J": 8, "b": 1.0, "r": 0.5}
      "bandwith"),
     ("rate-sweep", {"problem": {**_DESIGNER, "h_weights": [1.0] * 8}}, "h_weights"),
     ("rate-sweep", {"problem": {**_DESIGNER, "J": 8.5}}, "rank J"),
+    ("heatmap", {"schedule": None}, "plan schedule must be a JSON object, not null"),
+    ("heatmap", {"feature_map": None}, "plan feature_map must be a JSON object, not null"),
+    ("heatmap", {"filter": []}, "plan filter must be a JSON object, not list"),
+    ("heatmap", {"problem": None}, "plan problem must be a JSON object, not null"),
+    ("fit", {"filter": None}, "fit config filter must be a JSON object, not null"),
+    ("fit", {"data": None}, "fit config data must be a JSON object, not null"),
+    ("fit", {"feature_map": {"kind": "gaussian_rff", "num_samples": 16, "params": None}},
+     "feature map params must be a JSON object"),
 ], ids=[
     "plan-filter-without-kind", "plan-feature_map-without-kind", "plan-feature_map-typo",
     "plan-feature_map-params-typo", "heatmap-problem-designer", "heatmap-problem-type-typo",
     "plan-problem-without-type", "synthetic-problem-typo", "schedule-typo", "rate-problem-seed",
     "rate-problem-typo", "fit-top-level-typo", "fit-feature_map-typo", "rate-problem-h_weights",
-    "rate-problem-fractional-rank",
+    "rate-problem-fractional-rank", "plan-schedule-null", "plan-feature_map-null",
+    "plan-filter-list", "plan-problem-null", "fit-filter-null", "fit-data-null",
+    "fit-feature_map-params-null",
 ])
 def test_bad_config_exits_1_with_one_error_line(tmp_path, capsys, command, change, named):
     base = {
@@ -260,6 +272,51 @@ def test_audit_filters_rejects_flags_it_does_not_read(tmp_path, capsys):
         main(["audit-filters", "--config", "x", "--out-dir", str(tmp_path / "audits")])
     assert exc.value.code != EXIT_OK
     assert "unrecognized arguments: --config x" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["audit-filters", "--seed", "1"], ["heatmap", "--bogus"]],
+                         ids=["audit-filters-seed", "heatmap-bogus"])
+def test_usage_error_exits_1_with_one_error_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_0(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([flag])
+    assert exc.value.code == EXIT_OK
+    assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fit_path,fit", [
+    ("spectral", {"filter": {"kind": "tikhonov"}, "lambda": 0.01}),
+    ("iterative", {"filter": {"kind": "landweber", "alpha": 0.5}, "iterations": 20}),
+], ids=["spectral", "iterative"])
+def test_fit_train_mse_is_the_mse_of_the_saved_model(tmp_path, capsys, fit_path, fit):
+    rng = np.random.default_rng(2)
+    X = rng.standard_normal((300, 2))
+    y = np.sin(X[:, 0]) + 0.1 * rng.standard_normal(300)
+    data = tmp_path / "train.csv"
+    np.savetxt(data, np.column_stack([y, X]), delimiter=",")
+    config = {
+        "data": {"path": str(data)},
+        "feature_map": {"kind": "gaussian_rff", "num_samples": 32},
+        **fit,
+    }
+    cfg = tmp_path / "fit.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "m"
+    assert main(["fit", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["fit_path"] == fit_path
+    X, y = ingest_csv_dataset(str(data))
+    want = mse(load_model(str(out / "model.json")), X, y)
+    assert report["train_mse"] == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
 def test_integral_float_rank_runs_on_both_designer_paths(tmp_path):

@@ -137,6 +137,19 @@ def test_gradient_descent_loss_monotone():
     assert model.losses[-1] == pytest.approx(mse(model, X, y), rel=1e-10)
 
 
+@pytest.mark.parametrize("kind,kwargs,fit", [
+    ("tikhonov", {}, {"lam": 0.05}),
+    ("landweber", {"alpha": 0.9}, {"iterations": 30}),
+], ids=["tikhonov-lam", "landweber-iterations"])
+def test_fit_spectral_losses_are_the_training_losses(kind, kwargs, fit):
+    fmap, X, y = _toy(seed=11)
+    model = fit_spectral(fmap, X, y, make_filter(kind, **kwargs), **fit)
+    # the same contract as fit_iterative: loss at theta = 0, then at the returned theta
+    assert len(model.losses) == 2
+    assert model.losses[0] == pytest.approx(np.mean(y**2), rel=1e-15)
+    assert model.losses[-1] == pytest.approx(mse(model, X, y), rel=1e-10)
+
+
 def test_snapshots_track_requested_iterations():
     fmap, X, y = _toy(seed=8)
     model = fit_iterative(

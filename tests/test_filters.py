@@ -17,10 +17,10 @@ from specrf.filters import (
 def test_tikhonov_known_values():
     f = make_filter("tikhonov")
     assert f.value(0.5, 0.1) == pytest.approx(1.0 / 0.6)
-    assert f.residual(0.5, 0.1) == pytest.approx(0.1 / 0.6)
-    # residual identity r = 1 - t*phi holds vectorized
+    assert 1.0 - 0.5 * f.value(0.5, 0.1) == pytest.approx(0.1 / 0.6)
+    # the residual r = 1 - t*phi is lambda / (t + lambda), vectorized
     t = np.linspace(0.0, 1.0, 11)
-    np.testing.assert_allclose(f.residual(t, 0.3), 1.0 - t * f.value(t, 0.3))
+    np.testing.assert_allclose(1.0 - t * f.value(t, 0.3), 0.3 / (t + 0.3))
 
 
 def test_cutoff_inverts_above_threshold_only():
@@ -28,7 +28,7 @@ def test_cutoff_inverts_above_threshold_only():
     t = np.array([0.01, 0.1, 0.5, 1.0])
     lam = 0.1
     np.testing.assert_allclose(f.value(t, lam), [0.0, 10.0, 2.0, 1.0])
-    np.testing.assert_allclose(f.residual(t, lam), [1.0, 0.0, 0.0, 0.0])
+    np.testing.assert_allclose(1.0 - t * f.value(t, lam), [1.0, 0.0, 0.0, 0.0])
 
 
 def test_landweber_one_step_is_step_size():
@@ -168,7 +168,7 @@ def test_audit_report_json_shape():
 def test_residual_bounded_for_convex_filters(t, lam):
     for kind in ("tikhonov", "spectral_cutoff"):
         f = make_filter(kind)
-        assert 0.0 <= float(f.residual(np.array([t]), lam)[0]) <= 1.0 + 1e-12
+        assert 0.0 <= float(1.0 - t * f.value(np.array([t]), lam)[0]) <= 1.0 + 1e-12
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,10 +1,12 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from specrf.estimator import fit_iterative, mse
+from specrf import harness
 from specrf.features import sample_feature_map
 from specrf.filters import make_filter
 from specrf.harness import (
@@ -17,6 +19,7 @@ from specrf.harness import (
     lambda_schedule,
     m_schedule,
     m_schedule_exponent,
+    plateau_anchors,
     run_heatmap,
     run_plateau_check,
     run_rate_sweep,
@@ -120,8 +123,6 @@ def test_ingest_column_selection_and_dim_warning(tmp_path):
     p.write_text("0,1,2,3,4\n1,5,6,7,8\n")
     X, _ = ingest_csv_dataset(str(p), feature_cols=[0, 2])
     np.testing.assert_array_equal(X, [[1.0, 3.0], [5.0, 7.0]])
-    with pytest.warns(UserWarning, match="feature columns"):
-        ingest_csv_dataset(str(p), expected_dim=3)
 
 
 def test_standardize_uses_training_statistics_only():
@@ -307,3 +308,21 @@ def test_plateau_anchors_use_the_dataset_input_dimension(tmp_path):
     plan.m_grid = [round(4 * math.sqrt(80)), round(20 * math.sqrt(80))]  # the d = 1 anchors
     with pytest.raises(ValueError, match="need M = 72 and M = 358"):
         run_plateau_check(plan)
+
+
+def test_plateau_plan_reads_its_dataset_once(tmp_path, monkeypatch):
+    plan = _dataset_plan(tmp_path)  # two feature columns, n_train = 80
+    plan.experiment, plan.repetitions = "plateau_check", 10
+    plan.m_grid = list(plateau_anchors(plan.n_train, 2))
+    calls = []
+
+    @functools.wraps(ingest_csv_dataset)
+    def counting_ingest(*args, **kwargs):
+        calls.append(kwargs)
+        return ingest_csv_dataset(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ingest_csv_dataset", counting_ingest)
+    out = run_plateau_check(plan)
+    assert len(calls) == 1
+    assert out["heatmap"]["failures"] == []
+    assert len(out["heatmap"]["rows"]) == 2 * 10 * 2  # M values x reps x T values

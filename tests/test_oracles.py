@@ -14,8 +14,10 @@ from specrf.oracles import (
 
 def test_gaussian_pair_known_value():
     k = GaussianKernel(2, bandwidth=1.0)
-    assert k.pair(np.zeros(2), np.ones(2)) == pytest.approx(0.36787944117144233, abs=1e-15)
-    assert k.pair(np.zeros(2), np.zeros(2)) == 1.0
+    assert k.gram(np.zeros((1, 2)), np.ones((1, 2)))[0, 0] == pytest.approx(
+        0.36787944117144233, abs=1e-15
+    )
+    assert k.gram(np.zeros((1, 2)), np.zeros((1, 2)))[0, 0] == 1.0
 
 
 def test_gaussian_gram_symmetric_psd():
@@ -34,7 +36,7 @@ def test_designer_kernel_matches_eigen_expansion():
         mu[j] * 2.0 * np.cos(j * np.pi * x[0]) * np.cos(j * np.pi * y[0])
         for j in (1, 2)
     )
-    assert k.pair(x, y) == pytest.approx(direct, abs=1e-14)
+    assert k.gram(x[None, :], y[None, :])[0, 0] == pytest.approx(direct, abs=1e-14)
 
 
 def test_monte_carlo_kernel_error_shrinks_with_samples():
