@@ -19,6 +19,7 @@ from .features import (
     designer_basis,
     feature_matrix,
     sample_feature_map,
+    whole_number,
 )
 from .filters import SpectralFilter
 from .oracles import ExactKernel
@@ -81,9 +82,7 @@ def make_designer_problem(
 
     h defaults to the normalized weights z_j = 1/j scaled to norm R.
     """
-    if J != int(J) or J < 2:
-        raise ValueError(f"rank J must be an integer >= 2, not {J!r}")
-    J = int(J)
+    J = whole_number(J, "rank J", least=2)
     if not 0.0 < b <= 1.0:
         raise ValueError("b must lie in (0, 1]")
     if r <= 0 or R <= 0:

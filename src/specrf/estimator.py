@@ -152,8 +152,7 @@ def fit_iterative(
     """
     if not filt.iterative:
         raise ValueError("fit_iterative requires a Landweber or Heavyball filter")
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
+    lam, iterations = filt.resolve(iterations=iterations)
     moments = assemble_empirical_operators(feature_map, X, y)
     sigma, s, yy = moments.sigma, moments.s, moments.yy
 
@@ -187,7 +186,7 @@ def fit_iterative(
         if t in wanted:
             taken[t] = theta.copy()
     return RfModel(
-        map=feature_map, theta=theta, filter=filt, lam=filt.lambda_for_iterations(iterations),
+        map=feature_map, theta=theta, filter=filt, lam=lam,
         iterations=iterations, fit_path="iterative", train_fingerprint=moments.fingerprint,
         losses=np.asarray(losses), snapshots=taken if snapshots else None,
     )

@@ -6,6 +6,7 @@ finite-rank designer map) of a kernel with an integral representation.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,15 @@ DEFAULT_MEMORY_BUDGET = 2 * 1024**3  # bytes
 
 class MemoryBudgetError(RuntimeError):
     """Raised when an operation would allocate past the configured budget."""
+
+
+def whole_number(value, name: str, least: int = 1) -> int:
+    """`value` as an int, or a ValueError naming `name` unless it is an integer
+    (an integral float such as 64.0 counts; a bool does not) of at least `least`."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and float(value).is_integer() and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -97,10 +107,8 @@ def sample_feature_map(
     """
     if kind not in PARAMS:
         raise ValueError(f"unknown feature map kind {kind!r}")
-    if input_dim < 1:
-        raise ValueError("input_dim must be >= 1")
-    if num_samples < 1:
-        raise ValueError("num_samples must be >= 1")
+    input_dim = whole_number(input_dim, "input_dim")
+    num_samples = whole_number(num_samples, "num_samples")
     if not isinstance(params, dict):
         raise ValueError(f"feature map params must be a JSON object, not {type(params).__name__}")
     unknown = sorted(set(params) - set(PARAMS[kind]))

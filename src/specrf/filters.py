@@ -10,9 +10,12 @@ from __future__ import annotations
 import inspect
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .features import whole_number
 
 AUDIT_SLACK = 1e-9
 DEFAULT_Q_VALUES = (0.5, 1.0, 1.5, 2.0)
@@ -52,13 +55,19 @@ class SpectralFilter:
 
         Give lam, iterations or both. An iterative filter derives the missing
         one through iterations_for_lambda / lambda_for_iterations, so T is
-        set for it and None for every other filter, which takes no T.
+        set for it and None for every other filter, which takes no T. This is
+        where both are checked: lam must be a real number in (0, 1] and T an
+        integer >= 1, where an integral float such as 64.0 counts.
         """
         if lam is None and iterations is None:
             raise ValueError("one of lam or iterations is required")
-        if iterations is not None and not self.iterative:
-            raise ValueError(f"{self.name} does not take an iteration count")
-        if iterations is None and self.iterative:
+        if lam is not None and (isinstance(lam, bool) or not isinstance(lam, numbers.Real)):
+            raise ValueError(f"lam must be a real number, not {lam!r}")
+        if iterations is not None:
+            if not self.iterative:
+                raise ValueError(f"{self.name} does not take an iteration count")
+            iterations = whole_number(iterations, "iterations")
+        elif self.iterative:
             iterations = self.iterations_for_lambda(lam)
         if lam is None:
             lam = self.lambda_for_iterations(iterations)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .diagnostics import DesignerProblem, excess_risk_exact, make_designer_problem, sample_dataset
 from .estimator import fit_iterative, fit_spectral, predict
-from .features import sample_feature_map
+from .features import sample_feature_map, whole_number
 from .filters import make_filter
 
 RESULTS_HEADER = ("n", "M", "T", "lambda", "rep", "metric", "value")
@@ -282,8 +282,9 @@ def _heatmap_problem(plan: ExperimentPlan):
         raise ValueError("plan.experiment must be heatmap or plateau_check")
     if not plan.m_grid or not plan.t_grid:
         raise ValueError("m_grid and t_grid must be nonempty")
-    if plan.n_test < 1:
-        raise ValueError("n_test must be >= 1")
+    for key in ("n_train", "n_test"):
+        if getattr(plan, key) < 1:
+            raise ValueError(f"{key} must be >= 1")
     kind, conf = _problem_conf(plan, "synthetic", "dataset")
     if kind == "synthetic":  # zero rows: checks the keys and gives the input dimension
         X0, _ = call_checked(_synthetic_data, conf, "synthetic problem", seed=0, n=0)
@@ -329,13 +330,17 @@ def _heatmap_grid(plan: ExperimentPlan, workers: int, draw, input_dim: int) -> d
     filt = make_filter(**check_object(plan.filter, "plan filter"))  # make_filter checks the keys
     if not filt.iterative:
         raise ValueError("heatmap requires an iterative filter")
-    t_grid = sorted(set(int(t) for t in plan.t_grid))
+    try:  # resolve checks each T before any trial runs
+        t_grid = sorted({filt.resolve(iterations=t)[1] for t in plan.t_grid})
+    except ValueError as exc:
+        raise ValueError(f"plan t_grid: {exc}") from None
+    m_grid = [whole_number(m, "plan m_grid entry") for m in plan.m_grid]
     fm = {"params": {}, **check_object(plan.feature_map, "plan feature_map")}  # checked once here
     call_checked(sample_feature_map, fm, "plan feature_map", input_dim=input_dim,
-                 num_samples=plan.m_grid[0], seed=plan.base_seed)
+                 num_samples=m_grid[0], seed=plan.base_seed)
 
     def trial(mi: int, rep: int):
-        m = plan.m_grid[mi]
+        m = m_grid[mi]
         seed = trial_seed(plan.base_seed, 0, mi, 0, rep)
         X_tr, y_tr, X_te, y_te = draw(seed)
         fmap = sample_feature_map(**fm, input_dim=input_dim, num_samples=m, seed=trial_seed(seed, 2))
@@ -350,7 +355,7 @@ def _heatmap_grid(plan: ExperimentPlan, workers: int, draw, input_dim: int) -> d
         errors = np.mean((predict(replace(model, theta=thetas), X_te) - y_te[:, None]) ** 2, axis=0)
         return [(m, t, float(e), None) for t, e in zip(t_grid, errors)]
 
-    keys = itertools.product(range(len(plan.m_grid)), range(plan.repetitions))
+    keys = itertools.product(range(len(m_grid)), range(plan.repetitions))
     outcomes = _run_trials(trial, keys, workers)
 
     rows, failures = [], []
@@ -454,9 +459,10 @@ def run_rate_sweep(plan: ExperimentPlan, workers: int = 1) -> dict:
     filt = make_filter(**check_object(plan.filter, "plan filter"))
     configs = []
     for n in plan.n_grid:
+        n = whole_number(n, "plan n_grid entry")
         lam = lambda_schedule(n, r, b, sched["delta"], sched["C_lambda"])
         m = m_schedule(n, r, b, sched["C_M"])
-        configs.append((int(n), lam, min(m, problem.rank), m))
+        configs.append((n, lam, min(m, problem.rank), m))
 
     def trial(ni: int, rep: int):
         n, lam, m_used, _ = configs[ni]

@@ -7,7 +7,6 @@ dual-form ridge solve alpha = (K + lambda*n*I)^{-1} y.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .features import FeatureMap, MemoryBudgetError, designer_basis, feature_matrix
 
@@ -23,12 +22,12 @@ class ExactKernel:
     def gram(self, X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
         raise NotImplementedError
 
-    def _check_rows(self, X: np.ndarray, n_cap: int | None = GRAM_N_CAP) -> np.ndarray:
+    def _check_rows(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.input_dim:
             raise ValueError(f"expected n x {self.input_dim} matrix, got {X.shape}")
-        if n_cap is not None and X.shape[0] > n_cap:
-            raise MemoryBudgetError(f"gram capped at n <= {n_cap}, got n = {X.shape[0]}")
+        if X.shape[0] > GRAM_N_CAP:
+            raise MemoryBudgetError(f"gram capped at n <= {GRAM_N_CAP}, got n = {X.shape[0]}")
         return X
 
 
@@ -106,12 +105,7 @@ def krr_gram_fit(
     n = X.shape[0]
     if y.size != n:
         raise ValueError("X and y length mismatch")
-    K = kernel.gram(X)
-    try:
-        factor = cho_factor(K + lam * n * np.eye(n), lower=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - lam > 0 keeps this SPD
-        raise RuntimeError("gram factorization failed") from exc
-    return cho_solve(factor, y)
+    return np.linalg.solve(kernel.gram(X) + lam * n * np.eye(n), y)
 
 
 def krr_predict(

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import specrf
 from specrf.cli import EXIT_CHECK_FAILED, EXIT_ERROR, EXIT_OK, main
 from specrf.estimator import load_model, mse
 from specrf.harness import ExperimentPlan, ingest_csv_dataset
@@ -243,6 +248,17 @@ _DESIGNER = {"type": "designer", "J": 8, "b": 1.0, "r": 0.5}
     ("fit", {"data": None}, "fit config data must be a JSON object, not null"),
     ("fit", {"feature_map": {"kind": "gaussian_rff", "num_samples": 16, "params": None}},
      "feature map params must be a JSON object"),
+    ("fit", {"lambda": "0.1"}, "lam must be a real number, not '0.1'"),
+    ("fit", {"filter": {"kind": "landweber", "alpha": 0.5}, "iterations": 2.5},
+     "iterations must be an integer >= 1, not 2.5"),
+    ("heatmap", {"t_grid": [0, 4]}, "plan t_grid: iterations must be an integer >= 1, not 0"),
+    ("heatmap", {"t_grid": [2.5, 4]}, "plan t_grid: iterations must be an integer >= 1, not 2.5"),
+    ("heatmap", {"n_train": 0}, "n_train must be >= 1"),
+    ("fit", {"feature_map": {"kind": "gaussian_rff", "num_samples": 8.5}},
+     "num_samples must be an integer >= 1, not 8.5"),
+    ("heatmap", {"m_grid": [8.5, 16]}, "plan m_grid entry must be an integer >= 1, not 8.5"),
+    ("rate-sweep", {"n_grid": [64, 128, 256, 512, 1024.5]},
+     "plan n_grid entry must be an integer >= 1, not 1024.5"),
 ], ids=[
     "plan-filter-without-kind", "plan-feature_map-without-kind", "plan-feature_map-typo",
     "plan-feature_map-params-typo", "heatmap-problem-designer", "heatmap-problem-type-typo",
@@ -250,7 +266,9 @@ _DESIGNER = {"type": "designer", "J": 8, "b": 1.0, "r": 0.5}
     "rate-problem-typo", "fit-top-level-typo", "fit-feature_map-typo", "rate-problem-h_weights",
     "rate-problem-fractional-rank", "plan-schedule-null", "plan-feature_map-null",
     "plan-filter-list", "plan-problem-null", "fit-filter-null", "fit-data-null",
-    "fit-feature_map-params-null",
+    "fit-feature_map-params-null", "fit-lambda-string", "fit-fractional-iterations",
+    "heatmap-t_grid-zero", "heatmap-t_grid-fraction", "heatmap-n_train-zero",
+    "fit-fractional-num_samples", "heatmap-fractional-m_grid", "rate-fractional-n_grid",
 ])
 def test_bad_config_exits_1_with_one_error_line(tmp_path, capsys, command, change, named):
     base = {
@@ -326,3 +344,11 @@ def test_integral_float_rank_runs_on_both_designer_paths(tmp_path):
         cfg = tmp_path / f"{command}.json"
         cfg.write_text(json.dumps(conf))
         assert main([command, "--config", str(cfg), "--out-dir", str(tmp_path / command)]) == EXIT_OK
+
+
+def test_cli_imports_without_scipy():
+    src = str(Path(specrf.__file__).resolve().parents[1])
+    code = "import sys, specrf.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -190,6 +190,10 @@ def test_validation_errors():
         sample_feature_map(GAUSSIAN_RFF, 0, 4, {}, 0)
     with pytest.raises(ValueError):
         sample_feature_map(GAUSSIAN_RFF, 1, 0, {}, 0)
+    with pytest.raises(ValueError, match="num_samples must be an integer >= 1, not 8.5"):
+        sample_feature_map(GAUSSIAN_RFF, 1, 8.5, {}, 0)
+    whole = sample_feature_map(GAUSSIAN_RFF, 2.0, 4.0, {}, 0)
+    assert type(whole.input_dim) is type(whole.num_samples) is int
     with pytest.raises(ValueError, match="bandwidth"):
         sample_feature_map(GAUSSIAN_RFF, 1, 4, {"bandwidth": -1.0}, 0)
     with pytest.raises(ValueError, match="input_dim must be 1"):

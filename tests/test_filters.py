@@ -85,6 +85,18 @@ def test_step_size_validation():
         Heavyball(alpha=0.1, beta=1.0)
 
 
+def test_resolve_checks_lambda_and_iteration_count():
+    lw = make_filter("landweber", alpha=0.5)
+    lam, T = lw.resolve(iterations=64.0)
+    assert (lam, T) == (1 / 32, 64) and type(T) is int
+    for lam in ("0.1", True, [0.1]):
+        with pytest.raises(ValueError, match="lam must be a real number"):
+            lw.resolve(lam=lam)
+    for T in (2.5, "8", True, 0, math.nan):
+        with pytest.raises(ValueError, match="iterations must be an integer >= 1"):
+            lw.resolve(iterations=T)
+
+
 def test_make_filter_unknown_kind():
     with pytest.raises(ValueError, match="unknown filter kind"):
         make_filter("wiener")
