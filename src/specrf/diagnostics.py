@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import RfModel
+from .estimator import ROW_BLOCK, RfModel
 from .features import (
     DESIGNER_FINITE_RANK,
     FeatureMap,
@@ -114,14 +114,22 @@ def make_designer_problem(
 def sample_dataset(
     problem: DesignerProblem, n: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """x ~ Uniform[0,1] i.i.d., y = g(x) + Gaussian noise; seed-determined."""
+    """x ~ Uniform[0,1] i.i.d., y = g(x) + Gaussian noise; seed-determined.
+
+    All n uniforms are drawn before the n normals. g(x) is evaluated
+    ROW_BLOCK rows at a time, so the cosine basis takes ROW_BLOCK x J floats
+    however large n is.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, 1.0, n)
-    y = problem.target_values(x)
+    y = np.empty(n)
+    for start in range(0, n, ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        y[rows] = problem.target_values(x[rows])
     if problem.noise_std > 0:
-        y = y + problem.noise_std * rng.standard_normal(n)
+        y += problem.noise_std * rng.standard_normal(n)
     return x[:, None], y
 
 

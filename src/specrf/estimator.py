@@ -5,7 +5,8 @@ Sigma_hat = Z^T Z / n and s_hat = Z^T y / n, and read the data only through
 the Moments record that assemble_empirical_operators returns. The data is
 embedded ROW_BLOCK rows at a time, so a fit or a prediction holds
 O(ROW_BLOCK * D + D^2) floats however many rows it reads. The spectral
-path filters the eigenvalues of Sigma_hat, the iterative path runs
+path applies the filter to Sigma_hat directly (one linear solve for
+Tikhonov, an eigendecomposition for the others), the iterative path runs
 (momentum) gradient descent whose T-step polynomial is the same filter.
 """
 from __future__ import annotations
@@ -113,21 +114,16 @@ def fit_spectral(
     lam: float | None = None,
     iterations: int | None = None,
 ) -> RfModel:
-    """Fit via eigendecomposition of the empirical covariance. model.losses
-    holds the training loss at theta = 0 and at the fitted theta."""
+    """Fit theta = phi(Sigma_hat) s_hat through filt.apply: one linear solve
+    for Tikhonov, an eigendecomposition of Sigma_hat for the other filters.
+    model.losses holds the training loss at theta = 0 and at the fitted theta."""
     lam, iterations = filt.resolve(lam, iterations)
     if feature_map.embedding_dim > EIG_DIM_CAP:
         raise ValueError(
             f"embedding dimension {feature_map.embedding_dim} exceeds eigensolver cap {EIG_DIM_CAP}"
         )
     moments = assemble_empirical_operators(feature_map, X, y)
-    evals, evecs = np.linalg.eigh(moments.sigma)
-    evals = np.maximum(evals, 0.0)  # round-off can leave tiny negatives
-    if iterations is None:
-        phi = filt.value(evals, lam)
-    else:
-        phi = filt.value_at_iterations(evals, iterations)
-    theta = evecs @ (phi * (evecs.T @ moments.s))
+    theta = filt.apply(moments.sigma, moments.s, lam, iterations)
     s, yy = moments.s, moments.yy
     return RfModel(
         map=feature_map, theta=theta, filter=filt, lam=lam, iterations=iterations,

@@ -42,6 +42,15 @@ def whole_number(value, name: str, least: int = 1) -> int:
     return int(value)
 
 
+def real_number(value, name: str) -> float:
+    """`value` as a float, or a ValueError naming `name` unless it is a finite
+    real number (an int or a float; a bool, a string, NaN or inf is not)."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and np.isfinite(value)):
+        raise ValueError(f"{name} must be a real number, not {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class FeatureMap:
     """Immutable sampled feature map; frequencies are fully seed-determined."""

@@ -10,12 +10,11 @@ from __future__ import annotations
 import inspect
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .features import whole_number
+from .features import real_number, whole_number
 
 AUDIT_SLACK = 1e-9
 DEFAULT_Q_VALUES = (0.5, 1.0, 1.5, 2.0)
@@ -61,8 +60,8 @@ class SpectralFilter:
         """
         if lam is None and iterations is None:
             raise ValueError("one of lam or iterations is required")
-        if lam is not None and (isinstance(lam, bool) or not isinstance(lam, numbers.Real)):
-            raise ValueError(f"lam must be a real number, not {lam!r}")
+        if lam is not None:
+            lam = real_number(lam, "lam")
         if iterations is not None:
             if not self.iterative:
                 raise ValueError(f"{self.name} does not take an iteration count")
@@ -75,6 +74,19 @@ class SpectralFilter:
             raise ValueError("lam must lie in (0, 1]")
         return float(lam), iterations
 
+    def apply(self, sigma: np.ndarray, s: np.ndarray, lam: float, iterations: int | None):
+        """phi(Sigma) s for a symmetric PSD Sigma, with (lam, iterations) as
+        resolve returns them: Sigma's eigenvalues are filtered with
+        value_at_iterations when T is set and value otherwise, and the
+        negatives that round-off can leave count as 0."""
+        evals, evecs = np.linalg.eigh(sigma)
+        evals = np.maximum(evals, 0.0)
+        if iterations is None:
+            phi = self.value(evals, lam)
+        else:
+            phi = self.value_at_iterations(evals, iterations)
+        return evecs @ (phi * (evecs.T @ s))
+
     def descriptor(self) -> dict:
         return {"kind": self.name}
 
@@ -86,6 +98,13 @@ class Tikhonov(SpectralFilter):
     def value(self, t, lam):
         t = _check_range(t, lam)
         return 1.0 / (t + lam)
+
+    def apply(self, sigma, s, lam, iterations):
+        """(Sigma + lam I)^{-1} s by one linear solve, with no eigendecomposition;
+        sigma itself is not changed."""
+        shifted = np.array(sigma, dtype=float)
+        shifted.flat[:: shifted.shape[0] + 1] += lam
+        return np.linalg.solve(shifted, s)
 
     def declared_cq(self, q):
         # sup_t lambda^{1-q} t^q / (t+lambda) <= 1 holds only for q <= 1

@@ -19,7 +19,7 @@ import numpy as np
 
 from .diagnostics import DesignerProblem, excess_risk_exact, make_designer_problem, sample_dataset
 from .estimator import fit_iterative, fit_spectral, predict
-from .features import sample_feature_map, whole_number
+from .features import real_number, sample_feature_map, whole_number
 from .filters import make_filter
 
 RESULTS_HEADER = ("n", "M", "T", "lambda", "rep", "metric", "value")
@@ -196,8 +196,10 @@ class ExperimentPlan:
     def __post_init__(self):
         if self.experiment not in ("heatmap", "rate_sweep", "plateau_check"):
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+        self.base_seed = whole_number(self.base_seed, "plan base_seed", least=0)
+        for key in ("repetitions", "n_train", "n_test"):
+            setattr(self, key, whole_number(getattr(self, key), f"plan {key}"))
+        real_number(self.plateau_tol, "plan plateau_tol")
         sched = {
             "C_lambda": 1.0,
             "C_M": 4.0,
@@ -207,6 +209,8 @@ class ExperimentPlan:
         }
         check_keys(self.schedule, "plan schedule", (), sched, "lambda_schedule or m_schedule")
         self.schedule = {**sched, **self.schedule}
+        for key, value in self.schedule.items():
+            real_number(value, f"plan schedule {key}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2)
@@ -282,9 +286,6 @@ def _heatmap_problem(plan: ExperimentPlan):
         raise ValueError("plan.experiment must be heatmap or plateau_check")
     if not plan.m_grid or not plan.t_grid:
         raise ValueError("m_grid and t_grid must be nonempty")
-    for key in ("n_train", "n_test"):
-        if getattr(plan, key) < 1:
-            raise ValueError(f"{key} must be >= 1")
     kind, conf = _problem_conf(plan, "synthetic", "dataset")
     if kind == "synthetic":  # zero rows: checks the keys and gives the input dimension
         X0, _ = call_checked(_synthetic_data, conf, "synthetic problem", seed=0, n=0)

@@ -253,12 +253,17 @@ _DESIGNER = {"type": "designer", "J": 8, "b": 1.0, "r": 0.5}
      "iterations must be an integer >= 1, not 2.5"),
     ("heatmap", {"t_grid": [0, 4]}, "plan t_grid: iterations must be an integer >= 1, not 0"),
     ("heatmap", {"t_grid": [2.5, 4]}, "plan t_grid: iterations must be an integer >= 1, not 2.5"),
-    ("heatmap", {"n_train": 0}, "n_train must be >= 1"),
+    ("heatmap", {"n_train": 0}, "plan n_train must be an integer >= 1, not 0"),
     ("fit", {"feature_map": {"kind": "gaussian_rff", "num_samples": 8.5}},
      "num_samples must be an integer >= 1, not 8.5"),
     ("heatmap", {"m_grid": [8.5, 16]}, "plan m_grid entry must be an integer >= 1, not 8.5"),
     ("rate-sweep", {"n_grid": [64, 128, 256, 512, 1024.5]},
      "plan n_grid entry must be an integer >= 1, not 1024.5"),
+    ("heatmap", {"repetitions": 2.5}, "plan repetitions must be an integer >= 1, not 2.5"),
+    ("heatmap", {"n_train": "200"}, "plan n_train must be an integer >= 1, not '200'"),
+    ("heatmap", {"base_seed": "x"}, "plan base_seed must be an integer >= 0, not 'x'"),
+    ("rate-sweep", {"schedule": {"r": "0.5"}}, "plan schedule r must be a real number, not '0.5'"),
+    ("heatmap", {"plateau_tol": "x"}, "plan plateau_tol must be a real number, not 'x'"),
 ], ids=[
     "plan-filter-without-kind", "plan-feature_map-without-kind", "plan-feature_map-typo",
     "plan-feature_map-params-typo", "heatmap-problem-designer", "heatmap-problem-type-typo",
@@ -269,6 +274,8 @@ _DESIGNER = {"type": "designer", "J": 8, "b": 1.0, "r": 0.5}
     "fit-feature_map-params-null", "fit-lambda-string", "fit-fractional-iterations",
     "heatmap-t_grid-zero", "heatmap-t_grid-fraction", "heatmap-n_train-zero",
     "fit-fractional-num_samples", "heatmap-fractional-m_grid", "rate-fractional-n_grid",
+    "plan-fractional-repetitions", "plan-string-n_train", "plan-string-base_seed",
+    "rate-schedule-string", "plan-string-plateau_tol",
 ])
 def test_bad_config_exits_1_with_one_error_line(tmp_path, capsys, command, change, named):
     base = {

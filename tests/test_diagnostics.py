@@ -11,8 +11,8 @@ from specrf.diagnostics import (
     sample_dataset,
     sup_norm_f_star,
 )
-from specrf.estimator import fit_spectral
-from specrf.features import sample_feature_map
+from specrf.estimator import ROW_BLOCK, fit_spectral
+from specrf.features import designer_basis, sample_feature_map
 from specrf.filters import make_filter
 from specrf.oracles import GaussianKernel
 
@@ -63,6 +63,18 @@ def test_dataset_seeded_and_noiseless_exact():
     np.testing.assert_array_equal(y1, y2)
     np.testing.assert_allclose(y1, p.target_values(X1[:, 0]), atol=1e-13)
     assert X1.min() >= 0.0 and X1.max() <= 1.0
+
+
+def test_dataset_target_over_row_blocks_is_one_basis_product():
+    p = make_designer_problem(J=64, b=1.0, r=0.5, noise_std=0.5, seed=2)
+    n = 2 * ROW_BLOCK + 3
+    X, y = sample_dataset(p, n, 13)
+    rng = np.random.default_rng(13)
+    x = rng.uniform(0.0, 1.0, n)
+    want = designer_basis(p.rank, x) @ p.g_coeffs + p.noise_std * rng.standard_normal(n)
+    np.testing.assert_array_equal(X[:, 0], x)
+    # relative to the largest |y|: a block's GEMV may round a y near 0 differently
+    assert np.max(np.abs(y - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_filtered_target_cutoff_bias_is_exact_tail_norm():

@@ -104,6 +104,27 @@ def test_ridge_primal_equals_dual():
     np.testing.assert_allclose(predict(model, X_test), dual, atol=1e-9)
 
 
+def test_tikhonov_solve_matches_the_eigendecomposition_form():
+    fmap, X, y = _toy(seed=4, n=300, M=40)
+    lam = 1e-2
+    model = fit_spectral(fmap, X, y, make_filter("tikhonov"), lam=lam)
+    moments = assemble_empirical_operators(fmap, X, y)
+    w, V = np.linalg.eigh(moments.sigma)
+    want = V @ ((V.T @ moments.s) / (np.maximum(w, 0.0) + lam))
+    np.testing.assert_allclose(model.theta, want, rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("lam", [1e-3, 1e-9])
+def test_tikhonov_solves_the_normal_equations_when_rank_deficient(lam):
+    # M = 400 random features from n = 100 rows: Sigma_hat has rank <= 100
+    fmap, X, y = _toy(seed=8, n=100, M=400)
+    model = fit_spectral(fmap, X, y, make_filter("tikhonov"), lam=lam)
+    moments = assemble_empirical_operators(fmap, X, y)
+    assert np.isfinite(model.theta).all()
+    residual = moments.sigma @ model.theta + lam * model.theta - moments.s
+    assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(moments.s)
+
+
 @pytest.mark.parametrize("kind,kwargs", [
     ("landweber", {"alpha": 0.8}),
     ("heavyball", {"alpha": 0.2, "beta": 0.7}),
