@@ -21,7 +21,7 @@ from .diagnostics import (
     sup_norm_f_star,
 )
 from .estimator import fit_iterative, fit_spectral, save_model
-from .features import sample_feature_map
+from .features import sample_feature_map, whole_number
 from .filters import audit_filter, make_filter
 from .harness import (
     ExperimentPlan,
@@ -71,7 +71,7 @@ def _cmd_fit(args) -> int:
         )
     else:
         problem = call_checked(make_designer_problem, data["designer"], f"{where} data.designer")
-        X, y = sample_dataset(problem, data.get("n", 1000), seed)
+        X, y = sample_dataset(problem, whole_number(data.get("n", 1000), f"{where} data n"), seed)
     fm_where = f"{where} feature_map"
     fm = {"params": {}, **check_object(config["feature_map"], fm_where)}
     fmap = call_checked(sample_feature_map, fm, fm_where, input_dim=X.shape[1], seed=seed)
@@ -178,6 +178,18 @@ def _cmd_diagnose(args) -> int:
     return EXIT_OK
 
 
+def _integer_from(least: int):
+    """An argparse type: an integer of at least `least`, so a bad value names its flag."""
+
+    def parse(text: str) -> int:
+        try:
+            return whole_number(int(text), "value", least)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {least}, not {text!r}") from None
+
+    return parse
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as one `error:` line and exit 1; subparsers inherit it."""
 
@@ -196,8 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     flags = {
         "--config": dict(help="JSON plan/config path"),
-        "--seed": dict(type=int, default=None, help="base seed override"),
-        "--workers": dict(type=int, default=1),
+        "--seed": dict(type=_integer_from(0), default=None, help="base seed override"),
+        "--workers": dict(type=_integer_from(1), default=1),
         "--out-dir": dict(default="specrf-out"),
     }
     sweep = ("--config", "--seed", "--workers", "--out-dir")
@@ -217,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--rank", type=int, default=64)
             p.add_argument("--b", type=float, default=1.0)
             p.add_argument("--r", type=float, default=0.5)
-            p.add_argument("--grid-points", type=int, default=20)
+            p.add_argument("--grid-points", type=_integer_from(1), default=20)
     return parser
 
 

@@ -18,6 +18,7 @@ from .features import (
     FeatureMap,
     designer_basis,
     feature_matrix,
+    real_number,
     sample_feature_map,
     whole_number,
 )
@@ -83,10 +84,14 @@ def make_designer_problem(
     h defaults to the normalized weights z_j = 1/j scaled to norm R.
     """
     J = whole_number(J, "rank J", least=2)
+    seed = whole_number(seed, "designer seed", least=0)
+    b, r, R = real_number(b, "designer b"), real_number(r, "designer r"), real_number(R, "designer R")
+    noise_std = real_number(noise_std, "designer noise_std")
+    eigenvalue_scale = real_number(eigenvalue_scale, "designer eigenvalue_scale")
     if not 0.0 < b <= 1.0:
         raise ValueError("b must lie in (0, 1]")
-    if r <= 0 or R <= 0:
-        raise ValueError("r and R must be positive")
+    if r <= 0 or R <= 0 or eigenvalue_scale <= 0:
+        raise ValueError("r, R and eigenvalue_scale must be positive")
     if noise_std < 0:
         raise ValueError("noise_std must be >= 0")
     if 2.0 * r + b <= 1.0:
@@ -106,8 +111,7 @@ def make_designer_problem(
         DESIGNER_FINITE_RANK, 1, J, {"eigenvalues": mu, "decay_exponent": b}, seed
     )
     return DesignerProblem(
-        map=fmap, b=float(b), r=float(r), R=float(R), h_coeffs=h, g_coeffs=g,
-        noise_std=float(noise_std), seed=int(seed),
+        map=fmap, b=b, r=r, R=R, h_coeffs=h, g_coeffs=g, noise_std=noise_std, seed=seed
     )
 
 

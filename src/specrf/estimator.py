@@ -76,7 +76,8 @@ def assemble_empirical_operators(
 ) -> Moments:
     """Validate, embed, reduce and hash the data; the one place a fit reads it.
 
-    Non-finite data is rejected here, so both fit paths reject it. Z^T Z and
+    Non-finite data, and a non-finite Sigma_hat or s_hat (an embedding that
+    overflows), are rejected here, so both fit paths reject them. Z^T Z and
     Z^T y are summed over row blocks (numpy sends Zb.T @ Zb to syrk) and
     divided by n once.
     """
@@ -92,13 +93,16 @@ def assemble_empirical_operators(
     if dim * dim * 8 > features.DEFAULT_MEMORY_BUDGET:
         raise MemoryBudgetError(f"covariance of dimension {dim} exceeds memory budget")
     blocks = ((Zb.T @ Zb, Zb.T @ y[rows]) for rows, Zb in _embedded_blocks(feature_map, X))
-    gram, zy = next(blocks)
-    for gram_b, zy_b in blocks:
-        gram += gram_b
-        zy += zy_b
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        gram, zy = next(blocks)
+        for gram_b, zy_b in blocks:
+            gram += gram_b
+            zy += zy_b
     n = X.shape[0]
     gram /= n
     zy /= n
+    if not (np.isfinite(gram).all() and np.isfinite(zy).all()):
+        raise ValueError(f"{feature_map.kind} map embeds the data to a non-finite Sigma_hat or s_hat")
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(X).tobytes())
     h.update(np.ascontiguousarray(y).tobytes())

@@ -15,15 +15,16 @@ GAUSSIAN_RFF = "gaussian_rff"
 NTK_ONE_LAYER = "ntk_one_layer"
 DESIGNER_FINITE_RANK = "designer_finite_rank"
 
-# kind -> the params keys it reads, which are exactly those descriptor() writes
+# kind -> {param: default}: the one place that says which params a kind reads, their
+# defaults and what descriptor() writes. A param whose default is a float is read
+# through real_number; designer eigenvalues None mean j^(-1/decay_exponent).
 PARAMS = {
-    GAUSSIAN_RFF: ("bandwidth",),
-    NTK_ONE_LAYER: ("activation", "tau", "gamma", "rho_max"),
-    DESIGNER_FINITE_RANK: ("eigenvalues", "decay_exponent"),
+    GAUSSIAN_RFF: {"bandwidth": 1.0},
+    NTK_ONE_LAYER: {"activation": "relu", "tau": 1.0, "gamma": 1.0, "rho_max": 10.0},
+    DESIGNER_FINITE_RANK: {"eigenvalues": None, "decay_exponent": 1.0},
 }
 ACTIVATIONS = ("relu", "tanh", "identity")
 
-DEFAULT_NTK_RHO_MAX = 10.0
 # empirical kappa^2 bounds for unbounded activations get this headroom
 NTK_KAPPA_MARGIN = 1.1
 DEFAULT_MEMORY_BUDGET = 2 * 1024**3  # bytes
@@ -62,9 +63,9 @@ class FeatureMap:
     params: dict
     seed: int
     frequencies: np.ndarray = field(repr=False)
-    phases: np.ndarray | None = field(repr=False, default=None)
-    kappa_sq: float = 0.0
-    kappa_certified: bool = True
+    phases: np.ndarray | None = field(repr=False)
+    kappa_sq: float
+    kappa_certified: bool
 
     @property
     def embedding_dim(self) -> int:
@@ -95,12 +96,15 @@ def designer_basis(num_funcs: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _validate_designer_eigenvalues(mu: np.ndarray, rank: int) -> np.ndarray:
-    mu = np.asarray(mu, dtype=float)
+def _validate_designer_eigenvalues(mu, rank: int) -> np.ndarray:
+    try:
+        mu = np.asarray(mu, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"designer eigenvalues must be a list of numbers, not {mu!r}") from None
     if mu.ndim != 1 or mu.size != rank:
         raise ValueError(f"expected {rank} eigenvalues, got shape {mu.shape}")
-    if np.any(mu <= 0):
-        raise ValueError("designer eigenvalues must be strictly positive")
+    if not (np.isfinite(mu).all() and np.all(mu > 0)):
+        raise ValueError("designer eigenvalues must be finite and strictly positive")
     if np.any(np.diff(mu) > 0):
         raise ValueError("designer eigenvalues must be non-increasing")
     return mu
@@ -109,12 +113,10 @@ def _validate_designer_eigenvalues(mu: np.ndarray, rank: int) -> np.ndarray:
 def sample_feature_map(
     kind: str, input_dim: int, num_samples: int, params: dict, seed: int
 ) -> FeatureMap:
-    """Draw the map's frequencies from its sampling measure, seeded.
-
-    For the designer map the "frequencies" are the deterministic index set
-    1..rank and the seed is recorded but unused.
-    """
-    if kind not in PARAMS:
+    """Draw the map's frequencies from its sampling measure, seeded; `params` overrides
+    the kind's defaults in PARAMS. The designer map's "frequencies" are the
+    deterministic index set 1..rank; its seed is recorded but unused."""
+    if not isinstance(kind, str) or kind not in PARAMS:
         raise ValueError(f"unknown feature map kind {kind!r}")
     input_dim = whole_number(input_dim, "input_dim")
     num_samples = whole_number(num_samples, "num_samples")
@@ -123,85 +125,53 @@ def sample_feature_map(
     unknown = sorted(set(params) - set(PARAMS[kind]))
     if unknown:
         raise ValueError(f"feature map {kind} does not take params: {', '.join(unknown)}")
-    params = dict(params)
+    params = {**PARAMS[kind], **params}
+    for key, default in PARAMS[kind].items():
+        if isinstance(default, float):
+            params[key] = real_number(params[key], f"{kind} param {key}")
     rng = np.random.default_rng(seed)
+    phases, count, certified = None, 1, True
 
     if kind == GAUSSIAN_RFF:
-        bandwidth = float(params.get("bandwidth", 1.0))
-        if bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
-        params["bandwidth"] = bandwidth
-        freqs = rng.standard_normal((num_samples, input_dim)) / bandwidth
+        bandwidth = params["bandwidth"]
+        with np.errstate(over="ignore", divide="ignore"):  # reported next, naming the bandwidth
+            freqs = rng.standard_normal((num_samples, input_dim)) / bandwidth
+        if bandwidth <= 0 or not np.isfinite(freqs).all():
+            raise ValueError(f"bandwidth must be positive with finite frequencies, not {bandwidth!r}")
         phases = rng.uniform(0.0, 2.0 * np.pi, num_samples)
-        return FeatureMap(
-            kind=kind,
-            input_dim=input_dim,
-            num_samples=num_samples,
-            component_count=1,
-            params=params,
-            seed=seed,
-            frequencies=freqs,
-            phases=phases,
-            kappa_sq=2.0,
-        )
-
-    if kind == NTK_ONE_LAYER:
-        activation = params.get("activation", "relu")
-        if activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {activation!r}")
-        tau = float(params.get("tau", 1.0))
-        gamma = float(params.get("gamma", 1.0))
-        rho_max = float(params.get("rho_max", DEFAULT_NTK_RHO_MAX))
+        kappa_sq = 2.0
+    elif kind == NTK_ONE_LAYER:
+        tau, gamma, rho_max = params["tau"], params["gamma"], params["rho_max"]
+        if params["activation"] not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {params['activation']!r}")
         if tau < 0 or gamma < 0 or rho_max <= 0:
             raise ValueError("tau, gamma must be >= 0 and rho_max > 0")
-        params.update(activation=activation, tau=tau, gamma=gamma, rho_max=rho_max)
+        try:  # a float power past the double range raises OverflowError
+            tau_sq, gamma_sq, rho_sq = tau**2, gamma**2, rho_max**2
+        except OverflowError:
+            raise ValueError(f"kappa_sq overflows: tau={tau}, gamma={gamma}, rho_max={rho_max}") from None
         freqs = rng.standard_normal((num_samples, input_dim))
-        if activation == "tanh":
+        count = input_dim + 2
+        if params["activation"] == "tanh":
             # sup|tanh| = sup|tanh'| = 1 on any domain
-            kappa_sq = tau**2 * rho_max**2 + 1.0 + tau**2 * gamma**2
-            certified = True
+            kappa_sq = tau_sq * rho_sq + 1.0 + tau_sq * gamma_sq
         else:
             # relu/identity: sigma' is in {0,1} resp. 1, |sigma(w.x)| <= |w.x|
             # <= ||w|| rho_max; per-frequency empirical bound, reported only
-            sup_wx_sq = float(np.max(np.sum(freqs**2, axis=1))) * rho_max**2
-            kappa_sq = NTK_KAPPA_MARGIN * (
-                tau**2 * rho_max**2 + sup_wx_sq + tau**2 * gamma**2
-            )
+            sup_wx_sq = float(np.max(np.sum(freqs**2, axis=1))) * rho_sq
+            kappa_sq = NTK_KAPPA_MARGIN * (tau_sq * rho_sq + sup_wx_sq + tau_sq * gamma_sq)
             certified = False
-        return FeatureMap(
-            kind=kind,
-            input_dim=input_dim,
-            num_samples=num_samples,
-            component_count=input_dim + 2,
-            params=params,
-            seed=seed,
-            frequencies=freqs,
-            kappa_sq=kappa_sq,
-            kappa_certified=certified,
-        )
-
-    # designer finite-rank map
-    if input_dim != 1:
-        raise ValueError("designer map is defined on X = [0,1], input_dim must be 1")
-    decay = float(params.get("decay_exponent", 1.0))
-    if "eigenvalues" in params:
-        mu = _validate_designer_eigenvalues(params["eigenvalues"], num_samples)
     else:
-        mu = np.arange(1, num_samples + 1, dtype=float) ** (-1.0 / decay)
-    params["eigenvalues"] = mu
-    params["decay_exponent"] = decay
-    sup_sq = np.full(num_samples, 2.0)
-    sup_sq[0] = 1.0
-    return FeatureMap(
-        kind=kind,
-        input_dim=1,
-        num_samples=num_samples,
-        component_count=1,
-        params=params,
-        seed=seed,
-        frequencies=np.arange(1, num_samples + 1, dtype=float),
-        kappa_sq=float(np.sum(mu * sup_sq)),
-    )
+        if input_dim != 1:
+            raise ValueError("designer map is defined on X = [0,1], input_dim must be 1")
+        decay = params["decay_exponent"]
+        if decay <= 0:
+            raise ValueError(f"decay_exponent must be positive, not {decay!r}")
+        freqs = np.arange(1, num_samples + 1, dtype=float)
+        mu = freqs ** (-1.0 / decay) if params["eigenvalues"] is None else params["eigenvalues"]
+        params["eigenvalues"] = mu = _validate_designer_eigenvalues(mu, num_samples)
+        kappa_sq = float(np.sum(mu * np.where(freqs == 1, 1.0, 2.0)))  # sup e_1^2 = 1, sup e_j^2 = 2
+    return FeatureMap(kind, input_dim, num_samples, count, params, seed, freqs, phases, kappa_sq, certified)
 
 
 def feature_matrix(feature_map: FeatureMap, X: np.ndarray) -> np.ndarray:

@@ -152,9 +152,9 @@ class Landweber(IterativeFilter):
     qualification = math.inf
 
     def __init__(self, alpha: float = 1.0):
-        if not 0.0 < alpha <= 1.0:
+        self.alpha = real_number(alpha, "landweber alpha")
+        if not 0.0 < self.alpha <= 1.0:
             raise ValueError("step size alpha must lie in (0, 1]")
-        self.alpha = float(alpha)
         self.alpha_eff = self.alpha
         self.D = 1.0
         self.E = 1.0 + self.alpha
@@ -190,12 +190,12 @@ class Heavyball(IterativeFilter):
     qualification = math.inf
 
     def __init__(self, alpha: float = 0.25, beta: float = 0.9):
-        if alpha <= 0:
+        self.alpha = real_number(alpha, "heavyball alpha")
+        self.beta = real_number(beta, "heavyball beta")
+        if self.alpha <= 0:
             raise ValueError("step size alpha must be positive")
-        if not 0.0 <= beta < 1.0:
+        if not 0.0 <= self.beta < 1.0:
             raise ValueError("momentum beta must lie in [0, 1)")
-        self.alpha = float(alpha)
-        self.beta = float(beta)
         self.alpha_eff = self.alpha / (1.0 - self.beta)
         if self.alpha_eff > 1.0 + 1e-12:
             raise ValueError(

@@ -200,6 +200,11 @@ class ExperimentPlan:
         for key in ("repetitions", "n_train", "n_test"):
             setattr(self, key, whole_number(getattr(self, key), f"plan {key}"))
         real_number(self.plateau_tol, "plan plateau_tol")
+        for key in ("m_grid", "t_grid", "n_grid"):
+            if not isinstance(getattr(self, key), list):
+                raise ValueError(f"plan {key} must be a list, not {getattr(self, key)!r}")
+        self.m_grid = [whole_number(m, "plan m_grid entry") for m in self.m_grid]
+        self.n_grid = [whole_number(n, "plan n_grid entry") for n in self.n_grid]
         sched = {
             "C_lambda": 1.0,
             "C_M": 4.0,
@@ -262,8 +267,11 @@ def _synthetic_target(X: np.ndarray) -> np.ndarray:
 
 
 def _synthetic_data(seed: int, n: int, input_dim: int = 1, noise_std: float = 0.3):
+    input_dim = whole_number(input_dim, "synthetic problem input_dim")
+    if real_number(noise_std, "synthetic problem noise_std") < 0:
+        raise ValueError(f"synthetic problem noise_std must be >= 0, not {noise_std!r}")
     rng = np.random.default_rng(seed)
-    X = rng.standard_normal((n, int(input_dim)))
+    X = rng.standard_normal((n, input_dim))
     y = _synthetic_target(X)
     if noise_std > 0:
         y = y + noise_std * rng.standard_normal(n)
@@ -335,13 +343,12 @@ def _heatmap_grid(plan: ExperimentPlan, workers: int, draw, input_dim: int) -> d
         t_grid = sorted({filt.resolve(iterations=t)[1] for t in plan.t_grid})
     except ValueError as exc:
         raise ValueError(f"plan t_grid: {exc}") from None
-    m_grid = [whole_number(m, "plan m_grid entry") for m in plan.m_grid]
     fm = {"params": {}, **check_object(plan.feature_map, "plan feature_map")}  # checked once here
     call_checked(sample_feature_map, fm, "plan feature_map", input_dim=input_dim,
-                 num_samples=m_grid[0], seed=plan.base_seed)
+                 num_samples=plan.m_grid[0], seed=plan.base_seed)
 
     def trial(mi: int, rep: int):
-        m = m_grid[mi]
+        m = plan.m_grid[mi]
         seed = trial_seed(plan.base_seed, 0, mi, 0, rep)
         X_tr, y_tr, X_te, y_te = draw(seed)
         fmap = sample_feature_map(**fm, input_dim=input_dim, num_samples=m, seed=trial_seed(seed, 2))
@@ -356,7 +363,7 @@ def _heatmap_grid(plan: ExperimentPlan, workers: int, draw, input_dim: int) -> d
         errors = np.mean((predict(replace(model, theta=thetas), X_te) - y_te[:, None]) ** 2, axis=0)
         return [(m, t, float(e), None) for t, e in zip(t_grid, errors)]
 
-    keys = itertools.product(range(len(m_grid)), range(plan.repetitions))
+    keys = itertools.product(range(len(plan.m_grid)), range(plan.repetitions))
     outcomes = _run_trials(trial, keys, workers)
 
     rows, failures = [], []
@@ -460,7 +467,6 @@ def run_rate_sweep(plan: ExperimentPlan, workers: int = 1) -> dict:
     filt = make_filter(**check_object(plan.filter, "plan filter"))
     configs = []
     for n in plan.n_grid:
-        n = whole_number(n, "plan n_grid entry")
         lam = lambda_schedule(n, r, b, sched["delta"], sched["C_lambda"])
         m = m_schedule(n, r, b, sched["C_M"])
         configs.append((n, lam, min(m, problem.rank), m))

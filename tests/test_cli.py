@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
+import tempfile
+import warnings
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import specrf
 from specrf.cli import EXIT_CHECK_FAILED, EXIT_ERROR, EXIT_OK, main
@@ -13,8 +19,8 @@ from specrf.estimator import load_model, mse
 from specrf.harness import ExperimentPlan, ingest_csv_dataset
 
 
-def _tiny_plan_file(tmp_path, seed=0):
-    plan = ExperimentPlan(
+def _tiny_plan(seed=0):
+    return ExperimentPlan(
         experiment="heatmap",
         base_seed=seed,
         repetitions=2,
@@ -23,8 +29,11 @@ def _tiny_plan_file(tmp_path, seed=0):
         m_grid=[8, 16],
         t_grid=[1, 4],
     )
+
+
+def _tiny_plan_file(tmp_path, seed=0):
     path = tmp_path / "plan.json"
-    path.write_text(plan.to_json())
+    path.write_text(_tiny_plan(seed).to_json())
     return path
 
 
@@ -135,6 +144,31 @@ def test_plateau_command_exit_codes(tmp_path):
     assert code in (EXIT_OK, EXIT_CHECK_FAILED)
     summary = json.loads((tmp_path / "p" / "summary.json").read_text())
     assert summary["plateau"]["pass"] == (code == EXIT_OK)
+
+
+def test_plateau_exits_2_with_a_reason_when_every_cell_fails(tmp_path, capsys):
+    # NTK tau = gamma = 10 puts alpha * ||Sigma|| far past 2 for Landweber alpha = 0.5
+    plan = ExperimentPlan(
+        experiment="heatmap",
+        base_seed=1,
+        repetitions=10,
+        n_train=100,
+        n_test=100,
+        m_grid=[40, 200],
+        t_grid=[1, 4],
+        feature_map={"kind": "ntk_one_layer", "params": {"tau": 10.0, "gamma": 10.0}},
+    )
+    cfg = tmp_path / "plan.json"
+    cfg.write_text(plan.to_json())
+    code = main(["plateau", "--config", str(cfg), "--out-dir", str(tmp_path / "p")])
+    assert code == EXIT_CHECK_FAILED
+    assert capsys.readouterr().out == "plateau check: FAIL\n"
+    summary = json.loads((tmp_path / "p" / "summary.json").read_text())
+    assert summary["plateau"]["pass"] is False
+    assert summary["plateau"]["reason"] == (
+        "anchor best cells below 10 repetitions: M = 40 has 0, M = 200 has 0"
+    )
+    assert summary["aggregates"] == []
 
 
 def test_fit_rejects_non_finite_csv_cell(tmp_path, capsys):
@@ -264,6 +298,32 @@ _DESIGNER = {"type": "designer", "J": 8, "b": 1.0, "r": 0.5}
     ("heatmap", {"base_seed": "x"}, "plan base_seed must be an integer >= 0, not 'x'"),
     ("rate-sweep", {"schedule": {"r": "0.5"}}, "plan schedule r must be a real number, not '0.5'"),
     ("heatmap", {"plateau_tol": "x"}, "plan plateau_tol must be a real number, not 'x'"),
+    *[("fit", {"data": {**_FIT_CONFIG["data"], "n": n}}, f"fit config data n must be an integer >= 1, not {n!r}")
+      for n in (100.5, "100", True)],
+    ("fit", {"filter": {"kind": "landweber", "alpha": "0.5"}}, "landweber alpha must be a real number"),
+    ("fit", {"filter": {"kind": "heavyball", "beta": None}}, "heavyball beta must be a real number"),
+    *[("fit", {"data": {"designer": {"J": 8, "b": 1.0, "r": 0.5, key: value}, "n": 100}},
+       f"designer {key} must be a real number")
+      for key, value in (("b", "1.0"), ("noise_std", None), ("R", [1]), ("eigenvalue_scale", "2"))],
+    ("heatmap", {"m_grid": 3}, "plan m_grid must be a list, not 3"),
+    ("rate-sweep", {"n_grid": 12345}, "plan n_grid must be a list, not 12345"),
+    *[("fit", {"feature_map": {"kind": "gaussian_rff", "num_samples": 16, "params": {"bandwidth": value}}},
+       "gaussian_rff param bandwidth must be a real number")
+      for value in (None, "2", True, [1])],
+    ("fit", {"feature_map": {"kind": "ntk_one_layer", "num_samples": 8, "params": {"tau": None}}},
+     "ntk_one_layer param tau must be a real number, not None"),
+    *[("fit", {"feature_map": {"kind": "designer_finite_rank", "num_samples": 2,
+                               "params": {"eigenvalues": mu}}}, "eigenvalues must be finite")
+      for mu in ([float("nan"), 0.5], [None, 0.5], [float("inf"), 1.0])],
+    *[("fit", {"feature_map": {"kind": "designer_finite_rank", "num_samples": 4,
+                               "params": {"decay_exponent": d}}}, "decay_exponent must be positive")
+      for d in (0, -1)],
+    ("fit", {"feature_map": {"kind": "gaussian_rff", "num_samples": 16, "params": {"bandwidth": 1e-320}}},
+     "bandwidth must be positive with finite frequencies, not 1e-320"),
+    ("fit", {"feature_map": {"kind": "ntk_one_layer", "num_samples": 8, "params": {"tau": 1e200}}},
+     "kappa_sq overflows: tau=1e+200"),
+    ("fit", {"feature_map": {"kind": "ntk_one_layer", "num_samples": 8, "params": {"tau": 1e154}}},
+     "ntk_one_layer map embeds the data to a non-finite Sigma_hat or s_hat"),
 ], ids=[
     "plan-filter-without-kind", "plan-feature_map-without-kind", "plan-feature_map-typo",
     "plan-feature_map-params-typo", "heatmap-problem-designer", "heatmap-problem-type-typo",
@@ -276,6 +336,13 @@ _DESIGNER = {"type": "designer", "J": 8, "b": 1.0, "r": 0.5}
     "fit-fractional-num_samples", "heatmap-fractional-m_grid", "rate-fractional-n_grid",
     "plan-fractional-repetitions", "plan-string-n_train", "plan-string-base_seed",
     "rate-schedule-string", "plan-string-plateau_tol",
+    "fit-fractional-n", "fit-string-n", "fit-bool-n", "fit-landweber-string-alpha",
+    "fit-heavyball-null-beta", "fit-designer-string-b", "fit-designer-null-noise_std",
+    "fit-designer-list-R", "fit-designer-string-eigenvalue_scale", "heatmap-scalar-m_grid",
+    "rate-scalar-n_grid", "fit-null-bandwidth", "fit-string-bandwidth", "fit-bool-bandwidth",
+    "fit-list-bandwidth", "fit-null-tau", "fit-nan-eigenvalue", "fit-null-eigenvalue",
+    "fit-inf-eigenvalue", "fit-zero-decay_exponent", "fit-negative-decay_exponent",
+    "fit-tiny-bandwidth", "fit-overflowing-tau", "fit-non-finite-moments",
 ])
 def test_bad_config_exits_1_with_one_error_line(tmp_path, capsys, command, change, named):
     base = {
@@ -308,6 +375,22 @@ def test_usage_error_exits_1_with_one_error_line(capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["fit", "--seed", "-1"], "argument --seed: must be an integer >= 0, not '-1'"),
+    (["heatmap", "--seed", "x"], "argument --seed: must be an integer >= 0, not 'x'"),
+    (["heatmap", "--workers", "0"], "argument --workers: must be an integer >= 1, not '0'"),
+    (["rate-sweep", "--workers", "1.5"], "argument --workers: must be an integer >= 1, not '1.5'"),
+    (["diagnose", "--grid-points", "-1"], "argument --grid-points: must be an integer >= 1, not '-1'"),
+], ids=["fit-negative-seed", "heatmap-string-seed", "heatmap-zero-workers", "rate-fractional-workers",
+        "diagnose-negative-grid-points"])
+def test_bad_flag_value_exits_1_naming_the_flag(capsys, argv, named):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err == f"error: {named}\n"
 
 
 @pytest.mark.parametrize("flag", ["--help", "--version"])
@@ -359,3 +442,69 @@ def test_cli_imports_without_scipy():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+_BAD_VALUES = (None, [1], "x", float("nan"), -1, 0.5)
+_ADDED_KEYS = ("zzz", "seed", "iterations", "h_weights", "eigenvalue_scale", "eigenvalues", "n")
+
+
+def _key_paths(conf, prefix=()):
+    """The path of every dict key and list entry in a JSON config, outermost first."""
+    items = conf.items() if isinstance(conf, dict) else enumerate(conf) if isinstance(conf, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _key_paths(value, prefix + (key,))
+
+
+def _at(conf, path):
+    for key in path:
+        conf = conf[key]
+    return conf
+
+
+def _mutated(conf, path, value=None, drop=False):
+    """A copy of `conf` with the key or entry at `path` dropped or set to `value`."""
+    conf = json.loads(json.dumps(conf))
+    parent = _at(conf, path[:-1])
+    if drop:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return conf
+
+
+@settings(max_examples=800, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_one_mutation_of_a_valid_config_exits_0_or_1_with_one_error_line(data):
+    command, conf = data.draw(st.sampled_from([
+        ("fit", _FIT_CONFIG),
+        ("heatmap", json.loads(_tiny_plan().to_json())),
+        ("rate-sweep", _tiny_rate_plan()),
+    ]))
+    paths = list(_key_paths(conf))
+    how = data.draw(st.sampled_from(["drop", "add", "replace"]))
+    if how == "drop":
+        path = data.draw(st.sampled_from([p for p in paths if isinstance(p[-1], str)]))
+        conf = _mutated(conf, path, drop=True)
+    elif how == "add":
+        dicts = [p for p in [()] + paths if isinstance(_at(conf, p), dict)]
+        path = data.draw(st.sampled_from(dicts)) + (data.draw(st.sampled_from(_ADDED_KEYS)),)
+        conf = _mutated(conf, path, data.draw(st.sampled_from(_BAD_VALUES)))
+    else:
+        path = data.draw(st.sampled_from(paths))
+        conf = _mutated(conf, path, data.draw(st.sampled_from(_BAD_VALUES)))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "config.json"
+        cfg.write_text(json.dumps(conf))
+        err = io.StringIO()
+        # a warning is printed to stderr by the command line, but recorded under pytest
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, "--config", str(cfg), "--out-dir", str(Path(tmp) / "out")])
+    err = err.getvalue()
+    assert code in (EXIT_OK, EXIT_ERROR), (command, conf)
+    if code == EXIT_ERROR:
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        assert [str(w.message) for w in caught] == [], (command, conf)

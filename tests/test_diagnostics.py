@@ -163,3 +163,16 @@ def test_effective_dimension_comparison_on_rff():
     assert 0.2 < out["ratio"] < out["threshold"]
     with pytest.raises(ValueError, match="500"):
         effective_dimension_comparison(fmap, GaussianKernel(2, 1.0), X[:100], 0.05)
+
+
+@pytest.mark.parametrize("change,named", [
+    ({"b": "1.0"}, "designer b must be a real number, not '1.0'"),
+    ({"noise_std": None}, "designer noise_std must be a real number, not None"),
+    ({"R": [1]}, r"designer R must be a real number, not \[1\]"),
+    ({"eigenvalue_scale": "2"}, "designer eigenvalue_scale must be a real number, not '2'"),
+    ({"r": float("nan")}, "designer r must be a real number, not nan"),
+    ({"seed": 0.5}, "designer seed must be an integer >= 0, not 0.5"),
+])
+def test_designer_problem_takes_only_real_numbers(change, named):
+    with pytest.raises(ValueError, match=named):
+        make_designer_problem(**{"J": 8, "b": 1.0, "r": 0.5, **change})

@@ -262,3 +262,14 @@ def test_length_mismatch_rejected():
     fmap, X, y = _toy()
     with pytest.raises(ValueError, match="mismatch"):
         assemble_empirical_operators(fmap, X, y[:-1])
+
+
+def test_non_finite_moments_rejected_on_both_paths():
+    # finite data, but tau = 1e154 embeds it past the double range
+    fmap = sample_feature_map("ntk_one_layer", 2, 8, {"tau": 1e154}, 0)
+    X = np.full((20, 2), 0.5)
+    y = np.ones(20)
+    with pytest.raises(ValueError, match="non-finite Sigma_hat or s_hat"):
+        fit_spectral(fmap, X, y, make_filter("tikhonov"), lam=0.1)
+    with pytest.raises(ValueError, match="non-finite Sigma_hat or s_hat"):
+        fit_iterative(fmap, X, y, make_filter("landweber", alpha=0.5), 8)

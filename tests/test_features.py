@@ -235,3 +235,43 @@ def test_designer_kernel_symmetric_and_bounded(x, y, seed):
 def test_sample_feature_map_rejects_params_its_kind_does_not_read(kind, dim, params, named):
     with pytest.raises(ValueError, match=f"{kind} does not take params: {named}"):
         sample_feature_map(kind, dim, 4, params, 0)
+
+
+@pytest.mark.parametrize("kind,dim,params,named", [
+    (GAUSSIAN_RFF, 2, {"bandwidth": None}, "gaussian_rff param bandwidth must be a real number"),
+    (GAUSSIAN_RFF, 2, {"bandwidth": "2"}, "gaussian_rff param bandwidth must be a real number"),
+    (GAUSSIAN_RFF, 2, {"bandwidth": True}, "gaussian_rff param bandwidth must be a real number"),
+    (GAUSSIAN_RFF, 2, {"bandwidth": [1]}, "gaussian_rff param bandwidth must be a real number"),
+    (GAUSSIAN_RFF, 2, {"bandwidth": float("nan")}, "gaussian_rff param bandwidth must be a real number"),
+    (GAUSSIAN_RFF, 2, {"bandwidth": 1e-320}, "bandwidth must be positive with finite frequencies"),
+    (NTK_ONE_LAYER, 2, {"tau": None}, "ntk_one_layer param tau must be a real number"),
+    (NTK_ONE_LAYER, 2, {"rho_max": "10"}, "ntk_one_layer param rho_max must be a real number"),
+    (NTK_ONE_LAYER, 2, {"activation": None}, "unknown activation None"),
+    (NTK_ONE_LAYER, 2, {"tau": 1e200}, r"kappa_sq overflows: tau=1e\+200"),
+    (DESIGNER_FINITE_RANK, 1, {"decay_exponent": 0}, "decay_exponent must be positive"),
+    (DESIGNER_FINITE_RANK, 1, {"decay_exponent": -1.0}, "decay_exponent must be positive"),
+    (DESIGNER_FINITE_RANK, 1, {"eigenvalues": [np.nan, 0.5]}, "finite and strictly positive"),
+    (DESIGNER_FINITE_RANK, 1, {"eigenvalues": [None, 0.5]}, "finite and strictly positive"),
+    (DESIGNER_FINITE_RANK, 1, {"eigenvalues": [np.inf, 1.0]}, "finite and strictly positive"),
+    (DESIGNER_FINITE_RANK, 1, {"eigenvalues": {"a": 1.0}}, "eigenvalues must be a list of numbers"),
+])
+def test_sample_feature_map_rejects_bad_param_values(kind, dim, params, named):
+    num_samples = 2 if "eigenvalues" in params else 4
+    with pytest.raises(ValueError, match=named):
+        sample_feature_map(kind, dim, num_samples, params, 0)
+
+
+def test_params_hold_every_default_of_the_kind():
+    for kind, defaults in features.PARAMS.items():
+        f = sample_feature_map(kind, 1, 3, {}, 0)
+        assert set(f.params) == set(defaults) == set(f.descriptor()["params"])
+        for key, default in defaults.items():
+            if default is not None:
+                assert f.params[key] == default
+    f = sample_feature_map(DESIGNER_FINITE_RANK, 1, 3, {"decay_exponent": 0.5}, 0)
+    np.testing.assert_array_equal(f.params["eigenvalues"], [1.0, 0.25, 1.0 / 9.0])
+
+
+def test_unhashable_kind_is_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown feature map kind"):
+        sample_feature_map(["gaussian_rff"], 1, 4, {}, 0)

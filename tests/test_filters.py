@@ -195,3 +195,14 @@ def test_landweber_residual_contracts(alpha, T, t):
     res = 1.0 - t * phi
     assert -1e-12 <= res <= 1.0 + 1e-12
     assert res == pytest.approx((1.0 - alpha * t) ** T, abs=1e-9)
+
+
+@pytest.mark.parametrize("kind,kwargs,named", [
+    ("landweber", {"alpha": "0.5"}, "landweber alpha must be a real number, not '0.5'"),
+    ("landweber", {"alpha": True}, "landweber alpha must be a real number, not True"),
+    ("heavyball", {"beta": None}, "heavyball beta must be a real number, not None"),
+    ("heavyball", {"alpha": [0.1]}, r"heavyball alpha must be a real number, not \[0.1\]"),
+])
+def test_iterative_filters_take_only_real_numbers(kind, kwargs, named):
+    with pytest.raises(ValueError, match=named):
+        make_filter(kind, **kwargs)

@@ -326,3 +326,71 @@ def test_plateau_plan_reads_its_dataset_once(tmp_path, monkeypatch):
     assert len(calls) == 1
     assert out["heatmap"]["failures"] == []
     assert len(out["heatmap"]["rows"]) == 2 * 10 * 2  # M values x reps x T values
+
+
+def test_heatmap_records_each_failed_cell_and_finishes():
+    # NTK tau = gamma = 10 puts alpha * ||Sigma|| far past 2 for Landweber alpha = 0.5
+    plan = _tiny_heatmap_plan()
+    plan.feature_map = {"kind": "ntk_one_layer", "params": {"tau": 10.0, "gamma": 10.0}}
+    out = run_heatmap(plan, workers=2)
+    assert out["rows"] == [] and out["aggregates"] == []
+    cells = {(f["M"], f["T"], f["rep"]) for f in out["failures"]}
+    assert len(out["failures"]) == len(cells) == 8
+    assert {m for m, _, _ in cells} == {8, 16}
+    assert all("DivergenceError" in f["error"] and ">= 2" in f["error"] for f in out["failures"])
+
+
+def test_rate_sweep_with_an_iterative_filter_runs_fit_iterative(monkeypatch):
+    steps = []
+
+    @functools.wraps(fit_iterative)
+    def counting_fit(fmap, X, y, filt, iterations, snapshots=()):
+        steps.append(iterations)
+        return fit_iterative(fmap, X, y, filt, iterations, snapshots)
+
+    monkeypatch.setattr(harness, "fit_iterative", counting_fit)
+    plan = ExperimentPlan(
+        experiment="rate_sweep",
+        repetitions=2,
+        n_grid=[64, 128, 256, 512, 1024],
+        problem={"type": "designer", "J": 8, "b": 1.0, "r": 0.5},
+        filter={"kind": "landweber", "alpha": 1.0},
+    )
+    out = run_rate_sweep(plan)
+    filt = make_filter(**plan.filter)
+    want = [filt.iterations_for_lambda(c["lambda"]) for c in out["configs"] for _ in range(2)]
+    assert sorted(steps) == sorted(want)
+    assert len(out["rows"]) == 10
+    assert all(np.isfinite(row[-1]) and row[-1] > 0 for row in out["rows"])
+    assert np.isfinite(out["slope"])
+
+
+@pytest.mark.parametrize("change,named", [
+    ({"m_grid": 3}, "plan m_grid must be a list, not 3"),
+    ({"t_grid": None}, "plan t_grid must be a list, not None"),
+    ({"n_grid": 12345}, "plan n_grid must be a list, not 12345"),
+    ({"m_grid": [8, None]}, "plan m_grid entry must be an integer >= 1, not None"),
+    ({"n_grid": [64, "128"]}, "plan n_grid entry must be an integer >= 1, not '128'"),
+])
+def test_plan_grids_are_lists_of_counts(change, named):
+    with pytest.raises(ValueError, match=named):
+        ExperimentPlan(experiment="heatmap", **change)
+
+
+def test_plan_grid_counts_may_be_integral_floats():
+    plan = ExperimentPlan(experiment="rate_sweep", m_grid=[8.0], n_grid=[64.0, 128])
+    assert plan.m_grid == [8] and plan.n_grid == [64, 128]
+    assert all(type(v) is int for v in plan.m_grid + plan.n_grid)
+
+
+@pytest.mark.parametrize("problem,named", [
+    ({"input_dim": None}, "synthetic problem input_dim must be an integer >= 1, not None"),
+    ({"input_dim": 1.5}, "synthetic problem input_dim must be an integer >= 1, not 1.5"),
+    ({"noise_std": "0.3"}, "synthetic problem noise_std must be a real number, not '0.3'"),
+    ({"noise_std": -1}, "synthetic problem noise_std must be >= 0, not -1"),
+])
+def test_synthetic_problem_values_are_checked_before_any_trial(problem, named):
+    plan = _tiny_heatmap_plan()
+    plan.problem = {"type": "synthetic", **problem}
+    with pytest.raises(ValueError, match=named):
+        run_heatmap(plan)
