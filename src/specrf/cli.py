@@ -42,16 +42,6 @@ EXIT_ERROR = 1
 EXIT_CHECK_FAILED = 2
 
 
-def _load_plan(args, fallback: ExperimentPlan) -> ExperimentPlan:
-    if args.config:
-        plan = ExperimentPlan.from_json(Path(args.config).read_text())
-    else:
-        plan = fallback
-    if args.seed is not None:
-        plan.base_seed = args.seed
-    return plan
-
-
 def _cmd_fit(args) -> int:
     if not args.config:
         raise ValueError("fit requires --config")
@@ -94,41 +84,37 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
+def _run_sweep(args, fallback: ExperimentPlan, runner) -> tuple[list, dict]:
+    """Run the --config plan (else `fallback`) and write its results.csv,
+    plan.resolved.json and summary.json: the runner's result without its rows."""
+    plan = ExperimentPlan.from_json(Path(args.config).read_text()) if args.config else fallback
+    if args.seed is not None:
+        plan.base_seed = args.seed
+    summary = runner(plan, workers=args.workers)
+    rows = summary.pop("rows")
+    write_outputs(args.out_dir, plan, rows, summary)
+    return rows, summary
+
+
 def _cmd_heatmap(args) -> int:
-    plan = _load_plan(args, default_heatmap_plan())
-    result = run_heatmap(plan, workers=args.workers)
-    write_outputs(args.out_dir, plan, result["rows"], {
-        "aggregates": result["aggregates"],
-        "failures": result["failures"],
-    })
-    print(f"heatmap: {len(result['rows'])} rows, {len(result['failures'])} failed cells")
+    rows, summary = _run_sweep(args, default_heatmap_plan(), run_heatmap)
+    print(f"heatmap: {len(rows)} rows, {len(summary['failures'])} failed cells")
     return EXIT_OK
 
 
 def _cmd_rate_sweep(args) -> int:
-    plan = _load_plan(args, default_rate_plan())
-    result = run_rate_sweep(plan, workers=args.workers)
-    summary = {k: result[k] for k in (
-        "configs", "mean_excess_risk", "slope", "slope_stderr", "target_slope", "degenerate"
-    )}
-    write_outputs(args.out_dir, plan, result["rows"], summary)
+    _, summary = _run_sweep(args, default_rate_plan(), run_rate_sweep)
     print(
-        f"rate sweep: slope = {result['slope']:.4f} +/- {result['slope_stderr']:.4f} "
-        f"(target {result['target_slope']:.4f})"
+        f"rate sweep: slope = {summary['slope']:.4f} +/- {summary['slope_stderr']:.4f} "
+        f"(target {summary['target_slope']:.4f})"
     )
     return EXIT_OK
 
 
 def _cmd_plateau(args) -> int:
-    plan = _load_plan(args, default_heatmap_plan())
-    result = run_plateau_check(plan, workers=args.workers)
-    heatmap = result.pop("heatmap")
-    write_outputs(args.out_dir, plan, heatmap["rows"], {
-        "plateau": result,
-        "aggregates": heatmap["aggregates"],
-    })
-    print(f"plateau check: {'PASS' if result['pass'] else 'FAIL'}")
-    return EXIT_OK if result["pass"] else EXIT_CHECK_FAILED
+    passed = _run_sweep(args, default_heatmap_plan(), run_plateau_check)[1]["plateau"]["pass"]
+    print(f"plateau check: {'PASS' if passed else 'FAIL'}")
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 def _cmd_audit_filters(args) -> int:
@@ -152,9 +138,7 @@ def _cmd_audit_filters(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    problem = make_designer_problem(
-        J=args.rank, b=args.b, r=args.r, noise_std=0.0, seed=args.seed or 0
-    )
+    problem = make_designer_problem(J=args.rank, b=args.b, r=args.r, noise_std=0.0)
     filt = make_filter("landweber", alpha=1.0)
     records = []
     for lam in np.logspace(-4, 0, args.grid_points):
@@ -219,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("rate-sweep", _cmd_rate_sweep, sweep),
         ("plateau", _cmd_plateau, sweep),
         ("audit-filters", _cmd_audit_filters, ("--out-dir",)),
-        ("diagnose", _cmd_diagnose, ("--seed", "--out-dir")),
+        ("diagnose", _cmd_diagnose, ("--out-dir",)),
     ):
         p = sub.add_parser(name)
         p.set_defaults(fn=fn)

@@ -159,10 +159,7 @@ def compute_f_star(
     """
     lam, iterations = filt.resolve(lam, iterations)
     mu = problem.eigenvalues
-    if iterations is None:
-        phi = filt.value(mu, lam)
-    else:
-        phi = filt.value_at_iterations(mu, iterations)
+    phi = filt.at(mu, lam, iterations)
     coeffs = mu * phi * problem.g_coeffs
     residual = 1.0 - mu * phi
     bias = float(np.sqrt(np.sum((residual * problem.g_coeffs) ** 2)))

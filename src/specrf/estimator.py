@@ -29,6 +29,7 @@ EIG_DIM_CAP = 4096
 # embedding's memory at ROW_BLOCK * D floats.
 ROW_BLOCK = 4096
 DIVERGENCE_FACTOR = 1e3
+MODEL_FORMAT = 1  # written by save_model; load_model reads only this format
 
 
 class DivergenceError(RuntimeError):
@@ -167,7 +168,7 @@ def fit_iterative(
                 f"step size {alpha} unstable: alpha * ||Sigma|| = {alpha * bound:.3g} >= 2"
             )
 
-    beta = getattr(filt, "beta", 0.0)
+    beta = filt.beta
     theta_prev = np.zeros_like(s)
     theta = np.zeros_like(s)
     sigma_theta = np.zeros_like(s)  # Sigma @ theta, shared by a step's loss and the next gradient
@@ -207,6 +208,7 @@ def mse(model: RfModel, X: np.ndarray, y: np.ndarray) -> float:
 
 def save_model(model: RfModel, path: str) -> None:
     payload = {
+        "format": MODEL_FORMAT,
         "map": model.map.descriptor(),
         "filter": model.filter.descriptor(),
         "lam": model.lam,
@@ -222,8 +224,18 @@ def save_model(model: RfModel, path: str) -> None:
 
 
 def load_model(path: str) -> RfModel:
+    """The model save_model wrote to `path`; a ValueError names an unknown or
+    missing format, or a missing key."""
     with open(path) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict) or "format" not in payload:
+        raise ValueError(f"{path}: model file has no format")
+    if payload["format"] != MODEL_FORMAT:
+        raise ValueError(f"{path}: unknown model format {payload['format']!r}, expected {MODEL_FORMAT}")
+    keys = ("map", "filter", "lam", "iterations", "fit_path", "theta_b64", "train_fingerprint")
+    missing = [key for key in keys if key not in payload]
+    if missing:
+        raise ValueError(f"{path}: model file is missing keys: {', '.join(missing)}")
     feature_map = sample_feature_map(**payload["map"])
     filt = make_filter(**payload["filter"])
     theta = np.frombuffer(base64.b64decode(payload["theta_b64"]), dtype="<f8").copy()

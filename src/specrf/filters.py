@@ -76,19 +76,22 @@ class SpectralFilter:
 
     def apply(self, sigma: np.ndarray, s: np.ndarray, lam: float, iterations: int | None):
         """phi(Sigma) s for a symmetric PSD Sigma, with (lam, iterations) as
-        resolve returns them: Sigma's eigenvalues are filtered with
-        value_at_iterations when T is set and value otherwise, and the
-        negatives that round-off can leave count as 0."""
+        resolve returns them: Sigma's eigenvalues are filtered through at,
+        and the negatives that round-off can leave count as 0."""
         evals, evecs = np.linalg.eigh(sigma)
-        evals = np.maximum(evals, 0.0)
-        if iterations is None:
-            phi = self.value(evals, lam)
-        else:
-            phi = self.value_at_iterations(evals, iterations)
+        phi = self.at(np.maximum(evals, 0.0), lam, iterations)
         return evecs @ (phi * (evecs.T @ s))
 
+    def at(self, t, lam: float, iterations: int | None):
+        """phi(t) at (lam, T) as resolve returns them: value_at_iterations if T is set, else value."""
+        if iterations is None:
+            return self.value(t, lam)
+        return self.value_at_iterations(t, iterations)
+
     def descriptor(self) -> dict:
-        return {"kind": self.name}
+        """{"kind": name} plus each constructor parameter, the keys make_filter takes."""
+        params = inspect.signature(type(self)).parameters
+        return {"kind": self.name, **{key: getattr(self, key) for key in params}}
 
 
 class Tikhonov(SpectralFilter):
@@ -126,8 +129,12 @@ class SpectralCutoff(SpectralFilter):
 
 class IterativeFilter(SpectralFilter):
     iterative = True
-    alpha: float = 1.0
-    alpha_eff: float = 1.0
+    beta: float = 0.0  # momentum; only Heavyball takes one
+
+    @property
+    def alpha_eff(self) -> float:
+        """The step size per iteration in the long run, alpha / (1 - beta)."""
+        return self.alpha / (1.0 - self.beta)
 
     def lambda_for_iterations(self, T: int) -> float:
         if T < 1:
@@ -155,7 +162,6 @@ class Landweber(IterativeFilter):
         self.alpha = real_number(alpha, "landweber alpha")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("step size alpha must lie in (0, 1]")
-        self.alpha_eff = self.alpha
         self.D = 1.0
         self.E = 1.0 + self.alpha
         self.c0 = 1.0
@@ -181,9 +187,6 @@ class Landweber(IterativeFilter):
             return 1.0
         return max(1.0, (q / math.e) ** q)
 
-    def descriptor(self):
-        return {"kind": self.name, "alpha": self.alpha}
-
 
 class Heavyball(IterativeFilter):
     name = "heavyball"
@@ -196,7 +199,6 @@ class Heavyball(IterativeFilter):
             raise ValueError("step size alpha must be positive")
         if not 0.0 <= self.beta < 1.0:
             raise ValueError("momentum beta must lie in [0, 1)")
-        self.alpha_eff = self.alpha / (1.0 - self.beta)
         if self.alpha_eff > 1.0 + 1e-12:
             raise ValueError(
                 "effective step alpha/(1-beta) must be <= 1; reduce alpha or beta"
@@ -222,9 +224,6 @@ class Heavyball(IterativeFilter):
             u_next = u + self.alpha * (1.0 - t * u) + self.beta * (u - u_prev)
             u_prev, u = u, u_next
         return u
-
-    def descriptor(self):
-        return {"kind": self.name, "alpha": self.alpha, "beta": self.beta}
 
 
 def make_filter(kind: str | None = None, **kwargs) -> SpectralFilter:

@@ -11,6 +11,7 @@ import inspect
 import itertools
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -96,7 +97,22 @@ def ingest_csv_dataset(
     feature_cols: list[int] | None = None,
     standardize: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Parse a numeric CSV into (X, y); label column defaults to the first."""
+    """Parse a numeric CSV into (X, y); label column defaults to the first.
+
+    Every option value is checked here, each error naming its option: a column
+    index is an integer in [-width, width), counted from the end when negative.
+    """
+    if not isinstance(path, (str, os.PathLike)):
+        raise ValueError(f"path must be a file name, not {path!r}")
+    if not (isinstance(delimiter, str) and len(delimiter) == 1):
+        raise ValueError(f"delimiter must be a one-character string, not {delimiter!r}")
+    for name, flag in (("has_header", has_header), ("standardize", standardize)):
+        if not isinstance(flag, bool):
+            raise ValueError(f"{name} must be true or false, not {flag!r}")
+    if max_rows is not None:
+        max_rows = whole_number(max_rows, "max_rows")
+    if feature_cols is not None and not (isinstance(feature_cols, list) and feature_cols):
+        raise ValueError(f"feature_cols must be null or a nonempty list, not {feature_cols!r}")
     rows: list[list[float]] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
@@ -121,16 +137,23 @@ def ingest_csv_dataset(
     if len(widths) != 1:
         raise ValueError(f"{path}: inconsistent column counts {sorted(widths)}")
     data = np.asarray(rows, dtype=float)
-    width = data.shape[1]
-    if not -width <= label_col < width:
-        raise ValueError(f"label column {label_col} out of range for width {width}")
+    label_col = _column(label_col, data.shape[1], "label_col", "label column")
     y = data[:, label_col]
-    X = np.delete(data, label_col % width, axis=1)
+    X = np.delete(data, label_col % data.shape[1], axis=1)
     if feature_cols is not None:
-        X = X[:, feature_cols]
+        cols = [_column(col, X.shape[1], "feature_cols entry", "feature column") for col in feature_cols]
+        X = X[:, cols]
     if standardize:
         X, _ = standardize_features(X)
     return X, y
+
+
+def _column(index, width: int, option: str, what: str) -> int:
+    """`index` as an int, or a ValueError naming `option` unless it is an integer in [-width, width)."""
+    index = whole_number(index, option, least=-width)
+    if index >= width:
+        raise ValueError(f"{option} {index}: {what} out of range for width {width}")
+    return index
 
 
 def standardize_features(
@@ -392,7 +415,8 @@ def _heatmap_grid(plan: ExperimentPlan, workers: int, draw, input_dim: int) -> d
 
 
 def run_plateau_check(plan: ExperimentPlan, heatmap: dict | None = None, workers: int = 1) -> dict:
-    """PASS iff best-over-T error at M = 4 sqrt(n) d stays within
+    """run_heatmap's result (or the given `heatmap`) plus its verdict under
+    "plateau": PASS iff best-over-T error at M = 4 sqrt(n) d stays within
     (1 + tol) of the error at M = 20 sqrt(n) d.
 
     The verdict is FAIL, with `reason` set, when an anchor has no surviving
@@ -424,14 +448,13 @@ def run_plateau_check(plan: ExperimentPlan, heatmap: dict | None = None, workers
     else:
         passed = err_small["mean_test_mse"] <= (1.0 + plan.plateau_tol) * err_big["mean_test_mse"]
         reason = None
-    return {
+    return {**heatmap, "plateau": {
         "pass": bool(passed),
         "reason": reason,
         "tol": plan.plateau_tol,
         "anchor_small": err_small,
         "anchor_big": err_big,
-        "heatmap": heatmap,
-    }
+    }}
 
 
 def _problem_from_plan(plan: ExperimentPlan) -> DesignerProblem:
@@ -475,10 +498,13 @@ def run_rate_sweep(plan: ExperimentPlan, workers: int = 1) -> dict:
         n, lam, m_used, _ = configs[ni]
         fmap = problem.truncated_map(m_used)
         X, y = sample_dataset(problem, n, trial_seed(plan.base_seed, ni, 0, 0, rep))
-        if filt.iterative:
-            model = fit_iterative(fmap, X, y, filt, filt.iterations_for_lambda(lam))
-        else:
-            model = fit_spectral(fmap, X, y, filt, lam=lam)
+        try:
+            if filt.iterative:
+                model = fit_iterative(fmap, X, y, filt, filt.iterations_for_lambda(lam))
+            else:
+                model = fit_spectral(fmap, X, y, filt, lam=lam)
+        except (ValueError, RuntimeError) as exc:  # same class, so callers catch it as before
+            raise type(exc)(f"rate sweep cell n = {n}, rep = {rep}: {exc}") from exc
         return excess_risk_exact(problem, model)["total"]
 
     keys = itertools.product(range(len(plan.n_grid)), range(plan.repetitions))

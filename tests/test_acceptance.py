@@ -215,7 +215,7 @@ def test_learning_rate_exponent():
 def test_feature_count_plateau():
     t0 = time.monotonic()
     plan = default_heatmap_plan(n=5000, repetitions=20, base_seed=7)
-    result = run_plateau_check(plan, workers=2)
+    result = run_plateau_check(plan, workers=2)["plateau"]
     small, big = result["anchor_small"], result["anchor_big"]
     gap = small["mean_test_mse"] / big["mean_test_mse"] - 1.0
     elapsed = time.monotonic() - t0

@@ -169,6 +169,9 @@ def test_plateau_exits_2_with_a_reason_when_every_cell_fails(tmp_path, capsys):
         "anchor best cells below 10 repetitions: M = 40 has 0, M = 200 has 0"
     )
     assert summary["aggregates"] == []
+    # every cell says why it failed: 2 M values x 10 reps x 2 T values
+    assert len(summary["failures"]) == 40
+    assert all(f["error"].startswith("DivergenceError(") for f in summary["failures"])
 
 
 def test_fit_rejects_non_finite_csv_cell(tmp_path, capsys):
@@ -323,6 +326,10 @@ _DESIGNER = {"type": "designer", "J": 8, "b": 1.0, "r": 0.5}
     ("fit", {"feature_map": {"kind": "ntk_one_layer", "num_samples": 8, "params": {"tau": 1e200}}},
      "kappa_sq overflows: tau=1e+200"),
     ("fit", {"feature_map": {"kind": "ntk_one_layer", "num_samples": 8, "params": {"tau": 1e154}}},
+     "kappa_sq overflows: tau=1e+154"),
+    # kappa_sq = 5.5e306 is finite, but 100 rows of (tau * gamma)^2 = 4e306 sum past the double range
+    ("fit", {"feature_map": {"kind": "ntk_one_layer", "num_samples": 1, "params": {
+        "tau": 1e153, "gamma": 2.0, "rho_max": 1.0, "activation": "identity"}}},
      "ntk_one_layer map embeds the data to a non-finite Sigma_hat or s_hat"),
 ], ids=[
     "plan-filter-without-kind", "plan-feature_map-without-kind", "plan-feature_map-typo",
@@ -342,7 +349,7 @@ _DESIGNER = {"type": "designer", "J": 8, "b": 1.0, "r": 0.5}
     "rate-scalar-n_grid", "fit-null-bandwidth", "fit-string-bandwidth", "fit-bool-bandwidth",
     "fit-list-bandwidth", "fit-null-tau", "fit-nan-eigenvalue", "fit-null-eigenvalue",
     "fit-inf-eigenvalue", "fit-zero-decay_exponent", "fit-negative-decay_exponent",
-    "fit-tiny-bandwidth", "fit-overflowing-tau", "fit-non-finite-moments",
+    "fit-tiny-bandwidth", "fit-overflowing-tau", "fit-overflowing-kappa_sq", "fit-non-finite-moments",
 ])
 def test_bad_config_exits_1_with_one_error_line(tmp_path, capsys, command, change, named):
     base = {
@@ -366,8 +373,9 @@ def test_audit_filters_rejects_flags_it_does_not_read(tmp_path, capsys):
     assert "unrecognized arguments: --config x" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [["audit-filters", "--seed", "1"], ["heatmap", "--bogus"]],
-                         ids=["audit-filters-seed", "heatmap-bogus"])
+@pytest.mark.parametrize("argv", [["audit-filters", "--seed", "1"], ["heatmap", "--bogus"],
+                                  ["diagnose", "--seed", "7"]],
+                         ids=["audit-filters-seed", "heatmap-bogus", "diagnose-seed"])
 def test_usage_error_exits_1_with_one_error_line(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -444,7 +452,48 @@ def test_cli_imports_without_scipy():
     assert out.strip() == "[]"
 
 
+@pytest.mark.parametrize("option,named", [
+    ({"label_col": "x"}, "label_col must be an integer >= -3, not 'x'"),
+    ({"label_col": 3}, "label_col 3: label column out of range for width 3"),
+    ({"max_rows": "2"}, "max_rows must be an integer >= 1, not '2'"),
+    ({"max_rows": 0}, "max_rows must be an integer >= 1, not 0"),
+    ({"max_rows": -1}, "max_rows must be an integer >= 1, not -1"),
+    ({"delimiter": 5}, "delimiter must be a one-character string, not 5"),
+    ({"feature_cols": "x"}, "feature_cols must be null or a nonempty list, not 'x'"),
+    ({"feature_cols": [5]}, "feature_cols entry 5: feature column out of range for width 2"),
+    ({"has_header": "yes"}, "has_header must be true or false, not 'yes'"),
+    ({"standardize": 1}, "standardize must be true or false, not 1"),
+])
+def test_bad_csv_option_exits_1_naming_the_option(tmp_path, capsys, option, named):
+    data = tmp_path / "train.csv"
+    data.write_text("1,0.1,0.2\n2,0.3,0.4\n3,0.5,0.6\n")
+    cfg = tmp_path / "fit.json"
+    cfg.write_text(json.dumps({**_FIT_CONFIG, "data": {"path": str(data), "options": option}}))
+    assert main(["fit", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {named}\n"
+
+
+def test_failing_rate_sweep_cell_names_itself(tmp_path, capsys):
+    plan = {**_tiny_rate_plan(), "filter": {"kind": "landweber", "alpha": 1.0}}
+    plan["problem"] = {**_DESIGNER, "J": 16, "eigenvalue_scale": 5.0}
+    cfg = tmp_path / "plan.json"
+    cfg.write_text(json.dumps(plan))
+    assert main(["rate-sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        "error: rate sweep cell n = 64, rep = 0: step size 1.0 unstable: alpha * ||Sigma|| = 5.55 >= 2\n"
+    )
+
+
 _BAD_VALUES = (None, [1], "x", float("nan"), -1, 0.5)
+# a fit on train.csv, which the property test writes next to its config
+_CSV_FIT_CONFIG = {
+    **_FIT_CONFIG,
+    "data": {"path": "train.csv", "options": {
+        "label_col": 0, "delimiter": ",", "has_header": True, "max_rows": 5,
+        "feature_cols": [0, 1], "standardize": True,
+    }},
+}
+_CSV = "y,a,b\n" + "".join(f"{i},{i / 7:.3f},{(-1) ** i / 3:.3f}\n" for i in range(6))
 _ADDED_KEYS = ("zzz", "seed", "iterations", "h_weights", "eigenvalue_scale", "eigenvalues", "n")
 
 
@@ -478,6 +527,7 @@ def _mutated(conf, path, value=None, drop=False):
 def test_one_mutation_of_a_valid_config_exits_0_or_1_with_one_error_line(data):
     command, conf = data.draw(st.sampled_from([
         ("fit", _FIT_CONFIG),
+        ("fit", _CSV_FIT_CONFIG),
         ("heatmap", json.loads(_tiny_plan().to_json())),
         ("rate-sweep", _tiny_rate_plan()),
     ]))
@@ -496,12 +546,18 @@ def test_one_mutation_of_a_valid_config_exits_0_or_1_with_one_error_line(data):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "config.json"
         cfg.write_text(json.dumps(conf))
+        (Path(tmp) / "train.csv").write_text(_CSV)
         err = io.StringIO()
         # a warning is printed to stderr by the command line, but recorded under pytest
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
                 warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = main([command, "--config", str(cfg), "--out-dir", str(Path(tmp) / "out")])
+            cwd = os.getcwd()
+            os.chdir(tmp)  # the CSV config's path is relative
+            try:
+                code = main([command, "--config", str(cfg), "--out-dir", str(Path(tmp) / "out")])
+            finally:
+                os.chdir(cwd)
     err = err.getvalue()
     assert code in (EXIT_OK, EXIT_ERROR), (command, conf)
     if code == EXIT_ERROR:

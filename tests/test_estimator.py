@@ -219,6 +219,7 @@ def test_model_roundtrip_through_disk(tmp_path):
     model = fit_spectral(fmap, X, y, make_filter("tikhonov"), lam=0.07)
     path = tmp_path / "model.json"
     save_model(model, path)
+    assert json.loads(path.read_text())["format"] == 1
     loaded = load_model(path)
     np.testing.assert_array_equal(loaded.theta, model.theta)
     X_test = np.random.default_rng(2).standard_normal((20, 2))
@@ -235,6 +236,22 @@ def test_load_model_rejects_theta_of_wrong_length(tmp_path):
     payload["theta_b64"] = base64.b64encode(short.tobytes()).decode("ascii")
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="10 entries.*embedding_dim is 16"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("drop,change,named", [
+    ("format", {}, "model file has no format"),
+    (None, {"format": 2}, "unknown model format 2, expected 1"),
+    ("lam", {}, "model file is missing keys: lam"),
+])
+def test_load_model_rejects_unknown_format_or_missing_key(tmp_path, drop, change, named):
+    fmap, X, y = _toy()
+    path = tmp_path / "model.json"
+    save_model(fit_spectral(fmap, X, y, make_filter("tikhonov"), lam=0.1), path)
+    payload = {**json.loads(path.read_text()), **change}
+    payload.pop(drop, None)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=named):
         load_model(path)
 
 
@@ -265,10 +282,12 @@ def test_length_mismatch_rejected():
 
 
 def test_non_finite_moments_rejected_on_both_paths():
-    # finite data, but tau = 1e154 embeds it past the double range
-    fmap = sample_feature_map("ntk_one_layer", 2, 8, {"tau": 1e154}, 0)
-    X = np.full((20, 2), 0.5)
-    y = np.ones(20)
+    # finite data and a finite kappa_sq (2.2e306), but the sum of Z^T Z over
+    # 1000 rows of tau^2 = 1e306 passes the double range before it is divided by n
+    params = {"tau": 1e153, "rho_max": 1.0, "activation": "identity"}
+    fmap = sample_feature_map("ntk_one_layer", 2, 1, params, 0)
+    X = np.full((1000, 2), 0.5)
+    y = np.ones(1000)
     with pytest.raises(ValueError, match="non-finite Sigma_hat or s_hat"):
         fit_spectral(fmap, X, y, make_filter("tikhonov"), lam=0.1)
     with pytest.raises(ValueError, match="non-finite Sigma_hat or s_hat"):

@@ -248,6 +248,8 @@ def test_sample_feature_map_rejects_params_its_kind_does_not_read(kind, dim, par
     (NTK_ONE_LAYER, 2, {"rho_max": "10"}, "ntk_one_layer param rho_max must be a real number"),
     (NTK_ONE_LAYER, 2, {"activation": None}, "unknown activation None"),
     (NTK_ONE_LAYER, 2, {"tau": 1e200}, r"kappa_sq overflows: tau=1e\+200"),
+    (NTK_ONE_LAYER, 2, {"tau": 1e154}, r"kappa_sq overflows: tau=1e\+154"),  # finite tau**2
+    (NTK_ONE_LAYER, 2, {"tau": 1e154, "activation": "tanh"}, r"kappa_sq overflows: tau=1e\+154"),
     (DESIGNER_FINITE_RANK, 1, {"decay_exponent": 0}, "decay_exponent must be positive"),
     (DESIGNER_FINITE_RANK, 1, {"decay_exponent": -1.0}, "decay_exponent must be positive"),
     (DESIGNER_FINITE_RANK, 1, {"eigenvalues": [np.nan, 0.5]}, "finite and strictly positive"),

@@ -113,6 +113,18 @@ def test_make_filter_rejects_keys_its_kind_does_not_take(kind, kwargs, named):
         make_filter(kind, **kwargs)
 
 
+@pytest.mark.parametrize("kind,kwargs", [
+    ("tikhonov", {}),
+    ("spectral_cutoff", {}),
+    ("landweber", {"alpha": 0.7}),
+    ("heavyball", {"alpha": 0.05, "beta": 0.5}),
+])
+def test_descriptor_round_trips_through_make_filter(kind, kwargs):
+    f = make_filter(kind, **kwargs)
+    assert f.descriptor() == {"kind": kind, **kwargs}
+    assert make_filter(**f.descriptor()).descriptor() == f.descriptor()
+
+
 def test_qualification_threshold():
     tik = make_filter("tikhonov")
     assert qualification_sufficient(tik, 0.5)

@@ -253,14 +253,14 @@ def test_plateau_fails_when_an_anchor_lacks_repetitions():
         return {"M": m, "T": t, "mean_test_mse": mean, "std_test_mse": 0.0, "reps": reps}
 
     full = [cell(40, 1, 0.5, 10), cell(200, 1, 0.5, 10)]
-    assert run_plateau_check(plan, heatmap={"aggregates": full})["pass"]
+    assert run_plateau_check(plan, heatmap={"aggregates": full})["plateau"]["pass"]
     # the best cell at M = 200 lost a repetition; its mean alone would pass
     short = [cell(40, 1, 0.5, 10), cell(200, 1, 0.49, 9), cell(200, 4, 0.6, 10)]
-    out = run_plateau_check(plan, heatmap={"aggregates": short})
+    out = run_plateau_check(plan, heatmap={"aggregates": short})["plateau"]
     assert out["pass"] is False
     assert "M = 200 has 9" in out["reason"]
     # every repetition at M = 40 failed, so no cell survives there
-    out = run_plateau_check(plan, heatmap={"aggregates": [cell(200, 1, 0.5, 10)]})
+    out = run_plateau_check(plan, heatmap={"aggregates": [cell(200, 1, 0.5, 10)]})["plateau"]
     assert out["pass"] is False
     assert out["anchor_small"] is None
     assert "M = 40 has 0" in out["reason"]
@@ -324,8 +324,8 @@ def test_plateau_plan_reads_its_dataset_once(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "ingest_csv_dataset", counting_ingest)
     out = run_plateau_check(plan)
     assert len(calls) == 1
-    assert out["heatmap"]["failures"] == []
-    assert len(out["heatmap"]["rows"]) == 2 * 10 * 2  # M values x reps x T values
+    assert out["failures"] == []
+    assert len(out["rows"]) == 2 * 10 * 2  # M values x reps x T values
 
 
 def test_heatmap_records_each_failed_cell_and_finishes():
