@@ -49,6 +49,10 @@ def _cmd_fit(args) -> int:
     where, taker = "fit config", "specrf fit"
     check_keys(config, where, ("data", "feature_map", "filter"), ("lambda", "iterations"), taker)
     filt = make_filter(**check_object(config["filter"], f"{where} filter"))
+    lam, iterations = config.get("lambda"), config.get("iterations")
+    if lam is not None and iterations is not None:
+        filt.resolve(lam, iterations)  # a bad value is named before the pair is rejected
+        raise ValueError(f"{where} gives both lambda and iterations; give one of them")
     data, seed = check_object(config["data"], f"{where} data"), args.seed or 0
     forms = {"path": ("options",), "designer": ("n",)}  # source key -> optional keys
     sources = [key for key in forms if key in data]
@@ -65,7 +69,6 @@ def _cmd_fit(args) -> int:
     fm_where = f"{where} feature_map"
     fm = {"params": {}, **check_object(config["feature_map"], fm_where)}
     fmap = call_checked(sample_feature_map, fm, fm_where, input_dim=X.shape[1], seed=seed)
-    lam, iterations = config.get("lambda"), config.get("iterations")
     if filt.iterative and iterations is not None:
         model = fit_iterative(fmap, X, y, filt, iterations)
     else:
@@ -145,7 +148,7 @@ def _cmd_diagnose(args) -> int:
         lam = float(lam)
         n_eff = effective_dimension(problem.eigenvalues, lam)
         _, bias = compute_f_star(problem, filt, lam)
-        sup = sup_norm_f_star(problem, filt, lam, grid_size=2001)
+        sup = sup_norm_f_star(problem, filt, lam)
         records.append(
             {
                 "lambda": lam,

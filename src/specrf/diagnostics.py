@@ -26,6 +26,7 @@ from .filters import SpectralFilter
 from .oracles import ExactKernel
 
 DEFAULT_DELTA = 0.1
+SUP_NORM_GRID = 2001  # points of the [0,1] grid sup_norm_f_star maximizes over
 EFFDIM_INDETERMINATE = 1e-6
 
 
@@ -76,12 +77,11 @@ def make_designer_problem(
     R: float = 1.0,
     noise_std: float = 0.1,
     seed: int = 0,
-    h_weights: np.ndarray | None = None,
     eigenvalue_scale: float = 1.0,
 ) -> DesignerProblem:
     """Finite-rank problem with mu_j = scale * j^(-1/b) and g = L^r h.
 
-    h defaults to the normalized weights z_j = 1/j scaled to norm R.
+    h is the normalized weights z_j = 1/j scaled to norm R.
     """
     J = whole_number(J, "rank J", least=2)
     seed = whole_number(seed, "designer seed", least=0)
@@ -100,11 +100,7 @@ def make_designer_problem(
         )
     j = np.arange(1, J + 1, dtype=float)
     mu = eigenvalue_scale * j ** (-1.0 / b)
-    if h_weights is None:
-        h_weights = 1.0 / j
-    z = np.asarray(h_weights, dtype=float)
-    if z.shape != (J,) or np.all(z == 0):
-        raise ValueError("h_weights must be a nonzero J-vector")
+    z = 1.0 / j
     h = R * z / np.linalg.norm(z)
     g = mu**r * h
     fmap = sample_feature_map(
@@ -189,12 +185,11 @@ def sup_norm_f_star(
     filt: SpectralFilter,
     lam: float | None,
     iterations: int | None = None,
-    grid_size: int = 10_001,
 ) -> dict:
     """Sup norm of S f*_lambda on [0,1] against its monitored bound at the resolved lambda."""
     lam, iterations = filt.resolve(lam, iterations)
     coeffs, _ = compute_f_star(problem, filt, lam, iterations)
-    grid = np.linspace(0.0, 1.0, grid_size)
+    grid = np.linspace(0.0, 1.0, SUP_NORM_GRID)
     values = designer_basis(problem.rank, grid) @ coeffs
     sup = float(np.max(np.abs(values)))
     kappa = math.sqrt(problem.map.kappa_sq)
@@ -219,10 +214,9 @@ def effective_dimension_comparison(
     kernel_ref: ExactKernel,
     X_probe: np.ndarray,
     lam: float,
-    delta: float = DEFAULT_DELTA,
 ) -> dict:
     """Empirical N_M(lam) vs N_inf(lam) from probe-set spectra, with the
-    monitored ratio threshold 4(1 + 2 log(2/delta))."""
+    monitored ratio threshold 4(1 + 2 log(2/delta)) at delta = DEFAULT_DELTA."""
     X_probe = np.asarray(X_probe, dtype=float)
     n = X_probe.shape[0]
     if n < 500:
@@ -234,20 +228,8 @@ def effective_dimension_comparison(
     eigs_ref = np.maximum(np.linalg.eigvalsh(kernel_ref.gram(X_probe)) / n, 0.0)
     n_m = effective_dimension(eigs_m, lam)
     n_ref = effective_dimension(eigs_ref, lam)
-    threshold = 4.0 * (1.0 + 2.0 * math.log(2.0 / delta))
-    if n_ref < EFFDIM_INDETERMINATE or n_m < EFFDIM_INDETERMINATE:
-        return {
-            "N_M": n_m,
-            "N_inf": n_ref,
-            "ratio": None,
-            "threshold": threshold,
-            "status": "indeterminate",
-        }
-    ratio = n_m / n_ref
-    return {
-        "N_M": n_m,
-        "N_inf": n_ref,
-        "ratio": ratio,
-        "threshold": threshold,
-        "status": "flagged" if ratio > threshold else "ok",
-    }
+    threshold = 4.0 * (1.0 + 2.0 * math.log(2.0 / DEFAULT_DELTA))
+    indeterminate = n_ref < EFFDIM_INDETERMINATE or n_m < EFFDIM_INDETERMINATE
+    ratio = None if indeterminate else n_m / n_ref
+    status = "indeterminate" if indeterminate else "flagged" if ratio > threshold else "ok"
+    return {"N_M": n_m, "N_inf": n_ref, "ratio": ratio, "threshold": threshold, "status": status}

@@ -19,10 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import features
-from .features import FeatureMap, MemoryBudgetError, feature_matrix, sample_feature_map
+from .features import FeatureMap, MemoryBudgetError, feature_matrix, real_number, sample_feature_map
 from .filters import IterativeFilter, SpectralFilter, make_filter
 
-EIG_DIM_CAP = 4096
 # rows embedded at a time by the moments and by predict. Blocks of 2048 to
 # 8192 rows assembled the moments equally fast within noise on a 2-vCPU host
 # (NTK n = 20000, D = 1152; RFF n = 5000, D = 1414), and a block bounds the
@@ -123,10 +122,6 @@ def fit_spectral(
     for Tikhonov, an eigendecomposition of Sigma_hat for the other filters.
     model.losses holds the training loss at theta = 0 and at the fitted theta."""
     lam, iterations = filt.resolve(lam, iterations)
-    if feature_map.embedding_dim > EIG_DIM_CAP:
-        raise ValueError(
-            f"embedding dimension {feature_map.embedding_dim} exceeds eigensolver cap {EIG_DIM_CAP}"
-        )
     moments = assemble_empirical_operators(feature_map, X, y)
     theta = filt.apply(moments.sigma, moments.s, lam, iterations)
     s, yy = moments.s, moments.yy
@@ -224,8 +219,8 @@ def save_model(model: RfModel, path: str) -> None:
 
 
 def load_model(path: str) -> RfModel:
-    """The model save_model wrote to `path`; a ValueError names an unknown or
-    missing format, or a missing key."""
+    """The model save_model wrote to `path`; a ValueError prefixed with `path`
+    names an unknown or missing format, a missing key or a bad value."""
     with open(path) as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict) or "format" not in payload:
@@ -238,12 +233,18 @@ def load_model(path: str) -> RfModel:
         raise ValueError(f"{path}: model file is missing keys: {', '.join(missing)}")
     feature_map = sample_feature_map(**payload["map"])
     filt = make_filter(**payload["filter"])
+    try:
+        lam, iterations = filt.resolve(real_number(payload["lam"], "lam"), payload["iterations"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if payload["fit_path"] not in ("spectral", "iterative"):
+        raise ValueError(f"{path}: fit_path must be spectral or iterative, not {payload['fit_path']!r}")
     theta = np.frombuffer(base64.b64decode(payload["theta_b64"]), dtype="<f8").copy()
     dim = feature_map.embedding_dim
     if theta.size != dim:
         raise ValueError(f"model theta has {theta.size} entries, its map's embedding_dim is {dim}")
     return RfModel(
-        map=feature_map, theta=theta, filter=filt, lam=payload["lam"],
-        iterations=payload["iterations"], fit_path=payload["fit_path"],
+        map=feature_map, theta=theta, filter=filt, lam=lam,
+        iterations=iterations, fit_path=payload["fit_path"],
         train_fingerprint=payload["train_fingerprint"],
     )

@@ -114,23 +114,26 @@ def ingest_csv_dataset(
     if feature_cols is not None and not (isinstance(feature_cols, list) and feature_cols):
         raise ValueError(f"feature_cols must be null or a nonempty list, not {feature_cols!r}")
     rows: list[list[float]] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        for lineno, record in enumerate(reader, start=1):
-            if has_header and lineno == 1:
-                continue
-            if not record or all(cell.strip() == "" for cell in record):
-                continue
-            try:
-                row = [float(cell) for cell in record]
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-numeric cell ({exc})") from exc
-            if not all(map(math.isfinite, row)):
-                cell = next(c for c, v in zip(record, row) if not math.isfinite(v))
-                raise ValueError(f"{path}:{lineno}: non-finite cell {cell.strip()!r}")
-            rows.append(row)
-            if max_rows is not None and len(rows) >= max_rows:
-                break
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh, delimiter=delimiter)
+            for lineno, record in enumerate(reader, start=1):
+                if has_header and lineno == 1:
+                    continue
+                if not record or all(cell.strip() == "" for cell in record):
+                    continue
+                try:
+                    row = [float(cell) for cell in record]
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: non-numeric cell ({exc})") from exc
+                if not all(map(math.isfinite, row)):
+                    cell = next(c for c, v in zip(record, row) if not math.isfinite(v))
+                    raise ValueError(f"{path}:{lineno}: non-finite cell {cell.strip()!r}")
+                rows.append(row)
+                if max_rows is not None and len(rows) >= max_rows:
+                    break
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}:{_undecodable_line(path)}: not UTF-8 text ({exc.reason})") from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
     widths = {len(row) for row in rows}
@@ -146,6 +149,17 @@ def ingest_csv_dataset(
     if standardize:
         X, _ = standardize_features(X)
     return X, y
+
+
+def _undecodable_line(path) -> int:
+    """The number of the first line of `path` that is not UTF-8 text, read as
+    bytes; a file that does not decode as a whole has one."""
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return lineno
 
 
 def _column(index, width: int, option: str, what: str) -> int:
@@ -462,7 +476,7 @@ def _problem_from_plan(plan: ExperimentPlan) -> DesignerProblem:
     # the plan's keys override the defaults that differ from make_designer_problem's
     defaults = {"J": 512, "b": plan.schedule["b"], "r": plan.schedule["r"], "noise_std": 0.5}
     return call_checked(make_designer_problem, {**defaults, **conf}, "designer problem",
-                        seed=plan.base_seed, h_weights=None)
+                        seed=plan.base_seed)
 
 
 def ols_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .features import FeatureMap, MemoryBudgetError, designer_basis, feature_matrix
+from .features import DESIGNER_FINITE_RANK, FeatureMap, MemoryBudgetError, feature_matrix
+from .features import sample_feature_map
 
 GRAM_N_CAP = 5000
 PSD_TOL = 1e-10  # eigenvalues >= -PSD_TOL * trace accepted as numerical zero
@@ -20,6 +21,11 @@ class ExactKernel:
     input_dim: int
 
     def gram(self, X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
+        """K(X, Y) over the rows of X and Y; K(X, X) when Y is None."""
+        X = self._check_rows(X)
+        return self._pairwise(X, X if Y is None else self._check_rows(Y))
+
+    def _pairwise(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def _check_rows(self, X: np.ndarray) -> np.ndarray:
@@ -40,36 +46,13 @@ class GaussianKernel(ExactKernel):
         self.input_dim = input_dim
         self.bandwidth = float(bandwidth)
 
-    def gram(self, X, Y=None):
-        X = self._check_rows(X)
-        Y = X if Y is None else self._check_rows(Y)
+    def _pairwise(self, X, Y):
         sq = (
             np.sum(X**2, axis=1)[:, None]
             + np.sum(Y**2, axis=1)[None, :]
             - 2.0 * X @ Y.T
         )
         return np.exp(-np.maximum(sq, 0.0) / (2.0 * self.bandwidth**2))
-
-
-class DesignerKernel(ExactKernel):
-    """Finite-rank kernel sum_j mu_j e_j(x) e_j(y) on X = [0,1]."""
-
-    def __init__(self, eigenvalues: np.ndarray):
-        mu = np.asarray(eigenvalues, dtype=float)
-        if mu.ndim != 1 or mu.size == 0 or np.any(mu <= 0):
-            raise ValueError("eigenvalues must be a nonempty positive vector")
-        self.input_dim = 1
-        self.eigenvalues = mu
-        self.rank = mu.size
-
-    def gram(self, X, Y=None):
-        X = self._check_rows(X)
-        EX = designer_basis(self.rank, X[:, 0]) * np.sqrt(self.eigenvalues)
-        if Y is None:
-            return EX @ EX.T
-        Y = self._check_rows(Y)
-        EY = designer_basis(self.rank, Y[:, 0]) * np.sqrt(self.eigenvalues)
-        return EX @ EY.T
 
 
 class MonteCarloKernel(ExactKernel):
@@ -80,18 +63,25 @@ class MonteCarloKernel(ExactKernel):
         self.input_dim = feature_map.input_dim
         self.feature_map = feature_map
 
-    def gram(self, X, Y=None):
-        X = self._check_rows(X)
+    def _pairwise(self, X, Y):
+        # Y is X when gram was given no Y, so X is embedded once
         ZX = feature_matrix(self.feature_map, X)
-        if Y is None:
-            return ZX @ ZX.T
-        Y = self._check_rows(Y)
-        return ZX @ feature_matrix(self.feature_map, Y).T
+        return ZX @ (ZX if Y is X else feature_matrix(self.feature_map, Y)).T
 
 
-def check_psd(gram: np.ndarray, tol: float = PSD_TOL) -> bool:
+class DesignerKernel(MonteCarloKernel):
+    """Finite-rank kernel sum_j mu_j e_j(x) e_j(y) on X = [0,1]: the Gram of the
+    designer map with these eigenvalues, exact because the map has finite rank.
+    The eigenvalues follow the map's rule: finite, positive, non-increasing."""
+
+    def __init__(self, eigenvalues: np.ndarray):
+        params = {"eigenvalues": eigenvalues}
+        super().__init__(sample_feature_map(DESIGNER_FINITE_RANK, 1, np.size(eigenvalues), params, 0))
+
+
+def check_psd(gram: np.ndarray) -> bool:
     eigs = np.linalg.eigvalsh(gram)
-    return bool(eigs.min() >= -tol * max(np.trace(gram), 1.0))
+    return bool(eigs.min() >= -PSD_TOL * max(np.trace(gram), 1.0))
 
 
 def krr_gram_fit(

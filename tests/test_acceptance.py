@@ -7,6 +7,7 @@ whole battery can be skimmed from the log.
 import time
 
 import numpy as np
+import pytest
 
 from specrf.diagnostics import (
     compute_f_star,
@@ -193,9 +194,16 @@ def test_bias_bounded_by_filter_constants():
     assert ok
 
 
-def test_learning_rate_exponent():
+@pytest.mark.parametrize("filt", [
+    {"kind": "tikhonov"},
+    {"kind": "spectral_cutoff"},
+    {"kind": "landweber", "alpha": 1.0},
+    {"kind": "heavyball", "alpha": 0.1, "beta": 0.9},
+], ids=["tikhonov", "spectral_cutoff", "landweber", "heavyball"])
+def test_learning_rate_exponent(filt):
     t0 = time.monotonic()
     plan = default_rate_plan(repetitions=20, base_seed=123)
+    plan.filter = filt
     result = run_rate_sweep(plan, workers=2)
     slope = result["slope"]
     elapsed = time.monotonic() - t0
@@ -205,7 +213,7 @@ def test_learning_rate_exponent():
         and elapsed < 600.0
     )
     _report(
-        "excess-risk rate exponent under the tuned schedules",
+        f"excess-risk rate exponent under the tuned schedules, {filt['kind']}",
         ok,
         f"slope {slope:.3f} +/- {result['slope_stderr']:.3f} vs target {result['target_slope']:.2f}, {elapsed:.0f}s",
     )

@@ -288,6 +288,10 @@ _DESIGNER = {"type": "designer", "J": 8, "b": 1.0, "r": 0.5}
     ("fit", {"lambda": "0.1"}, "lam must be a real number, not '0.1'"),
     ("fit", {"filter": {"kind": "landweber", "alpha": 0.5}, "iterations": 2.5},
      "iterations must be an integer >= 1, not 2.5"),
+    ("fit", {"filter": {"kind": "landweber", "alpha": 0.5}, "lambda": 0.5, "iterations": 40},
+     "fit config gives both lambda and iterations"),
+    ("fit", {"data": {"designer": {"J": 8, "b": 1.0, "r": 0.5, "h_weights": [1.0] * 8}, "n": 100}},
+     "fit config data.designer keys not taken by make_designer_problem: h_weights"),
     ("heatmap", {"t_grid": [0, 4]}, "plan t_grid: iterations must be an integer >= 1, not 0"),
     ("heatmap", {"t_grid": [2.5, 4]}, "plan t_grid: iterations must be an integer >= 1, not 2.5"),
     ("heatmap", {"n_train": 0}, "plan n_train must be an integer >= 1, not 0"),
@@ -339,6 +343,7 @@ _DESIGNER = {"type": "designer", "J": 8, "b": 1.0, "r": 0.5}
     "rate-problem-fractional-rank", "plan-schedule-null", "plan-feature_map-null",
     "plan-filter-list", "plan-problem-null", "fit-filter-null", "fit-data-null",
     "fit-feature_map-params-null", "fit-lambda-string", "fit-fractional-iterations",
+    "fit-lambda-and-iterations", "fit-designer-h_weights",
     "heatmap-t_grid-zero", "heatmap-t_grid-fraction", "heatmap-n_train-zero",
     "fit-fractional-num_samples", "heatmap-fractional-m_grid", "rate-fractional-n_grid",
     "plan-fractional-repetitions", "plan-string-n_train", "plan-string-base_seed",

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from specrf import features
+from specrf import features, filters
 from specrf.estimator import (
     ROW_BLOCK,
     DivergenceError,
@@ -193,7 +193,7 @@ def test_unstable_step_size_detected_before_iterating():
         fit_iterative(fmap, X, y, make_filter("landweber", alpha=1.0), 10)
 
 
-def test_fit_spectral_argument_validation():
+def test_fit_spectral_argument_validation(monkeypatch):
     fmap, X, y = _toy()
     tik = make_filter("tikhonov")
     with pytest.raises(ValueError, match="lam or iterations"):
@@ -204,7 +204,12 @@ def test_fit_spectral_argument_validation():
         fit_spectral(fmap, X, y, tik, lam=1.5)
     big = sample_feature_map("gaussian_rff", 2, 5000, {}, 0)
     with pytest.raises(ValueError, match="eigensolver cap"):
-        fit_spectral(big, X, y, tik, lam=0.1)
+        fit_spectral(big, X, y, make_filter("spectral_cutoff"), lam=0.1)
+    # the cap guards the eigendecomposition, which a Tikhonov fit does not run
+    monkeypatch.setattr(filters, "EIG_DIM_CAP", 8)
+    assert fit_spectral(fmap, X, y, tik, lam=0.1).theta.shape == (fmap.embedding_dim,)
+    with pytest.raises(ValueError, match="embedding dimension 24 exceeds eigensolver cap 8"):
+        fit_spectral(fmap, X, y, make_filter("spectral_cutoff"), lam=0.1)
 
 
 def test_iterative_filter_iteration_count_derived_from_lambda():
@@ -243,16 +248,35 @@ def test_load_model_rejects_theta_of_wrong_length(tmp_path):
     ("format", {}, "model file has no format"),
     (None, {"format": 2}, "unknown model format 2, expected 1"),
     ("lam", {}, "model file is missing keys: lam"),
+    (None, {"lam": "x"}, "lam must be a real number, not 'x'"),
+    (None, {"lam": None}, "lam must be a real number, not None"),
+    (None, {"lam": -1.0}, "lam must lie in (0, 1]"),
+    (None, {"iterations": 2.5}, "iterations must be an integer >= 1, not 2.5"),
+    (None, {"fit_path": "bogus"}, "fit_path must be spectral or iterative, not 'bogus'"),
 ])
 def test_load_model_rejects_unknown_format_or_missing_key(tmp_path, drop, change, named):
     fmap, X, y = _toy()
     path = tmp_path / "model.json"
-    save_model(fit_spectral(fmap, X, y, make_filter("tikhonov"), lam=0.1), path)
+    save_model(fit_iterative(fmap, X, y, make_filter("landweber", alpha=0.5), 12), path)
     payload = {**json.loads(path.read_text()), **change}
     payload.pop(drop, None)
     path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match=named):
+    with pytest.raises(ValueError) as exc:
         load_model(path)
+    assert str(exc.value) == f"{path}: {named}"
+
+
+@pytest.mark.parametrize("kind,fit", [
+    ("tikhonov", lambda fmap, X, y, f: fit_spectral(fmap, X, y, f, lam=0.1)),
+    ("landweber", lambda fmap, X, y, f: fit_spectral(fmap, X, y, f, lam=0.1)),
+    ("landweber", lambda fmap, X, y, f: fit_iterative(fmap, X, y, f, 12)),
+], ids=["tikhonov-spectral", "landweber-spectral", "landweber-iterative"])
+def test_saved_model_loads_and_saves_to_the_same_bytes(tmp_path, kind, fit):
+    fmap, X, y = _toy()
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_model(fit(fmap, X, y, make_filter(kind)), first)
+    save_model(load_model(first), second)
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_mse_rejects_empty_test_set():

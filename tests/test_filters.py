@@ -172,7 +172,7 @@ def test_heavyball_constants_reported_not_certified():
 
 def test_audit_grid_floor():
     with pytest.raises(ValueError, match="10"):
-        audit_filter(make_filter("tikhonov"), t_grid=np.linspace(0.01, 1, 10), lam_grid=np.linspace(0.01, 1, 10))
+        audit_filter(make_filter("tikhonov"), lam_grid=np.linspace(0.01, 1, 10))
 
 
 def test_audit_report_json_shape():

@@ -108,6 +108,13 @@ def test_ingest_error_reporting(tmp_path):
     p.write_text("1,2,3\n")
     with pytest.raises(ValueError, match="label column"):
         ingest_csv_dataset(str(p), label_col=5)
+    for bad_line in (2, 3000):  # line 3000 lies past the first block a text-mode read decodes
+        lines = [b"1,2\n"] * 4000
+        lines[bad_line - 1] = b"\xff\xfe1,2\n"
+        binary = tmp_path / "binary.csv"
+        binary.write_bytes(b"".join(lines))
+        with pytest.raises(ValueError, match=rf"binary\.csv:{bad_line}: not UTF-8 text \(invalid start byte\)$"):
+            ingest_csv_dataset(str(binary))
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", " NaN", "1e999"])

@@ -37,6 +37,9 @@ def test_designer_kernel_matches_eigen_expansion():
         for j in (1, 2)
     )
     assert k.gram(x[None, :], y[None, :])[0, 0] == pytest.approx(direct, abs=1e-14)
+    # the designer map's eigenvalue rule
+    with pytest.raises(ValueError, match="non-increasing"):
+        DesignerKernel(np.array([0.5, 1.0]))
 
 
 def test_monte_carlo_kernel_error_shrinks_with_samples():
