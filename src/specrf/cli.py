@@ -21,13 +21,10 @@ from .diagnostics import (
     sup_norm_f_star,
 )
 from .estimator import fit_iterative, fit_spectral, save_model
-from .features import sample_feature_map, whole_number
+from .features import call_checked, check_keys, check_object, sample_feature_map, whole_number
 from .filters import audit_filter, make_filter
 from .harness import (
     ExperimentPlan,
-    call_checked,
-    check_keys,
-    check_object,
     default_heatmap_plan,
     default_rate_plan,
     ingest_csv_dataset,

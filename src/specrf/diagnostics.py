@@ -16,7 +16,7 @@ from .estimator import ROW_BLOCK, RfModel
 from .features import (
     DESIGNER_FINITE_RANK,
     FeatureMap,
-    designer_basis,
+    designer_series,
     feature_matrix,
     real_number,
     sample_feature_map,
@@ -54,7 +54,7 @@ class DesignerProblem:
         return self.map.params["eigenvalues"]
 
     def target_values(self, x: np.ndarray) -> np.ndarray:
-        return designer_basis(self.rank, x) @ self.g_coeffs
+        return designer_series(self.g_coeffs, x)
 
     def truncated_map(self, num_features: int) -> FeatureMap:
         """Designer map restricted to the leading eigenpairs."""
@@ -116,9 +116,11 @@ def sample_dataset(
 ) -> tuple[np.ndarray, np.ndarray]:
     """x ~ Uniform[0,1] i.i.d., y = g(x) + Gaussian noise; seed-determined.
 
-    All n uniforms are drawn before the n normals. g(x) is evaluated
-    ROW_BLOCK rows at a time, so the cosine basis takes ROW_BLOCK x J floats
-    however large n is.
+    All n uniforms are drawn before the n normals. g(x) is the designer series
+    (features.designer_series), evaluated ROW_BLOCK rows at a time from
+    angle-addition tables: 2(A + B) trig calls a row, for B the least power of
+    two with B^2 >= J and A = ceil(J / B) (96 for J = 512), and ROW_BLOCK x 2(A + B)
+    floats however large n is, with no ROW_BLOCK x J basis.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -190,7 +192,7 @@ def sup_norm_f_star(
     lam, iterations = filt.resolve(lam, iterations)
     coeffs, _ = compute_f_star(problem, filt, lam, iterations)
     grid = np.linspace(0.0, 1.0, SUP_NORM_GRID)
-    values = designer_basis(problem.rank, grid) @ coeffs
+    values = designer_series(coeffs, grid)
     sup = float(np.max(np.abs(values)))
     kappa = math.sqrt(problem.map.kappa_sq)
     bound = (

@@ -3,29 +3,47 @@
 Both paths realize theta = phi_lambda(Sigma_hat) s_hat with
 Sigma_hat = Z^T Z / n and s_hat = Z^T y / n, and read the data only through
 the Moments record that assemble_empirical_operators returns. The data is
-embedded ROW_BLOCK rows at a time, so a fit or a prediction holds
-O(ROW_BLOCK * D + D^2) floats however many rows it reads. The spectral
-path applies the filter to Sigma_hat directly (one linear solve for
-Tikhonov, an eigendecomposition for the others), the iterative path runs
-(momentum) gradient descent whose T-step polynomial is the same filter.
+read ROW_BLOCK rows at a time, so a fit or a prediction holds
+O(ROW_BLOCK * D + D^2) floats however many rows it reads. A designer map's
+block moments come from cosine sums over angle-addition tables, with no
+embedding: 2(A + B) trig calls a row for A * B >= 2m - 1 (128 at m = 512)
+and two small GEMMs instead of m cosines and an m^2 syrk; every other map is
+embedded and reduced by syrk. The spectral path applies the filter to
+Sigma_hat directly (one linear solve for Tikhonov, an eigendecomposition for
+the others), the iterative path runs (momentum) gradient descent whose
+T-step polynomial is the same filter.
 """
 from __future__ import annotations
 
 import base64
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import features
-from .features import FeatureMap, MemoryBudgetError, feature_matrix, real_number, sample_feature_map
+from .features import (
+    DESIGNER_FINITE_RANK,
+    FeatureMap,
+    MemoryBudgetError,
+    call_checked,
+    check_input,
+    check_keys,
+    check_object,
+    feature_matrix,
+    real_number,
+    sample_feature_map,
+    whole_number,
+)
 from .filters import IterativeFilter, SpectralFilter, make_filter
 
-# rows embedded at a time by the moments and by predict. Blocks of 2048 to
+# rows read at a time by the moments and by predict. Blocks of 2048 to
 # 8192 rows assembled the moments equally fast within noise on a 2-vCPU host
 # (NTK n = 20000, D = 1152; RFF n = 5000, D = 1414), and a block bounds the
-# embedding's memory at ROW_BLOCK * D floats.
+# embedding's memory at ROW_BLOCK * D floats (a designer block's cosine tables
+# at ROW_BLOCK * 2(A + B)).
 ROW_BLOCK = 4096
 DIVERGENCE_FACTOR = 1e3
 MODEL_FORMAT = 1  # written by save_model; load_model reads only this format
@@ -59,30 +77,44 @@ class Moments:
     fingerprint: dict
 
 
-def _embedded_blocks(feature_map: FeatureMap, X: np.ndarray):
-    """Yield (rows, Z[rows]) over consecutive ROW_BLOCK-row slices of X.
+def _embedded_sums(feature_map: FeatureMap, X: np.ndarray, y: np.ndarray):
+    """(Z^T Z, Z^T y) of one row block through its embedding Z; numpy sends
+    Z.T @ Z to syrk."""
+    Z = feature_matrix(feature_map, X)
+    return Z.T @ Z, Z.T @ y
 
-    An X with no rows or not 2-d goes to feature_matrix whole, which returns
-    an empty embedding or rejects its shape.
-    """
-    n = X.shape[0] if X.ndim == 2 else 0
-    for start in range(0, max(n, 1), ROW_BLOCK):
-        rows = slice(start, start + ROW_BLOCK)
-        yield rows, feature_matrix(feature_map, X[rows] if n else X)
+
+def _designer_sums(feature_map: FeatureMap, X: np.ndarray, y: np.ndarray):
+    """(Z^T Z, Z^T y) of one row block of a designer map from cosine sums, with no
+    embedding. Z = E diag(v) with E[i, a] = cos(a pi x_i) and v = sqrt(mu) * (1,
+    sqrt 2, ..., sqrt 2), and cos(a t) cos(b t) = (cos((a-b) t) + cos((a+b) t)) / 2,
+    so Z^T Z = v v^T * P with P[a, b] = (c_|a-b| + c_(a+b)) / 2, Toeplitz plus Hankel
+    in the 2m - 1 sums c_k = sum_i cos(k pi x_i), and Z^T y = v * d with the m sums
+    d_k = sum_i y_i cos(k pi x_i). One table set gives both."""
+    m = feature_map.num_samples
+    c, d = features.cosine_sums(2 * m - 1, X[:, 0], np.column_stack((np.ones_like(y), y)))
+    windows = np.lib.stride_tricks.sliding_window_view
+    toeplitz = windows(np.concatenate((c[m - 1 : 0 : -1], c[:m])), m)[::-1]  # c_|a-b|
+    hankel = windows(c, m)  # c_(a+b)
+    v = np.sqrt(feature_map.params["eigenvalues"]) * features.designer_norms(m)
+    gram = toeplitz + hankel
+    gram *= 0.5 * np.outer(v, v)
+    return gram, v * d[:m]
 
 
 def assemble_empirical_operators(
     feature_map: FeatureMap, X: np.ndarray, y: np.ndarray
 ) -> Moments:
-    """Validate, embed, reduce and hash the data; the one place a fit reads it.
+    """Validate, reduce and hash the data; the one place a fit reads it.
 
     Non-finite data, and a non-finite Sigma_hat or s_hat (an embedding that
-    overflows), are rejected here, so both fit paths reject them. Z^T Z and
-    Z^T y are summed over row blocks (numpy sends Zb.T @ Zb to syrk) and
-    divided by n once.
+    overflows), are rejected here, so both fit paths reject them. Each
+    ROW_BLOCK-row block gives its Z^T Z and Z^T y: a designer map from cosine
+    sums (_designer_sums), every other map through its embedding. The block
+    sums are added up and divided by n once.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
-    X = np.asarray(X, dtype=float)
+    X = check_input(feature_map, X)
     if X.shape[0] < 1:
         raise ValueError("need at least one sample")
     if y.size != X.shape[0]:
@@ -92,13 +124,15 @@ def assemble_empirical_operators(
     dim = feature_map.embedding_dim
     if dim * dim * 8 > features.DEFAULT_MEMORY_BUDGET:
         raise MemoryBudgetError(f"covariance of dimension {dim} exceeds memory budget")
-    blocks = ((Zb.T @ Zb, Zb.T @ y[rows]) for rows, Zb in _embedded_blocks(feature_map, X))
+    block_sums = _designer_sums if feature_map.kind == DESIGNER_FINITE_RANK else _embedded_sums
+    n = X.shape[0]
+    rows = (slice(start, start + ROW_BLOCK) for start in range(0, n, ROW_BLOCK))
+    blocks = (block_sums(feature_map, X[r], y[r]) for r in rows)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
         gram, zy = next(blocks)
         for gram_b, zy_b in blocks:
             gram += gram_b
             zy += zy_b
-    n = X.shape[0]
     gram /= n
     zy /= n
     if not (np.isfinite(gram).all() and np.isfinite(zy).all()):
@@ -189,9 +223,15 @@ def fit_iterative(
 
 
 def predict(model: RfModel, X: np.ndarray) -> np.ndarray:
-    """Z @ theta, embedding X ROW_BLOCK rows at a time; a D x k theta gives n x k."""
+    """Z @ theta, embedding X ROW_BLOCK rows at a time; a D x k theta gives n x k.
+
+    An X with no rows or not 2-d goes to feature_matrix whole, which returns
+    an empty embedding or rejects its shape.
+    """
     X = np.asarray(X, dtype=float)
-    return np.concatenate([Zb @ model.theta for _, Zb in _embedded_blocks(model.map, X)])
+    n = X.shape[0] if X.ndim == 2 else 0
+    blocks = [X[start : start + ROW_BLOCK] for start in range(0, n, ROW_BLOCK)] or [X]
+    return np.concatenate([feature_matrix(model.map, Xb) @ model.theta for Xb in blocks])
 
 
 def mse(model: RfModel, X: np.ndarray, y: np.ndarray) -> float:
@@ -219,32 +259,51 @@ def save_model(model: RfModel, path: str) -> None:
 
 
 def load_model(path: str) -> RfModel:
-    """The model save_model wrote to `path`; a ValueError prefixed with `path`
-    names an unknown or missing format, a missing key or a bad value."""
-    with open(path) as fh:
-        payload = json.load(fh)
+    """The model save_model wrote to `path`. Every way the file can fail to be one
+    (not JSON, an unknown or missing format, a missing key, a value its map, its
+    filter or this function rejects) is a ValueError prefixed with `path`."""
+    try:
+        with open(path) as fh:
+            return _decode_model(json.load(fh))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _decode_model(payload) -> RfModel:
     if not isinstance(payload, dict) or "format" not in payload:
-        raise ValueError(f"{path}: model file has no format")
+        raise ValueError("model file has no format")
     if payload["format"] != MODEL_FORMAT:
-        raise ValueError(f"{path}: unknown model format {payload['format']!r}, expected {MODEL_FORMAT}")
+        raise ValueError(f"unknown model format {payload['format']!r}, expected {MODEL_FORMAT}")
     keys = ("map", "filter", "lam", "iterations", "fit_path", "theta_b64", "train_fingerprint")
     missing = [key for key in keys if key not in payload]
     if missing:
-        raise ValueError(f"{path}: model file is missing keys: {', '.join(missing)}")
-    feature_map = sample_feature_map(**payload["map"])
-    filt = make_filter(**payload["filter"])
-    try:
-        lam, iterations = filt.resolve(real_number(payload["lam"], "lam"), payload["iterations"])
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ValueError(f"model file is missing keys: {', '.join(missing)}")
+    feature_map = call_checked(sample_feature_map, payload["map"], "model map")
+    filt = make_filter(**check_object(payload["filter"], "model filter"))
+    lam, iterations = filt.resolve(real_number(payload["lam"], "lam"), payload["iterations"])
     if payload["fit_path"] not in ("spectral", "iterative"):
-        raise ValueError(f"{path}: fit_path must be spectral or iterative, not {payload['fit_path']!r}")
-    theta = np.frombuffer(base64.b64decode(payload["theta_b64"]), dtype="<f8").copy()
+        raise ValueError(f"fit_path must be spectral or iterative, not {payload['fit_path']!r}")
+    try:
+        raw = base64.b64decode(payload["theta_b64"], validate=True)
+        theta = np.frombuffer(raw, dtype="<f8").copy()
+    except (TypeError, ValueError):  # not a string, not base64, or not whole float64s
+        raise ValueError("model theta_b64 is not the base64 of float64 values") from None
     dim = feature_map.embedding_dim
     if theta.size != dim:
         raise ValueError(f"model theta has {theta.size} entries, its map's embedding_dim is {dim}")
+    if not np.isfinite(theta).all():
+        raise ValueError("model theta has NaN or inf entries")
+    fingerprint = payload["train_fingerprint"]
+    where = "model train_fingerprint"
+    check_keys(fingerprint, where, ("n", "map_seed", "data_sha256"), (), "load_model")
+    whole_number(fingerprint["n"], f"{where} n")
+    map_seed = whole_number(fingerprint["map_seed"], f"{where} map_seed", least=0)
+    if map_seed != feature_map.seed:
+        raise ValueError(f"{where} map_seed {map_seed} is not the map's seed {feature_map.seed}")
+    sha = fingerprint["data_sha256"]
+    if not (isinstance(sha, str) and re.fullmatch("[0-9a-f]{64}", sha)):
+        raise ValueError(f"{where} data_sha256 must be 64 hex digits, not {sha!r}")
     return RfModel(
         map=feature_map, theta=theta, filter=filt, lam=lam,
-        iterations=iterations, fit_path=payload["fit_path"],
-        train_fingerprint=payload["train_fingerprint"],
+        iterations=iterations, fit_path=payload["fit_path"], train_fingerprint=fingerprint,
     )

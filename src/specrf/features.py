@@ -6,6 +6,7 @@ finite-rank designer map) of a kernel with an integral representation.
 """
 from __future__ import annotations
 
+import inspect
 import numbers
 from dataclasses import dataclass, field
 
@@ -52,6 +53,34 @@ def real_number(value, name: str) -> float:
     return float(value)
 
 
+def check_object(given, where: str) -> dict:
+    """`given`, or a ValueError naming `where` when it is not a JSON object."""
+    if not isinstance(given, dict):
+        kind = "null" if given is None else type(given).__name__
+        raise ValueError(f"{where} must be a JSON object, not {kind}")
+    return given
+
+
+def check_keys(given: dict, where: str, required, optional, taker: str) -> None:
+    """Raise ValueError when `given` is not a JSON object, or naming its keys outside
+    required + optional, which `taker` does not take, or the required keys it lacks."""
+    unknown = sorted(set(check_object(given, where)) - set(required) - set(optional))
+    if unknown:
+        raise ValueError(f"{where} keys not taken by {taker}: {', '.join(unknown)}")
+    missing = [key for key in required if key not in given]
+    if missing:
+        raise ValueError(f"{where} is missing required keys: {', '.join(missing)}")
+
+
+def call_checked(fn, conf: dict, where: str, **fixed):
+    """fn(**conf, **fixed), once conf's keys are checked against fn's
+    parameters other than the caller's own `fixed` ones."""
+    params = [p for p in inspect.signature(fn).parameters.values() if p.name not in fixed]
+    required = [p.name for p in params if p.default is p.empty]
+    check_keys(conf, where, required, [p.name for p in params], fn.__name__)
+    return fn(**conf, **fixed)
+
+
 @dataclass(frozen=True)
 class FeatureMap:
     """Immutable sampled feature map; frequencies are fully seed-determined."""
@@ -96,6 +125,55 @@ def designer_basis(num_funcs: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def designer_norms(num_funcs: int) -> np.ndarray:
+    """(1, sqrt 2, ..., sqrt 2): column a of designer_basis is norms[a] * cos(a pi x)."""
+    out = np.full(num_funcs, np.sqrt(2.0))
+    out[0] = 1.0
+    return out
+
+
+def _cosine_tables(num_freqs: int, x: np.ndarray):
+    """cos and sin of a*B*pi*x (n x A) and of b*pi*x (n x B), for B the least power
+    of two with B^2 >= num_freqs and A = ceil(num_freqs / B). By angle addition,
+    cos((a*B + b) pi x) = C_hi[:, a] C_lo[:, b] - S_hi[:, a] S_lo[:, b], so the
+    num_freqs cosines of a row cost 2(A + B) trig calls instead of num_freqs."""
+    B = 1
+    while B * B < num_freqs:
+        B *= 2
+    A = -(-num_freqs // B)
+    px = np.pi * np.asarray(x, dtype=float).reshape(-1)
+    hi = np.outer(px, B * np.arange(A))
+    lo = np.outer(px, np.arange(B))
+    return np.cos(hi), np.sin(hi), np.cos(lo), np.sin(lo)
+
+
+def cosine_sums(num_freqs: int, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_i weights[i, w] cos(k pi x_i) for k < num_freqs, as a (w, num_freqs) array:
+    two GEMMs over one table set, however many weight columns."""
+    c_hi, s_hi, c_lo, s_lo = _cosine_tables(num_freqs, x)
+    n, A = c_hi.shape
+    weights = np.asarray(weights, dtype=float).reshape(n, -1)
+    w = weights.shape[1]
+    # column v * A + a holds weight column v times table column a
+    wc = (weights[:, :, None] * c_hi[:, None, :]).reshape(n, w * A)
+    ws = (weights[:, :, None] * s_hi[:, None, :]).reshape(n, w * A)
+    sums = wc.T @ c_lo
+    sums -= ws.T @ s_lo
+    return sums.reshape(w, -1)[:, :num_freqs]
+
+
+def designer_series(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_j coeffs_j e_j(x), which is designer_basis(len(coeffs), x) @ coeffs, from
+    the angle-addition tables: two GEMMs and no n x len(coeffs) basis."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    c_hi, s_hi, c_lo, s_lo = _cosine_tables(coeffs.size, x)
+    A, B = c_hi.shape[1], c_lo.shape[1]
+    grid = np.zeros(A * B)
+    grid[: coeffs.size] = designer_norms(coeffs.size) * coeffs
+    grid = grid.reshape(A, B).T  # [b, a] holds the coefficient of cos((a*B + b) pi x)
+    return np.einsum("ia,ia->i", c_hi, c_lo @ grid) - np.einsum("ia,ia->i", s_hi, s_lo @ grid)
+
+
 def _validate_designer_eigenvalues(mu, rank: int) -> np.ndarray:
     try:
         mu = np.asarray(mu, dtype=float)
@@ -120,6 +198,7 @@ def sample_feature_map(
         raise ValueError(f"unknown feature map kind {kind!r}")
     input_dim = whole_number(input_dim, "input_dim")
     num_samples = whole_number(num_samples, "num_samples")
+    seed = whole_number(seed, "feature map seed", least=0)
     if not isinstance(params, dict):
         raise ValueError(f"feature map params must be a JSON object, not {type(params).__name__}")
     unknown = sorted(set(params) - set(PARAMS[kind]))
@@ -177,17 +256,23 @@ def sample_feature_map(
     return FeatureMap(kind, input_dim, num_samples, count, params, seed, freqs, phases, kappa_sq, certified)
 
 
+def check_input(feature_map: FeatureMap, X) -> np.ndarray:
+    """X as a float array, or a ValueError unless it is n x input_dim (or has no rows)."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or (X.shape[0] > 0 and X.shape[1] != feature_map.input_dim):
+        raise ValueError(
+            f"expected n x {feature_map.input_dim} input, got shape {X.shape}"
+        )
+    return X
+
+
 def feature_matrix(feature_map: FeatureMap, X: np.ndarray) -> np.ndarray:
     """Stack embeddings of the rows of X into an n x (p*M) matrix.
 
     The output is the only n x (p*M) allocation: every map writes into it in
     place. Its size is checked against DEFAULT_MEMORY_BUDGET, read at call time.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or (X.shape[0] > 0 and X.shape[1] != feature_map.input_dim):
-        raise ValueError(
-            f"expected n x {feature_map.input_dim} input, got shape {X.shape}"
-        )
+    X = check_input(feature_map, X)
     n = X.shape[0]
     needed = n * feature_map.embedding_dim * 8
     if needed > DEFAULT_MEMORY_BUDGET:

@@ -7,7 +7,6 @@ reordering and any worker count.
 from __future__ import annotations
 
 import csv
-import inspect
 import itertools
 import json
 import math
@@ -20,7 +19,14 @@ import numpy as np
 
 from .diagnostics import DesignerProblem, excess_risk_exact, make_designer_problem, sample_dataset
 from .estimator import fit_iterative, fit_spectral, predict
-from .features import real_number, sample_feature_map, whole_number
+from .features import (
+    call_checked,
+    check_keys,
+    check_object,
+    real_number,
+    sample_feature_map,
+    whole_number,
+)
 from .filters import make_filter
 
 RESULTS_HEADER = ("n", "M", "T", "lambda", "rep", "metric", "value")
@@ -183,35 +189,8 @@ def standardize_features(
 
 # ---------------------------------------------------------------------------
 # Plans. Each nested config dict holds the keyword arguments of the function
-# it feeds, so that function's signature says which keys the dict may hold.
-
-
-def check_object(given, where: str) -> dict:
-    """`given`, or a ValueError naming `where` when it is not a JSON object."""
-    if not isinstance(given, dict):
-        kind = "null" if given is None else type(given).__name__
-        raise ValueError(f"{where} must be a JSON object, not {kind}")
-    return given
-
-
-def check_keys(given: dict, where: str, required, optional, taker: str) -> None:
-    """Raise ValueError when `given` is not a JSON object, or naming its keys outside
-    required + optional, which `taker` does not take, or the required keys it lacks."""
-    unknown = sorted(set(check_object(given, where)) - set(required) - set(optional))
-    if unknown:
-        raise ValueError(f"{where} keys not taken by {taker}: {', '.join(unknown)}")
-    missing = [key for key in required if key not in given]
-    if missing:
-        raise ValueError(f"{where} is missing required keys: {', '.join(missing)}")
-
-
-def call_checked(fn, conf: dict, where: str, **fixed):
-    """fn(**conf, **fixed), once conf's keys are checked against fn's
-    parameters other than the caller's own `fixed` ones."""
-    params = [p for p in inspect.signature(fn).parameters.values() if p.name not in fixed]
-    required = [p.name for p in params if p.default is p.empty]
-    check_keys(conf, where, required, [p.name for p in params], fn.__name__)
-    return fn(**conf, **fixed)
+# it feeds, so that function's signature says which keys the dict may hold
+# (features.call_checked checks them).
 
 
 @dataclass

@@ -16,7 +16,13 @@ from specrf.estimator import (
     predict,
     save_model,
 )
-from specrf.features import MemoryBudgetError, feature_matrix, sample_feature_map
+from specrf.features import (
+    MemoryBudgetError,
+    designer_basis,
+    designer_series,
+    feature_matrix,
+    sample_feature_map,
+)
 from specrf.filters import make_filter
 from specrf.oracles import MonteCarloKernel, krr_gram_fit, krr_predict
 
@@ -92,6 +98,53 @@ def test_fit_streams_past_the_embedding_memory_budget(monkeypatch):
     wide = sample_feature_map("gaussian_rff", 2, 1024, {}, 0)  # 1024^2 * 8 bytes
     with pytest.raises(MemoryBudgetError, match="covariance"):
         fit_spectral(wide, X[:10], y[:10], make_filter("tikhonov"), lam=0.01)
+
+
+def _designer(J, m, n, seed=0):
+    """The designer map of the first m of J eigenvalues j^-1, with n rows of data."""
+    mu = 1.0 / np.arange(1, J + 1)
+    fmap = sample_feature_map("designer_finite_rank", 1, m, {"eigenvalues": mu[:m]}, seed)
+    rng = np.random.default_rng(seed)
+    return fmap, rng.uniform(0.0, 1.0, (n, 1)), rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("n", [1, 3, ROW_BLOCK + 5])
+@pytest.mark.parametrize("J,m", [(1, 1), (2, 2), (7, 7), (40, 40), (513, 513), (600, 40), (1024, 513)])
+def test_designer_moments_and_series_match_the_basis(J, m, n):
+    fmap, X, y = _designer(J, m, n)
+    moments = assemble_empirical_operators(fmap, X, y)
+    Z = designer_basis(m, X[:, 0]) * np.sqrt(fmap.params["eigenvalues"])
+    assert _relative_error(moments.sigma, Z.T @ Z / n) <= 1e-12
+    assert _relative_error(moments.s, Z.T @ y / n) <= 1e-12
+    assert np.array_equal(moments.sigma, moments.sigma.T)
+    # a single value of a series may cancel to near 0: compare against the sum of |terms|
+    coeffs = np.random.default_rng(J).standard_normal(J)
+    E = designer_basis(J, X[:, 0])
+    error = np.abs(designer_series(coeffs, X[:, 0]) - E @ coeffs)
+    assert np.all(error <= 1e-12 * (np.abs(E) @ np.abs(coeffs)))
+
+
+def test_designer_fits_check_the_input_shape():
+    fmap, X, y = _designer(8, 8, 20)
+    wide = np.hstack([X, X])
+    with pytest.raises(ValueError, match="expected n x 1 input"):
+        fit_spectral(fmap, wide, y, make_filter("tikhonov"), lam=0.1)
+    with pytest.raises(ValueError, match="expected n x 1 input"):
+        fit_iterative(fmap, wide, y, make_filter("landweber", alpha=0.5), 4)
+
+
+def test_designer_fit_needs_no_embedding_memory(monkeypatch):
+    m = 256
+    fmap, X, y = _designer(m, m, ROW_BLOCK + 5)
+    # the m x m covariance fits the budget, one block's ROW_BLOCK x m embedding does not
+    budget = 2 * m * m * 8
+    assert budget < ROW_BLOCK * m * 8
+    monkeypatch.setattr(features, "DEFAULT_MEMORY_BUDGET", budget)
+    model = fit_spectral(fmap, X, y, make_filter("tikhonov"), lam=0.01)
+    assert np.isfinite(model.theta).all()
+    fit_iterative(fmap, X, y, make_filter("landweber", alpha=0.5), 4)
+    with pytest.raises(MemoryBudgetError, match="feature matrix"):
+        feature_matrix(fmap, X[:ROW_BLOCK])
 
 
 def test_ridge_primal_equals_dual():
@@ -264,6 +317,55 @@ def test_load_model_rejects_unknown_format_or_missing_key(tmp_path, drop, change
     with pytest.raises(ValueError) as exc:
         load_model(path)
     assert str(exc.value) == f"{path}: {named}"
+
+
+_FP = "model train_fingerprint"
+
+
+def _nan_theta(payload):
+    theta = np.full(24, np.nan)
+    return {"theta_b64": base64.b64encode(theta.tobytes()).decode("ascii")}
+
+
+@pytest.mark.parametrize("edit,named", [
+    (lambda p: {"filter": {**p["filter"], "alpha": "x"}}, "landweber alpha must be a real number, not 'x'"),
+    (lambda p: {"filter": "landweber"}, "model filter must be a JSON object, not str"),
+    (lambda p: {"map": {**p["map"], "num_samples": 2.5}}, "num_samples must be an integer >= 1, not 2.5"),
+    (lambda p: {"map": {**p["map"], "seed": "x"}}, "feature map seed must be an integer >= 0, not 'x'"),
+    (lambda p: {"map": [p["map"]]}, "model map must be a JSON object, not list"),
+    (lambda p: {"map": {**p["map"], "bandwidth": 2.0}},
+     "model map keys not taken by sample_feature_map: bandwidth"),
+    (lambda p: {"theta_b64": p["theta_b64"][:-4]}, "model theta_b64 is not the base64 of float64 values"),
+    (lambda p: {"theta_b64": 7}, "model theta_b64 is not the base64 of float64 values"),
+    (_nan_theta, "model theta has NaN or inf entries"),
+    (lambda p: {"train_fingerprint": "junk"}, f"{_FP} must be a JSON object, not str"),
+    (lambda p: {"train_fingerprint": {"n": 120, "map_seed": 1}},
+     f"{_FP} is missing required keys: data_sha256"),
+    (lambda p: {"train_fingerprint": {**p["train_fingerprint"], "rows": 1}},
+     f"{_FP} keys not taken by load_model: rows"),
+    (lambda p: {"train_fingerprint": {**p["train_fingerprint"], "n": 0}},
+     f"{_FP} n must be an integer >= 1, not 0"),
+    (lambda p: {"train_fingerprint": {**p["train_fingerprint"], "map_seed": 7}},
+     f"{_FP} map_seed 7 is not the map's seed 1"),
+    (lambda p: {"train_fingerprint": {**p["train_fingerprint"], "data_sha256": "abc"}},
+     f"{_FP} data_sha256 must be 64 hex digits, not 'abc'"),
+])
+def test_load_model_names_the_file_in_every_error(tmp_path, edit, named):
+    fmap, X, y = _toy()
+    path = tmp_path / "model.json"
+    save_model(fit_iterative(fmap, X, y, make_filter("landweber", alpha=0.5), 12), path)
+    payload = json.loads(path.read_text())
+    path.write_text(json.dumps({**payload, **edit(payload)}))
+    with pytest.raises(ValueError) as exc:
+        load_model(path)
+    assert str(exc.value) == f"{path}: {named}"
+
+
+def test_load_model_names_the_file_when_it_is_not_json(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text("{")
+    with pytest.raises(ValueError, match=f"^{path}: Expecting property name"):
+        load_model(path)
 
 
 @pytest.mark.parametrize("kind,fit", [
