@@ -7,7 +7,11 @@ read ROW_BLOCK rows at a time, so a fit or a prediction holds
 O(ROW_BLOCK * D + D^2) floats however many rows it reads. A designer map's
 block moments come from cosine sums over angle-addition tables, with no
 embedding: 2(A + B) trig calls a row for A * B >= 2m - 1 (128 at m = 512)
-and two small GEMMs instead of m cosines and an m^2 syrk; every other map is
+and two small GEMMs instead of m cosines and an m^2 syrk. A relu or identity
+NTK map's block moments come from its n x (d+1)M factor Y, with Z = Y L /
+sqrt(M) for an L of diagonal blocks: one syrk over (d+1)M columns, which is
+(d+1)^2/(d+2)^2 of the embedding's syrk, then O(d^2 M^2) block scalings, with
+ROW_BLOCK * (d+1)M floats a block. Every other map (RFF, tanh NTK) is
 embedded and reduced by syrk. The spectral path applies the filter to
 Sigma_hat directly (one linear solve for Tikhonov, an eigendecomposition for
 the others), the iterative path runs (momentum) gradient descent whose
@@ -26,6 +30,7 @@ import numpy as np
 from . import features
 from .features import (
     DESIGNER_FINITE_RANK,
+    NTK_ONE_LAYER,
     FeatureMap,
     MemoryBudgetError,
     call_checked,
@@ -43,7 +48,8 @@ from .filters import IterativeFilter, SpectralFilter, make_filter
 # 8192 rows assembled the moments equally fast within noise on a 2-vCPU host
 # (NTK n = 20000, D = 1152; RFF n = 5000, D = 1414), and a block bounds the
 # embedding's memory at ROW_BLOCK * D floats (a designer block's cosine tables
-# at ROW_BLOCK * 2(A + B)).
+# at ROW_BLOCK * 2(A + B), a relu or identity NTK block's factor at
+# ROW_BLOCK * (d+1)M).
 ROW_BLOCK = 4096
 DIVERGENCE_FACTOR = 1e3
 MODEL_FORMAT = 1  # written by save_model; load_model reads only this format
@@ -102,6 +108,38 @@ def _designer_sums(feature_map: FeatureMap, X: np.ndarray, y: np.ndarray):
     return gram, v * d[:m]
 
 
+def _ntk_factored_sums(feature_map: FeatureMap, X: np.ndarray, y: np.ndarray):
+    """(Z^T Z, Z^T y) of one row block of a relu or identity NTK map from its
+    n x (d+1)M factor Y (features.ntk_factor), with no embedding: Z = Y L / sqrt(M),
+    so one syrk G = Y^T Y over (d+1)M columns, not (d+2)M, and O(d^2 M^2) diagonal
+    scalings of its M x M blocks give Z^T Z = L^T G L / M. The blocks above the
+    diagonal are computed and mirrored, so Z^T Z is exactly symmetric, as a syrk's."""
+    W = feature_map.frequencies
+    M, d = W.shape
+    tau = feature_map.params["tau"]
+    bias = tau * feature_map.params["gamma"]
+    Y = features.ntk_factor(feature_map, X)
+    G, r = Y.T @ Y, Y.T @ y
+    del Y  # the block's factor is the largest array here; free it before Z^T Z is built
+    G /= M
+    G = G.reshape(d + 1, M, d + 1, M)
+    r = r.reshape(d + 1, M) / np.sqrt(M)
+    H = np.einsum("im,mikj->kij", W, G[:d])  # H[k] = sum_m diag(W[:, m]) G_mk: act rows
+    act = np.einsum("kij,jk->ij", H[:d], W)  # sum_k H[k] diag(W[:, k])
+    gram = np.empty(((d + 2) * M, (d + 2) * M))
+    blocks = gram.reshape(d + 2, M, d + 2, M)
+    np.multiply(G[:d, :, :d], tau * tau, out=blocks[:d, :, :d])
+    np.multiply(H[:d].transpose(0, 2, 1), tau, out=blocks[:d, :, d])
+    np.multiply(G[:d, :, d], tau * bias, out=blocks[:d, :, d + 1])
+    blocks[d, :, d] = np.triu(act) + np.triu(act, 1).T
+    np.multiply(H[d], bias, out=blocks[d, :, d + 1])
+    np.multiply(G[d, :, d], bias * bias, out=blocks[d + 1, :, d + 1])
+    for k in (d, d + 1):  # mirror the blocks above the diagonal
+        gram[k * M : (k + 1) * M, : k * M] = gram[: k * M, k * M : (k + 1) * M].T
+    zy = np.concatenate((tau * r[:d].reshape(-1), np.einsum("im,mi->i", W, r[:d]), bias * r[d]))
+    return gram, zy
+
+
 def assemble_empirical_operators(
     feature_map: FeatureMap, X: np.ndarray, y: np.ndarray
 ) -> Moments:
@@ -110,7 +148,8 @@ def assemble_empirical_operators(
     Non-finite data, and a non-finite Sigma_hat or s_hat (an embedding that
     overflows), are rejected here, so both fit paths reject them. Each
     ROW_BLOCK-row block gives its Z^T Z and Z^T y: a designer map from cosine
-    sums (_designer_sums), every other map through its embedding. The block
+    sums (_designer_sums), a relu or identity NTK map from its factor
+    (_ntk_factored_sums), every other map through its embedding. The block
     sums are added up and divided by n once.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -124,7 +163,12 @@ def assemble_empirical_operators(
     dim = feature_map.embedding_dim
     if dim * dim * 8 > features.DEFAULT_MEMORY_BUDGET:
         raise MemoryBudgetError(f"covariance of dimension {dim} exceeds memory budget")
-    block_sums = _designer_sums if feature_map.kind == DESIGNER_FINITE_RANK else _embedded_sums
+    if feature_map.kind == DESIGNER_FINITE_RANK:
+        block_sums = _designer_sums
+    elif feature_map.kind == NTK_ONE_LAYER and feature_map.params["activation"] in ("relu", "identity"):
+        block_sums = _ntk_factored_sums
+    else:
+        block_sums = _embedded_sums
     n = X.shape[0]
     rows = (slice(start, start + ROW_BLOCK) for start in range(0, n, ROW_BLOCK))
     blocks = (block_sums(feature_map, X[r], y[r]) for r in rows)
@@ -272,12 +316,10 @@ def load_model(path: str) -> RfModel:
 def _decode_model(payload) -> RfModel:
     if not isinstance(payload, dict) or "format" not in payload:
         raise ValueError("model file has no format")
-    if payload["format"] != MODEL_FORMAT:
+    if type(payload["format"]) is not int or payload["format"] != MODEL_FORMAT:  # not 1.0 or true
         raise ValueError(f"unknown model format {payload['format']!r}, expected {MODEL_FORMAT}")
     keys = ("map", "filter", "lam", "iterations", "fit_path", "theta_b64", "train_fingerprint")
-    missing = [key for key in keys if key not in payload]
-    if missing:
-        raise ValueError(f"model file is missing keys: {', '.join(missing)}")
+    check_keys(payload, "model file", ("format", *keys), (), "load_model")
     feature_map = call_checked(sample_feature_map, payload["map"], "model map")
     filt = make_filter(**check_object(payload["filter"], "model filter"))
     lam, iterations = filt.resolve(real_number(payload["lam"], "lam"), payload["iterations"])

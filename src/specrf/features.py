@@ -266,6 +266,32 @@ def check_input(feature_map: FeatureMap, X) -> np.ndarray:
     return X
 
 
+def ntk_projection(feature_map: FeatureMap, X: np.ndarray) -> np.ndarray:
+    """The n x M pre-activations X W^T of an NTK map, or a ValueError when a row
+    of X lies outside the ball of radius rho_max that kappa_sq is bounded on."""
+    rho_max = feature_map.params["rho_max"]
+    if np.any(np.linalg.norm(X, axis=1) > rho_max):
+        raise ValueError(f"NTK input norm exceeds rho_max = {rho_max}")
+    return X @ feature_map.frequencies.T
+
+
+def ntk_factor(feature_map: FeatureMap, X: np.ndarray) -> np.ndarray:
+    """The n x (d+1)M factor Y = [x_1 * D', ..., x_d * D', D'], D' = act'(X W^T), of a
+    relu or identity NTK map, for an n x d array X. As act(p) = p act'(p), the map's
+    embedding is Z = Y L / sqrt(M), with L made of diagonal blocks: x block a of Z is
+    tau Y_a, the act block sum_a Y_a diag(W[:, a]) and the bias block tau gamma Y_d."""
+    proj = ntk_projection(feature_map, X)
+    n, M = proj.shape
+    d = feature_map.input_dim
+    Y = np.empty((n, d + 1, M))
+    if feature_map.params["activation"] == "relu":
+        np.greater(proj, 0.0, out=Y[:, d])  # act'(0) := 0, as in feature_matrix
+    else:
+        Y[:, d] = 1.0
+    np.multiply(X[:, :, None], Y[:, d:], out=Y[:, :d])
+    return Y.reshape(n, -1)
+
+
 def feature_matrix(feature_map: FeatureMap, X: np.ndarray) -> np.ndarray:
     """Stack embeddings of the rows of X into an n x (p*M) matrix.
 
@@ -296,14 +322,11 @@ def feature_matrix(feature_map: FeatureMap, X: np.ndarray) -> np.ndarray:
         out *= np.sqrt(mu)
         return out
 
-    rho_max = feature_map.params["rho_max"]
-    if np.any(np.linalg.norm(X, axis=1) > rho_max):
-        raise ValueError(f"NTK input norm exceeds rho_max = {rho_max}")
     # NTK: components tau*x_i*act'(w.x) for i in [d], act(w.x), tau*gamma*act'(w.x)
     activation = feature_map.params["activation"]
     tau = feature_map.params["tau"]
     gamma = feature_map.params["gamma"]
-    proj = X @ feature_map.frequencies.T  # n x M
+    proj = ntk_projection(feature_map, X)
     if activation == "relu":
         act = np.maximum(proj, 0.0)
         dact = (proj > 0).astype(float)  # act'(0) := 0

@@ -147,6 +147,54 @@ def test_designer_fit_needs_no_embedding_memory(monkeypatch):
         feature_matrix(fmap, X[:ROW_BLOCK])
 
 
+def _ntk(activation, d, M, n, seed=0, **params):
+    """An NTK map and n rows of standard normal data."""
+    fmap = sample_feature_map("ntk_one_layer", d, M, {"activation": activation, **params}, seed)
+    rng = np.random.default_rng(seed)
+    return fmap, rng.standard_normal((n, d)), rng.standard_normal(n)
+
+
+def _assert_moments_match_the_embedding(moments, fmap, X, y):
+    Z = feature_matrix(fmap, X)
+    n = len(y)
+    # <=, not a ratio: one relu row may have no active unit, which makes Z zero
+    for got, want in ((moments.sigma, Z.T @ Z / n), (moments.s, Z.T @ y / n)):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("n", [1, 3, ROW_BLOCK + 5])
+@pytest.mark.parametrize("M", [1, 3, 192])
+@pytest.mark.parametrize("d", [1, 2, 4])
+@pytest.mark.parametrize("params", [{}, {"tau": 0.7, "gamma": 1.9}], ids=["default", "tau-gamma"])
+@pytest.mark.parametrize("activation", ["relu", "identity"])
+def test_ntk_factored_moments_match_the_embedding(activation, params, d, M, n):
+    fmap, X, y = _ntk(activation, d, M, n, seed=d + M, **params)
+    moments = assemble_empirical_operators(fmap, X, y)
+    _assert_moments_match_the_embedding(moments, fmap, X, y)
+    assert np.array_equal(moments.sigma, moments.sigma.T)
+
+
+@pytest.mark.parametrize("d,M", [(1, 3), (4, 16)])
+def test_ntk_tanh_moments_are_the_embedded_ones(d, M):
+    # tanh(p) is not p tanh'(p): its moments still come from the embedding, bit for bit
+    fmap, X, y = _ntk("tanh", d, M, ROW_BLOCK + 5, tau=0.7, gamma=1.9)
+    _assert_moments_match_the_embedding(assemble_empirical_operators(fmap, X, y), fmap, X, y)
+    single = assemble_empirical_operators(fmap, X[:ROW_BLOCK], y[:ROW_BLOCK])
+    Z = feature_matrix(fmap, X[:ROW_BLOCK])
+    assert np.array_equal(single.sigma, Z.T @ Z / ROW_BLOCK)
+
+
+@pytest.mark.parametrize("activation", ["relu", "identity", "tanh"])
+def test_ntk_inputs_outside_rho_max_rejected_on_both_paths(activation):
+    fmap, X, y = _ntk(activation, 2, 8, ROW_BLOCK + 5, rho_max=3.0)
+    X = np.clip(X, -1.0, 1.0)
+    X[ROW_BLOCK + 2] = [3.0, 0.1]  # the one row outside, in the second row block
+    with pytest.raises(ValueError, match="NTK input norm exceeds rho_max = 3.0"):
+        fit_spectral(fmap, X, y, make_filter("tikhonov"), lam=0.1)
+    with pytest.raises(ValueError, match="NTK input norm exceeds rho_max = 3.0"):
+        fit_iterative(fmap, X, y, make_filter("landweber", alpha=0.5), 4)
+
+
 def test_ridge_primal_equals_dual():
     fmap, X, y = _toy(seed=3)
     lam = 0.05
@@ -300,7 +348,10 @@ def test_load_model_rejects_theta_of_wrong_length(tmp_path):
 @pytest.mark.parametrize("drop,change,named", [
     ("format", {}, "model file has no format"),
     (None, {"format": 2}, "unknown model format 2, expected 1"),
-    ("lam", {}, "model file is missing keys: lam"),
+    (None, {"format": True}, "unknown model format True, expected 1"),
+    (None, {"format": 1.0}, "unknown model format 1.0, expected 1"),
+    (None, {"bogus": 1}, "model file keys not taken by load_model: bogus"),
+    ("lam", {}, "model file is missing required keys: lam"),
     (None, {"lam": "x"}, "lam must be a real number, not 'x'"),
     (None, {"lam": None}, "lam must be a real number, not None"),
     (None, {"lam": -1.0}, "lam must lie in (0, 1]"),
