@@ -2,20 +2,17 @@
 
 Both paths realize theta = phi_lambda(Sigma_hat) s_hat with
 Sigma_hat = Z^T Z / n and s_hat = Z^T y / n, and read the data only through
-the Moments record that assemble_empirical_operators returns. The data is
-read ROW_BLOCK rows at a time, so a fit or a prediction holds
-O(ROW_BLOCK * D + D^2) floats however many rows it reads. A designer map's
-block moments come from cosine sums over angle-addition tables, with no
-embedding: 2(A + B) trig calls a row for A * B >= 2m - 1 (128 at m = 512)
-and two small GEMMs instead of m cosines and an m^2 syrk. A relu or identity
-NTK map's block moments come from its n x (d+1)M factor Y, with Z = Y L /
-sqrt(M) for an L of diagonal blocks: one syrk over (d+1)M columns, which is
-(d+1)^2/(d+2)^2 of the embedding's syrk, then O(d^2 M^2) block scalings, with
-ROW_BLOCK * (d+1)M floats a block. Every other map (RFF, tanh NTK) is
-embedded and reduced by syrk. The spectral path applies the filter to
-Sigma_hat directly (one linear solve for Tikhonov, an eigendecomposition for
-the others), the iterative path runs (momentum) gradient descent whose
-T-step polynomial is the same filter.
+the Moments record that assemble_empirical_operators returns. It names no
+map kind: it reads the data ROW_BLOCK rows at a time, adds up each block's
+features.moment_statistics, divides the sums by n once and turns the means
+into Sigma_hat and s_hat once with features.moments_from_means, which holds
+each map's moment algebra (the identity for an embedded map, Toeplitz plus
+Hankel for the designer cosine sums, the blocks of L for the NTK factor). So
+a fit or a prediction holds O(ROW_BLOCK * D + D^2) floats however many rows
+it reads. The spectral path applies the filter to Sigma_hat directly (one
+linear solve for Tikhonov, an eigendecomposition for the others), the
+iterative path runs (momentum) gradient descent whose T-step polynomial is
+the same filter.
 """
 from __future__ import annotations
 
@@ -29,8 +26,6 @@ import numpy as np
 
 from . import features
 from .features import (
-    DESIGNER_FINITE_RANK,
-    NTK_ONE_LAYER,
     FeatureMap,
     MemoryBudgetError,
     call_checked,
@@ -83,74 +78,16 @@ class Moments:
     fingerprint: dict
 
 
-def _embedded_sums(feature_map: FeatureMap, X: np.ndarray, y: np.ndarray):
-    """(Z^T Z, Z^T y) of one row block through its embedding Z; numpy sends
-    Z.T @ Z to syrk."""
-    Z = feature_matrix(feature_map, X)
-    return Z.T @ Z, Z.T @ y
-
-
-def _designer_sums(feature_map: FeatureMap, X: np.ndarray, y: np.ndarray):
-    """(Z^T Z, Z^T y) of one row block of a designer map from cosine sums, with no
-    embedding. Z = E diag(v) with E[i, a] = cos(a pi x_i) and v = sqrt(mu) * (1,
-    sqrt 2, ..., sqrt 2), and cos(a t) cos(b t) = (cos((a-b) t) + cos((a+b) t)) / 2,
-    so Z^T Z = v v^T * P with P[a, b] = (c_|a-b| + c_(a+b)) / 2, Toeplitz plus Hankel
-    in the 2m - 1 sums c_k = sum_i cos(k pi x_i), and Z^T y = v * d with the m sums
-    d_k = sum_i y_i cos(k pi x_i). One table set gives both."""
-    m = feature_map.num_samples
-    c, d = features.cosine_sums(2 * m - 1, X[:, 0], np.column_stack((np.ones_like(y), y)))
-    windows = np.lib.stride_tricks.sliding_window_view
-    toeplitz = windows(np.concatenate((c[m - 1 : 0 : -1], c[:m])), m)[::-1]  # c_|a-b|
-    hankel = windows(c, m)  # c_(a+b)
-    v = np.sqrt(feature_map.params["eigenvalues"]) * features.designer_norms(m)
-    gram = toeplitz + hankel
-    gram *= 0.5 * np.outer(v, v)
-    return gram, v * d[:m]
-
-
-def _ntk_factored_sums(feature_map: FeatureMap, X: np.ndarray, y: np.ndarray):
-    """(Z^T Z, Z^T y) of one row block of a relu or identity NTK map from its
-    n x (d+1)M factor Y (features.ntk_factor), with no embedding: Z = Y L / sqrt(M),
-    so one syrk G = Y^T Y over (d+1)M columns, not (d+2)M, and O(d^2 M^2) diagonal
-    scalings of its M x M blocks give Z^T Z = L^T G L / M. The blocks above the
-    diagonal are computed and mirrored, so Z^T Z is exactly symmetric, as a syrk's."""
-    W = feature_map.frequencies
-    M, d = W.shape
-    tau = feature_map.params["tau"]
-    bias = tau * feature_map.params["gamma"]
-    Y = features.ntk_factor(feature_map, X)
-    G, r = Y.T @ Y, Y.T @ y
-    del Y  # the block's factor is the largest array here; free it before Z^T Z is built
-    G /= M
-    G = G.reshape(d + 1, M, d + 1, M)
-    r = r.reshape(d + 1, M) / np.sqrt(M)
-    H = np.einsum("im,mikj->kij", W, G[:d])  # H[k] = sum_m diag(W[:, m]) G_mk: act rows
-    act = np.einsum("kij,jk->ij", H[:d], W)  # sum_k H[k] diag(W[:, k])
-    gram = np.empty(((d + 2) * M, (d + 2) * M))
-    blocks = gram.reshape(d + 2, M, d + 2, M)
-    np.multiply(G[:d, :, :d], tau * tau, out=blocks[:d, :, :d])
-    np.multiply(H[:d].transpose(0, 2, 1), tau, out=blocks[:d, :, d])
-    np.multiply(G[:d, :, d], tau * bias, out=blocks[:d, :, d + 1])
-    blocks[d, :, d] = np.triu(act) + np.triu(act, 1).T
-    np.multiply(H[d], bias, out=blocks[d, :, d + 1])
-    np.multiply(G[d, :, d], bias * bias, out=blocks[d + 1, :, d + 1])
-    for k in (d, d + 1):  # mirror the blocks above the diagonal
-        gram[k * M : (k + 1) * M, : k * M] = gram[: k * M, k * M : (k + 1) * M].T
-    zy = np.concatenate((tau * r[:d].reshape(-1), np.einsum("im,mi->i", W, r[:d]), bias * r[d]))
-    return gram, zy
-
-
 def assemble_empirical_operators(
     feature_map: FeatureMap, X: np.ndarray, y: np.ndarray
 ) -> Moments:
     """Validate, reduce and hash the data; the one place a fit reads it.
 
-    Non-finite data, and a non-finite Sigma_hat or s_hat (an embedding that
-    overflows), are rejected here, so both fit paths reject them. Each
-    ROW_BLOCK-row block gives its Z^T Z and Z^T y: a designer map from cosine
-    sums (_designer_sums), a relu or identity NTK map from its factor
-    (_ntk_factored_sums), every other map through its embedding. The block
-    sums are added up and divided by n once.
+    Each ROW_BLOCK-row block gives the map's features.moment_statistics; their
+    sums are divided by n once and turned into Sigma_hat and s_hat once, by
+    features.moments_from_means. Non-finite data, and a non-finite Sigma_hat or
+    s_hat (data whose moments overflow), are rejected here, so both fit paths
+    reject them.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     X = check_input(feature_map, X)
@@ -163,22 +100,17 @@ def assemble_empirical_operators(
     dim = feature_map.embedding_dim
     if dim * dim * 8 > features.DEFAULT_MEMORY_BUDGET:
         raise MemoryBudgetError(f"covariance of dimension {dim} exceeds memory budget")
-    if feature_map.kind == DESIGNER_FINITE_RANK:
-        block_sums = _designer_sums
-    elif feature_map.kind == NTK_ONE_LAYER and feature_map.params["activation"] in ("relu", "identity"):
-        block_sums = _ntk_factored_sums
-    else:
-        block_sums = _embedded_sums
     n = X.shape[0]
     rows = (slice(start, start + ROW_BLOCK) for start in range(0, n, ROW_BLOCK))
-    blocks = (block_sums(feature_map, X[r], y[r]) for r in rows)
+    blocks = (features.moment_statistics(feature_map, X[r], y[r]) for r in rows)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-        gram, zy = next(blocks)
-        for gram_b, zy_b in blocks:
-            gram += gram_b
-            zy += zy_b
-    gram /= n
-    zy /= n
+        stats = next(blocks)
+        for block in blocks:
+            for total, part in zip(stats, block):
+                total += part
+        for total in stats:
+            total /= n
+        gram, zy = features.moments_from_means(feature_map, stats)
     if not (np.isfinite(gram).all() and np.isfinite(zy).all()):
         raise ValueError(f"{feature_map.kind} map embeds the data to a non-finite Sigma_hat or s_hat")
     h = hashlib.sha256()
@@ -282,7 +214,10 @@ def mse(model: RfModel, X: np.ndarray, y: np.ndarray) -> float:
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.size == 0:
         raise ValueError("empty test set")
-    return float(np.mean((predict(model, X) - y) ** 2))
+    pred = predict(model, X)
+    if pred.shape[0] != y.size:
+        raise ValueError("X and y length mismatch")
+    return float(np.mean((pred - y) ** 2))
 
 
 def save_model(model: RfModel, path: str) -> None:

@@ -252,7 +252,10 @@ def sample_feature_map(
         freqs = np.arange(1, num_samples + 1, dtype=float)
         mu = freqs ** (-1.0 / decay) if params["eigenvalues"] is None else params["eigenvalues"]
         params["eigenvalues"] = mu = _validate_designer_eigenvalues(mu, num_samples)
-        kappa_sq = float(np.sum(mu * np.where(freqs == 1, 1.0, 2.0)))  # sup e_1^2 = 1, sup e_j^2 = 2
+        with np.errstate(over="ignore"):  # sup e_1^2 = 1, sup e_j^2 = 2; an overflow is reported next
+            kappa_sq = float(np.sum(mu * np.where(freqs == 1, 1.0, 2.0)))
+        if not np.isfinite(kappa_sq):
+            raise ValueError(f"kappa_sq overflows: designer eigenvalues sum to {kappa_sq}")
     return FeatureMap(kind, input_dim, num_samples, count, params, seed, freqs, phases, kappa_sq, certified)
 
 
@@ -290,6 +293,69 @@ def ntk_factor(feature_map: FeatureMap, X: np.ndarray) -> np.ndarray:
         Y[:, d] = 1.0
     np.multiply(X[:, :, None], Y[:, d:], out=Y[:, :d])
     return Y.reshape(n, -1)
+
+
+def _factored(feature_map: FeatureMap) -> bool:
+    """Whether the map's moments come from ntk_factor: a relu or identity NTK map."""
+    return feature_map.kind == NTK_ONE_LAYER and feature_map.params["activation"] != "tanh"
+
+
+def moment_statistics(feature_map: FeatureMap, X: np.ndarray, y: np.ndarray) -> tuple:
+    """Statistics of the rows X, y that add up over row blocks; divided by the number
+    of rows, they are what moments_from_means reads. A designer map gives the 2m - 1
+    sums c_k = sum_i cos(k pi x_i) and d_k = sum_i y_i cos(k pi x_i), from one table
+    set; a relu or identity NTK map gives (Y^T Y, Y^T y) of its factor Y (ntk_factor);
+    every other map gives (Z^T Z, Z^T y) of its embedding. numpy sends F.T @ F to syrk."""
+    if feature_map.kind == DESIGNER_FINITE_RANK:
+        K = 2 * feature_map.num_samples - 1
+        return tuple(cosine_sums(K, X[:, 0], np.column_stack((np.ones_like(y), y))))
+    F = ntk_factor(feature_map, X) if _factored(feature_map) else feature_matrix(feature_map, X)
+    return F.T @ F, F.T @ y
+
+
+def moments_from_means(feature_map: FeatureMap, means: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(Sigma_hat, s_hat) from the row means of moment_statistics, in O(D^2).
+
+    Designer: Z = E diag(v) with E[i, a] = cos(a pi x_i) and v = sqrt(mu) * (1, sqrt 2,
+    ..., sqrt 2), and cos(a t) cos(b t) = (cos((a-b) t) + cos((a+b) t)) / 2, so
+    Sigma_hat = v v^T * P with P[a, b] = (c_|a-b| + c_(a+b)) / 2, Toeplitz plus Hankel
+    in the mean sums c, and s_hat = v * d[:m]. Relu or identity NTK: Z = Y L / sqrt(M),
+    so Sigma_hat = L^T G L / M for G the mean Y^T Y, from diagonal scalings of its
+    M x M blocks; the blocks above the diagonal are computed and mirrored. Either way
+    Sigma_hat is exactly symmetric, as a syrk's. Any other map: the means are the
+    moments."""
+    if feature_map.kind == DESIGNER_FINITE_RANK:
+        c, d = means
+        m = feature_map.num_samples
+        windows = np.lib.stride_tricks.sliding_window_view
+        toeplitz = windows(np.concatenate((c[m - 1 : 0 : -1], c[:m])), m)[::-1]  # c_|a-b|
+        hankel = windows(c, m)  # c_(a+b)
+        v = np.sqrt(feature_map.params["eigenvalues"]) * designer_norms(m)
+        gram = toeplitz + hankel
+        gram *= 0.5 * np.outer(v, v)
+        return gram, v * d[:m]
+    if not _factored(feature_map):
+        return means
+    W = feature_map.frequencies
+    M, d = W.shape
+    tau = feature_map.params["tau"]
+    bias = tau * feature_map.params["gamma"]
+    G = means[0].reshape(d + 1, M, d + 1, M) / M
+    r = means[1].reshape(d + 1, M) / np.sqrt(M)
+    H = np.einsum("im,mikj->kij", W, G[:d])  # H[k] = sum_m diag(W[:, m]) G_mk: act rows
+    act = np.einsum("kij,jk->ij", H[:d], W)  # sum_k H[k] diag(W[:, k])
+    gram = np.empty(((d + 2) * M, (d + 2) * M))
+    blocks = gram.reshape(d + 2, M, d + 2, M)
+    np.multiply(G[:d, :, :d], tau * tau, out=blocks[:d, :, :d])
+    np.multiply(H[:d].transpose(0, 2, 1), tau, out=blocks[:d, :, d])
+    np.multiply(G[:d, :, d], tau * bias, out=blocks[:d, :, d + 1])
+    blocks[d, :, d] = np.triu(act) + np.triu(act, 1).T
+    np.multiply(H[d], bias, out=blocks[d, :, d + 1])
+    np.multiply(G[d, :, d], bias * bias, out=blocks[d + 1, :, d + 1])
+    for k in (d, d + 1):  # mirror the blocks above the diagonal
+        gram[k * M : (k + 1) * M, : k * M] = gram[: k * M, k * M : (k + 1) * M].T
+    zy = np.concatenate((tau * r[:d].reshape(-1), np.einsum("im,mi->i", W, r[:d]), bias * r[d]))
+    return gram, zy
 
 
 def feature_matrix(feature_map: FeatureMap, X: np.ndarray) -> np.ndarray:

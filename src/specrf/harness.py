@@ -224,8 +224,6 @@ class ExperimentPlan:
         sched = {
             "C_lambda": 1.0,
             "C_M": 4.0,
-            "r": 0.5,
-            "b": 1.0,
             "delta": SCHEDULE_DELTA_DEFAULT,
         }
         check_keys(self.schedule, "plan schedule", (), sched, "lambda_schedule or m_schedule")
@@ -452,8 +450,9 @@ def run_plateau_check(plan: ExperimentPlan, heatmap: dict | None = None, workers
 
 def _problem_from_plan(plan: ExperimentPlan) -> DesignerProblem:
     _, conf = _problem_conf(plan, "designer")
-    # the plan's keys override the defaults that differ from make_designer_problem's
-    defaults = {"J": 512, "b": plan.schedule["b"], "r": plan.schedule["r"], "noise_std": 0.5}
+    # the plan's keys override these; make_designer_problem requires J, b and r and
+    # defaults noise_std to 0.1
+    defaults = {"J": 512, "b": 1.0, "r": 0.5, "noise_std": 0.5}
     return call_checked(make_designer_problem, {**defaults, **conf}, "designer problem",
                         seed=plan.base_seed)
 
@@ -478,8 +477,8 @@ def run_rate_sweep(plan: ExperimentPlan, workers: int = 1) -> dict:
     if len(plan.n_grid) < 5:
         raise ValueError("rate sweep needs an n-grid with at least 5 points")
     sched = plan.schedule
-    r, b = sched["r"], sched["b"]
     problem = _problem_from_plan(plan)
+    r, b = problem.r, problem.b  # the problem's source condition and capacity set both schedules
     filt = make_filter(**check_object(plan.filter, "plan filter"))
     configs = []
     for n in plan.n_grid:

@@ -303,7 +303,8 @@ _DESIGNER = {"type": "designer", "J": 8, "b": 1.0, "r": 0.5}
     ("heatmap", {"repetitions": 2.5}, "plan repetitions must be an integer >= 1, not 2.5"),
     ("heatmap", {"n_train": "200"}, "plan n_train must be an integer >= 1, not '200'"),
     ("heatmap", {"base_seed": "x"}, "plan base_seed must be an integer >= 0, not 'x'"),
-    ("rate-sweep", {"schedule": {"r": "0.5"}}, "plan schedule r must be a real number, not '0.5'"),
+    ("rate-sweep", {"schedule": {"C_M": "4"}}, "plan schedule C_M must be a real number, not '4'"),
+    ("rate-sweep", {"schedule": {"r": 0.5}}, "plan schedule keys not taken by lambda_schedule or m_schedule: r"),
     ("heatmap", {"plateau_tol": "x"}, "plan plateau_tol must be a real number, not 'x'"),
     *[("fit", {"data": {**_FIT_CONFIG["data"], "n": n}}, f"fit config data n must be an integer >= 1, not {n!r}")
       for n in (100.5, "100", True)],
@@ -331,9 +332,10 @@ _DESIGNER = {"type": "designer", "J": 8, "b": 1.0, "r": 0.5}
      "kappa_sq overflows: tau=1e+200"),
     ("fit", {"feature_map": {"kind": "ntk_one_layer", "num_samples": 8, "params": {"tau": 1e154}}},
      "kappa_sq overflows: tau=1e+154"),
-    # kappa_sq = 5.5e306 is finite, but 100 rows of (tau * gamma)^2 = 4e306 sum past the double range
-    ("fit", {"feature_map": {"kind": "ntk_one_layer", "num_samples": 1, "params": {
-        "tau": 1e153, "gamma": 2.0, "rho_max": 1.0, "activation": "identity"}}},
+    # finite data and kappa_sq, but the mean of tau * gamma * y = 1e10 * 7.9e299 is past the double range
+    ("fit", {"data": {"designer": {"J": 8, "b": 1.0, "r": 0.5, "R": 1e300}, "n": 100},
+             "feature_map": {"kind": "ntk_one_layer", "num_samples": 1, "params": {
+                 "tau": 1e10, "activation": "identity"}}},
      "ntk_one_layer map embeds the data to a non-finite Sigma_hat or s_hat"),
 ], ids=[
     "plan-filter-without-kind", "plan-feature_map-without-kind", "plan-feature_map-typo",
@@ -347,7 +349,7 @@ _DESIGNER = {"type": "designer", "J": 8, "b": 1.0, "r": 0.5}
     "heatmap-t_grid-zero", "heatmap-t_grid-fraction", "heatmap-n_train-zero",
     "fit-fractional-num_samples", "heatmap-fractional-m_grid", "rate-fractional-n_grid",
     "plan-fractional-repetitions", "plan-string-n_train", "plan-string-base_seed",
-    "rate-schedule-string", "plan-string-plateau_tol",
+    "rate-schedule-string", "rate-schedule-r", "plan-string-plateau_tol",
     "fit-fractional-n", "fit-string-n", "fit-bool-n", "fit-landweber-string-alpha",
     "fit-heavyball-null-beta", "fit-designer-string-b", "fit-designer-null-noise_std",
     "fit-designer-list-R", "fit-designer-string-eigenvalue_scale", "heatmap-scalar-m_grid",

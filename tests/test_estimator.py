@@ -439,6 +439,15 @@ def test_mse_rejects_empty_test_set():
         mse(model, np.zeros((0, 2)), np.zeros(0))
 
 
+@pytest.mark.parametrize("rows,labels", [(120, 1), (1, 120), (0, 120)],
+                         ids=["one-label", "one-row", "no-rows"])
+def test_mse_rejects_length_mismatch(rows, labels):
+    fmap, X, y = _toy()
+    model = fit_spectral(fmap, X, y, make_filter("tikhonov"), lam=0.1)
+    with pytest.raises(ValueError, match="X and y length mismatch"):
+        mse(model, X[:rows], y[:labels])
+
+
 @pytest.mark.parametrize("bad", ["nan_label", "inf_input"])
 def test_non_finite_training_data_rejected_on_both_paths(bad):
     fmap, X, y = _toy()
@@ -458,13 +467,26 @@ def test_length_mismatch_rejected():
         assemble_empirical_operators(fmap, X, y[:-1])
 
 
-def test_non_finite_moments_rejected_on_both_paths():
-    # finite data and a finite kappa_sq (2.2e306), but the sum of Z^T Z over
-    # 1000 rows of tau^2 = 1e306 passes the double range before it is divided by n
+def test_moments_divide_by_n_before_the_map_algebra():
+    # a finite kappa_sq (2.2e306): 1000 rows of (tau x)^2 = 2.5e305 sum past the double
+    # range, but their mean, and so Sigma_hat, is finite
     params = {"tau": 1e153, "rho_max": 1.0, "activation": "identity"}
     fmap = sample_feature_map("ntk_one_layer", 2, 1, params, 0)
     X = np.full((1000, 2), 0.5)
     y = np.ones(1000)
+    moments = assemble_empirical_operators(fmap, X, y)
+    Z = feature_matrix(fmap, X) / np.sqrt(1000)
+    np.testing.assert_allclose(moments.sigma, Z.T @ Z, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(moments.s, Z.T @ y / np.sqrt(1000), rtol=1e-12, atol=0)
+
+
+def test_non_finite_moments_rejected_on_both_paths():
+    # finite data and a finite kappa_sq, but the mean of x y = 10 * 1e308 is past the
+    # double range
+    params = {"rho_max": 100.0, "activation": "identity"}
+    fmap = sample_feature_map("ntk_one_layer", 2, 1, params, 0)
+    X = np.full((1000, 2), 10.0)
+    y = np.full(1000, 1e308)
     with pytest.raises(ValueError, match="non-finite Sigma_hat or s_hat"):
         fit_spectral(fmap, X, y, make_filter("tikhonov"), lam=0.1)
     with pytest.raises(ValueError, match="non-finite Sigma_hat or s_hat"):

@@ -256,6 +256,7 @@ def test_sample_feature_map_rejects_params_its_kind_does_not_read(kind, dim, par
     (DESIGNER_FINITE_RANK, 1, {"eigenvalues": [None, 0.5]}, "finite and strictly positive"),
     (DESIGNER_FINITE_RANK, 1, {"eigenvalues": [np.inf, 1.0]}, "finite and strictly positive"),
     (DESIGNER_FINITE_RANK, 1, {"eigenvalues": {"a": 1.0}}, "eigenvalues must be a list of numbers"),
+    (DESIGNER_FINITE_RANK, 1, {"eigenvalues": [1e308, 1e308]}, "kappa_sq overflows: designer eigenvalues"),
 ])
 def test_sample_feature_map_rejects_bad_param_values(kind, dim, params, named):
     num_samples = 2 if "eigenvalues" in params else 4

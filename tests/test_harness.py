@@ -309,6 +309,21 @@ def test_rate_sweep_caps_features_at_problem_rank():
     assert any(c["M_schedule"] > 16 for c in out["configs"])
 
 
+def test_rate_sweep_schedules_read_the_problem_r_and_b():
+    plan = ExperimentPlan(
+        experiment="rate_sweep",
+        repetitions=1,
+        n_grid=[64, 128, 256, 512, 1024],
+        problem={"type": "designer", "J": 16, "b": 0.5, "r": 1.0, "noise_std": 0.1},
+        filter={"kind": "tikhonov"},
+    )
+    out = run_rate_sweep(plan)
+    assert out["target_slope"] == -1.0 / 2.5
+    for c in out["configs"]:
+        assert c["lambda"] == lambda_schedule(c["n"], 1.0, 0.5)
+        assert c["M_schedule"] == m_schedule(c["n"], 1.0, 0.5)
+
+
 def test_plateau_anchors_use_the_dataset_input_dimension(tmp_path):
     plan = _dataset_plan(tmp_path)  # two feature columns, n_train = 80
     plan.experiment, plan.repetitions = "plateau_check", 10
