@@ -162,18 +162,19 @@ def fit_iterative(
     moments = assemble_empirical_operators(feature_map, X, y)
     sigma, s, yy = moments.sigma, moments.s, moments.yy
 
-    # stability precheck: trace bounds the spectral norm
-    alpha = filt.alpha
+    # stability precheck: the iteration is stable iff alpha * ||Sigma|| < 2 (1 + beta),
+    # and the trace bounds the spectral norm
+    alpha, beta = filt.alpha, filt.beta
+    limit = 2.0 * (1.0 + beta)
     bound = float(np.trace(sigma))
-    if alpha * bound >= 2.0:
+    if alpha * bound >= limit:
         # trace is loose; fall back to the exact top eigenvalue
         bound = float(np.linalg.eigvalsh(sigma)[-1])
-        if alpha * bound >= 2.0:
+        if alpha * bound >= limit:
             raise DivergenceError(
-                f"step size {alpha} unstable: alpha * ||Sigma|| = {alpha * bound:.3g} >= 2"
+                f"step size {alpha} unstable: alpha * ||Sigma|| = {alpha * bound:.3g} >= {limit:.3g}"
             )
 
-    beta = filt.beta
     theta_prev = np.zeros_like(s)
     theta = np.zeros_like(s)
     sigma_theta = np.zeros_like(s)  # Sigma @ theta, shared by a step's loss and the next gradient

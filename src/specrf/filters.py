@@ -21,15 +21,6 @@ EIG_DIM_CAP = 4096  # the largest Sigma that SpectralFilter.apply eigendecompose
 DEFAULT_Q_VALUES = (0.5, 1.0, 1.5, 2.0)
 
 
-def _check_range(t: np.ndarray, lam: float) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("spectral values t must be nonnegative")
-    if not 0.0 < lam <= 1.0:
-        raise ValueError("lam must lie in (0, 1]")
-    return t
-
-
 class SpectralFilter:
     """Immutable filter family; subclasses define the scalar function."""
 
@@ -53,11 +44,11 @@ class SpectralFilter:
     ) -> tuple[float, int | None]:
         """The (lambda, T) pair a fit with this filter uses.
 
-        Give lam, iterations or both. An iterative filter derives the missing
-        one through iterations_for_lambda / lambda_for_iterations, so T is
-        set for it and None for every other filter, which takes no T. This is
-        where both are checked: lam must be a real number in (0, 1] and T an
-        integer >= 1, where an integral float such as 64.0 counts.
+        Give lam, iterations or both; this is the one home of the lambda <-> T
+        rules. An iterative filter derives a missing T = max(1, ceil(1 / (alpha_eff
+        lam))) or lambda = min(1, 1 / (alpha_eff T)); every other filter takes no T
+        and gets None. lam must be a real number in (0, 1] and T an integer >= 1,
+        where an integral float such as 64.0 counts.
         """
         if lam is None and iterations is None:
             raise ValueError("one of lam or iterations is required")
@@ -67,13 +58,13 @@ class SpectralFilter:
             if not self.iterative:
                 raise ValueError(f"{self.name} does not take an iteration count")
             iterations = whole_number(iterations, "iterations")
-        elif self.iterative:
-            iterations = self.iterations_for_lambda(lam)
         if lam is None:
-            lam = self.lambda_for_iterations(iterations)
+            lam = min(1.0, 1.0 / (self.alpha_eff * iterations))
         if not 0.0 < lam <= 1.0:
             raise ValueError("lam must lie in (0, 1]")
-        return float(lam), iterations
+        if self.iterative and iterations is None:
+            iterations = max(1, math.ceil(1.0 / (self.alpha_eff * lam)))
+        return lam, iterations
 
     def apply(self, sigma: np.ndarray, s: np.ndarray, lam: float, iterations: int | None):
         """phi(Sigma) s for a symmetric PSD Sigma, with (lam, iterations) as
@@ -103,15 +94,19 @@ class Tikhonov(SpectralFilter):
     name = "tikhonov"
 
     def value(self, t, lam):
-        t = _check_range(t, lam)
-        return 1.0 / (t + lam)
+        lam = self.resolve(lam)[0]
+        return 1.0 / (np.asarray(t, dtype=float) + lam)
 
     def apply(self, sigma, s, lam, iterations):
         """(Sigma + lam I)^{-1} s by one linear solve, with no eigendecomposition;
-        sigma itself is not changed."""
+        sigma itself is not changed. A numerically singular system is a
+        ValueError that names the filter and lambda."""
         shifted = np.array(sigma, dtype=float)
         shifted.flat[:: shifted.shape[0] + 1] += lam
-        return np.linalg.solve(shifted, s)
+        try:
+            return np.linalg.solve(shifted, s)
+        except np.linalg.LinAlgError:
+            raise ValueError(f"{self.name}: Sigma_hat + lam I is singular at lam = {lam!r}") from None
 
     def declared_cq(self, q):
         # sup_t lambda^{1-q} t^q / (t+lambda) <= 1 holds only for q <= 1
@@ -123,7 +118,8 @@ class SpectralCutoff(SpectralFilter):
     qualification = math.inf
 
     def value(self, t, lam):
-        t = _check_range(t, lam)
+        lam = self.resolve(lam)[0]
+        t = np.asarray(t, dtype=float)
         # t = lambda is included in the inverted region
         return np.where(t >= lam, 1.0 / np.maximum(t, lam), 0.0)
 
@@ -141,20 +137,22 @@ class IterativeFilter(SpectralFilter):
         return self.alpha / (1.0 - self.beta)
 
     def lambda_for_iterations(self, T: int) -> float:
-        if T < 1:
-            raise ValueError("T must be >= 1")
-        return min(1.0, 1.0 / (self.alpha_eff * T))
+        return self.resolve(iterations=T)[0]
 
     def iterations_for_lambda(self, lam: float) -> int:
-        if not 0.0 < lam <= 1.0:
-            raise ValueError("lam must lie in (0, 1]")
-        return max(1, math.ceil(1.0 / (self.alpha_eff * lam)))
+        return self.resolve(lam)[1]
 
     def value(self, t, lam):
-        t = _check_range(t, lam)
-        return self.value_at_iterations(t, self.iterations_for_lambda(lam))
+        return self.value_at_iterations(t, self.resolve(lam)[1])
 
     def value_at_iterations(self, t, T: int):
+        """phi_T(t), the T-step polynomial of the iteration started at 0 (as
+        fit_iterative starts from theta = 0), so phi_0 = 0; T may not be negative."""
+        if T < 0:
+            raise ValueError(f"T must be >= 0, not {T!r}")
+        return self._polynomial(np.asarray(t, dtype=float), T)
+
+    def _polynomial(self, t: np.ndarray, T: int) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -168,15 +166,12 @@ class Landweber(IterativeFilter):
             raise ValueError("step size alpha must lie in (0, 1]")
         self.E = 1.0 + self.alpha
 
-    def value_at_iterations(self, t, T):
-        if T < 1:
-            raise ValueError("T must be >= 1")
-        t = np.asarray(t, dtype=float)
+    def _polynomial(self, t, T):
         # (1 - (1-alpha t)^T)/t; t=0 -> alpha*T
         out = np.full_like(t, float(self.alpha * T))
         # expm1/log1p avoids cancellation while alpha*t < 1; from 1 on the
         # base is nonpositive and the direct power is exact
-        small = (t > 0) & (self.alpha * t < 1.0)
+        small = (t != 0) & (self.alpha * t < 1.0)
         big = self.alpha * t >= 1.0
         ts, tb = t[small], t[big]
         out[small] = -np.expm1(T * np.log1p(-self.alpha * ts)) / ts
@@ -211,16 +206,11 @@ class Heavyball(IterativeFilter):
         self.D = 1.0 + self.c0
         self.E = (1.0 + self.c0) * (1.0 + self.alpha_eff)
 
-    def value_at_iterations(self, t, T):
-        if T < 1:
-            raise ValueError("T must be >= 1")
-        t = np.asarray(t, dtype=float)
-        # scalar shadow of the momentum iteration on a quadratic
-        u_prev = np.zeros_like(t)
-        u = np.full_like(t, self.alpha)
-        for _ in range(T - 1):
-            u_next = u + self.alpha * (1.0 - t * u) + self.beta * (u - u_prev)
-            u_prev, u = u, u_next
+    def _polynomial(self, t, T):
+        # scalar shadow of the momentum iteration on a quadratic, from u_0 = u_{-1} = 0
+        u_prev = u = np.zeros_like(t)
+        for _ in range(T):
+            u_prev, u = u, u + self.alpha * (1.0 - t * u) + self.beta * (u - u_prev)
         return u
 
 
@@ -308,40 +298,23 @@ def audit_filter(
     if t_grid.size * lam_grid.size < 10_000:
         raise ValueError("audit grid must have at least 10^4 points")
 
-    sup_tphi = 0.0
-    sup_lamphi = 0.0
-    sup_res = 0.0
-    cq = {float(q): 0.0 for q in q_values}
-    for lam in lam_grid:
-        phi = f.value(t_grid, float(lam))
-        res = 1.0 - t_grid * phi
-        sup_tphi = max(sup_tphi, float(np.max(np.abs(t_grid * phi))))
-        sup_lamphi = max(sup_lamphi, float(lam * np.max(np.abs(phi))))
-        sup_res = max(sup_res, float(np.max(np.abs(res))))
-        for q in cq:
-            cq[q] = max(cq[q], float(np.max(np.abs(res) * t_grid**q) / lam**q))
-
+    phi = np.array([f.value(t_grid, float(lam)) for lam in lam_grid])  # (lambda, t)
+    tphi = t_grid * phi
+    res = np.abs(1.0 - tphi)
     declared = {"D": f.D, "E": f.E, "c0": f.c0}
-    measured = {"D": sup_tphi, "E": sup_lamphi, "c0": sup_res}
+    measured = {
+        "D": float(np.max(np.abs(tphi))),
+        "E": float(np.max(lam_grid * np.max(np.abs(phi), axis=1))),
+        "c0": float(np.max(res)),
+    }
+    all_pass = all(measured[key] <= declared[key] + AUDIT_SLACK for key in declared)
     entries = []
-    all_pass = (
-        sup_tphi <= f.D + AUDIT_SLACK
-        and sup_lamphi <= f.E + AUDIT_SLACK
-        and sup_res <= f.c0 + AUDIT_SLACK
-    )
-    for q, value in sorted(cq.items()):
+    for q in sorted({float(q) for q in q_values}):
+        # lam**q is taken as a scalar power: numpy's vectorized power may round it otherwise
+        value = float(np.max(np.max(res * t_grid**q, axis=1) / [lam**q for lam in lam_grid]))
         declared_q = f.declared_cq(q)
-        if declared_q is None:
-            entries.append(QualificationEntry(q, value, None, None))
-            continue
-        ok = value <= declared_q + AUDIT_SLACK
+        ok = None if declared_q is None else value <= declared_q + AUDIT_SLACK
         entries.append(QualificationEntry(q, value, declared_q, ok))
-        if q <= f.qualification:
+        if ok is not None and q <= f.qualification:
             all_pass = all_pass and ok
-    return AuditReport(
-        filter_name=f.name,
-        declared=declared,
-        measured=measured,
-        qualification=entries,
-        passed=all_pass,
-    )
+    return AuditReport(f.name, declared, measured, entries, all_pass)

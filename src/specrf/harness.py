@@ -219,8 +219,12 @@ class ExperimentPlan:
         for key in ("m_grid", "t_grid", "n_grid"):
             if not isinstance(getattr(self, key), list):
                 raise ValueError(f"plan {key} must be a list, not {getattr(self, key)!r}")
-        self.m_grid = [whole_number(m, "plan m_grid entry") for m in self.m_grid]
-        self.n_grid = [whole_number(n, "plan n_grid entry") for n in self.n_grid]
+        for key in ("m_grid", "n_grid"):
+            grid = [whole_number(v, f"plan {key} entry") for v in getattr(self, key)]
+            repeated = sorted({v for v in grid if grid.count(v) > 1})
+            if repeated:
+                raise ValueError(f"plan {key} repeats entries: {', '.join(map(str, repeated))}")
+            setattr(self, key, grid)
         sched = {
             "C_lambda": 1.0,
             "C_M": 4.0,

@@ -192,6 +192,25 @@ def test_fit_rejects_non_finite_csv_cell(tmp_path, capsys):
     assert not (tmp_path / "m" / "model.json").exists()
 
 
+def test_fit_on_a_singular_tikhonov_system_names_the_filter_and_lambda(tmp_path, capsys):
+    # identity NTK with tau = 1e153 on 1000 rows of 0.5: Sigma_hat + 0.1 I is singular
+    data = tmp_path / "train.csv"
+    data.write_text("1.0,0.5,0.5\n" * 1000)
+    config = {
+        "data": {"path": str(data)},
+        "feature_map": {"kind": "ntk_one_layer", "num_samples": 1, "params": {
+            "tau": 1e153, "rho_max": 1.0, "activation": "identity"}},
+        "filter": {"kind": "tikhonov"},
+        "lambda": 0.1,
+    }
+    cfg = tmp_path / "fit.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["fit", "--config", str(cfg), "--out-dir", str(tmp_path / "m")]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err == "error: tikhonov: Sigma_hat + lam I is singular at lam = 0.1\n"
+    assert not (tmp_path / "m" / "model.json").exists()
+
+
 def test_fit_config_missing_keys_is_an_error(tmp_path, capsys):
     cfg = tmp_path / "fit.json"
     cfg.write_text(json.dumps({"data": {"designer": {"J": 8, "b": 1.0, "r": 0.5}}}))

@@ -294,6 +294,34 @@ def test_unstable_step_size_detected_before_iterating():
         fit_iterative(fmap, X, y, make_filter("landweber", alpha=1.0), 10)
 
 
+def test_heavyball_stability_bound_grows_with_momentum():
+    # alpha * ||Sigma|| is about 2.5: past Landweber's bound 2, within heavy-ball's 2 (1 + beta) = 3.8
+    X = np.random.default_rng(0).uniform(0, 1, (200, 1))
+    y = np.cos(np.pi * X[:, 0]) + 0.5
+    fmap = sample_feature_map("designer_finite_rank", 1, 1, {"eigenvalues": [25.0]}, 0)
+    hb = make_filter("heavyball", alpha=0.1, beta=0.9)
+    sigma = assemble_empirical_operators(fmap, X, y).sigma
+    assert 2.0 <= hb.alpha * sigma[0, 0] < 2.0 * (1.0 + hb.beta)
+    iterative = fit_iterative(fmap, X, y, hb, 100)
+    spectral = fit_spectral(fmap, X, y, hb, iterations=100)
+    np.testing.assert_allclose(iterative.theta, spectral.theta, rtol=0, atol=1e-8)
+    assert iterative.losses[-1] < iterative.losses[0]
+    # about 4.9 >= 3.8: rejected by the precheck, not by the loss check of a step
+    fmap = sample_feature_map("designer_finite_rank", 1, 1, {"eigenvalues": [50.0]}, 0)
+    with pytest.raises(DivergenceError, match=r"unstable: alpha \* \|\|Sigma\|\| = \S+ >= 3.8$"):
+        fit_iterative(fmap, X, y, hb, 100)
+
+
+def test_singular_tikhonov_system_names_the_filter_and_lambda():
+    # identity NTK with tau = 1e153: Sigma_hat's entries are near 1e305, so adding
+    # lam = 0.1 to its diagonal leaves it singular
+    params = {"tau": 1e153, "rho_max": 1.0, "activation": "identity"}
+    fmap = sample_feature_map("ntk_one_layer", 2, 1, params, 0)
+    X = np.full((1000, 2), 0.5)
+    with pytest.raises(ValueError, match=r"^tikhonov: Sigma_hat \+ lam I is singular at lam = 0.1$"):
+        fit_spectral(fmap, X, np.ones(1000), make_filter("tikhonov"), lam=0.1)
+
+
 def test_fit_spectral_argument_validation(monkeypatch):
     fmap, X, y = _toy()
     tik = make_filter("tikhonov")

@@ -45,10 +45,11 @@ def test_landweber_many_steps_approaches_inverse():
 
 def test_landweber_matches_direct_product_form():
     f = Landweber(alpha=0.3)
-    t = np.array([1e-8, 1e-4, 0.1, 0.9, 2.5])
+    t = np.array([-0.5, 1e-8, 1e-4, 0.1, 0.9, 2.5])
     T = 37
     # the naive form loses ~8 digits to cancellation at the smallest t, so
-    # compare loosely there; the filter itself is the numerically stable one
+    # compare loosely there; the filter itself is the numerically stable one.
+    # The polynomial holds for a negative t too
     direct = (1.0 - (1.0 - 0.3 * t) ** T) / t
     np.testing.assert_allclose(f.value_at_iterations(t, T), direct, rtol=1e-6)
 
@@ -72,6 +73,28 @@ def test_iteration_lambda_correspondence():
         f.lambda_for_iterations(0)
     with pytest.raises(ValueError):
         f.iterations_for_lambda(0.0)
+    # both read resolve; alpha_eff = 0.5 and 0.1, so T <= 1 / alpha_eff caps lambda at 1
+    for filt in (f, Heavyball(alpha=0.05, beta=0.5)):
+        for T in (1, 2, 5, 10, 11, 64, 1000):
+            assert filt.lambda_for_iterations(T) == filt.resolve(iterations=T)[0]
+        assert filt.lambda_for_iterations(2) == min(1.0, 1 / (2 * filt.alpha_eff))
+        for lam in (1.0, 0.7, 0.25, 0.1, 1e-3, 1e-4):
+            assert filt.iterations_for_lambda(lam) == filt.resolve(lam)[1]
+        assert filt.iterations_for_lambda(1.0) == max(1, math.ceil(1 / filt.alpha_eff))
+        with pytest.raises(ValueError, match="iterations must be an integer >= 1, not 2.5"):
+            filt.lambda_for_iterations(2.5)
+        with pytest.raises(ValueError, match=r"lam must lie in \(0, 1\]"):
+            filt.iterations_for_lambda(1.5)
+
+
+@pytest.mark.parametrize("filt", [Landweber(alpha=0.7), Heavyball(alpha=0.1, beta=0.9)])
+def test_zero_iterations_give_the_zero_filter(filt):
+    # both iterations start from 0, so phi_0 = 0 and phi_1 = alpha
+    t = np.linspace(0.0, 1.5, 7)
+    np.testing.assert_array_equal(filt.value_at_iterations(t, 0), np.zeros_like(t))
+    np.testing.assert_allclose(filt.value_at_iterations(t, 1), filt.alpha, rtol=1e-15)
+    with pytest.raises(ValueError, match="T must be >= 0, not -1"):
+        filt.value_at_iterations(t, -1)
 
 
 def test_step_size_validation():
@@ -168,6 +191,54 @@ def test_heavyball_constants_reported_not_certified():
     assert all(e.passed is None for e in report.qualification)
     with pytest.raises(KeyError):
         report.measured_cq(3.0)
+
+
+def _running_max_audit(f, lam_grid, q_values):
+    """The audit's constants as a per-lambda loop with running maxima."""
+    t_grid = np.logspace(-6, 0, 200)
+    sup_tphi = sup_lamphi = sup_res = 0.0
+    cq = {float(q): 0.0 for q in q_values}
+    for lam in lam_grid:
+        phi = f.value(t_grid, float(lam))
+        res = 1.0 - t_grid * phi
+        sup_tphi = max(sup_tphi, float(np.max(np.abs(t_grid * phi))))
+        sup_lamphi = max(sup_lamphi, float(lam * np.max(np.abs(phi))))
+        sup_res = max(sup_res, float(np.max(np.abs(res))))
+        for q in cq:
+            cq[q] = max(cq[q], float(np.max(np.abs(res) * t_grid**q) / lam**q))
+    return {"D": sup_tphi, "E": sup_lamphi, "c0": sup_res}, cq
+
+
+@pytest.mark.parametrize("filt", [
+    make_filter("tikhonov"),
+    make_filter("landweber", alpha=1.0),
+    make_filter("heavyball", alpha=0.1, beta=0.9),
+    make_filter("spectral_cutoff"),
+    make_filter("heavyball", alpha=0.05, beta=0.5),
+])
+def test_audit_constants_equal_a_running_max_loop(filt):
+    # Tikhonov's c_1.5 peaks at the smallest lambda, whose 1.5th power numpy's
+    # vectorized power may round differently from the scalar one (it does on AVX-512)
+    lam_grid = np.logspace(-2.75, 0, 53)
+    q_values = (0.5, 1.0, 1.5, 2.0, 4.0)
+    report = audit_filter(filt, lam_grid=lam_grid, q_values=q_values)
+    measured, cq = _running_max_audit(filt, lam_grid, q_values)
+    assert report.measured == measured
+    assert {e.q: e.measured for e in report.qualification} == cq
+
+
+@pytest.mark.parametrize("kind,kwargs", [
+    ("tikhonov", {}),
+    ("spectral_cutoff", {}),
+    ("landweber", {}),
+    ("heavyball", {"alpha": 0.1, "beta": 0.5}),
+])
+def test_value_takes_the_lambdas_resolve_takes(kind, kwargs):
+    f = make_filter(kind, **kwargs)
+    with pytest.raises(ValueError, match=r"lam must lie in \(0, 1\]"):
+        f.value(np.array([0.5]), 1.5)
+    with pytest.raises(ValueError, match="lam must be a real number, not nan"):
+        audit_filter(f, lam_grid=np.full(60, np.nan))
 
 
 def test_audit_grid_floor():

@@ -393,6 +393,11 @@ def test_rate_sweep_with_an_iterative_filter_runs_fit_iterative(monkeypatch):
     ({"n_grid": 12345}, "plan n_grid must be a list, not 12345"),
     ({"m_grid": [8, None]}, "plan m_grid entry must be an integer >= 1, not None"),
     ({"n_grid": [64, "128"]}, "plan n_grid entry must be an integer >= 1, not '128'"),
+    # a repeated M merged two columns into one cell, and a repeated n gave a nan slope
+    ({"m_grid": [8, 8]}, "plan m_grid repeats entries: 8$"),
+    ({"m_grid": [16, 8, 16.0, 8, 4]}, "plan m_grid repeats entries: 8, 16$"),
+    ({"n_grid": [512] * 5}, "plan n_grid repeats entries: 512$"),
+    ({"n_grid": [64, 128, 256, 512, 512.0]}, "plan n_grid repeats entries: 512$"),
 ])
 def test_plan_grids_are_lists_of_counts(change, named):
     with pytest.raises(ValueError, match=named):
