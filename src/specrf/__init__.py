@@ -9,14 +9,6 @@ from .features import (
     feature_matrix,
     sample_feature_map,
 )
-from .oracles import (
-    DesignerKernel,
-    ExactKernel,
-    GaussianKernel,
-    MonteCarloKernel,
-    krr_gram_fit,
-    krr_predict,
-)
 from .filters import (
     AuditReport,
     Heavyball,
@@ -41,12 +33,15 @@ from .estimator import (
     save_model,
 )
 from .diagnostics import (
+    DesignerKernel,
     DesignerProblem,
     HardLearningError,
+    MonteCarloKernel,
     compute_f_star,
     effective_dimension,
-    effective_dimension_comparison,
     excess_risk_exact,
+    krr_gram_fit,
+    krr_predict,
     make_designer_problem,
     sample_dataset,
     sup_norm_f_star,

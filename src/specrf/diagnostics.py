@@ -1,9 +1,12 @@
-"""Designer problems with exact population quantities.
+"""Exact reference quantities: designer problems and reference kernels.
 
 A designer problem fixes a finite-rank kernel with known eigenpairs and a
 target on the range of a power of its integral operator, so bias,
 variance, excess risk and effective dimension are exact finite sums in
-coefficient space -- no quadrature anywhere.
+coefficient space -- no quadrature anywhere. The reference kernels give
+dense gram matrices and the dual-form ridge solve
+alpha = (K + lambda*n*I)^{-1} y that the random-feature fits are checked
+against.
 """
 from __future__ import annotations
 
@@ -16,6 +19,8 @@ from .estimator import ROW_BLOCK, RfModel
 from .features import (
     DESIGNER_FINITE_RANK,
     FeatureMap,
+    MemoryBudgetError,
+    check_input,
     designer_series,
     feature_matrix,
     real_number,
@@ -23,11 +28,9 @@ from .features import (
     whole_number,
 )
 from .filters import SpectralFilter
-from .oracles import ExactKernel
 
-DEFAULT_DELTA = 0.1
 SUP_NORM_GRID = 2001  # points of the [0,1] grid sup_norm_f_star maximizes over
-EFFDIM_INDETERMINATE = 1e-6
+GRAM_N_CAP = 5000
 
 
 class HardLearningError(ValueError):
@@ -52,9 +55,6 @@ class DesignerProblem:
     @property
     def eigenvalues(self) -> np.ndarray:
         return self.map.params["eigenvalues"]
-
-    def target_values(self, x: np.ndarray) -> np.ndarray:
-        return designer_series(self.g_coeffs, x)
 
     def truncated_map(self, num_features: int) -> FeatureMap:
         """Designer map restricted to the leading eigenpairs."""
@@ -129,7 +129,7 @@ def sample_dataset(
     y = np.empty(n)
     for start in range(0, n, ROW_BLOCK):
         rows = slice(start, start + ROW_BLOCK)
-        y[rows] = problem.target_values(x[rows])
+        y[rows] = designer_series(problem.g_coeffs, x[rows])
     if problem.noise_std > 0:
         y += problem.noise_std * rng.standard_normal(n)
     return x[:, None], y
@@ -211,27 +211,48 @@ def sup_norm_f_star(
     }
 
 
-def effective_dimension_comparison(
-    map_random: FeatureMap,
-    kernel_ref: ExactKernel,
-    X_probe: np.ndarray,
-    lam: float,
-) -> dict:
-    """Empirical N_M(lam) vs N_inf(lam) from probe-set spectra, with the
-    monitored ratio threshold 4(1 + 2 log(2/delta)) at delta = DEFAULT_DELTA."""
-    X_probe = np.asarray(X_probe, dtype=float)
-    n = X_probe.shape[0]
-    if n < 500:
-        raise ValueError("probe set must have at least 500 points")
-    if not 0.0 < lam <= 1.0:
-        raise ValueError("lam must lie in (0, 1]")
-    Z = feature_matrix(map_random, X_probe)
-    eigs_m = np.maximum(np.linalg.eigvalsh(Z.T @ Z / n), 0.0)
-    eigs_ref = np.maximum(np.linalg.eigvalsh(kernel_ref.gram(X_probe)) / n, 0.0)
-    n_m = effective_dimension(eigs_m, lam)
-    n_ref = effective_dimension(eigs_ref, lam)
-    threshold = 4.0 * (1.0 + 2.0 * math.log(2.0 / DEFAULT_DELTA))
-    indeterminate = n_ref < EFFDIM_INDETERMINATE or n_m < EFFDIM_INDETERMINATE
-    ratio = None if indeterminate else n_m / n_ref
-    status = "indeterminate" if indeterminate else "flagged" if ratio > threshold else "ok"
-    return {"N_M": n_m, "N_inf": n_ref, "ratio": ratio, "threshold": threshold, "status": status}
+class MonteCarloKernel:
+    """The kernel K_M = <z(x), z(y)> of a feature map; with a high sample
+    count it serves as a sampled reference kernel."""
+
+    def __init__(self, feature_map: FeatureMap):
+        self.feature_map = feature_map
+
+    def gram(self, X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
+        """K(X, Y) over the rows of X and Y; K(X, X), with X embedded once, when
+        Y is None. Each side must be n x input_dim (features.check_input) with
+        n <= GRAM_N_CAP."""
+        sides = [check_input(self.feature_map, A) for A in ((X,) if Y is None else (X, Y))]
+        rows = max(A.shape[0] for A in sides)
+        if rows > GRAM_N_CAP:
+            raise MemoryBudgetError(f"gram capped at n <= {GRAM_N_CAP}, got n = {rows}")
+        Z = [feature_matrix(self.feature_map, A) for A in sides]
+        return Z[0] @ Z[-1].T
+
+
+class DesignerKernel(MonteCarloKernel):
+    """Finite-rank kernel sum_j mu_j e_j(x) e_j(y) on X = [0,1]: the Gram of the
+    designer map with these eigenvalues, exact because the map has finite rank.
+    The eigenvalues follow the map's rule: finite, positive, non-increasing."""
+
+    def __init__(self, eigenvalues: np.ndarray):
+        params = {"eigenvalues": eigenvalues}
+        super().__init__(sample_feature_map(DESIGNER_FINITE_RANK, 1, np.size(eigenvalues), params, 0))
+
+
+def krr_gram_fit(kernel, X: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
+    """Dual ridge coefficients alpha = (K + lambda*n*I)^{-1} y, for any kernel
+    object with gram(X, Y=None)."""
+    if lam <= 0:
+        raise ValueError("lam must be positive")
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float).reshape(-1)
+    n = X.shape[0]
+    if y.size != n:
+        raise ValueError("X and y length mismatch")
+    return np.linalg.solve(kernel.gram(X) + lam * n * np.eye(n), y)
+
+
+def krr_predict(kernel, X_train: np.ndarray, alpha: np.ndarray, X_test: np.ndarray) -> np.ndarray:
+    """Evaluate x -> sum_i alpha_i k(x_i, x)."""
+    return kernel.gram(np.asarray(X_test, dtype=float), np.asarray(X_train, dtype=float)) @ alpha

@@ -187,7 +187,7 @@ class Heavyball(IterativeFilter):
     name = "heavyball"
     qualification = math.inf
 
-    def __init__(self, alpha: float = 0.25, beta: float = 0.9):
+    def __init__(self, alpha: float = 0.1, beta: float = 0.9):
         self.alpha = real_number(alpha, "heavyball alpha")
         self.beta = real_number(beta, "heavyball beta")
         if self.alpha <= 0:
@@ -252,12 +252,6 @@ class AuditReport:
     measured: dict
     qualification: list[QualificationEntry] = field(default_factory=list)
     passed: bool = False
-
-    def measured_cq(self, q: float) -> float:
-        for entry in self.qualification:
-            if entry.q == q:
-                return entry.measured
-        raise KeyError(f"q = {q} not in audit table")
 
     def to_json(self) -> str:
         return json.dumps(

@@ -27,7 +27,7 @@ from .features import (
     sample_feature_map,
     whole_number,
 )
-from .filters import make_filter
+from .filters import make_filter, qualification_sufficient
 
 RESULTS_HEADER = ("n", "M", "T", "lambda", "rep", "metric", "value")
 SCHEDULE_DELTA_DEFAULT = 2.0 / math.e  # log(2/delta) = 1
@@ -475,7 +475,9 @@ def ols_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 
 def run_rate_sweep(plan: ExperimentPlan, workers: int = 1) -> dict:
     """Exact designer excess risk along the (lambda, M) schedules; fits the
-    log-log rate slope over the n grid."""
+    log-log rate slope over the n grid. "qualification_sufficient" records
+    whether the filter's qualification covers the problem's r, which the
+    rate's guarantee needs (filters.qualification_sufficient)."""
     if plan.experiment != "rate_sweep":
         raise ValueError("plan.experiment must be rate_sweep")
     if len(plan.n_grid) < 5:
@@ -488,15 +490,15 @@ def run_rate_sweep(plan: ExperimentPlan, workers: int = 1) -> dict:
     for n in plan.n_grid:
         lam = lambda_schedule(n, r, b, sched["delta"], sched["C_lambda"])
         m = m_schedule(n, r, b, sched["C_M"])
-        configs.append((n, lam, min(m, problem.rank), m))
+        configs.append((n, lam, filt.resolve(lam)[1], min(m, problem.rank), m))
 
     def trial(ni: int, rep: int):
-        n, lam, m_used, _ = configs[ni]
+        n, lam, T, m_used, _ = configs[ni]
         fmap = problem.truncated_map(m_used)
         X, y = sample_dataset(problem, n, trial_seed(plan.base_seed, ni, 0, 0, rep))
         try:
             if filt.iterative:
-                model = fit_iterative(fmap, X, y, filt, filt.iterations_for_lambda(lam))
+                model = fit_iterative(fmap, X, y, filt, T)
             else:
                 model = fit_spectral(fmap, X, y, filt, lam=lam)
         except (ValueError, RuntimeError) as exc:  # same class, so callers catch it as before
@@ -508,10 +510,11 @@ def run_rate_sweep(plan: ExperimentPlan, workers: int = 1) -> dict:
 
     rows = []
     means = []
-    for ni, (n, lam, m_used, m_sched) in enumerate(configs):
+    for ni, (n, lam, T, m_used, m_sched) in enumerate(configs):
         vals = [outcomes[(ni, rep)] for rep in range(plan.repetitions)]
+        # T is the step count an iterative filter ran, 0 for any other filter
         rows.extend(
-            (n, m_used, 0, lam, rep, "excess_risk", v) for rep, v in enumerate(vals)
+            (n, m_used, T or 0, lam, rep, "excess_risk", v) for rep, v in enumerate(vals)
         )
         means.append(float(np.mean(vals)))
     degenerate = any(m < 1e-12 for m in means)
@@ -522,9 +525,10 @@ def run_rate_sweep(plan: ExperimentPlan, workers: int = 1) -> dict:
         "rows": rows,
         "configs": [
             {"n": n, "lambda": lam, "M": m_used, "M_schedule": m_sched}
-            for n, lam, m_used, m_sched in configs
+            for n, lam, _, m_used, m_sched in configs
         ],
         "mean_excess_risk": means,
+        "qualification_sufficient": qualification_sufficient(filt, r),
         "slope": slope,
         "slope_stderr": se,
         "target_slope": -r / (2.0 * r + b),

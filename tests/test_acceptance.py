@@ -4,14 +4,20 @@ Each test exercises one headline guarantee of the library at its stated
 tolerance and runtime budget, and prints a single PASS/FAIL line so the
 whole battery can be skimmed from the log.
 """
+import json
 import time
 
 import numpy as np
 import pytest
 
+from reference import GaussianKernel
+from specrf.cli import EXIT_OK, main
 from specrf.diagnostics import (
+    MonteCarloKernel,
     compute_f_star,
     effective_dimension,
+    krr_gram_fit,
+    krr_predict,
     make_designer_problem,
 )
 from specrf.estimator import fit_iterative, fit_spectral, predict
@@ -27,7 +33,6 @@ from specrf.harness import (
     run_rate_sweep,
     write_results_csv,
 )
-from specrf.oracles import GaussianKernel, MonteCarloKernel, krr_gram_fit, krr_predict
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -179,7 +184,8 @@ def test_bias_bounded_by_filter_constants():
         q = max(r, 1.0)
         for kind, kwargs in (("landweber", {"alpha": 1.0}), ("spectral_cutoff", {})):
             filt = make_filter(kind, **kwargs)
-            c = audit_filter(filt, q_values=(0.5, 1.0, 1.5, 2.0)).measured_cq(q)
+            report = audit_filter(filt, q_values=(0.5, 1.0, 1.5, 2.0))
+            c = {e.q: e.measured for e in report.qualification}[q]
             for lam in np.logspace(-3, 0, 20):
                 _, bias = compute_f_star(prob, filt, float(lam))
                 bound = 3.0 * prob.R * c * float(lam) ** r
@@ -216,6 +222,34 @@ def test_learning_rate_exponent(filt):
         f"excess-risk rate exponent under the tuned schedules, {filt['kind']}",
         ok,
         f"slope {slope:.3f} +/- {result['slope_stderr']:.3f} vs target {result['target_slope']:.2f}, {elapsed:.0f}s",
+    )
+    assert ok
+
+
+@pytest.mark.parametrize("kind,sufficient", [("tikhonov", False), ("spectral_cutoff", True)])
+def test_rate_exponent_where_qualification_fails(tmp_path, kind, sufficient):
+    # at r = 2 the rate needs qualification nu >= r + 1/2 = 2.5: Tikhonov (nu = 1)
+    # saturates and misses the target slope, spectral cutoff (nu = inf) reaches it
+    t0 = time.monotonic()
+    plan = default_rate_plan(repetitions=10, base_seed=0)
+    plan.problem.update(r=2.0, b=0.5)
+    plan.filter = {"kind": kind}
+    cfg = tmp_path / "plan.json"
+    cfg.write_text(plan.to_json())
+    code = main(["rate-sweep", "--config", str(cfg), "--workers", "2", "--out-dir", str(tmp_path / "out")])
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    gap = abs(summary["slope"] - summary["target_slope"])
+    elapsed = time.monotonic() - t0
+    ok = (
+        code == EXIT_OK
+        and summary["qualification_sufficient"] is sufficient
+        and (gap <= 0.15) is sufficient
+        and elapsed < 600.0
+    )
+    _report(
+        f"rate exponent {'reached' if sufficient else 'missed'} as qualification allows, {kind}",
+        ok,
+        f"slope {summary['slope']:.3f} vs target {summary['target_slope']:.3f}, {elapsed:.0f}s",
     )
     assert ok
 

@@ -499,6 +499,24 @@ def test_bad_csv_option_exits_1_naming_the_option(tmp_path, capsys, option, name
     assert capsys.readouterr().err == f"error: {named}\n"
 
 
+@pytest.mark.parametrize("filt", [{"kind": "tikhonov"}, {"kind": "landweber", "alpha": 0.5}],
+                         ids=["tikhonov", "landweber"])
+def test_rate_sweep_records_the_steps_an_iterative_filter_ran(tmp_path, filt):
+    cfg = tmp_path / "plan.json"
+    cfg.write_text(json.dumps({**_tiny_rate_plan(), "filter": filt}))
+    assert main(["rate-sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == EXIT_OK
+    lines = (tmp_path / "out" / "results.csv").read_text().splitlines()
+    assert lines[0] == "n,M,T,lambda,rep,metric,value"
+    f = specrf.make_filter(**filt)
+    for line in lines[1:]:
+        _, _, T, lam, *_ = line.split(",")
+        assert int(T) == (f.iterations_for_lambda(float(lam)) if f.iterative else 0)
+    if f.iterative:
+        assert len({line.split(",")[2] for line in lines[1:]}) == 5  # one T for each n
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["qualification_sufficient"] is True  # r = 0.5
+
+
 def test_failing_rate_sweep_cell_names_itself(tmp_path, capsys):
     plan = {**_tiny_rate_plan(), "filter": {"kind": "landweber", "alpha": 1.0}}
     plan["problem"] = {**_DESIGNER, "J": 16, "eigenvalue_scale": 5.0}

@@ -1,20 +1,29 @@
 import numpy as np
 import pytest
 
+from reference import GaussianKernel
 from specrf.diagnostics import (
+    DesignerKernel,
     HardLearningError,
+    MonteCarloKernel,
     compute_f_star,
     effective_dimension,
-    effective_dimension_comparison,
     excess_risk_exact,
+    krr_gram_fit,
+    krr_predict,
     make_designer_problem,
     sample_dataset,
     sup_norm_f_star,
 )
 from specrf.estimator import ROW_BLOCK, fit_spectral
-from specrf.features import designer_basis, sample_feature_map
+from specrf.features import (
+    MemoryBudgetError,
+    designer_basis,
+    designer_series,
+    feature_matrix,
+    sample_feature_map,
+)
 from specrf.filters import make_filter
-from specrf.oracles import GaussianKernel
 
 
 def test_problem_construction_known_coefficients():
@@ -59,7 +68,7 @@ def test_dataset_seeded_and_noiseless_exact():
     X2, y2 = sample_dataset(p, 50, 11)
     np.testing.assert_array_equal(X1, X2)
     np.testing.assert_array_equal(y1, y2)
-    np.testing.assert_allclose(y1, p.target_values(X1[:, 0]), atol=1e-13)
+    np.testing.assert_allclose(y1, designer_series(p.g_coeffs, X1[:, 0]), atol=1e-13)
     assert X1.min() >= 0.0 and X1.max() <= 1.0
 
 
@@ -152,17 +161,6 @@ def test_sup_norm_resolves_lambda_from_iterations():
     assert out["within_bound"]
 
 
-def test_effective_dimension_comparison_on_rff():
-    rng = np.random.default_rng(0)
-    X = rng.standard_normal((600, 2))
-    fmap = sample_feature_map("gaussian_rff", 2, 256, {}, 1)
-    out = effective_dimension_comparison(fmap, GaussianKernel(2, 1.0), X, 0.05)
-    assert out["status"] == "ok"
-    assert 0.2 < out["ratio"] < out["threshold"]
-    with pytest.raises(ValueError, match="500"):
-        effective_dimension_comparison(fmap, GaussianKernel(2, 1.0), X[:100], 0.05)
-
-
 @pytest.mark.parametrize("change,named", [
     ({"b": "1.0"}, "designer b must be a real number, not '1.0'"),
     ({"noise_std": None}, "designer noise_std must be a real number, not None"),
@@ -174,3 +172,75 @@ def test_effective_dimension_comparison_on_rff():
 def test_designer_problem_takes_only_real_numbers(change, named):
     with pytest.raises(ValueError, match=named):
         make_designer_problem(**{"J": 8, "b": 1.0, "r": 0.5, **change})
+
+
+def test_designer_kernel_matches_eigen_expansion():
+    mu = np.array([1.0, 0.5, 0.25])
+    k = DesignerKernel(mu)
+    x, y = np.array([0.2]), np.array([0.7])
+    direct = mu[0] + sum(
+        mu[j] * 2.0 * np.cos(j * np.pi * x[0]) * np.cos(j * np.pi * y[0])
+        for j in (1, 2)
+    )
+    assert k.gram(x[None, :], y[None, :])[0, 0] == pytest.approx(direct, abs=1e-14)
+    # the designer map's eigenvalue rule
+    with pytest.raises(ValueError, match="non-increasing"):
+        DesignerKernel(np.array([0.5, 1.0]))
+
+
+def test_monte_carlo_kernel_error_shrinks_with_samples():
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((30, 2))
+    ref = GaussianKernel(2, 1.0).gram(X)
+
+    def med_err(M, seed):
+        km = MonteCarloKernel(sample_feature_map("gaussian_rff", 2, M, {"bandwidth": 1.0}, seed))
+        return np.median(np.abs(km.gram(X) - ref))
+
+    small = np.median([med_err(128, s) for s in range(20)])
+    large = np.median([med_err(2048, s) for s in range(20)])
+    # quadrupling twice should shrink the error by roughly 4x
+    assert 2.5 < small / large < 6.5
+
+
+def test_feature_map_kernel_is_embedding_inner_product():
+    f = sample_feature_map("gaussian_rff", 2, 32, {}, 1)
+    k = MonteCarloKernel(f)
+    rng = np.random.default_rng(1)
+    X = rng.standard_normal((10, 2))
+    Z = feature_matrix(f, X)
+    np.testing.assert_allclose(k.gram(X), Z @ Z.T, atol=1e-13)
+
+
+def test_krr_fit_matches_direct_solve():
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((25, 2))
+    y = rng.standard_normal(25)
+    k = GaussianKernel(2, 1.0)
+    lam = 0.05
+    alpha = krr_gram_fit(k, X, y, lam)
+    # krr_gram_fit solves the system directly, so the reference takes the
+    # eigendecomposition route: alpha = V (V^T y) / (w + lam n)
+    w, V = np.linalg.eigh(k.gram(X))
+    expected = V @ ((V.T @ y) / (w + lam * 25))
+    np.testing.assert_allclose(alpha, expected, atol=1e-10)
+    # predictions at training points interpolate as lam -> 0, up to the
+    # conditioning of the gram matrix
+    tight = krr_predict(k, X, krr_gram_fit(k, X, y, 1e-10), X)
+    np.testing.assert_allclose(tight, y, atol=1e-2)
+
+
+def test_krr_validations():
+    k = GaussianKernel(1, 1.0)
+    X = np.zeros((3, 1))
+    with pytest.raises(ValueError, match="lam"):
+        krr_gram_fit(k, X, np.zeros(3), 0.0)
+    with pytest.raises(ValueError, match="mismatch"):
+        krr_gram_fit(k, X, np.zeros(4), 0.1)
+
+
+def test_gram_size_cap():
+    # the cap is the reference kernels' own: a designer kernel's gram hits it
+    k = DesignerKernel(np.array([1.0, 0.5]))
+    with pytest.raises(MemoryBudgetError, match="capped"):
+        k.gram(np.zeros((5001, 1)))

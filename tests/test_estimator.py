@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from specrf import features, filters
+from specrf.diagnostics import MonteCarloKernel, krr_gram_fit, krr_predict
 from specrf.estimator import (
     ROW_BLOCK,
     DivergenceError,
@@ -24,7 +25,6 @@ from specrf.features import (
     sample_feature_map,
 )
 from specrf.filters import make_filter
-from specrf.oracles import MonteCarloKernel, krr_gram_fit, krr_predict
 
 
 def _toy(seed=0, n=120, d=2, M=24):
