@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
         for flag in names:
             p.add_argument(flag, **flags[flag])
         if name == "diagnose":
-            p.add_argument("--rank", type=int, default=64)
+            p.add_argument("--rank", type=_integer_from(2), default=64)
             p.add_argument("--b", type=float, default=1.0)
             p.add_argument("--r", type=float, default=0.5)
             p.add_argument("--grid-points", type=_integer_from(1), default=20)

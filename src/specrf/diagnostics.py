@@ -118,9 +118,9 @@ def sample_dataset(
 
     All n uniforms are drawn before the n normals. g(x) is the designer series
     (features.designer_series), evaluated ROW_BLOCK rows at a time from
-    angle-addition tables: 2(A + B) trig calls a row, for B the least power of
-    two with B^2 >= J and A = ceil(J / B) (96 for J = 512), and ROW_BLOCK x 2(A + B)
-    floats however large n is, with no ROW_BLOCK x J basis.
+    angle-addition tables filled by rotation: 2 complex exponentials a row, and
+    ROW_BLOCK x 2(A + B) floats however large n is, for B the least power of two
+    with B^2 >= J and A = ceil(J / B), with no ROW_BLOCK x J basis.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -43,7 +43,7 @@ from .filters import IterativeFilter, SpectralFilter, make_filter
 # 8192 rows assembled the moments equally fast within noise on a 2-vCPU host
 # (NTK n = 20000, D = 1152; RFF n = 5000, D = 1414), and a block bounds the
 # embedding's memory at ROW_BLOCK * D floats (a designer block's cosine tables
-# at ROW_BLOCK * 2(A + B), a relu or identity NTK block's factor at
+# at ROW_BLOCK * 2(2A + B), a relu or identity NTK block's factor at
 # ROW_BLOCK * (d+1)M).
 ROW_BLOCK = 4096
 DIVERGENCE_FACTOR = 1e3

@@ -132,46 +132,57 @@ def designer_norms(num_funcs: int) -> np.ndarray:
     return out
 
 
-def _cosine_tables(num_freqs: int, x: np.ndarray):
-    """cos and sin of a*B*pi*x (n x A) and of b*pi*x (n x B), for B the least power
-    of two with B^2 >= num_freqs and A = ceil(num_freqs / B). By angle addition,
-    cos((a*B + b) pi x) = C_hi[:, a] C_lo[:, b] - S_hi[:, a] S_lo[:, b], so the
-    num_freqs cosines of a row cost 2(A + B) trig calls instead of num_freqs."""
+def _rotations(start, angle: np.ndarray, count: int) -> np.ndarray:
+    """start * exp(i k angle) for k < count, as the rows of a complex array, by the
+    rotation z_(k+1) = z_k exp(i angle): one complex exponential per angle."""
+    z = np.empty((count, *np.broadcast_shapes(np.shape(start), angle.shape)), dtype=complex)
+    z[0] = start
+    step = np.exp(1j * angle)
+    for k in range(1, count):
+        np.multiply(z[k - 1], step, out=z[k])
+    return z
+
+
+def _cosine_tables(num_freqs: int, x: np.ndarray, start=1.0):
+    """Angle-addition tables of the cosines cos(k pi x) for k < num_freqs, for B the
+    least power of two with B^2 >= num_freqs and A = ceil(num_freqs / B).
+
+    hi[a] = start * exp(i a B pi x) for a < A (start may be a w x n array of weight
+    columns) and lo[b] = exp(-i b pi x) for b < B, each filled by rotation: two
+    complex exponentials a row, not one trig call per entry. Both are returned as
+    float views, whose last axis holds the (real, imaginary) pairs of the n rows, so
+    the dot product of the pairs hi[a] and lo[b] is start * cos((a B + b) pi x)."""
     B = 1
     while B * B < num_freqs:
         B *= 2
     A = -(-num_freqs // B)
     px = np.pi * np.asarray(x, dtype=float).reshape(-1)
-    hi = np.outer(px, B * np.arange(A))
-    lo = np.outer(px, np.arange(B))
-    return np.cos(hi), np.sin(hi), np.cos(lo), np.sin(lo)
+    return _rotations(start, B * px, A).view(float), _rotations(1.0, -px, B).view(float)
 
 
 def cosine_sums(num_freqs: int, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """sum_i weights[i, w] cos(k pi x_i) for k < num_freqs, as a (w, num_freqs) array:
-    two GEMMs over one table set, however many weight columns."""
-    c_hi, s_hi, c_lo, s_lo = _cosine_tables(num_freqs, x)
-    n, A = c_hi.shape
+    one GEMM over one table set whose hi rotations start from the weight columns."""
+    n = np.size(x)
     weights = np.asarray(weights, dtype=float).reshape(n, -1)
-    w = weights.shape[1]
-    # column v * A + a holds weight column v times table column a
-    wc = (weights[:, :, None] * c_hi[:, None, :]).reshape(n, w * A)
-    ws = (weights[:, :, None] * s_hi[:, None, :]).reshape(n, w * A)
-    sums = wc.T @ c_lo
-    sums -= ws.T @ s_lo
-    return sums.reshape(w, -1)[:, :num_freqs]
+    hi, lo = _cosine_tables(num_freqs, x, weights.T)
+    A, w, B = hi.shape[0], weights.shape[1], lo.shape[0]
+    sums = hi.reshape(A * w, 2 * n) @ lo.T  # row a * w + v: weight column v
+    return sums.reshape(A, w, B).transpose(1, 0, 2).reshape(w, A * B)[:, :num_freqs]
 
 
 def designer_series(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_j coeffs_j e_j(x), which is designer_basis(len(coeffs), x) @ coeffs, from
-    the angle-addition tables: two GEMMs and no n x len(coeffs) basis."""
+    the angle-addition tables: one GEMM and no n x len(coeffs) basis."""
     coeffs = np.asarray(coeffs, dtype=float)
-    c_hi, s_hi, c_lo, s_lo = _cosine_tables(coeffs.size, x)
-    A, B = c_hi.shape[1], c_lo.shape[1]
+    hi, lo = _cosine_tables(coeffs.size, x)
+    A, B = hi.shape[0], lo.shape[0]
     grid = np.zeros(A * B)
     grid[: coeffs.size] = designer_norms(coeffs.size) * coeffs
-    grid = grid.reshape(A, B).T  # [b, a] holds the coefficient of cos((a*B + b) pi x)
-    return np.einsum("ia,ia->i", c_hi, c_lo @ grid) - np.einsum("ia,ia->i", s_hi, s_lo @ grid)
+    # grid[a, b] is the coefficient of cos((a B + b) pi x)
+    partial = grid.reshape(A, B) @ lo
+    # the sum over a of the dot products of the pairs hi[a] and partial[a]
+    return np.einsum("ak,ak->k", hi, partial).reshape(-1, 2).sum(axis=1)
 
 
 def _validate_designer_eigenvalues(mu, rank: int) -> np.ndarray:

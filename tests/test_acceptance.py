@@ -226,14 +226,27 @@ def test_learning_rate_exponent(filt):
     assert ok
 
 
-@pytest.mark.parametrize("kind,sufficient", [("tikhonov", False), ("spectral_cutoff", True)])
-def test_rate_exponent_where_qualification_fails(tmp_path, kind, sufficient):
-    # at r = 2 the rate needs qualification nu >= r + 1/2 = 2.5: Tikhonov (nu = 1)
-    # saturates and misses the target slope, spectral cutoff (nu = inf) reaches it
+_LANDWEBER = {"kind": "landweber", "alpha": 1.0}
+
+
+@pytest.mark.parametrize("r,b,filt,sufficient", [
+    (2.0, 0.5, {"kind": "tikhonov"}, False),
+    (2.0, 0.5, {"kind": "spectral_cutoff"}, True),
+    (2.0, 0.5, _LANDWEBER, True),
+    (0.25, 1.0, {"kind": "tikhonov"}, True),
+    (0.25, 1.0, {"kind": "spectral_cutoff"}, True),
+    (0.25, 1.0, _LANDWEBER, True),
+], ids=["tikhonov-False", "spectral_cutoff-True", "landweber-True", "r0.25-tikhonov-True",
+        "r0.25-spectral_cutoff-True", "r0.25-landweber-True"])
+def test_rate_exponent_where_qualification_fails(tmp_path, r, b, filt, sufficient):
+    # the rate needs qualification nu >= max(1, r + 1/2). At r = 2 that is 2.5, so
+    # Tikhonov (nu = 1) saturates and misses the target slope, while spectral cutoff and
+    # Landweber (nu = inf) reach it. At r = 0.25 the target lies outside the RKHS, nu = 1
+    # suffices, and every filter reaches it.
     t0 = time.monotonic()
     plan = default_rate_plan(repetitions=10, base_seed=0)
-    plan.problem.update(r=2.0, b=0.5)
-    plan.filter = {"kind": kind}
+    plan.problem.update(r=r, b=b)
+    plan.filter = filt
     cfg = tmp_path / "plan.json"
     cfg.write_text(plan.to_json())
     code = main(["rate-sweep", "--config", str(cfg), "--workers", "2", "--out-dir", str(tmp_path / "out")])
@@ -247,7 +260,8 @@ def test_rate_exponent_where_qualification_fails(tmp_path, kind, sufficient):
         and elapsed < 600.0
     )
     _report(
-        f"rate exponent {'reached' if sufficient else 'missed'} as qualification allows, {kind}",
+        f"rate exponent {'reached' if sufficient else 'missed'} as qualification allows, "
+        f"{filt['kind']} at r = {r}, b = {b}",
         ok,
         f"slope {summary['slope']:.3f} vs target {summary['target_slope']:.3f}, {elapsed:.0f}s",
     )

@@ -417,8 +417,10 @@ def test_usage_error_exits_1_with_one_error_line(capsys, argv):
     (["heatmap", "--workers", "0"], "argument --workers: must be an integer >= 1, not '0'"),
     (["rate-sweep", "--workers", "1.5"], "argument --workers: must be an integer >= 1, not '1.5'"),
     (["diagnose", "--grid-points", "-1"], "argument --grid-points: must be an integer >= 1, not '-1'"),
+    (["diagnose", "--rank", "1"], "argument --rank: must be an integer >= 2, not '1'"),
+    (["diagnose", "--rank", "16.5"], "argument --rank: must be an integer >= 2, not '16.5'"),
 ], ids=["fit-negative-seed", "heatmap-string-seed", "heatmap-zero-workers", "rate-fractional-workers",
-        "diagnose-negative-grid-points"])
+        "diagnose-negative-grid-points", "diagnose-rank-1", "diagnose-fractional-rank"])
 def test_bad_flag_value_exits_1_naming_the_flag(capsys, argv, named):
     with pytest.raises(SystemExit) as exc:
         main(argv)
