@@ -155,9 +155,8 @@ def compute_f_star(
 
     coefficient_j = mu_j phi_lambda(mu_j) g_j, bias = ||g - S f*||_{L2}.
     """
-    lam, iterations = filt.resolve(lam, iterations)
     mu = problem.eigenvalues
-    phi = filt.at(mu, lam, iterations)
+    phi = filt.value(mu, lam, iterations)
     coeffs = mu * phi * problem.g_coeffs
     residual = 1.0 - mu * phi
     bias = float(np.sqrt(np.sum((residual * problem.g_coeffs) ** 2)))

@@ -154,11 +154,13 @@ def fit_iterative(
 
     model.losses holds the training loss before the first step and after
     each step. `snapshots` asks for copies of theta after the listed
-    iteration counts; they are returned in model.snapshots keyed by T.
+    iteration counts, each an integer in [1, iterations]; they are returned
+    in model.snapshots keyed by T.
     """
-    if not filt.iterative:
-        raise ValueError("fit_iterative requires a Landweber or Heavyball filter")
-    lam, iterations = filt.resolve(iterations=iterations)
+    lam, iterations = filt.resolve(iterations=iterations)  # rejects a filter that is not iterative
+    wanted = {whole_number(T, "snapshot count") for T in snapshots}
+    if wanted and max(wanted) > iterations:
+        raise ValueError(f"snapshot count {max(wanted)} exceeds iterations = {iterations}")
     moments = assemble_empirical_operators(feature_map, X, y)
     sigma, s, yy = moments.sigma, moments.s, moments.yy
 
@@ -179,7 +181,6 @@ def fit_iterative(
     theta = np.zeros_like(s)
     sigma_theta = np.zeros_like(s)  # Sigma @ theta, shared by a step's loss and the next gradient
     losses = [yy]
-    wanted = {int(T) for T in snapshots}
     taken: dict[int, np.ndarray] = {}
     initial_loss = max(yy, 1e-300)
     for t in range(1, iterations + 1):

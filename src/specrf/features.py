@@ -210,11 +210,7 @@ def sample_feature_map(
     input_dim = whole_number(input_dim, "input_dim")
     num_samples = whole_number(num_samples, "num_samples")
     seed = whole_number(seed, "feature map seed", least=0)
-    if not isinstance(params, dict):
-        raise ValueError(f"feature map params must be a JSON object, not {type(params).__name__}")
-    unknown = sorted(set(params) - set(PARAMS[kind]))
-    if unknown:
-        raise ValueError(f"feature map {kind} does not take params: {', '.join(unknown)}")
+    check_keys(params, "feature map params", (), PARAMS[kind], kind)
     params = {**PARAMS[kind], **params}
     for key, default in PARAMS[kind].items():
         if isinstance(default, float):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .features import real_number, whole_number
+from .features import call_checked, real_number, whole_number
 
 AUDIT_SLACK = 1e-9
 EIG_DIM_CAP = 4096  # the largest Sigma that SpectralFilter.apply eigendecomposes
@@ -31,8 +31,14 @@ class SpectralFilter:
     c0: float = 1.0
     qualification: float = 1.0
 
-    def value(self, t, lam: float):
-        """phi_lambda(t); vectorized over t, continuous extension at t = 0."""
+    def value(self, t, lam: float | None = None, iterations: int | None = None):
+        """phi(t) at the (lambda, T) pair resolve(lam, iterations) gives; vectorized
+        over t, continuous extension at t = 0."""
+        lam, iterations = self.resolve(lam, iterations)
+        return self._phi(np.asarray(t, dtype=float), lam, iterations)
+
+    def _phi(self, t: np.ndarray, lam: float, iterations: int | None) -> np.ndarray:
+        """Each kind's phi on a float array t, at a pair resolve has checked."""
         raise NotImplementedError
 
     def declared_cq(self, q: float) -> float | None:
@@ -56,7 +62,7 @@ class SpectralFilter:
             lam = real_number(lam, "lam")
         if iterations is not None:
             if not self.iterative:
-                raise ValueError(f"{self.name} does not take an iteration count")
+                raise ValueError(f"filter {self.name} is not iterative and takes no iteration count")
             iterations = whole_number(iterations, "iterations")
         if lam is None:
             lam = min(1.0, 1.0 / (self.alpha_eff * iterations))
@@ -68,21 +74,15 @@ class SpectralFilter:
 
     def apply(self, sigma: np.ndarray, s: np.ndarray, lam: float, iterations: int | None):
         """phi(Sigma) s for a symmetric PSD Sigma, with (lam, iterations) as
-        resolve returns them: Sigma's eigenvalues are filtered through at,
+        resolve returns them: Sigma's eigenvalues are filtered through value,
         and the negatives that round-off can leave count as 0. A Sigma larger
         than EIG_DIM_CAP is rejected before the eigendecomposition."""
         dim = sigma.shape[0]
         if dim > EIG_DIM_CAP:
             raise ValueError(f"embedding dimension {dim} exceeds eigensolver cap {EIG_DIM_CAP}")
         evals, evecs = np.linalg.eigh(sigma)
-        phi = self.at(np.maximum(evals, 0.0), lam, iterations)
+        phi = self.value(np.maximum(evals, 0.0), lam, iterations)
         return evecs @ (phi * (evecs.T @ s))
-
-    def at(self, t, lam: float, iterations: int | None):
-        """phi(t) at (lam, T) as resolve returns them: value_at_iterations if T is set, else value."""
-        if iterations is None:
-            return self.value(t, lam)
-        return self.value_at_iterations(t, iterations)
 
     def descriptor(self) -> dict:
         """{"kind": name} plus each constructor parameter, the keys make_filter takes."""
@@ -93,9 +93,8 @@ class SpectralFilter:
 class Tikhonov(SpectralFilter):
     name = "tikhonov"
 
-    def value(self, t, lam):
-        lam = self.resolve(lam)[0]
-        return 1.0 / (np.asarray(t, dtype=float) + lam)
+    def _phi(self, t, lam, iterations):
+        return 1.0 / (t + lam)
 
     def apply(self, sigma, s, lam, iterations):
         """(Sigma + lam I)^{-1} s by one linear solve, with no eigendecomposition;
@@ -117,9 +116,7 @@ class SpectralCutoff(SpectralFilter):
     name = "spectral_cutoff"
     qualification = math.inf
 
-    def value(self, t, lam):
-        lam = self.resolve(lam)[0]
-        t = np.asarray(t, dtype=float)
+    def _phi(self, t, lam, iterations):
         # t = lambda is included in the inverted region
         return np.where(t >= lam, 1.0 / np.maximum(t, lam), 0.0)
 
@@ -136,24 +133,16 @@ class IterativeFilter(SpectralFilter):
         """The step size per iteration in the long run, alpha / (1 - beta)."""
         return self.alpha / (1.0 - self.beta)
 
-    def lambda_for_iterations(self, T: int) -> float:
-        return self.resolve(iterations=T)[0]
-
     def iterations_for_lambda(self, lam: float) -> int:
         return self.resolve(lam)[1]
 
-    def value(self, t, lam):
-        return self.value_at_iterations(t, self.resolve(lam)[1])
-
     def value_at_iterations(self, t, T: int):
         """phi_T(t), the T-step polynomial of the iteration started at 0 (as
-        fit_iterative starts from theta = 0), so phi_0 = 0; T may not be negative."""
+        fit_iterative starts from theta = 0), so phi_0 = 0; T may not be negative.
+        value's T >= 1 is checked by resolve; this is the one entry for T = 0."""
         if T < 0:
             raise ValueError(f"T must be >= 0, not {T!r}")
-        return self._polynomial(np.asarray(t, dtype=float), T)
-
-    def _polynomial(self, t: np.ndarray, T: int) -> np.ndarray:
-        raise NotImplementedError
+        return self._phi(np.asarray(t, dtype=float), None, T)
 
 
 class Landweber(IterativeFilter):
@@ -166,7 +155,7 @@ class Landweber(IterativeFilter):
             raise ValueError("step size alpha must lie in (0, 1]")
         self.E = 1.0 + self.alpha
 
-    def _polynomial(self, t, T):
+    def _phi(self, t, lam, T):
         # (1 - (1-alpha t)^T)/t; t=0 -> alpha*T
         out = np.full_like(t, float(self.alpha * T))
         # expm1/log1p avoids cancellation while alpha*t < 1; from 1 on the
@@ -206,7 +195,7 @@ class Heavyball(IterativeFilter):
         self.D = 1.0 + self.c0
         self.E = (1.0 + self.c0) * (1.0 + self.alpha_eff)
 
-    def _polynomial(self, t, T):
+    def _phi(self, t, lam, T):
         # scalar shadow of the momentum iteration on a quadratic, from u_0 = u_{-1} = 0
         u_prev = u = np.zeros_like(t)
         for _ in range(T):
@@ -222,10 +211,7 @@ def make_filter(kind: str | None = None, **kwargs) -> SpectralFilter:
     cls = next((c for c in kinds if c.name == kind), None)
     if cls is None:
         raise ValueError(f"unknown filter kind {kind!r}")
-    unknown = sorted(set(kwargs) - set(inspect.signature(cls).parameters))
-    if unknown:
-        raise ValueError(f"filter {kind} does not take keys: {', '.join(unknown)}")
-    return cls(**kwargs)
+    return call_checked(cls, kwargs, f"filter {kind}")
 
 
 def qualification_sufficient(f: SpectralFilter, r: float) -> bool:

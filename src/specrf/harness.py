@@ -7,6 +7,7 @@ reordering and any worker count.
 from __future__ import annotations
 
 import csv
+import inspect
 import itertools
 import json
 import math
@@ -73,6 +74,8 @@ def lambda_schedule(
     _check_regime(n, r, b)
     if not 0.0 < delta < 2.0:
         raise ValueError("delta must lie in (0, 2)")
+    if C_lambda <= 0:
+        raise ValueError(f"C_lambda must be positive, not {C_lambda!r}")
     return min(1.0, C_lambda * n ** (-1.0 / (2.0 * r + b)) * math.log(2.0 / delta) ** 3)
 
 
@@ -87,6 +90,8 @@ def m_schedule_exponent(r: float, b: float) -> float:
 def m_schedule(n: int, r: float, b: float, C_M: float = 4.0) -> int:
     """Feature-count schedule M = ceil(C_M * log(n) * n^e), regime-dependent e."""
     _check_regime(n, r, b)
+    if C_M <= 0:
+        raise ValueError(f"C_M must be positive, not {C_M!r}")
     return math.ceil(C_M * math.log(n) * n ** m_schedule_exponent(r, b))
 
 
@@ -225,11 +230,8 @@ class ExperimentPlan:
             if repeated:
                 raise ValueError(f"plan {key} repeats entries: {', '.join(map(str, repeated))}")
             setattr(self, key, grid)
-        sched = {
-            "C_lambda": 1.0,
-            "C_M": 4.0,
-            "delta": SCHEDULE_DELTA_DEFAULT,
-        }
+        sched = {key: p.default for fn in (lambda_schedule, m_schedule)
+                 for key, p in inspect.signature(fn).parameters.items() if p.default is not p.empty}
         check_keys(self.schedule, "plan schedule", (), sched, "lambda_schedule or m_schedule")
         self.schedule = {**sched, **self.schedule}
         for key, value in self.schedule.items():
@@ -355,9 +357,7 @@ def run_heatmap(plan: ExperimentPlan, workers: int = 1) -> dict:
 def _heatmap_grid(plan: ExperimentPlan, workers: int, draw, input_dim: int) -> dict:
     """run_heatmap on the problem that _heatmap_problem(plan) returned."""
     filt = make_filter(**check_object(plan.filter, "plan filter"))  # make_filter checks the keys
-    if not filt.iterative:
-        raise ValueError("heatmap requires an iterative filter")
-    try:  # resolve checks each T before any trial runs
+    try:  # resolve checks each T, and that the filter is iterative, before any trial runs
         t_grid = sorted({filt.resolve(iterations=t)[1] for t in plan.t_grid})
     except ValueError as exc:
         raise ValueError(f"plan t_grid: {exc}") from None
@@ -391,7 +391,7 @@ def _heatmap_grid(plan: ExperimentPlan, workers: int, draw, input_dim: int) -> d
                 failures.append({"M": m, "T": t, "rep": rep, "error": err})
                 continue
             rows.append(
-                (plan.n_train, m, t, filt.lambda_for_iterations(t), rep, "test_mse", value)
+                (plan.n_train, m, t, filt.resolve(iterations=t)[0], rep, "test_mse", value)
             )
     cells = {}
     for n, m, t, lam, rep, _, value in rows:
@@ -454,9 +454,7 @@ def run_plateau_check(plan: ExperimentPlan, heatmap: dict | None = None, workers
 
 def _problem_from_plan(plan: ExperimentPlan) -> DesignerProblem:
     _, conf = _problem_conf(plan, "designer")
-    # the plan's keys override these; make_designer_problem requires J, b and r and
-    # defaults noise_std to 0.1
-    defaults = {"J": 512, "b": 1.0, "r": 0.5, "noise_std": 0.5}
+    _, defaults = _problem_conf(default_rate_plan(), "designer")  # the plan's keys override these
     return call_checked(make_designer_problem, {**defaults, **conf}, "designer problem",
                         seed=plan.base_seed)
 

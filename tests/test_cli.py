@@ -231,7 +231,7 @@ def test_fit_config_missing_keys_is_an_error(tmp_path, capsys):
      "data.options keys not taken by ingest_csv_dataset: stdz"),
     ({"data": {"path": "train.csv", "options": {"path": "b.csv"}}}, "ingest_csv_dataset: path"),
     ({"filter": {"alpha": 0.5}}, "filter is missing required keys: kind"),
-    ({"filter": {"kind": "tikhonov", "alpha": 0.5}}, "filter tikhonov does not take keys: alpha"),
+    ({"filter": {"kind": "tikhonov", "alpha": 0.5}}, "filter tikhonov keys not taken by Tikhonov: alpha"),
 ])
 def test_fit_config_nested_key_errors(tmp_path, capsys, change, named):
     config = {
@@ -324,6 +324,11 @@ _DESIGNER = {"type": "designer", "J": 8, "b": 1.0, "r": 0.5}
     ("heatmap", {"base_seed": "x"}, "plan base_seed must be an integer >= 0, not 'x'"),
     ("rate-sweep", {"schedule": {"C_M": "4"}}, "plan schedule C_M must be a real number, not '4'"),
     ("rate-sweep", {"schedule": {"r": 0.5}}, "plan schedule keys not taken by lambda_schedule or m_schedule: r"),
+    ("rate-sweep", {"schedule": {"C_M": -1}}, "C_M must be positive, not -1"),
+    ("rate-sweep", {"schedule": {"C_M": 0}}, "C_M must be positive, not 0"),
+    ("rate-sweep", {"schedule": {"C_lambda": 0}}, "C_lambda must be positive, not 0"),
+    ("heatmap", {"filter": {"kind": "tikhonov"}},
+     "plan t_grid: filter tikhonov is not iterative and takes no iteration count"),
     ("heatmap", {"plateau_tol": "x"}, "plan plateau_tol must be a real number, not 'x'"),
     *[("fit", {"data": {**_FIT_CONFIG["data"], "n": n}}, f"fit config data n must be an integer >= 1, not {n!r}")
       for n in (100.5, "100", True)],
@@ -368,7 +373,8 @@ _DESIGNER = {"type": "designer", "J": 8, "b": 1.0, "r": 0.5}
     "heatmap-t_grid-zero", "heatmap-t_grid-fraction", "heatmap-n_train-zero",
     "fit-fractional-num_samples", "heatmap-fractional-m_grid", "rate-fractional-n_grid",
     "plan-fractional-repetitions", "plan-string-n_train", "plan-string-base_seed",
-    "rate-schedule-string", "rate-schedule-r", "plan-string-plateau_tol",
+    "rate-schedule-string", "rate-schedule-r", "rate-negative-C_M", "rate-zero-C_M",
+    "rate-zero-C_lambda", "heatmap-tikhonov", "plan-string-plateau_tol",
     "fit-fractional-n", "fit-string-n", "fit-bool-n", "fit-landweber-string-alpha",
     "fit-heavyball-null-beta", "fit-designer-string-b", "fit-designer-null-noise_std",
     "fit-designer-list-R", "fit-designer-string-eigenvalue_scale", "heatmap-scalar-m_grid",

@@ -1,5 +1,6 @@
 import base64
 import json
+import re
 
 import numpy as np
 import pytest
@@ -281,6 +282,27 @@ def test_snapshots_track_requested_iterations():
     np.testing.assert_array_equal(model.snapshots[16], model.theta)
     # earlier snapshots are genuinely different iterates
     assert not np.allclose(model.snapshots[1], model.theta)
+    again = fit_iterative(fmap, X, y, make_filter("landweber", alpha=0.5), 16, snapshots=(4.0, 16))
+    assert sorted(again.snapshots) == [4, 16] and all(type(T) is int for T in again.snapshots)
+
+
+@pytest.mark.parametrize("snapshots,named", [
+    ((0,), "snapshot count must be an integer >= 1, not 0"),
+    ((4, 32), "snapshot count 32 exceeds iterations = 16"),
+    ((2.5,), "snapshot count must be an integer >= 1, not 2.5"),
+    ((True,), "snapshot count must be an integer >= 1, not True"),
+    ((0, 32, 2.5, True), "snapshot count"),
+])
+def test_fit_iterative_rejects_a_snapshot_count_outside_1_to_iterations(snapshots, named):
+    fmap, X, y = _toy(seed=8)
+    with pytest.raises(ValueError, match=f"^{re.escape(named)}"):
+        fit_iterative(fmap, X, y, make_filter("landweber", alpha=0.5), 16, snapshots=snapshots)
+
+
+def test_fit_iterative_rejects_a_filter_that_is_not_iterative():
+    fmap, X, y = _toy()
+    with pytest.raises(ValueError, match="^filter tikhonov is not iterative"):
+        fit_iterative(fmap, X, y, make_filter("tikhonov"), 8)
 
 
 def test_unstable_step_size_detected_before_iterating():
@@ -327,7 +349,7 @@ def test_fit_spectral_argument_validation(monkeypatch):
     tik = make_filter("tikhonov")
     with pytest.raises(ValueError, match="lam or iterations"):
         fit_spectral(fmap, X, y, tik)
-    with pytest.raises(ValueError, match="iteration count"):
+    with pytest.raises(ValueError, match="^filter tikhonov is not iterative and takes no iteration count$"):
         fit_spectral(fmap, X, y, tik, iterations=5)
     with pytest.raises(ValueError, match="lam must lie"):
         fit_spectral(fmap, X, y, tik, lam=1.5)

@@ -66,23 +66,22 @@ def test_heavyball_zero_momentum_equals_plain_gradient():
 
 def test_iteration_lambda_correspondence():
     f = Landweber(alpha=0.5)
-    assert f.lambda_for_iterations(8) == pytest.approx(0.25)
+    assert f.resolve(iterations=8)[0] == pytest.approx(0.25)
     assert f.iterations_for_lambda(0.25) == 8
-    assert f.lambda_for_iterations(1) == 1.0  # capped at 1
+    assert f.resolve(iterations=1)[0] == 1.0  # capped at 1
     with pytest.raises(ValueError):
-        f.lambda_for_iterations(0)
+        f.resolve(iterations=0)
     with pytest.raises(ValueError):
         f.iterations_for_lambda(0.0)
-    # both read resolve; alpha_eff = 0.5 and 0.1, so T <= 1 / alpha_eff caps lambda at 1
+    # alpha_eff = 0.5 and 0.1, so T <= 1 / alpha_eff caps lambda at 1
     for filt in (f, Heavyball(alpha=0.05, beta=0.5)):
         for T in (1, 2, 5, 10, 11, 64, 1000):
-            assert filt.lambda_for_iterations(T) == filt.resolve(iterations=T)[0]
-        assert filt.lambda_for_iterations(2) == min(1.0, 1 / (2 * filt.alpha_eff))
+            assert filt.resolve(iterations=T)[0] == min(1.0, 1 / (filt.alpha_eff * T))
         for lam in (1.0, 0.7, 0.25, 0.1, 1e-3, 1e-4):
             assert filt.iterations_for_lambda(lam) == filt.resolve(lam)[1]
         assert filt.iterations_for_lambda(1.0) == max(1, math.ceil(1 / filt.alpha_eff))
         with pytest.raises(ValueError, match="iterations must be an integer >= 1, not 2.5"):
-            filt.lambda_for_iterations(2.5)
+            filt.resolve(iterations=2.5)
         with pytest.raises(ValueError, match=r"lam must lie in \(0, 1\]"):
             filt.iterations_for_lambda(1.5)
 
@@ -132,7 +131,7 @@ def test_make_filter_unknown_kind():
     ("heavyball", {"alpha": 0.1, "momentum": 0.5}, "momentum"),
 ])
 def test_make_filter_rejects_keys_its_kind_does_not_take(kind, kwargs, named):
-    with pytest.raises(ValueError, match=f"filter {kind} does not take keys: {named}$"):
+    with pytest.raises(ValueError, match=rf"^filter {kind} keys not taken by \w+: {named}$"):
         make_filter(kind, **kwargs)
 
 
@@ -247,6 +246,23 @@ def test_value_takes_the_lambdas_resolve_takes(kind, kwargs):
         f.value(np.array([0.5]), 1.5)
     with pytest.raises(ValueError, match="lam must be a real number, not nan"):
         audit_filter(f, lam_grid=np.full(60, np.nan))
+    # value evaluates at the pair resolve gives, as fit_spectral's apply does
+    t = np.linspace(0.0, 1.5, 7)
+    with pytest.raises(ValueError, match="one of lam or iterations is required"):
+        f.value(t)
+    if not f.iterative:
+        with pytest.raises(ValueError, match=f"^filter {kind} is not iterative and takes no iteration count$"):
+            f.value(t, 0.1, 8)
+        return
+    for T in (1, 8, 64):
+        want = f.value_at_iterations(t, T)
+        np.testing.assert_array_equal(f.value(t, iterations=T), want)
+        np.testing.assert_array_equal(f.value(t, f.resolve(iterations=T)[0], T), want)
+    for lam in (1.0, 0.25, 1e-3):
+        want = f.value_at_iterations(t, f.iterations_for_lambda(lam))
+        np.testing.assert_array_equal(f.value(t, lam), want)
+    with pytest.raises(ValueError, match="iterations must be an integer >= 1, not 0"):
+        f.value(t, iterations=0)
 
 
 def test_audit_grid_floor():

@@ -10,6 +10,7 @@ from specrf import harness
 from specrf.features import sample_feature_map
 from specrf.filters import make_filter
 from specrf.harness import (
+    SCHEDULE_DELTA_DEFAULT,
     ExperimentPlan,
     _heatmap_problem,
     default_heatmap_plan,
@@ -72,6 +73,11 @@ def test_schedule_preconditions():
         lambda_schedule(4, 0.5, 1.0)
     with pytest.raises(ValueError, match="delta"):
         lambda_schedule(100, 0.5, 1.0, delta=2.5)
+    for C in (0, 0.0, -1.0):
+        with pytest.raises(ValueError, match=f"^C_lambda must be positive, not {C!r}$"):
+            lambda_schedule(100, 0.5, 1.0, C_lambda=C)
+        with pytest.raises(ValueError, match=f"^C_M must be positive, not {C!r}$"):
+            m_schedule(100, 0.5, 1.0, C_M=C)
 
 
 def test_ingest_basic_and_label_column(tmp_path):
@@ -160,7 +166,8 @@ def test_plan_roundtrip_and_validation():
         ExperimentPlan(experiment="mystery")
     with pytest.raises(ValueError, match="repetitions"):
         ExperimentPlan(experiment="heatmap", repetitions=0)
-    assert plan.schedule["C_lambda"] == 1.0  # defaults filled in
+    # the schedule's defaults are those of lambda_schedule and m_schedule
+    assert plan.schedule == {"C_lambda": 1.0, "C_M": 4.0, "delta": SCHEDULE_DELTA_DEFAULT}
 
 
 def _tiny_heatmap_plan(seed=0):
@@ -238,7 +245,7 @@ def test_heatmap_deterministic_across_workers():
 def test_heatmap_requires_iterative_filter():
     plan = _tiny_heatmap_plan()
     plan.filter = {"kind": "tikhonov"}
-    with pytest.raises(ValueError, match="iterative"):
+    with pytest.raises(ValueError, match="^plan t_grid: filter tikhonov is not iterative"):
         run_heatmap(plan)
 
 
@@ -294,6 +301,16 @@ def test_rate_sweep_needs_enough_grid_points():
     plan.n_grid = [512, 1024]
     with pytest.raises(ValueError, match="5 points"):
         run_rate_sweep(plan)
+
+
+def test_designer_problem_defaults_are_the_default_rate_plan_problem():
+    def rows(problem):
+        plan = ExperimentPlan(experiment="rate_sweep", base_seed=3, repetitions=1,
+                              n_grid=[64, 128, 256, 512, 1024], problem=problem,
+                              filter={"kind": "tikhonov"})
+        return run_rate_sweep(plan)["rows"]
+
+    assert rows({"type": "designer"}) == rows(default_rate_plan().problem)
 
 
 def test_rate_sweep_caps_features_at_problem_rank():
