@@ -11,6 +11,7 @@ from .features import (
 )
 from .filters import (
     AuditReport,
+    DivergenceError,
     Heavyball,
     Landweber,
     SpectralCutoff,
@@ -21,7 +22,6 @@ from .filters import (
     qualification_sufficient,
 )
 from .estimator import (
-    DivergenceError,
     Moments,
     RfModel,
     assemble_empirical_operators,

@@ -37,7 +37,7 @@ from .features import (
     sample_feature_map,
     whole_number,
 )
-from .filters import IterativeFilter, SpectralFilter, make_filter
+from .filters import DivergenceError, IterativeFilter, SpectralFilter, make_filter
 
 # rows read at a time by the moments and by predict. Blocks of 2048 to
 # 8192 rows assembled the moments equally fast within noise on a 2-vCPU host
@@ -46,12 +46,7 @@ from .filters import IterativeFilter, SpectralFilter, make_filter
 # at ROW_BLOCK * 2(2A + B), a relu or identity NTK block's factor at
 # ROW_BLOCK * (d+1)M).
 ROW_BLOCK = 4096
-DIVERGENCE_FACTOR = 1e3
 MODEL_FORMAT = 1  # written by save_model; load_model reads only this format
-
-
-class DivergenceError(RuntimeError):
-    """Training loss blew up; the step size is unstable for this problem."""
 
 
 @dataclass
@@ -164,33 +159,22 @@ def fit_iterative(
     moments = assemble_empirical_operators(feature_map, X, y)
     sigma, s, yy = moments.sigma, moments.s, moments.yy
 
-    # stability precheck: the iteration is stable iff alpha * ||Sigma|| < 2 (1 + beta),
-    # and the trace bounds the spectral norm
-    alpha, beta = filt.alpha, filt.beta
-    limit = 2.0 * (1.0 + beta)
-    bound = float(np.trace(sigma))
-    if alpha * bound >= limit:
-        # trace is loose; fall back to the exact top eigenvalue
-        bound = float(np.linalg.eigvalsh(sigma)[-1])
-        if alpha * bound >= limit:
-            raise DivergenceError(
-                f"step size {alpha} unstable: alpha * ||Sigma|| = {alpha * bound:.3g} >= {limit:.3g}"
-            )
+    try:  # the one stability rule, at the trace, which bounds ||Sigma||; eigvalsh only if it is loose
+        filt.check_stable(float(np.trace(sigma)))
+    except DivergenceError:
+        filt.check_stable(float(np.linalg.eigvalsh(sigma)[-1]))
 
+    alpha, beta = filt.alpha, filt.beta
     theta_prev = np.zeros_like(s)
     theta = np.zeros_like(s)
     sigma_theta = np.zeros_like(s)  # Sigma @ theta, shared by a step's loss and the next gradient
     losses = [yy]
     taken: dict[int, np.ndarray] = {}
-    initial_loss = max(yy, 1e-300)
     for t in range(1, iterations + 1):
         theta_next = theta - alpha * (sigma_theta - s) + beta * (theta - theta_prev)
         theta_prev, theta = theta, theta_next
         sigma_theta = sigma @ theta
-        loss = float(theta @ sigma_theta - 2.0 * theta @ s + yy)
-        if loss > DIVERGENCE_FACTOR * initial_loss:
-            raise DivergenceError(f"training loss diverged at iteration {t}")
-        losses.append(loss)
+        losses.append(float(theta @ sigma_theta - 2.0 * theta @ s + yy))
         if t in wanted:
             taken[t] = theta.copy()
     return RfModel(

@@ -21,6 +21,10 @@ EIG_DIM_CAP = 4096  # the largest Sigma that SpectralFilter.apply eigendecompose
 DEFAULT_Q_VALUES = (0.5, 1.0, 1.5, 2.0)
 
 
+class DivergenceError(RuntimeError):
+    """The step size is unstable for this Sigma_hat: the iteration would blow up."""
+
+
 class SpectralFilter:
     """Immutable filter family; subclasses define the scalar function."""
 
@@ -76,11 +80,14 @@ class SpectralFilter:
         """phi(Sigma) s for a symmetric PSD Sigma, with (lam, iterations) as
         resolve returns them: Sigma's eigenvalues are filtered through value,
         and the negatives that round-off can leave count as 0. A Sigma larger
-        than EIG_DIM_CAP is rejected before the eigendecomposition."""
+        than EIG_DIM_CAP is rejected before the eigendecomposition, and an
+        iterative filter's step size by check_stable at the top eigenvalue."""
         dim = sigma.shape[0]
         if dim > EIG_DIM_CAP:
             raise ValueError(f"embedding dimension {dim} exceeds eigensolver cap {EIG_DIM_CAP}")
         evals, evecs = np.linalg.eigh(sigma)
+        if self.iterative:
+            self.check_stable(float(evals[-1]))
         phi = self.value(np.maximum(evals, 0.0), lam, iterations)
         return evecs @ (phi * (evecs.T @ s))
 
@@ -143,6 +150,16 @@ class IterativeFilter(SpectralFilter):
         if T < 0:
             raise ValueError(f"T must be >= 0, not {T!r}")
         return self._phi(np.asarray(t, dtype=float), None, T)
+
+    def check_stable(self, norm: float) -> None:
+        """Raise DivergenceError unless alpha * norm < 2 (1 + beta): the (momentum)
+        iteration on a Sigma of spectral norm `norm` is stable iff it holds
+        (Pagliana & Rosasco 2019), and both fit paths apply this one rule."""
+        scaled, limit = self.alpha * norm, 2.0 * (1.0 + self.beta)
+        if scaled >= limit:
+            raise DivergenceError(
+                f"step size {self.alpha} unstable: alpha * ||Sigma|| = {scaled:.3g} >= {limit:.3g}"
+            )
 
 
 class Landweber(IterativeFilter):

@@ -13,7 +13,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -236,6 +236,13 @@ class ExperimentPlan:
         self.schedule = {**sched, **self.schedule}
         for key, value in self.schedule.items():
             real_number(value, f"plan schedule {key}")
+        defaults = {f.name: f.default if f.default_factory is MISSING else f.default_factory()
+                    for f in fields(self) if f.name != "schedule"}
+        unread = ("n_grid", "schedule") if self.experiment != "rate_sweep" else (
+            "n_train", "n_test", "m_grid", "t_grid", "feature_map", "plateau_tol")
+        for key in unread:  # a field its experiment never reads holds its default (sched for schedule)
+            if getattr(self, key) != defaults.get(key, sched):
+                raise ValueError(f"plan {key} is not read by a {self.experiment} plan; leave it out")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2)
@@ -339,13 +346,25 @@ def _heatmap_problem(plan: ExperimentPlan):
 # Runners
 
 
-def _run_trials(trial, keys, workers: int) -> dict:
-    """{key: trial(*key)} over `keys`, on a pool of `workers` threads."""
+def _run_cells(trial, keys, workers: int) -> tuple[list, list, dict]:
+    """Run trial(*key) over `keys`, on a pool of `workers` threads. Each trial returns
+    (row, error) pairs: a results.csv row and None, or the row its failed cell would
+    have had and the error's repr. Returns, in key order, the rows of the cells that
+    ran, the failed-cell records, and {(n, M, T): [value, ...]} over those rows."""
     if workers <= 1:
-        return {key: trial(*key) for key in keys}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {key: pool.submit(trial, *key) for key in keys}
-        return {key: fut.result() for key, fut in futures.items()}
+        outcomes = list(itertools.starmap(trial, keys))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            outcomes = [fut.result() for fut in [pool.submit(trial, *key) for key in keys]]
+    rows, failures, cells = [], [], {}
+    for row, error in itertools.chain.from_iterable(outcomes):
+        n, m, t, _, rep, _, value = row
+        if error is None:
+            rows.append(row)
+            cells.setdefault((n, m, t), []).append(value)
+        else:
+            failures.append({"M": m, "T": t, "rep": rep, "error": error})
+    return rows, failures, cells
 
 
 def run_heatmap(plan: ExperimentPlan, workers: int = 1) -> dict:
@@ -364,38 +383,27 @@ def _heatmap_grid(plan: ExperimentPlan, workers: int, draw, input_dim: int) -> d
     fm = {"params": {}, **check_object(plan.feature_map, "plan feature_map")}  # checked once here
     call_checked(sample_feature_map, fm, "plan feature_map", input_dim=input_dim,
                  num_samples=plan.m_grid[0], seed=plan.base_seed)
+    lams = {t: filt.resolve(iterations=t)[0] for t in t_grid}
 
     def trial(mi: int, rep: int):
         m = plan.m_grid[mi]
         seed = trial_seed(plan.base_seed, 0, mi, 0, rep)
         X_tr, y_tr, X_te, y_te = draw(seed)
         fmap = sample_feature_map(**fm, input_dim=input_dim, num_samples=m, seed=trial_seed(seed, 2))
+        heads = [(plan.n_train, m, t, lams[t], rep, "test_mse") for t in t_grid]  # rows less their value
         try:
             model = fit_iterative(
                 fmap, X_tr, y_tr, filt, iterations=max(t_grid), snapshots=tuple(t_grid)
             )
-        except Exception as exc:  # cell marked failed, run continues
-            return [(m, t, None, repr(exc)) for t in t_grid]
+        except (ValueError, RuntimeError) as exc:  # cell marked failed, run continues
+            return [((*head, None), repr(exc)) for head in heads]
         # one streamed pass over the test set scores every snapshot
         thetas = np.column_stack([model.snapshots[t] for t in t_grid])
         errors = np.mean((predict(replace(model, theta=thetas), X_te) - y_te[:, None]) ** 2, axis=0)
-        return [(m, t, float(e), None) for t, e in zip(t_grid, errors)]
+        return [((*head, float(e)), None) for head, e in zip(heads, errors)]
 
     keys = itertools.product(range(len(plan.m_grid)), range(plan.repetitions))
-    outcomes = _run_trials(trial, keys, workers)
-
-    rows, failures = [], []
-    for (mi, rep) in sorted(outcomes):
-        for m, t, value, err in outcomes[(mi, rep)]:
-            if err is not None:
-                failures.append({"M": m, "T": t, "rep": rep, "error": err})
-                continue
-            rows.append(
-                (plan.n_train, m, t, filt.resolve(iterations=t)[0], rep, "test_mse", value)
-            )
-    cells = {}
-    for n, m, t, lam, rep, _, value in rows:
-        cells.setdefault((m, t), []).append(value)
+    rows, failures, cells = _run_cells(trial, keys, workers)
     aggregates = [
         {
             "M": m,
@@ -404,7 +412,7 @@ def _heatmap_grid(plan: ExperimentPlan, workers: int, draw, input_dim: int) -> d
             "std_test_mse": float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0,
             "reps": len(vals),
         }
-        for (m, t), vals in sorted(cells.items())
+        for (_, m, t), vals in sorted(cells.items())
     ]
     return {"rows": rows, "aggregates": aggregates, "failures": failures}
 
@@ -488,11 +496,11 @@ def run_rate_sweep(plan: ExperimentPlan, workers: int = 1) -> dict:
     for n in plan.n_grid:
         lam = lambda_schedule(n, r, b, sched["delta"], sched["C_lambda"])
         m = m_schedule(n, r, b, sched["C_M"])
-        configs.append((n, lam, filt.resolve(lam)[1], min(m, problem.rank), m))
+        configs.append({"n": n, "lambda": lam, "M": min(m, problem.rank), "M_schedule": m})
 
     def trial(ni: int, rep: int):
-        n, lam, T, m_used, _ = configs[ni]
-        fmap = problem.truncated_map(m_used)
+        n, lam, m = configs[ni]["n"], configs[ni]["lambda"], configs[ni]["M"]
+        T, fmap = filt.resolve(lam)[1], problem.truncated_map(m)
         X, y = sample_dataset(problem, n, trial_seed(plan.base_seed, ni, 0, 0, rep))
         try:
             if filt.iterative:
@@ -501,30 +509,20 @@ def run_rate_sweep(plan: ExperimentPlan, workers: int = 1) -> dict:
                 model = fit_spectral(fmap, X, y, filt, lam=lam)
         except (ValueError, RuntimeError) as exc:  # same class, so callers catch it as before
             raise type(exc)(f"rate sweep cell n = {n}, rep = {rep}: {exc}") from exc
-        return excess_risk_exact(problem, model)["total"]
+        risk = excess_risk_exact(problem, model)["total"]
+        # T is the step count an iterative filter ran, 0 for any other filter
+        return [((n, m, T or 0, lam, rep, "excess_risk", risk), None)]
 
     keys = itertools.product(range(len(plan.n_grid)), range(plan.repetitions))
-    outcomes = _run_trials(trial, keys, workers)
-
-    rows = []
-    means = []
-    for ni, (n, lam, T, m_used, m_sched) in enumerate(configs):
-        vals = [outcomes[(ni, rep)] for rep in range(plan.repetitions)]
-        # T is the step count an iterative filter ran, 0 for any other filter
-        rows.extend(
-            (n, m_used, T or 0, lam, rep, "excess_risk", v) for rep, v in enumerate(vals)
-        )
-        means.append(float(np.mean(vals)))
+    rows, _, cells = _run_cells(trial, keys, workers)
+    means = [float(np.mean(vals)) for vals in cells.values()]
     degenerate = any(m < 1e-12 for m in means)
     slope, se = (math.nan, math.nan)
     if not degenerate:
         slope, se = ols_slope(np.log(np.asarray(plan.n_grid, float)), np.log(means))
     return {
         "rows": rows,
-        "configs": [
-            {"n": n, "lambda": lam, "M": m_used, "M_schedule": m_sched}
-            for n, lam, _, m_used, m_sched in configs
-        ],
+        "configs": configs,
         "mean_excess_risk": means,
         "qualification_sufficient": qualification_sufficient(filt, r),
         "slope": slope,

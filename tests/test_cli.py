@@ -361,6 +361,23 @@ _DESIGNER = {"type": "designer", "J": 8, "b": 1.0, "r": 0.5}
              "feature_map": {"kind": "ntk_one_layer", "num_samples": 1, "params": {
                  "tau": 1e10, "activation": "identity"}}},
      "ntk_one_layer map embeds the data to a non-finite Sigma_hat or s_hat"),
+    ("fit", {"feature_map": {"kind": "designer_finite_rank", "num_samples": 8,
+                             "params": {"eigenvalues": [5.0, 2.5, 1.6, 1.2, 1.0, 0.8, 0.7, 0.6]}},
+             "filter": {"kind": "landweber", "alpha": 1.0}, "lambda": 0.001},
+     "step size 1.0 unstable: alpha * ||Sigma|| = "),
+    ("rate-sweep", {"feature_map": {"kind": "ntk_one_layer", "params": {}}},
+     "plan feature_map is not read by a rate_sweep plan; leave it out"),
+    ("rate-sweep", {"m_grid": [5]}, "plan m_grid is not read by a rate_sweep plan"),
+    ("rate-sweep", {"t_grid": [3]}, "plan t_grid is not read by a rate_sweep plan"),
+    ("rate-sweep", {"n_train": 7}, "plan n_train is not read by a rate_sweep plan"),
+    ("rate-sweep", {"n_test": 7}, "plan n_test is not read by a rate_sweep plan"),
+    ("rate-sweep", {"plateau_tol": 0.9}, "plan plateau_tol is not read by a rate_sweep plan"),
+    ("heatmap", {"n_grid": [64, 128, 256, 512, 1024]}, "plan n_grid is not read by a heatmap plan"),
+    ("heatmap", {"schedule": {"C_M": 0.5}}, "plan schedule is not read by a heatmap plan; leave it out"),
+    ("heatmap", {"experiment": "plateau_check", "n_grid": [64]},
+     "plan n_grid is not read by a plateau_check plan"),
+    ("heatmap", {"experiment": "plateau_check", "schedule": {"delta": 0.1}},
+     "plan schedule is not read by a plateau_check plan"),
 ], ids=[
     "plan-filter-without-kind", "plan-feature_map-without-kind", "plan-feature_map-typo",
     "plan-feature_map-params-typo", "heatmap-problem-designer", "heatmap-problem-type-typo",
@@ -382,6 +399,9 @@ _DESIGNER = {"type": "designer", "J": 8, "b": 1.0, "r": 0.5}
     "fit-list-bandwidth", "fit-null-tau", "fit-nan-eigenvalue", "fit-null-eigenvalue",
     "fit-inf-eigenvalue", "fit-zero-decay_exponent", "fit-negative-decay_exponent",
     "fit-tiny-bandwidth", "fit-overflowing-tau", "fit-overflowing-kappa_sq", "fit-non-finite-moments",
+    "fit-unstable-landweber", "rate-feature_map", "rate-m_grid", "rate-t_grid", "rate-n_train",
+    "rate-n_test", "rate-plateau_tol", "heatmap-n_grid", "heatmap-schedule", "plateau-n_grid",
+    "plateau-schedule",
 ])
 def test_bad_config_exits_1_with_one_error_line(tmp_path, capsys, command, change, named):
     base = {
@@ -396,6 +416,25 @@ def test_bad_config_exits_1_with_one_error_line(tmp_path, capsys, command, chang
     assert err.startswith("error:") and err.count("\n") == 1
     assert named in err
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()  # nothing is written for a config that fails
+
+
+@pytest.mark.parametrize("command", ["heatmap", "rate-sweep"])
+def test_seed_flag_overrides_the_plan_base_seed(tmp_path, command):
+    plan = json.loads(_tiny_plan().to_json()) if command == "heatmap" else _tiny_rate_plan()
+    runs = {"flag": (plan, ["--seed", "3"]), "plan": ({**plan, "base_seed": 3}, []),
+            "seed0": (plan, [])}
+    for name, (given, flags) in runs.items():
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(given))
+        assert main([command, "--config", str(cfg), *flags, "--out-dir", str(tmp_path / name)]) == EXIT_OK
+    flag, written, seed0 = (tmp_path / name for name in runs)
+    resolved = (flag / "plan.resolved.json").read_text()
+    assert json.loads(resolved)["base_seed"] == 3
+    assert ExperimentPlan.from_json(resolved).to_json() + "\n" == resolved  # it loads as a plan
+    for out in ("results.csv", "plan.resolved.json", "summary.json"):
+        assert (flag / out).read_bytes() == (written / out).read_bytes()
+    assert (flag / "results.csv").read_bytes() != (seed0 / "results.csv").read_bytes()
 
 
 def test_audit_filters_rejects_flags_it_does_not_read(tmp_path, capsys):

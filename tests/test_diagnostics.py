@@ -70,6 +70,8 @@ def test_dataset_seeded_and_noiseless_exact():
     np.testing.assert_array_equal(y1, y2)
     np.testing.assert_allclose(y1, designer_series(p.g_coeffs, X1[:, 0]), atol=1e-13)
     assert X1.min() >= 0.0 and X1.max() <= 1.0
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        sample_dataset(p, 0, 11)
 
 
 def test_dataset_target_over_row_blocks_is_one_basis_product():

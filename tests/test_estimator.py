@@ -5,7 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from specrf import features, filters
+import specrf
+from specrf import estimator, features, filters
 from specrf.diagnostics import MonteCarloKernel, krr_gram_fit, krr_predict
 from specrf.estimator import (
     ROW_BLOCK,
@@ -334,6 +335,42 @@ def test_heavyball_stability_bound_grows_with_momentum():
         fit_iterative(fmap, X, y, hb, 100)
 
 
+def test_heavyball_fit_just_inside_its_stability_bound_converges():
+    # alpha * ||Sigma|| = 3.979 < 2 (1 + beta) = 3.98: the iteration is stable, though its
+    # training loss climbs past 1000 times its start before it settles
+    rng = np.random.default_rng(0)
+    X = rng.uniform(0, 1, (200, 1))
+    y = 1.0 + 0.1 * rng.standard_normal(200)
+    fmap = sample_feature_map("designer_finite_rank", 1, 1, {"eigenvalues": [397.9]}, 0)
+    hb = make_filter("heavyball", alpha=0.01, beta=0.99)
+    iterative = fit_iterative(fmap, X, y, hb, 400)
+    spectral = fit_spectral(fmap, X, y, hb, iterations=400)
+    np.testing.assert_allclose(iterative.theta, spectral.theta, rtol=0, atol=1e-8)
+    assert iterative.losses.max() > 1e3 * iterative.losses[0]
+
+
+@pytest.mark.parametrize("kind,kwargs,limit", [
+    ("landweber", {"alpha": 1.0}, "2"),
+    ("heavyball", {"alpha": 0.8, "beta": 0.2}, "2.4"),
+])
+def test_both_fit_paths_reject_an_unstable_step_size_alike(kind, kwargs, limit):
+    # top eigenvalue 5: the spectral path filters Sigma_hat's eigenvalues through phi,
+    # which grows like (1 - alpha t)^T past t = 2 (1 + beta) / alpha, as the iteration does
+    mu = [5.0, 2.5, 1.6, 1.2, 1.0, 0.8, 0.7, 0.6]
+    fmap = sample_feature_map("designer_finite_rank", 1, 8, {"eigenvalues": mu}, 0)
+    X = np.random.default_rng(0).uniform(0, 1, (100, 1))
+    y = np.cos(np.pi * X[:, 0])
+    filt = make_filter(kind, **kwargs)
+    named = rf"^step size {kwargs['alpha']} unstable: alpha \* \|\|Sigma\|\| = \S+ >= {limit}$"
+    with pytest.raises(DivergenceError, match=named) as spectral:
+        fit_spectral(fmap, X, y, filt, lam=1e-3)
+    with pytest.raises(DivergenceError, match=named) as iterative:
+        fit_iterative(fmap, X, y, filt, filt.resolve(1e-3)[1])
+    assert str(spectral.value) == str(iterative.value)
+    assert isinstance(spectral.value, RuntimeError)
+    assert specrf.DivergenceError is estimator.DivergenceError is filters.DivergenceError
+
+
 def test_singular_tikhonov_system_names_the_filter_and_lambda():
     # identity NTK with tau = 1e153: Sigma_hat's entries are near 1e305, so adding
     # lam = 0.1 to its diagonal leaves it singular
@@ -515,6 +552,8 @@ def test_length_mismatch_rejected():
     fmap, X, y = _toy()
     with pytest.raises(ValueError, match="mismatch"):
         assemble_empirical_operators(fmap, X, y[:-1])
+    with pytest.raises(ValueError, match="^need at least one sample$"):
+        assemble_empirical_operators(fmap, X[:0], y[:0])
 
 
 def test_moments_divide_by_n_before_the_map_algebra():

@@ -285,6 +285,8 @@ def test_sample_feature_map_rejects_params_its_kind_does_not_read(kind, dim, par
     (NTK_ONE_LAYER, 2, {"tau": None}, "ntk_one_layer param tau must be a real number"),
     (NTK_ONE_LAYER, 2, {"rho_max": "10"}, "ntk_one_layer param rho_max must be a real number"),
     (NTK_ONE_LAYER, 2, {"activation": None}, "unknown activation None"),
+    *[(NTK_ONE_LAYER, 2, bad, "^tau, gamma must be >= 0 and rho_max > 0$")
+      for bad in ({"tau": -1.0}, {"gamma": -0.5}, {"rho_max": 0.0}, {"rho_max": -2.0})],
     (NTK_ONE_LAYER, 2, {"tau": 1e200}, r"kappa_sq overflows: tau=1e\+200"),
     (NTK_ONE_LAYER, 2, {"tau": 1e154}, r"kappa_sq overflows: tau=1e\+154"),  # finite tau**2
     (NTK_ONE_LAYER, 2, {"tau": 1e154, "activation": "tanh"}, r"kappa_sq overflows: tau=1e\+154"),
@@ -294,6 +296,8 @@ def test_sample_feature_map_rejects_params_its_kind_does_not_read(kind, dim, par
     (DESIGNER_FINITE_RANK, 1, {"eigenvalues": [None, 0.5]}, "finite and strictly positive"),
     (DESIGNER_FINITE_RANK, 1, {"eigenvalues": [np.inf, 1.0]}, "finite and strictly positive"),
     (DESIGNER_FINITE_RANK, 1, {"eigenvalues": {"a": 1.0}}, "eigenvalues must be a list of numbers"),
+    (DESIGNER_FINITE_RANK, 1, {"eigenvalues": [1.0, 0.5, 0.2]}, r"^expected 2 eigenvalues, got shape \(3,\)$"),
+    (DESIGNER_FINITE_RANK, 1, {"eigenvalues": [1.0]}, r"^expected 2 eigenvalues, got shape \(1,\)$"),
     (DESIGNER_FINITE_RANK, 1, {"eigenvalues": [1e308, 1e308]}, "kappa_sq overflows: designer eigenvalues"),
 ])
 def test_sample_feature_map_rejects_bad_param_values(kind, dim, params, named):

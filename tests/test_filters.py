@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specrf.filters import (
+    DivergenceError,
     Heavyball,
     Landweber,
     audit_filter,
@@ -105,6 +106,15 @@ def test_step_size_validation():
         Heavyball(alpha=0.5, beta=0.9)
     with pytest.raises(ValueError):
         Heavyball(alpha=0.1, beta=1.0)
+    with pytest.raises(ValueError, match="^step size alpha must be positive$"):
+        Heavyball(alpha=0)
+
+
+@pytest.mark.parametrize("filt,limit", [(Landweber(alpha=0.5), 4.0), (Heavyball(alpha=0.1, beta=0.9), 38.0)])
+def test_check_stable_holds_alpha_norm_below_2_1_plus_beta(filt, limit):
+    filt.check_stable(limit * (1.0 - 1e-12))
+    with pytest.raises(DivergenceError, match=r"unstable: alpha \* \|\|Sigma\|\| = \S+ >= \S+$"):
+        filt.check_stable(limit)
 
 
 def test_resolve_checks_lambda_and_iteration_count():

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import json
 import math
 
 import numpy as np
@@ -231,6 +232,13 @@ def test_heatmap_on_a_dataset_with_several_feature_columns(tmp_path):
     assert all(np.isfinite(row[-1]) for row in out["rows"])
 
 
+def test_dataset_plan_needs_n_train_plus_n_test_rows(tmp_path):
+    plan = _dataset_plan(tmp_path)  # 120 rows
+    plan.n_train = 100
+    with pytest.raises(ValueError, match="^dataset has 120 rows, plan needs 140$"):
+        run_heatmap(plan)
+
+
 def test_dataset_plan_rejects_keys_ingest_does_not_take(tmp_path):
     with pytest.raises(ValueError, match="input_dim"):
         run_heatmap(_dataset_plan(tmp_path, input_dim=2))
@@ -247,6 +255,17 @@ def test_heatmap_requires_iterative_filter():
     plan.filter = {"kind": "tikhonov"}
     with pytest.raises(ValueError, match="^plan t_grid: filter tikhonov is not iterative"):
         run_heatmap(plan)
+
+
+@pytest.mark.parametrize("runner,plan,named", [
+    (run_heatmap, default_rate_plan(), "^plan.experiment must be heatmap or plateau_check$"),
+    (run_plateau_check, default_rate_plan(), "^plan.experiment must be heatmap or plateau_check$"),
+    (run_rate_sweep, default_heatmap_plan(), "^plan.experiment must be rate_sweep$"),
+    (run_rate_sweep, ExperimentPlan(experiment="plateau_check"), "^plan.experiment must be rate_sweep$"),
+], ids=["heatmap-rate-plan", "plateau-rate-plan", "rate-heatmap-plan", "rate-plateau-plan"])
+def test_each_runner_rejects_a_plan_of_another_experiment(runner, plan, named):
+    with pytest.raises(ValueError, match=named):
+        runner(plan)
 
 
 def test_plateau_validation():
@@ -379,6 +398,28 @@ def test_heatmap_records_each_failed_cell_and_finishes():
     assert all("DivergenceError" in f["error"] and ">= 2" in f["error"] for f in out["failures"])
 
 
+def test_heatmap_records_only_fit_errors(monkeypatch):
+    # a ValueError or RuntimeError is a failed cell; any other error is a fault, and stops the run
+    def broken_fit(*args, **kwargs):
+        raise TypeError("not a fit error")
+
+    monkeypatch.setattr(harness, "fit_iterative", broken_fit)
+    with pytest.raises(TypeError, match="not a fit error"):
+        run_heatmap(_tiny_heatmap_plan())
+    with pytest.raises(TypeError, match="not a fit error"):
+        run_heatmap(_tiny_heatmap_plan(), workers=2)
+
+
+@pytest.mark.parametrize("kind", ["rate_sweep", "heatmap", "plateau_check"])
+def test_plan_fields_at_their_defaults_load_whatever_the_experiment(kind):
+    # every field spelled out at its default, with the schedule given empty, in part, or
+    # merged with its defaults as plan.resolved.json holds it
+    spelled = json.loads(ExperimentPlan(experiment=kind).to_json())
+    for schedule in ({}, {"C_M": 4.0}, spelled["schedule"]):
+        plan = ExperimentPlan.from_json(json.dumps({**spelled, "n_train": 5000.0, "schedule": schedule}))
+        assert plan.to_json() == ExperimentPlan(experiment=kind).to_json()
+
+
 def test_rate_sweep_with_an_iterative_filter_runs_fit_iterative(monkeypatch):
     steps = []
 
@@ -422,9 +463,10 @@ def test_plan_grids_are_lists_of_counts(change, named):
 
 
 def test_plan_grid_counts_may_be_integral_floats():
-    plan = ExperimentPlan(experiment="rate_sweep", m_grid=[8.0], n_grid=[64.0, 128])
-    assert plan.m_grid == [8] and plan.n_grid == [64, 128]
-    assert all(type(v) is int for v in plan.m_grid + plan.n_grid)
+    heatmap = ExperimentPlan(experiment="heatmap", m_grid=[8.0])
+    rate = ExperimentPlan(experiment="rate_sweep", n_grid=[64.0, 128])
+    assert heatmap.m_grid == [8] and rate.n_grid == [64, 128]
+    assert all(type(v) is int for v in heatmap.m_grid + rate.n_grid)
 
 
 @pytest.mark.parametrize("problem,named", [
