@@ -153,9 +153,12 @@ def compute_f_star(
 ) -> tuple[np.ndarray, float]:
     """Population-filtered target: coefficients of S f*_lambda and the exact bias.
 
-    coefficient_j = mu_j phi_lambda(mu_j) g_j, bias = ||g - S f*||_{L2}.
+    coefficient_j = mu_j phi_lambda(mu_j) g_j, bias = ||g - S f*||_{L2}. An iterative
+    filter must be stable at the top eigenvalue mu_1 (check_stable).
     """
     mu = problem.eigenvalues
+    if filt.iterative:
+        filt.check_stable(float(mu[0]))
     phi = filt.value(mu, lam, iterations)
     coeffs = mu * phi * problem.g_coeffs
     residual = 1.0 - mu * phi

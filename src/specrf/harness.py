@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 import os
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -112,6 +113,9 @@ def ingest_csv_dataset(
 
     Every option value is checked here, each error naming its option: a column
     index is an integer in [-width, width), counted from the end when negative.
+    One vectorised parse (_load_csv) reads the rows; a file it cannot read, or
+    reads to no rows or a non-finite cell, goes to _scan_csv, which accepts or
+    rejects it with the error naming its line.
     """
     if not isinstance(path, (str, os.PathLike)):
         raise ValueError(f"path must be a file name, not {path!r}")
@@ -124,6 +128,48 @@ def ingest_csv_dataset(
         max_rows = whole_number(max_rows, "max_rows")
     if feature_cols is not None and not (isinstance(feature_cols, list) and feature_cols):
         raise ValueError(f"feature_cols must be null or a nonempty list, not {feature_cols!r}")
+    data = _load_csv(path, delimiter, has_header, max_rows)
+    if data is None:
+        data = _scan_csv(path, delimiter, has_header, max_rows)
+    if data.shape[1] < 2:
+        raise ValueError(f"{path}: needs a label column and at least one feature column")
+    label_col = _column(label_col, data.shape[1], "label_col", "label column") % data.shape[1]
+    y = data[:, label_col]
+    X = np.delete(data, label_col, axis=1)
+    if feature_cols is not None:
+        cols = [_column(col, X.shape[1], "feature_cols entry", "feature column") % X.shape[1]
+                for col in feature_cols]
+        _check_distinct(cols, "feature_cols")
+        X = X[:, cols]
+    if standardize:
+        X, _ = standardize_features(X)
+    return X, y
+
+
+def _load_csv(path, delimiter: str, has_header: bool, max_rows: int | None) -> np.ndarray | None:
+    """The data rows as one array from np.loadtxt, whose cells round as float() does;
+    None where it raises, finds no row or a non-finite cell. The header is the first
+    record as csv reads it, which a quoted cell can carry past the first line."""
+    if delimiter in "\r\n":  # loadtxt takes no newline delimiter
+        return None
+    with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # loadtxt's no-data and max_rows notes
+        try:
+            if has_header:
+                next(csv.reader(fh, delimiter=delimiter), None)
+            data = np.loadtxt(fh, delimiter=delimiter, comments=None, quotechar=None,
+                              max_rows=max_rows, ndmin=2)
+        except (ValueError, csv.Error):
+            return None
+    return data if data.size and np.isfinite(data).all() else None
+
+
+def _scan_csv(path, delimiter: str, has_header: bool, max_rows: int | None) -> np.ndarray:
+    """The data rows, read record by record with csv: the one definition of the
+    accepted format and of each error, named `path:line`. Blank and whitespace-only
+    records are skipped, quoted cells are read as csv reads them, and each cell is
+    float(); a non-numeric or non-finite cell, records of unequal width, or no data
+    record at all is a ValueError."""
     rows: list[list[float]] = []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -150,16 +196,7 @@ def ingest_csv_dataset(
     widths = {len(row) for row in rows}
     if len(widths) != 1:
         raise ValueError(f"{path}: inconsistent column counts {sorted(widths)}")
-    data = np.asarray(rows, dtype=float)
-    label_col = _column(label_col, data.shape[1], "label_col", "label column")
-    y = data[:, label_col]
-    X = np.delete(data, label_col % data.shape[1], axis=1)
-    if feature_cols is not None:
-        cols = [_column(col, X.shape[1], "feature_cols entry", "feature column") for col in feature_cols]
-        X = X[:, cols]
-    if standardize:
-        X, _ = standardize_features(X)
-    return X, y
+    return np.asarray(rows, dtype=float)
 
 
 def _undecodable_line(path) -> int:
@@ -179,6 +216,13 @@ def _column(index, width: int, option: str, what: str) -> int:
     if index >= width:
         raise ValueError(f"{option} {index}: {what} out of range for width {width}")
     return index
+
+
+def _check_distinct(values: list, option: str) -> None:
+    """A ValueError naming `option` and each value it repeats, in ascending order."""
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise ValueError(f"{option} repeats entries: {', '.join(map(str, repeated))}")
 
 
 def standardize_features(
@@ -226,9 +270,7 @@ class ExperimentPlan:
                 raise ValueError(f"plan {key} must be a list, not {getattr(self, key)!r}")
         for key in ("m_grid", "n_grid"):
             grid = [whole_number(v, f"plan {key} entry") for v in getattr(self, key)]
-            repeated = sorted({v for v in grid if grid.count(v) > 1})
-            if repeated:
-                raise ValueError(f"plan {key} repeats entries: {', '.join(map(str, repeated))}")
+            _check_distinct(grid, f"plan {key}")
             setattr(self, key, grid)
         sched = {key: p.default for fn in (lambda_schedule, m_schedule)
                  for key, p in inspect.signature(fn).parameters.items() if p.default is not p.empty}

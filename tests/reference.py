@@ -1,18 +1,22 @@
 """Reference quantities that only the tests check the library against.
 
 The Gaussian kernel that gaussian_rff maps sample, a PSD check for gram
-matrices, and the empirical N_M(lambda) / N_inf(lambda) effective-dimension
-ratio of Rudi & Rosasco 2017. GaussianKernel has the gram(X, Y=None) that
-specrf.krr_gram_fit and specrf.krr_predict take.
+matrices, the empirical N_M(lambda) / N_inf(lambda) effective-dimension
+ratio of Rudi & Rosasco 2017, and the record-by-record CSV parser that
+ingest_csv_dataset must agree with. GaussianKernel has the gram(X, Y=None)
+that specrf.krr_gram_fit and specrf.krr_predict take.
 """
 from __future__ import annotations
 
+import csv
 import math
+import os
 
 import numpy as np
 
 from specrf.diagnostics import effective_dimension
-from specrf.features import feature_matrix
+from specrf.features import feature_matrix, whole_number
+from specrf.harness import _column, _undecodable_line, standardize_features
 
 PSD_TOL = 1e-10  # eigenvalues >= -PSD_TOL * trace accepted as numerical zero
 DEFAULT_DELTA = 0.1
@@ -70,3 +74,65 @@ def effective_dimension_comparison(map_random, kernel_ref, X_probe: np.ndarray, 
     ratio = None if indeterminate else n_m / n_ref
     status = "indeterminate" if indeterminate else "flagged" if ratio > threshold else "ok"
     return {"N_M": n_m, "N_inf": n_ref, "ratio": ratio, "threshold": threshold, "status": status}
+
+
+def scan_csv_dataset(
+    path: str,
+    label_col: int = 0,
+    delimiter: str = ",",
+    has_header: bool = False,
+    max_rows: int | None = None,
+    feature_cols: list[int] | None = None,
+    standardize: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """ingest_csv_dataset as a csv scan of every record, with float() on each cell:
+    the same (X, y) to the byte, or the same exception and text, on every file,
+    except that it returns a label-only file's X with no columns and keeps a
+    repeated feature column twice."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise ValueError(f"path must be a file name, not {path!r}")
+    if not (isinstance(delimiter, str) and len(delimiter) == 1):
+        raise ValueError(f"delimiter must be a one-character string, not {delimiter!r}")
+    for name, flag in (("has_header", has_header), ("standardize", standardize)):
+        if not isinstance(flag, bool):
+            raise ValueError(f"{name} must be true or false, not {flag!r}")
+    if max_rows is not None:
+        max_rows = whole_number(max_rows, "max_rows")
+    if feature_cols is not None and not (isinstance(feature_cols, list) and feature_cols):
+        raise ValueError(f"feature_cols must be null or a nonempty list, not {feature_cols!r}")
+    rows: list[list[float]] = []
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh, delimiter=delimiter)
+            for lineno, record in enumerate(reader, start=1):
+                if has_header and lineno == 1:
+                    continue
+                if not record or all(cell.strip() == "" for cell in record):
+                    continue
+                try:
+                    row = [float(cell) for cell in record]
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: non-numeric cell ({exc})") from exc
+                if not all(map(math.isfinite, row)):
+                    cell = next(c for c, v in zip(record, row) if not math.isfinite(v))
+                    raise ValueError(f"{path}:{lineno}: non-finite cell {cell.strip()!r}")
+                rows.append(row)
+                if max_rows is not None and len(rows) >= max_rows:
+                    break
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}:{_undecodable_line(path)}: not UTF-8 text ({exc.reason})") from None
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    widths = {len(row) for row in rows}
+    if len(widths) != 1:
+        raise ValueError(f"{path}: inconsistent column counts {sorted(widths)}")
+    data = np.asarray(rows, dtype=float)
+    label_col = _column(label_col, data.shape[1], "label_col", "label column")
+    y = data[:, label_col]
+    X = np.delete(data, label_col % data.shape[1], axis=1)
+    if feature_cols is not None:
+        cols = [_column(col, X.shape[1], "feature_cols entry", "feature column") for col in feature_cols]
+        X = X[:, cols]
+    if standardize:
+        X, _ = standardize_features(X)
+    return X, y

@@ -365,6 +365,11 @@ _DESIGNER = {"type": "designer", "J": 8, "b": 1.0, "r": 0.5}
                              "params": {"eigenvalues": [5.0, 2.5, 1.6, 1.2, 1.0, 0.8, 0.7, 0.6]}},
              "filter": {"kind": "landweber", "alpha": 1.0}, "lambda": 0.001},
      "step size 1.0 unstable: alpha * ||Sigma|| = "),
+    # labels.csv, which the test writes, has one column: a label and no feature
+    ("fit", {"data": {"path": "labels.csv"}},
+     "labels.csv: needs a label column and at least one feature column"),
+    ("heatmap", {"problem": {"type": "dataset", "path": "labels.csv"}},
+     "labels.csv: needs a label column and at least one feature column"),
     ("rate-sweep", {"feature_map": {"kind": "ntk_one_layer", "params": {}}},
      "plan feature_map is not read by a rate_sweep plan; leave it out"),
     ("rate-sweep", {"m_grid": [5]}, "plan m_grid is not read by a rate_sweep plan"),
@@ -399,11 +404,14 @@ _DESIGNER = {"type": "designer", "J": 8, "b": 1.0, "r": 0.5}
     "fit-list-bandwidth", "fit-null-tau", "fit-nan-eigenvalue", "fit-null-eigenvalue",
     "fit-inf-eigenvalue", "fit-zero-decay_exponent", "fit-negative-decay_exponent",
     "fit-tiny-bandwidth", "fit-overflowing-tau", "fit-overflowing-kappa_sq", "fit-non-finite-moments",
-    "fit-unstable-landweber", "rate-feature_map", "rate-m_grid", "rate-t_grid", "rate-n_train",
+    "fit-unstable-landweber", "fit-label-only-csv", "heatmap-label-only-csv", "rate-feature_map",
+    "rate-m_grid", "rate-t_grid", "rate-n_train",
     "rate-n_test", "rate-plateau_tol", "heatmap-n_grid", "heatmap-schedule", "plateau-n_grid",
     "plateau-schedule",
 ])
-def test_bad_config_exits_1_with_one_error_line(tmp_path, capsys, command, change, named):
+def test_bad_config_exits_1_with_one_error_line(tmp_path, capsys, monkeypatch, command, change, named):
+    (tmp_path / "labels.csv").write_text("1\n2\n3\n")
+    monkeypatch.chdir(tmp_path)
     base = {
         "heatmap": json.loads(_tiny_plan_file(tmp_path).read_text()),
         "rate-sweep": _tiny_rate_plan(),
@@ -534,6 +542,9 @@ def test_cli_imports_without_scipy():
     ({"delimiter": 5}, "delimiter must be a one-character string, not 5"),
     ({"feature_cols": "x"}, "feature_cols must be null or a nonempty list, not 'x'"),
     ({"feature_cols": [5]}, "feature_cols entry 5: feature column out of range for width 2"),
+    ({"feature_cols": [0, 0]}, "feature_cols repeats entries: 0"),
+    ({"feature_cols": [0, -2]}, "feature_cols repeats entries: 0"),
+    ({"feature_cols": [1, 0, -1, -2]}, "feature_cols repeats entries: 0, 1"),
     ({"has_header": "yes"}, "has_header must be true or false, not 'yes'"),
     ({"standardize": 1}, "standardize must be true or false, not 1"),
 ])
@@ -544,6 +555,20 @@ def test_bad_csv_option_exits_1_naming_the_option(tmp_path, capsys, option, name
     cfg.write_text(json.dumps({**_FIT_CONFIG, "data": {"path": str(data), "options": option}}))
     assert main(["fit", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == EXIT_ERROR
     assert capsys.readouterr().err == f"error: {named}\n"
+
+
+def test_empty_csv_writes_only_its_error_line(tmp_path):
+    # in a fresh interpreter, so that a warning np.loadtxt gives would reach stderr
+    (tmp_path / "empty.csv").write_text("")
+    cfg = tmp_path / "fit.json"
+    cfg.write_text(json.dumps({**_FIT_CONFIG, "data": {"path": str(tmp_path / "empty.csv")}}))
+    src = str(Path(specrf.__file__).resolve().parents[1])
+    code = "import sys; from specrf.cli import main; sys.exit(main(sys.argv[1:]))"
+    run = subprocess.run([sys.executable, "-c", code, "fit", "--config", str(cfg), "--out-dir",
+                          str(tmp_path / "out")], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True)
+    assert run.returncode == EXIT_ERROR
+    assert run.stderr == f"error: {tmp_path / 'empty.csv'}: no data rows\n"
 
 
 @pytest.mark.parametrize("filt", [{"kind": "tikhonov"}, {"kind": "landweber", "alpha": 0.5}],

@@ -23,7 +23,7 @@ from specrf.features import (
     feature_matrix,
     sample_feature_map,
 )
-from specrf.filters import make_filter
+from specrf.filters import DivergenceError, make_filter
 
 
 def test_problem_construction_known_coefficients():
@@ -161,6 +161,18 @@ def test_sup_norm_resolves_lambda_from_iterations():
     assert out["lam"] == 0.25
     assert np.isfinite(out["bound"])
     assert out["within_bound"]
+
+
+def test_population_filter_rejects_an_unstable_step_size():
+    # alpha * mu_1 = 5 >= 2: the filter polynomial at mu_1 grows like 4^T, which gave an
+    # inf bias and a nan sup norm with overflow warnings
+    p = make_designer_problem(J=16, b=1.0, r=0.5, eigenvalue_scale=5.0)
+    filt = make_filter("landweber", alpha=1.0)
+    for call in (compute_f_star, sup_norm_f_star):
+        with pytest.raises(DivergenceError, match=r"^step size 1.0 unstable: alpha \* \|\|Sigma\|\| = 5 >= 2$"):
+            call(p, filt, 1e-3)
+    _, bias = compute_f_star(p, make_filter("landweber", alpha=0.3), 1e-3)  # 0.3 * 5 < 2
+    assert np.isfinite(bias)
 
 
 @pytest.mark.parametrize("change,named", [

@@ -2,9 +2,13 @@ import dataclasses
 import functools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from reference import scan_csv_dataset
 
 from specrf.estimator import fit_iterative, mse
 from specrf import harness
@@ -137,6 +141,123 @@ def test_ingest_column_selection_and_dim_warning(tmp_path):
     p.write_text("0,1,2,3,4\n1,5,6,7,8\n")
     X, _ = ingest_csv_dataset(str(p), feature_cols=[0, 2])
     np.testing.assert_array_equal(X, [[1.0, 3.0], [5.0, 7.0]])
+
+
+def _ingest_outcome(parse, path, options):
+    """(X, y) as dtype, shape and bytes, or the exception's type and text; plus the
+    text of every warning the parse emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            X, y = parse(str(path), **options)
+            outcome = tuple((a.dtype, a.shape, a.tobytes()) for a in (X, y))
+        except Exception as exc:  # the two parses must fail alike, whatever the exception
+            outcome = (type(exc), str(exc))
+    return outcome, [str(w.message) for w in caught]
+
+
+def _check_ingest_matches_the_scan(path, content: bytes, options: dict):
+    path.write_bytes(content)
+    want, _ = _ingest_outcome(scan_csv_dataset, path, options)
+    if isinstance(want[0], tuple) and want[0][1][1] == 0:  # the scan returns a label-only X
+        want = (ValueError, f"{path}: needs a label column and at least one feature column")
+    got, caught = _ingest_outcome(ingest_csv_dataset, path, options)
+    assert got == want, (content[:200], options)
+    assert caught == [], (content[:200], options)
+
+
+def _lines_with_bad_byte(count: int, bad_line: int) -> bytes:
+    lines = [b"%d,0.5,-2\n" % i for i in range(count)]
+    lines[bad_line - 1] = b"\xff" + lines[bad_line - 1]
+    return b"".join(lines)
+
+
+# each file is read by ingest_csv_dataset and by the record scan it replaced
+_INGEST_CORPUS = {
+    "bad-byte-line-2": (_lines_with_bad_byte(4000, 2), {}),
+    "bad-byte-line-3000": (_lines_with_bad_byte(4000, 3000), {}),
+    "bad-byte-past-max_rows": (_lines_with_bad_byte(10, 6), {"max_rows": 5}),
+    "bad-byte-far-past-max_rows": (_lines_with_bad_byte(4000, 3000), {"max_rows": 5}),
+    "empty": (b"", {}),
+    "blank": (b"\n\n\r\n", {}),
+    "header-only": (b"y,a\n", {"has_header": True}),
+    "overflow": (b"1,2\n3,1e999\n", {}),
+    "nan": (b"1,2\n3, NaN\n", {}),
+    "inf": (b"1,2\ninf,4\n", {}),
+    "non-finite-past-max_rows": (b"1,2\n3,4\n5,inf\n", {"max_rows": 2}),
+    "quoted": (b'"1",2\n3,"4.5"\n', {}),
+    "quoted-delimiter": (b'1,"2,5"\n', {}),
+    "underscore": (b"1_000,2\n3,4\n", {}),
+    "hash-cell": (b"1,2\n3,#4\n", {}),
+    "hash-line": (b"1,2\n# comment\n3,4\n", {}),
+    "crlf": (b"1,2\r\n3,4\r\n", {}),
+    "lone-cr": (b"1,2\r3,4\r", {}),
+    "lone-cr-header": (b"y,a\r1,2\r3,4", {"has_header": True}),
+    "whitespace-rows": (b"1,2\n   \n , \n\t\n3,4\n", {}),
+    "whitespace-row-one-column": (b"1\n \n3\n", {}),
+    "blank-first-line-header": (b"\n1,2\n3,4\n", {"has_header": True}),
+    "unclosed-quote-header": (b'"y,a\n1,2\n3,4\n', {"has_header": True}),
+    "multi-line-header": (b'y,"a\nb"\n1,2\n3,4\n', {"has_header": True}),
+    "ragged": (b"1,2\n3,4,5\n", {}),
+    "ragged-past-max_rows": (b"1,2\n3,4,5\n", {"max_rows": 1}),
+    "trailing-delimiter": (b"1,2,\n3,4,\n", {}),
+    "single-column": (b"1\n2\n3\n", {}),
+    "max_rows-with-blank-lines": (b"1,2\n\n\n3,4\n5,6\n", {"max_rows": 2}),
+    "padded-cells": (b" 1 ,\t2\xc2\xa0\n3 , 4\n", {}),
+    "space-delimiter": (b"1 2\n3  4\n", {"delimiter": " "}),
+    "space-delimiter-lead": (b" 1 2\n", {"delimiter": " "}),
+    "tab-delimiter": (b"1\t2\n3\t4\n", {"delimiter": "\t"}),
+    "newline-delimiter": (b"1\n2\n", {"delimiter": "\n"}),
+    "quote-delimiter": (b'1"2\n3"4\n', {"delimiter": '"'}),
+    "nul": (b"1,2\x00\n", {}),
+    "byte-order-mark": (b"\xef\xbb\xbf1,2\n", {}),
+    "hex": (b"0x10,2\n", {}),
+    "non-ascii-digit": ("١,2\n".encode(), {}),
+    "long-digits": (b"0.1000000000000000055511151231257827021181583404541015625,"
+                    b"2.4703282292062327208828439643411068618252990130716238221279284125033775363e-324\n", {}),
+    "options": (b"y,a,b,c\n1,2,3,4\n5,6,7,9\n8,1,2,3\n",
+                {"has_header": True, "label_col": -1, "feature_cols": [2, 0], "standardize": True}),
+}
+
+
+@pytest.mark.parametrize("case", _INGEST_CORPUS, ids=list(_INGEST_CORPUS))
+def test_ingest_matches_the_record_scan_on_the_corpus(tmp_path, case):
+    content, options = _INGEST_CORPUS[case]
+    _check_ingest_matches_the_scan(tmp_path / "data.csv", content, options)
+
+
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.from_regex(r"[+-]?[0-9]{1,20}(\.[0-9]{0,20})?([eE][+-]?[0-9]{1,3})?", fullmatch=True),
+)
+_ODD_CELL = st.sampled_from(["", " ", "nan", " NaN", "inf", "-Infinity", "1e999", "1_000", '"1"',
+                             '"2,5"', "#", "x", " 3 ", "\t4", "0x1", "﻿1", "1\x00", '"'])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_ingest_matches_the_record_scan_on_drawn_files(tmp_path, data):
+    width = data.draw(st.integers(1, 4))
+    cell = _NUMBER if data.draw(st.booleans()) else st.one_of(_NUMBER, _ODD_CELL)
+    delimiter = data.draw(st.sampled_from([",", ";", "\t", " "]))
+    lines = []
+    for _ in range(data.draw(st.integers(0, 8))):
+        kind = data.draw(st.sampled_from(["row"] * 6 + ["blank", "spaces", "ragged"]))
+        count = width + data.draw(st.sampled_from([-1, 1])) if kind == "ragged" else width
+        row = delimiter.join(data.draw(cell) for _ in range(max(count, 1)))
+        lines.append({"row": row, "ragged": row, "blank": "", "spaces": " \t "}[kind])
+    ends = [data.draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if lines and data.draw(st.booleans()):
+        text = text[: -len(ends[-1])]  # no line end after the last line
+    options = {"delimiter": delimiter, "has_header": data.draw(st.booleans())}
+    if data.draw(st.booleans()):
+        options["max_rows"] = data.draw(st.integers(1, 5))
+    if data.draw(st.booleans()):
+        options["label_col"] = data.draw(st.integers(-width, width - 1))
+    _check_ingest_matches_the_scan(tmp_path / "data.csv", text.encode(), options)
 
 
 def test_standardize_uses_training_statistics_only():
