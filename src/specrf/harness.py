@@ -166,16 +166,19 @@ def _load_csv(path, delimiter: str, has_header: bool, max_rows: int | None) -> n
 
 def _scan_csv(path, delimiter: str, has_header: bool, max_rows: int | None) -> np.ndarray:
     """The data rows, read record by record with csv: the one definition of the
-    accepted format and of each error, named `path:line`. Blank and whitespace-only
-    records are skipped, quoted cells are read as csv reads them, and each cell is
-    float(); a non-numeric or non-finite cell, records of unequal width, or no data
-    record at all is a ValueError."""
+    accepted format and of each error, named `path:line`, the line the record starts
+    on. The header is the first record, blank and whitespace-only records are
+    skipped, quoted cells are read as csv reads them, and each cell is float(); a
+    non-numeric or non-finite cell, a record csv cannot read, records of unequal
+    width, or no data record at all is a ValueError."""
     rows: list[list[float]] = []
+    start = 1  # the line the record being read starts on
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh, delimiter=delimiter)
-            for lineno, record in enumerate(reader, start=1):
-                if has_header and lineno == 1:
+            for index, record in enumerate(reader):
+                lineno, start = start, reader.line_num + 1
+                if has_header and index == 0:
                     continue
                 if not record or all(cell.strip() == "" for cell in record):
                     continue
@@ -191,6 +194,8 @@ def _scan_csv(path, delimiter: str, has_header: bool, max_rows: int | None) -> n
                     break
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}:{_undecodable_line(path)}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:  # a quote that never closes makes the rest of the file one field
+        raise ValueError(f"{path}:{start}: unreadable csv record ({exc})") from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
     widths = {len(row) for row in rows}

@@ -2,9 +2,10 @@
 
 The Gaussian kernel that gaussian_rff maps sample, a PSD check for gram
 matrices, the empirical N_M(lambda) / N_inf(lambda) effective-dimension
-ratio of Rudi & Rosasco 2017, and the record-by-record CSV parser that
-ingest_csv_dataset must agree with. GaussianKernel has the gram(X, Y=None)
-that specrf.krr_gram_fit and specrf.krr_predict take.
+ratio of Rudi & Rosasco 2017, the record-by-record CSV parser that
+ingest_csv_dataset must agree with, and the (momentum) gradient loop in R^D
+that fit_iterative runs in a Krylov basis. GaussianKernel has the
+gram(X, Y=None) that specrf.krr_gram_fit and specrf.krr_predict take.
 """
 from __future__ import annotations
 
@@ -87,8 +88,8 @@ def scan_csv_dataset(
 ) -> tuple[np.ndarray, np.ndarray]:
     """ingest_csv_dataset as a csv scan of every record, with float() on each cell:
     the same (X, y) to the byte, or the same exception and text, on every file,
-    except that it returns a label-only file's X with no columns and keeps a
-    repeated feature column twice."""
+    except that it returns a label-only file's X with no columns, keeps a repeated
+    feature column twice and lets a csv.Error escape."""
     if not isinstance(path, (str, os.PathLike)):
         raise ValueError(f"path must be a file name, not {path!r}")
     if not (isinstance(delimiter, str) and len(delimiter) == 1):
@@ -104,8 +105,10 @@ def scan_csv_dataset(
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh, delimiter=delimiter)
-            for lineno, record in enumerate(reader, start=1):
-                if has_header and lineno == 1:
+            start = 1  # the line the record being read starts on
+            for index, record in enumerate(reader):
+                lineno, start = start, reader.line_num + 1
+                if has_header and index == 0:
                     continue
                 if not record or all(cell.strip() == "" for cell in record):
                     continue
@@ -136,3 +139,24 @@ def scan_csv_dataset(
     if standardize:
         X, _ = standardize_features(X)
     return X, y
+
+
+def iterate_in_parameter_space(moments, filt, iterations: int, snapshots=()):
+    """fit_iterative's T-step (momentum) gradient loop run on Sigma_hat itself, one
+    D x D product a step: (theta_T, the loss before the first step and after each,
+    {t: theta_t for t in snapshots})."""
+    sigma, s, yy = moments.sigma, moments.s, moments.yy
+    alpha, beta = filt.alpha, filt.beta
+    theta_prev = np.zeros_like(s)
+    theta = np.zeros_like(s)
+    sigma_theta = np.zeros_like(s)  # Sigma @ theta, shared by a step's loss and the next gradient
+    losses = [yy]
+    taken = {}
+    for t in range(1, iterations + 1):
+        theta_next = theta - alpha * (sigma_theta - s) + beta * (theta - theta_prev)
+        theta_prev, theta = theta, theta_next
+        sigma_theta = sigma @ theta
+        losses.append(float(theta @ sigma_theta - 2.0 * theta @ s + yy))
+        if t in snapshots:
+            taken[t] = theta.copy()
+    return theta, np.asarray(losses), taken

@@ -192,6 +192,19 @@ def test_fit_rejects_non_finite_csv_cell(tmp_path, capsys):
     assert not (tmp_path / "m" / "model.json").exists()
 
 
+def test_fit_on_a_csv_with_an_unclosed_quote_exits_1_naming_its_line(tmp_path, capsys):
+    # csv reads the rest of the 20000-row file into one field, past csv's field size limit
+    data = tmp_path / "train.csv"
+    rows = ["%d,0.5,0.25" % (i % 3) for i in range(20000)]
+    rows[1] = '"1,0.5,0.25'
+    data.write_text("\n".join(rows) + "\n")
+    cfg = tmp_path / "fit.json"
+    cfg.write_text(json.dumps({**_FIT_CONFIG, "data": {"path": str(data)}}))
+    assert main(["fit", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == EXIT_ERROR
+    limit = "field larger than field limit (131072)"
+    assert capsys.readouterr().err == f"error: {data}:2: unreadable csv record ({limit})\n"
+
+
 def test_fit_on_a_singular_tikhonov_system_names_the_filter_and_lambda(tmp_path, capsys):
     # identity NTK with tau = 1e153 on 1000 rows of 0.5: Sigma_hat + 0.1 I is singular
     data = tmp_path / "train.csv"

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from reference import iterate_in_parameter_space
 
 import specrf
 from specrf import estimator, features, filters
@@ -241,6 +242,71 @@ def test_spectral_and_iterative_paths_agree(kind, kwargs):
     scale = max(np.max(np.abs(a.theta)), 1e-30)
     assert np.max(np.abs(a.theta - b.theta)) / scale < 1e-8
     assert a.lam == b.lam
+
+
+def _map_of_kind(kind, n=300):
+    """n rows and a map of each regime: d = 1 Gaussian RFF (D = 40, whose Krylov basis
+    closes at k = 10), the full-rank designer map (D = 16), relu NTK (D = 40, closing at
+    k = 33) and tanh NTK (D = 40)."""
+    rng = np.random.default_rng(11)
+    if kind == "rff":
+        X = rng.uniform(-1, 1, (n, 1))
+        fmap = sample_feature_map("gaussian_rff", 1, 40, {}, 3)
+    elif kind == "designer":
+        X = rng.uniform(0, 1, (n, 1))
+        fmap = sample_feature_map("designer_finite_rank", 1, 16, {}, 0)
+    else:
+        X = rng.uniform(-0.5, 0.5, (n, 3))
+        fmap = sample_feature_map("ntk_one_layer", 3, 8, {"activation": kind}, 3)
+    return fmap, X, np.sin(3 * X[:, 0]) + 0.1 * rng.standard_normal(n)
+
+
+def _assert_fit_iterative_is_the_loop(fmap, X, y, filt):
+    # theta, each snapshot and each loss within 1e-12 relative of the loop in R^D, for
+    # T from one step to past D, where the Krylov basis closes at k = D or earlier
+    moments = assemble_empirical_operators(fmap, X, y)
+    D = moments.s.size
+    for T in (1, 2, D - 1, D, 3 * D):
+        snapshots = (1, max(1, T // 2), T)
+        model = fit_iterative(fmap, X, y, filt, T, snapshots=snapshots)
+        theta, losses, taken = iterate_in_parameter_space(moments, filt, T, snapshots)
+        for ours, loop in [(model.theta, theta), *((model.snapshots[t], taken[t]) for t in snapshots)]:
+            assert _relative_error(ours, loop) <= 1e-12, T
+        np.testing.assert_allclose(model.losses, losses, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("kind", ["rff", "designer", "relu", "tanh"])
+@pytest.mark.parametrize("filt", [
+    make_filter("landweber", alpha=0.5),
+    make_filter("heavyball", alpha=0.2, beta=0.7),
+    make_filter("heavyball", alpha=0.05, beta=0.5),
+], ids=["landweber", "heavyball", "heavyball(0.05,0.5)"])
+def test_fit_iterative_matches_the_loop_in_parameter_space(kind, filt):
+    _assert_fit_iterative_is_the_loop(*_map_of_kind(kind), filt)
+
+
+def test_fit_iterative_matches_the_loop_just_inside_the_heavyball_bound():
+    # the designer map rescaled to alpha * ||Sigma_hat|| = 3.979 < 2 (1 + beta) = 3.98.
+    # Near the bound both paths' rounding grows with T, the Krylov path's faster: with
+    # J = 24 their losses differ by 1.1e-12 relative at T = 3D and their thetas by
+    # 1.4e-11 at T = 400, where the loop's theta is within 1.6e-12 of a long-double loop
+    fmap, X, y = _map_of_kind("designer")
+    mu = np.asarray(fmap.params["eigenvalues"])
+    top = np.linalg.eigvalsh(assemble_empirical_operators(fmap, X, y).sigma)[-1]
+    fmap = sample_feature_map("designer_finite_rank", 1, mu.size, {"eigenvalues": mu * 397.9 / top}, 0)
+    hb = make_filter("heavyball", alpha=0.01, beta=0.99)
+    sigma = assemble_empirical_operators(fmap, X, y).sigma
+    assert hb.alpha * np.linalg.eigvalsh(sigma)[-1] == pytest.approx(3.979, rel=1e-12)
+    _assert_fit_iterative_is_the_loop(fmap, X, y, hb)
+
+
+def test_fit_iterative_with_zero_labels_spans_no_basis():
+    # s_hat = 0: theta stays 0, every snapshot is 0 and every loss is mean y^2 = 0
+    fmap, X, _ = _map_of_kind("rff")
+    model = fit_iterative(fmap, X, np.zeros(len(X)), make_filter("landweber", alpha=0.5), 8, (1, 8))
+    assert model.theta.shape == (40,) and not model.theta.any()
+    assert not any(theta.any() for theta in model.snapshots.values())
+    np.testing.assert_array_equal(model.losses, np.zeros(9))
 
 
 def test_fit_invariant_under_row_permutation():
