@@ -39,10 +39,18 @@ EXIT_ERROR = 1
 EXIT_CHECK_FAILED = 2
 
 
+def _read_config(path: str):
+    """The JSON in a --config file; a file that is not UTF-8 JSON is a ValueError naming it."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError among them
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _cmd_fit(args) -> int:
     if not args.config:
         raise ValueError("fit requires --config")
-    config = json.loads(Path(args.config).read_text())
+    config = _read_config(args.config)
     where, taker = "fit config", "specrf fit"
     check_keys(config, where, ("data", "feature_map", "filter"), ("lambda", "iterations"), taker)
     filt = make_filter(**check_object(config["filter"], f"{where} filter"))
@@ -66,10 +74,8 @@ def _cmd_fit(args) -> int:
     fm_where = f"{where} feature_map"
     fm = {"params": {}, **check_object(config["feature_map"], fm_where)}
     fmap = call_checked(sample_feature_map, fm, fm_where, input_dim=X.shape[1], seed=seed)
-    if filt.iterative and iterations is not None:
-        model = fit_iterative(fmap, X, y, filt, iterations)
-    else:
-        model = fit_spectral(fmap, X, y, filt, lam=lam, iterations=iterations)
+    fit = fit_iterative if filt.iterative else fit_spectral
+    model = fit(fmap, X, y, filt, lam=lam, iterations=iterations)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_model(model, out / "model.json")
@@ -87,7 +93,7 @@ def _cmd_fit(args) -> int:
 def _run_sweep(args, fallback: ExperimentPlan, runner) -> tuple[list, dict]:
     """Run the --config plan (else `fallback`) and write its results.csv,
     plan.resolved.json and summary.json: the runner's result without its rows."""
-    plan = ExperimentPlan.from_json(Path(args.config).read_text()) if args.config else fallback
+    plan = call_checked(ExperimentPlan, _read_config(args.config), "plan") if args.config else fallback
     if args.seed is not None:
         plan.base_seed = args.seed
     summary = runner(plan, workers=args.workers)
@@ -118,23 +124,20 @@ def _cmd_plateau(args) -> int:
 
 
 def _cmd_audit_filters(args) -> int:
-    reports = []
-    all_pass = True
-    for filt in (
+    filters = (
         make_filter("tikhonov"),
         make_filter("landweber", alpha=1.0),
         make_filter("heavyball", alpha=0.1, beta=0.9),
         make_filter("spectral_cutoff"),
-    ):
-        report = audit_filter(filt, q_values=(0.5, 1.0, 1.5, 2.0, 4.0))
-        reports.append(json.loads(report.to_json()))
-        all_pass = all_pass and report.passed
+    )
+    q_values = (0.5, 1.0, 1.5, 2.0, 4.0)
+    reports = [json.loads(audit_filter(filt, q_values=q_values).to_json()) for filt in filters]
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "filter_audits.json").write_text(json.dumps(reports, indent=2) + "\n")
     for rep in reports:
         print(f"{rep['filter']}: {'PASS' if rep['pass'] else 'FAIL'}")
-    return EXIT_OK if all_pass else EXIT_CHECK_FAILED
+    return EXIT_OK if all(rep["pass"] for rep in reports) else EXIT_CHECK_FAILED
 
 
 def _cmd_diagnose(args) -> int:

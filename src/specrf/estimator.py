@@ -9,19 +9,19 @@ into Sigma_hat and s_hat once with features.moments_from_means, which holds
 each map's moment algebra (the identity for an embedded map, Toeplitz plus
 Hankel for the designer cosine sums, the blocks of L for the NTK factor). So
 a fit or a prediction holds O(ROW_BLOCK * D + D^2) floats however many rows
-it reads. The spectral path applies the filter to Sigma_hat directly (one
-linear solve for Tikhonov, an eigendecomposition for the others), the
-iterative path runs (momentum) gradient descent whose T-step polynomial is
-the same filter. Started from theta = 0, the t-th iterate p_t(Sigma_hat) s_hat
-lies in the Krylov space K_t = span(s_hat, Sigma_hat s_hat, ...,
-Sigma_hat^(t-1) s_hat), so the iterative path builds an orthonormal basis V of
-K_k by Lanczos (Saad 1992) and runs the same T steps on the k x k tridiagonal
-H = V Sigma_hat V^T and ||s_hat|| e_1, reading each theta as c @ V. It stops
-at k = min(T, D), or earlier once the next Lanczos coupling is at rounding
-level against the trace of Sigma_hat; a Gaussian RFF Sigma_hat of numerical
-rank far below D closes at k of about 20. That costs k products with
-Sigma_hat and about 4 D k^2 flops of reorthogonalisation, where the loop in
-R^D cost T products.
+it reads. The filter picks the path: an iterative filter, given lambda or T,
+runs fit_iterative and any other filter fit_spectral, which applies the filter
+to Sigma_hat directly: one linear solve for Tikhonov, an eigendecomposition for
+the others (for an iterative filter, the reference fit_iterative is checked
+against). fit_iterative runs (momentum) gradient descent, whose T-step
+polynomial is the filter. From theta = 0 the t-th iterate lies in the Krylov
+space K_t = span(s_hat, ..., Sigma_hat^(t-1) s_hat), so Lanczos (Saad 1992)
+builds an orthonormal basis V of K_k and the same T steps run on the k x k
+tridiagonal H = V Sigma_hat V^T and ||s_hat|| e_1. Lanczos stops at
+k = min(T, D), or once the next coupling is at rounding level against the
+trace of Sigma_hat (a Gaussian RFF Sigma_hat closes at k of about 20): k
+products with Sigma_hat and about 4 D k^2 flops, where an eigendecomposition
+costs O(D^3).
 """
 from __future__ import annotations
 
@@ -132,9 +132,10 @@ def fit_spectral(
     lam: float | None = None,
     iterations: int | None = None,
 ) -> RfModel:
-    """Fit theta = phi(Sigma_hat) s_hat through filt.apply: one linear solve
-    for Tikhonov, an eigendecomposition of Sigma_hat for the other filters.
-    model.losses holds the training loss at theta = 0 and at the fitted theta."""
+    """Fit theta = phi(Sigma_hat) s_hat through filt.apply: one linear solve for
+    Tikhonov, an eigendecomposition of Sigma_hat for the other filters; for an
+    iterative filter, which no CLI or sweep fit runs here, the reference that
+    fit_iterative is checked against. model.losses: the training loss at 0 and at theta."""
     lam, iterations = filt.resolve(lam, iterations)
     moments = assemble_empirical_operators(feature_map, X, y)
     theta = filt.apply(moments.sigma, moments.s, lam, iterations)
@@ -151,21 +152,21 @@ def fit_iterative(
     X: np.ndarray,
     y: np.ndarray,
     filt: IterativeFilter,
-    iterations: int,
+    iterations: int | None = None,
     snapshots: tuple[int, ...] = (),
+    lam: float | None = None,
 ) -> RfModel:
-    """Run the parameter-space (momentum) gradient iteration for T steps.
-
-    From theta = 0 the t-th iterate lies in the Krylov space K_t(Sigma_hat,
-    s_hat), so the loop runs on the projected problem (H, ||s_hat|| e_1), H the
-    tridiagonal V Sigma_hat V^T of the basis V that _lanczos builds, and each
-    theta is c @ V: k <= min(T, D) products with Sigma_hat in all, not T.
-    model.losses holds the training loss before the first step and after
-    each step. `snapshots` asks for copies of theta after the listed
-    iteration counts, each an integer in [1, iterations]; they are returned
-    in model.snapshots keyed by T.
+    """Run the (momentum) gradient iteration for the T that filt.resolve(lam,
+    iterations) gives, as in fit_spectral, on the projected problem (H, ||s_hat||
+    e_1) of the Lanczos basis V: k <= min(T, D) products with Sigma_hat, each
+    theta read as c @ V. A filter that is not iterative is rejected.
+    model.losses holds the training loss before the first step and after each;
+    `snapshots` asks for theta after the listed iteration counts, each an
+    integer in [1, T], returned in model.snapshots keyed by T.
     """
-    lam, iterations = filt.resolve(iterations=iterations)  # rejects a filter that is not iterative
+    if not filt.iterative:
+        raise ValueError(f"filter {filt.name} is not iterative and takes no iteration count")
+    lam, iterations = filt.resolve(lam, iterations)
     wanted = {whole_number(T, "snapshot count") for T in snapshots}
     if wanted and max(wanted) > iterations:
         raise ValueError(f"snapshot count {max(wanted)} exceeds iterations = {iterations}")

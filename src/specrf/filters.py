@@ -145,10 +145,9 @@ class IterativeFilter(SpectralFilter):
 
     def value_at_iterations(self, t, T: int):
         """phi_T(t), the T-step polynomial of the iteration started at 0 (as
-        fit_iterative starts from theta = 0), so phi_0 = 0; T may not be negative.
-        value's T >= 1 is checked by resolve; this is the one entry for T = 0."""
-        if T < 0:
-            raise ValueError(f"T must be >= 0, not {T!r}")
+        fit_iterative starts from theta = 0), so phi_0 = 0; T is checked as
+        resolve checks value's T >= 1, and this is the one entry for T = 0."""
+        T = whole_number(T, "T", least=0)
         return self._phi(np.asarray(t, dtype=float), None, T)
 
     def check_stable(self, norm: float) -> None:

@@ -269,7 +269,8 @@ class ExperimentPlan:
         self.base_seed = whole_number(self.base_seed, "plan base_seed", least=0)
         for key in ("repetitions", "n_train", "n_test"):
             setattr(self, key, whole_number(getattr(self, key), f"plan {key}"))
-        real_number(self.plateau_tol, "plan plateau_tol")
+        if real_number(self.plateau_tol, "plan plateau_tol") < 0:
+            raise ValueError(f"plan plateau_tol must be >= 0, not {self.plateau_tol!r}")
         for key in ("m_grid", "t_grid", "n_grid"):
             if not isinstance(getattr(self, key), list):
                 raise ValueError(f"plan {key} must be a list, not {getattr(self, key)!r}")
@@ -293,10 +294,6 @@ class ExperimentPlan:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2)
-
-    @staticmethod
-    def from_json(text: str) -> "ExperimentPlan":
-        return call_checked(ExperimentPlan, json.loads(text), "plan")
 
 
 def default_heatmap_plan(n: int = 5000, repetitions: int = 20, base_seed: int = 0) -> ExperimentPlan:
@@ -539,6 +536,7 @@ def run_rate_sweep(plan: ExperimentPlan, workers: int = 1) -> dict:
     problem = _problem_from_plan(plan)
     r, b = problem.r, problem.b  # the problem's source condition and capacity set both schedules
     filt = make_filter(**check_object(plan.filter, "plan filter"))
+    fit = fit_iterative if filt.iterative else fit_spectral  # the filter picks the solver
     configs = []
     for n in plan.n_grid:
         lam = lambda_schedule(n, r, b, sched["delta"], sched["C_lambda"])
@@ -547,18 +545,15 @@ def run_rate_sweep(plan: ExperimentPlan, workers: int = 1) -> dict:
 
     def trial(ni: int, rep: int):
         n, lam, m = configs[ni]["n"], configs[ni]["lambda"], configs[ni]["M"]
-        T, fmap = filt.resolve(lam)[1], problem.truncated_map(m)
+        fmap = problem.truncated_map(m)
         X, y = sample_dataset(problem, n, trial_seed(plan.base_seed, ni, 0, 0, rep))
         try:
-            if filt.iterative:
-                model = fit_iterative(fmap, X, y, filt, T)
-            else:
-                model = fit_spectral(fmap, X, y, filt, lam=lam)
+            model = fit(fmap, X, y, filt, lam=lam)
         except (ValueError, RuntimeError) as exc:  # same class, so callers catch it as before
             raise type(exc)(f"rate sweep cell n = {n}, rep = {rep}: {exc}") from exc
         risk = excess_risk_exact(problem, model)["total"]
         # T is the step count an iterative filter ran, 0 for any other filter
-        return [((n, m, T or 0, lam, rep, "excess_risk", risk), None)]
+        return [((n, m, model.iterations or 0, lam, rep, "excess_risk", risk), None)]
 
     keys = itertools.product(range(len(plan.n_grid)), range(plan.repetitions))
     rows, _, cells = _run_cells(trial, keys, workers)

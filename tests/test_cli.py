@@ -127,6 +127,49 @@ def test_missing_config_file_is_an_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["fit", "rate-sweep"])
+@pytest.mark.parametrize("content,named", [
+    (b'{"data": ', "Expecting value: line 1 column 10 (char 9)"),
+    (b'\xff{"data": {}}', "'utf-8' codec can't decode byte 0xff in position 0"),
+], ids=["truncated-json", "not-utf8"])
+def test_unreadable_config_exits_1_naming_the_file(tmp_path, capsys, command, content, named):
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(content)
+    assert main([command, "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: {named}") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("filt", [
+    {"kind": "landweber", "alpha": 0.5}, {"kind": "heavyball", "alpha": 0.05, "beta": 0.5},
+], ids=["landweber", "heavyball"])
+def test_an_iterative_filter_given_lambda_fits_the_derived_T_to_the_byte(tmp_path, capsys, filt):
+    # the filter picks fit_iterative for lambda as for iterations: the same T and theta
+    lam, base = 0.05, {key: v for key, v in _FIT_CONFIG.items() if key != "lambda"}
+    T = specrf.make_filter(**filt).resolve(lam)[1]
+    reports, thetas = [], []
+    for given in ({"lambda": lam}, {"iterations": T}):
+        cfg, out = tmp_path / "fit.json", tmp_path / str(len(thetas))
+        cfg.write_text(json.dumps({**base, "filter": filt, **given}))
+        assert main(["fit", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_OK
+        reports.append(json.loads(capsys.readouterr().out))
+        thetas.append(json.loads((out / "model.json").read_text())["theta_b64"])
+    assert [(r["fit_path"], r["iterations"]) for r in reports] == [("iterative", T)] * 2
+    assert reports[0]["lambda"] == lam
+    assert thetas[0] == thetas[1]
+
+
+def test_an_iterative_filter_given_lambda_is_not_capped_by_the_eigensolver(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(specrf.filters, "EIG_DIM_CAP", 8)
+    cfg = tmp_path / "fit.json"
+    cfg.write_text(json.dumps({**_FIT_CONFIG, "feature_map": {"kind": "gaussian_rff", "num_samples": 24},
+                               "filter": {"kind": "landweber", "alpha": 0.5}}))
+    assert main(["fit", "--config", str(cfg), "--out-dir", str(tmp_path / "m")]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert (report["embedding_dim"], report["fit_path"]) == (24, "iterative")
+
+
 def test_plateau_command_exit_codes(tmp_path):
     # n = 100 makes the anchor columns 40 and 200; small enough to run fast
     plan = ExperimentPlan(
@@ -343,6 +386,7 @@ _DESIGNER = {"type": "designer", "J": 8, "b": 1.0, "r": 0.5}
     ("heatmap", {"filter": {"kind": "tikhonov"}},
      "plan t_grid: filter tikhonov is not iterative and takes no iteration count"),
     ("heatmap", {"plateau_tol": "x"}, "plan plateau_tol must be a real number, not 'x'"),
+    ("heatmap", {"plateau_tol": -3.0}, "plan plateau_tol must be >= 0, not -3.0"),
     *[("fit", {"data": {**_FIT_CONFIG["data"], "n": n}}, f"fit config data n must be an integer >= 1, not {n!r}")
       for n in (100.5, "100", True)],
     ("fit", {"filter": {"kind": "landweber", "alpha": "0.5"}}, "landweber alpha must be a real number"),
@@ -410,6 +454,7 @@ _DESIGNER = {"type": "designer", "J": 8, "b": 1.0, "r": 0.5}
     "plan-fractional-repetitions", "plan-string-n_train", "plan-string-base_seed",
     "rate-schedule-string", "rate-schedule-r", "rate-negative-C_M", "rate-zero-C_M",
     "rate-zero-C_lambda", "heatmap-tikhonov", "plan-string-plateau_tol",
+    "plan-negative-plateau_tol",
     "fit-fractional-n", "fit-string-n", "fit-bool-n", "fit-landweber-string-alpha",
     "fit-heavyball-null-beta", "fit-designer-string-b", "fit-designer-null-noise_std",
     "fit-designer-list-R", "fit-designer-string-eigenvalue_scale", "heatmap-scalar-m_grid",
@@ -452,7 +497,7 @@ def test_seed_flag_overrides_the_plan_base_seed(tmp_path, command):
     flag, written, seed0 = (tmp_path / name for name in runs)
     resolved = (flag / "plan.resolved.json").read_text()
     assert json.loads(resolved)["base_seed"] == 3
-    assert ExperimentPlan.from_json(resolved).to_json() + "\n" == resolved  # it loads as a plan
+    assert ExperimentPlan(**json.loads(resolved)).to_json() + "\n" == resolved  # it loads as a plan
     for out in ("results.csv", "plan.resolved.json", "summary.json"):
         assert (flag / out).read_bytes() == (written / out).read_bytes()
     assert (flag / "results.csv").read_bytes() != (seed0 / "results.csv").read_bytes()
@@ -584,8 +629,10 @@ def test_empty_csv_writes_only_its_error_line(tmp_path):
     assert run.stderr == f"error: {tmp_path / 'empty.csv'}: no data rows\n"
 
 
-@pytest.mark.parametrize("filt", [{"kind": "tikhonov"}, {"kind": "landweber", "alpha": 0.5}],
-                         ids=["tikhonov", "landweber"])
+@pytest.mark.parametrize("filt", [
+    {"kind": "tikhonov"}, {"kind": "landweber", "alpha": 0.5},
+    {"kind": "heavyball", "alpha": 0.05, "beta": 0.5},
+], ids=["tikhonov", "landweber", "heavyball"])
 def test_rate_sweep_records_the_steps_an_iterative_filter_ran(tmp_path, filt):
     cfg = tmp_path / "plan.json"
     cfg.write_text(json.dumps({**_tiny_rate_plan(), "filter": filt}))

@@ -300,6 +300,39 @@ def test_fit_iterative_matches_the_loop_just_inside_the_heavyball_bound():
     _assert_fit_iterative_is_the_loop(fmap, X, y, hb)
 
 
+def test_fit_iterative_keeps_a_lanczos_direction_far_above_rounding():
+    # the designer map with J = 2 on X mirrored about 1/2, y = 1 + 1e-9 cos(pi x): s_hat's
+    # second Krylov direction enters through one coupling of about 2.5e-10, far above
+    # eps * trace(Sigma_hat). A stop rule that dropped it (a threshold of 1e-7) moves
+    # theta by 3.5e-10 relative; the rule keeps it and matches the loop in R^D
+    x = np.random.default_rng(0).uniform(0.0, 0.5, 200)
+    X = np.concatenate([x, 1.0 - x])[:, None]
+    y = 1.0 + 1e-9 * np.cos(np.pi * X[:, 0])
+    fmap = sample_feature_map("designer_finite_rank", 1, 2, {}, 0)
+    filt = make_filter("landweber", alpha=0.5)
+    theta, losses, _ = iterate_in_parameter_space(assemble_empirical_operators(fmap, X, y), filt, 6)
+    model = fit_iterative(fmap, X, y, filt, 6)
+    assert _relative_error(model.theta, theta) <= 1e-12
+    np.testing.assert_allclose(model.losses, losses, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("kind", ["rff", "designer", "relu", "tanh"])
+@pytest.mark.parametrize("filt", [
+    make_filter("landweber", alpha=0.5),
+    make_filter("heavyball", alpha=0.05, beta=0.5),
+], ids=["landweber", "heavyball(0.05,0.5)"])
+def test_fit_iterative_given_lambda_runs_the_T_it_resolves_to(kind, filt):
+    # the same theta to the byte as the derived T given as iterations, with the given
+    # lambda recorded, and within 1e-10 of the eigendecomposition reference
+    fmap, X, y = _map_of_kind(kind)
+    lam = 0.05
+    T = filt.resolve(lam)[1]
+    model = fit_iterative(fmap, X, y, filt, lam=lam)
+    assert (model.lam, model.iterations, model.fit_path) == (lam, T, "iterative")
+    np.testing.assert_array_equal(model.theta, fit_iterative(fmap, X, y, filt, T).theta)
+    assert _relative_error(model.theta, fit_spectral(fmap, X, y, filt, lam=lam).theta) <= 1e-10
+
+
 def test_fit_iterative_with_zero_labels_spans_no_basis():
     # s_hat = 0: theta stays 0, every snapshot is 0 and every loss is mean y^2 = 0
     fmap, X, _ = _map_of_kind("rff")
@@ -368,8 +401,9 @@ def test_fit_iterative_rejects_a_snapshot_count_outside_1_to_iterations(snapshot
 
 def test_fit_iterative_rejects_a_filter_that_is_not_iterative():
     fmap, X, y = _toy()
-    with pytest.raises(ValueError, match="^filter tikhonov is not iterative"):
-        fit_iterative(fmap, X, y, make_filter("tikhonov"), 8)
+    for fit in ({"iterations": 8}, {"lam": 0.1}):
+        with pytest.raises(ValueError, match="^filter tikhonov is not iterative"):
+            fit_iterative(fmap, X, y, make_filter("tikhonov"), **fit)
 
 
 def test_unstable_step_size_detected_before_iterating():

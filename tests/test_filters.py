@@ -93,8 +93,19 @@ def test_zero_iterations_give_the_zero_filter(filt):
     t = np.linspace(0.0, 1.5, 7)
     np.testing.assert_array_equal(filt.value_at_iterations(t, 0), np.zeros_like(t))
     np.testing.assert_allclose(filt.value_at_iterations(t, 1), filt.alpha, rtol=1e-15)
-    with pytest.raises(ValueError, match="T must be >= 0, not -1"):
+    with pytest.raises(ValueError, match="T must be an integer >= 0, not -1"):
         filt.value_at_iterations(t, -1)
+
+
+@pytest.mark.parametrize("filt", [Landweber(alpha=1.0), Heavyball(alpha=0.1, beta=0.9)])
+def test_value_at_iterations_takes_a_whole_T_as_resolve_does(filt):
+    # a fractional T or a bool is rejected on both filters; an integral float counts
+    t = np.linspace(0.0, 1.0, 5)
+    for T in (2.5, True):
+        with pytest.raises(ValueError, match=f"^T must be an integer >= 0, not {T!r}$"):
+            filt.value_at_iterations(t, T)
+    np.testing.assert_array_equal(filt.value_at_iterations(t, 3.0), filt.value_at_iterations(t, 3))
+    np.testing.assert_array_equal(filt.value_at_iterations(t, 3.0), filt.value(t, iterations=3.0))
 
 
 def test_step_size_validation():

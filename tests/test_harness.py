@@ -301,7 +301,7 @@ def test_results_csv_formatting(tmp_path):
 
 def test_plan_roundtrip_and_validation():
     plan = default_heatmap_plan(n=500, repetitions=2)
-    again = ExperimentPlan.from_json(plan.to_json())
+    again = ExperimentPlan(**json.loads(plan.to_json()))
     assert again.to_json() == plan.to_json()
     with pytest.raises(ValueError, match="unknown experiment"):
         ExperimentPlan(experiment="mystery")
@@ -556,7 +556,7 @@ def test_plan_fields_at_their_defaults_load_whatever_the_experiment(kind):
     # merged with its defaults as plan.resolved.json holds it
     spelled = json.loads(ExperimentPlan(experiment=kind).to_json())
     for schedule in ({}, {"C_M": 4.0}, spelled["schedule"]):
-        plan = ExperimentPlan.from_json(json.dumps({**spelled, "n_train": 5000.0, "schedule": schedule}))
+        plan = ExperimentPlan(**{**spelled, "n_train": 5000.0, "schedule": schedule})
         assert plan.to_json() == ExperimentPlan(experiment=kind).to_json()
 
 
@@ -564,9 +564,10 @@ def test_rate_sweep_with_an_iterative_filter_runs_fit_iterative(monkeypatch):
     steps = []
 
     @functools.wraps(fit_iterative)
-    def counting_fit(fmap, X, y, filt, iterations, snapshots=()):
-        steps.append(iterations)
-        return fit_iterative(fmap, X, y, filt, iterations, snapshots)
+    def counting_fit(*args, **kwargs):
+        model = fit_iterative(*args, **kwargs)
+        steps.append(model.iterations)
+        return model
 
     monkeypatch.setattr(harness, "fit_iterative", counting_fit)
     plan = ExperimentPlan(
