@@ -35,7 +35,6 @@ from .estimator import (
 from .diagnostics import (
     DesignerKernel,
     DesignerProblem,
-    HardLearningError,
     MonteCarloKernel,
     compute_f_star,
     effective_dimension,

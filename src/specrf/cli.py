@@ -69,7 +69,8 @@ def _cmd_fit(args) -> int:
             ingest_csv_dataset, data.get("options", {}), f"{where} data.options", path=data["path"]
         )
     else:
-        problem = call_checked(make_designer_problem, data["designer"], f"{where} data.designer")
+        problem = call_checked(make_designer_problem, data["designer"], f"{where} data.designer",
+                               seed=seed)
         X, y = sample_dataset(problem, whole_number(data.get("n", 1000), f"{where} data n"), seed)
     fm_where = f"{where} feature_map"
     fm = {"params": {}, **check_object(config["feature_map"], fm_where)}
@@ -110,10 +111,11 @@ def _cmd_heatmap(args) -> int:
 
 def _cmd_rate_sweep(args) -> int:
     _, summary = _run_sweep(args, default_rate_plan(), run_rate_sweep)
-    print(
-        f"rate sweep: slope = {summary['slope']:.4f} +/- {summary['slope_stderr']:.4f} "
-        f"(target {summary['target_slope']:.4f})"
-    )
+    target = f"(target {summary['target_slope']:.4f})"
+    if summary["degenerate"]:
+        print(f"rate sweep: degenerate, a mean excess risk vanishes, so no slope {target}")
+    else:
+        print(f"rate sweep: slope = {summary['slope']:.4f} +/- {summary['slope_stderr']:.4f} {target}")
     return EXIT_OK
 
 

@@ -33,8 +33,11 @@ SUP_NORM_GRID = 2001  # points of the [0,1] grid sup_norm_f_star maximizes over
 GRAM_N_CAP = 5000
 
 
-class HardLearningError(ValueError):
-    """2r + b <= 1 is outside the supported (easy-learning) regime."""
+def check_easy_regime(r: float, b: float) -> None:
+    """The one home of the regime rule: the rates, and the lambda and M schedules that
+    reach them, hold for 2r + b > 1 only (the easy-learning regime)."""
+    if 2.0 * r + b <= 1.0:
+        raise ValueError(f"2r + b = {2 * r + b:.3g} <= 1: hard-learning regime not supported")
 
 
 @dataclass(frozen=True)
@@ -94,10 +97,7 @@ def make_designer_problem(
         raise ValueError("r, R and eigenvalue_scale must be positive")
     if noise_std < 0:
         raise ValueError("noise_std must be >= 0")
-    if 2.0 * r + b <= 1.0:
-        raise HardLearningError(
-            f"2r + b = {2 * r + b:.3g} <= 1: hard-learning regime not supported"
-        )
+    check_easy_regime(r, b)
     j = np.arange(1, J + 1, dtype=float)
     mu = eigenvalue_scale * j ** (-1.0 / b)
     z = 1.0 / j
@@ -122,8 +122,7 @@ def sample_dataset(
     ROW_BLOCK x 2(A + B) floats however large n is, for B the least power of two
     with B^2 >= J and A = ceil(J / B), with no ROW_BLOCK x J basis.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n, seed = whole_number(n, "n"), whole_number(seed, "seed", least=0)
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, 1.0, n)
     y = np.empty(n)

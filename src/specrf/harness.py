@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import DesignerProblem, excess_risk_exact, make_designer_problem, sample_dataset
+from .diagnostics import (DesignerProblem, check_easy_regime, excess_risk_exact,
+                          make_designer_problem, sample_dataset)
 from .estimator import fit_iterative, fit_spectral, predict
 from .features import (
     call_checked,
@@ -32,7 +33,6 @@ from .features import (
 from .filters import make_filter, qualification_sufficient
 
 RESULTS_HEADER = ("n", "M", "T", "lambda", "rep", "metric", "value")
-SCHEDULE_DELTA_DEFAULT = 2.0 / math.e  # log(2/delta) = 1
 MIN_PLATEAU_REPS = 10
 
 _MASK = (1 << 64) - 1
@@ -57,27 +57,18 @@ def trial_seed(base_seed: int, *indices: int) -> int:
 
 
 def _check_regime(n: int, r: float, b: float) -> None:
-    if 2.0 * r + b <= 1.0:
-        raise ValueError(f"2r + b = {2 * r + b:.3g} <= 1: hard-learning regime")
+    check_easy_regime(r, b)
     n0 = math.ceil(math.exp((2.0 * r + b) / (2.0 * r + b - 1.0)))
     if n < n0:
         raise ValueError(f"n = {n} below the schedule threshold n0 = {n0}")
 
 
-def lambda_schedule(
-    n: int,
-    r: float,
-    b: float,
-    delta: float = SCHEDULE_DELTA_DEFAULT,
-    C_lambda: float = 1.0,
-) -> float:
-    """lambda = min(1, C * n^(-1/(2r+b)) * log^3(2/delta))."""
+def lambda_schedule(n: int, r: float, b: float, C_lambda: float = 1.0) -> float:
+    """lambda = min(1, C_lambda * n^(-1/(2r+b)))."""
     _check_regime(n, r, b)
-    if not 0.0 < delta < 2.0:
-        raise ValueError("delta must lie in (0, 2)")
     if C_lambda <= 0:
         raise ValueError(f"C_lambda must be positive, not {C_lambda!r}")
-    return min(1.0, C_lambda * n ** (-1.0 / (2.0 * r + b)) * math.log(2.0 / delta) ** 3)
+    return min(1.0, C_lambda * n ** (-1.0 / (2.0 * r + b)))
 
 
 def m_schedule_exponent(r: float, b: float) -> float:
@@ -374,7 +365,8 @@ def _heatmap_problem(plan: ExperimentPlan):
             return X_tr, y_tr, *_synthetic_data(trial_seed(rep_seed, 1), plan.n_test, **conf)
 
         return draw, X0.shape[1]
-    X, y = call_checked(ingest_csv_dataset, conf, "dataset problem")
+    # standardize is the command's: every split is scaled by its training rows below
+    X, y = call_checked(ingest_csv_dataset, conf, "dataset problem", standardize=False)
     need = plan.n_train + plan.n_test
     if X.shape[0] < need:
         raise ValueError(f"dataset has {X.shape[0]} rows, plan needs {need}")
@@ -539,7 +531,7 @@ def run_rate_sweep(plan: ExperimentPlan, workers: int = 1) -> dict:
     fit = fit_iterative if filt.iterative else fit_spectral  # the filter picks the solver
     configs = []
     for n in plan.n_grid:
-        lam = lambda_schedule(n, r, b, sched["delta"], sched["C_lambda"])
+        lam = lambda_schedule(n, r, b, sched["C_lambda"])
         m = m_schedule(n, r, b, sched["C_M"])
         configs.append({"n": n, "lambda": lam, "M": min(m, problem.rank), "M_schedule": m})
 
@@ -559,7 +551,7 @@ def run_rate_sweep(plan: ExperimentPlan, workers: int = 1) -> dict:
     rows, _, cells = _run_cells(trial, keys, workers)
     means = [float(np.mean(vals)) for vals in cells.values()]
     degenerate = any(m < 1e-12 for m in means)
-    slope, se = (math.nan, math.nan)
+    slope, se = None, None  # a degenerate sweep's risk has no log, so it has no slope
     if not degenerate:
         slope, se = ols_slope(np.log(np.asarray(plan.n_grid, float)), np.log(means))
     return {
@@ -596,5 +588,5 @@ def write_outputs(out_dir: str | Path, plan: ExperimentPlan, rows, summary: dict
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_results_csv(out / "results.csv", rows)
-    (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2, allow_nan=False) + "\n")
     (out / "plan.resolved.json").write_text(plan.to_json() + "\n")

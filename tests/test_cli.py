@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import tempfile
@@ -438,8 +439,21 @@ _DESIGNER = {"type": "designer", "J": 8, "b": 1.0, "r": 0.5}
     ("heatmap", {"schedule": {"C_M": 0.5}}, "plan schedule is not read by a heatmap plan; leave it out"),
     ("heatmap", {"experiment": "plateau_check", "n_grid": [64]},
      "plan n_grid is not read by a plateau_check plan"),
-    ("heatmap", {"experiment": "plateau_check", "schedule": {"delta": 0.1}},
+    ("heatmap", {"experiment": "plateau_check", "schedule": {"C_lambda": 0.1}},
      "plan schedule is not read by a plateau_check plan"),
+    # values that changed no output: delta repeated C_lambda, a heatmap scales each split by
+    # its training rows anyway, and the designer map of a fit draws nothing from its seed
+    ("rate-sweep", {"schedule": {"delta": 0.1}},
+     "plan schedule keys not taken by lambda_schedule or m_schedule: delta"),
+    ("heatmap", {"schedule": {"delta": 2 / math.e}},
+     "plan schedule keys not taken by lambda_schedule or m_schedule: delta"),
+    ("heatmap", {"problem": {"type": "dataset", "path": "labels.csv", "standardize": True}},
+     "dataset problem keys not taken by ingest_csv_dataset: standardize"),
+    ("heatmap", {"experiment": "plateau_check",
+                 "problem": {"type": "dataset", "path": "labels.csv", "standardize": False}},
+     "dataset problem keys not taken by ingest_csv_dataset: standardize"),
+    ("fit", {"data": {"designer": {"J": 8, "b": 1.0, "r": 0.5, "seed": 0}, "n": 100}},
+     "fit config data.designer keys not taken by make_designer_problem: seed"),
 ], ids=[
     "plan-filter-without-kind", "plan-feature_map-without-kind", "plan-feature_map-typo",
     "plan-feature_map-params-typo", "heatmap-problem-designer", "heatmap-problem-type-typo",
@@ -465,7 +479,8 @@ _DESIGNER = {"type": "designer", "J": 8, "b": 1.0, "r": 0.5}
     "fit-unstable-landweber", "fit-label-only-csv", "heatmap-label-only-csv", "rate-feature_map",
     "rate-m_grid", "rate-t_grid", "rate-n_train",
     "rate-n_test", "rate-plateau_tol", "heatmap-n_grid", "heatmap-schedule", "plateau-n_grid",
-    "plateau-schedule",
+    "plateau-schedule", "rate-schedule-delta", "heatmap-schedule-delta", "heatmap-dataset-standardize",
+    "plateau-dataset-standardize", "fit-designer-seed",
 ])
 def test_bad_config_exits_1_with_one_error_line(tmp_path, capsys, monkeypatch, command, change, named):
     (tmp_path / "labels.csv").write_text("1\n2\n3\n")
@@ -647,6 +662,29 @@ def test_rate_sweep_records_the_steps_an_iterative_filter_ran(tmp_path, filt):
         assert len({line.split(",")[2] for line in lines[1:]}) == 5  # one T for each n
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["qualification_sufficient"] is True  # r = 0.5
+
+
+def _strict_json(text: str):
+    """json.loads that rejects NaN and Infinity, which are not JSON."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_degenerate_rate_sweep_writes_a_null_slope(tmp_path, capsys):
+    # noiseless, J = 8 and spectral cutoff at a small lambda recover g exactly: no risk to take a log of
+    plan = {**_tiny_rate_plan(), "repetitions": 2, "n_grid": [32, 64, 128, 256, 512],
+            "problem": {**_DESIGNER, "noise_std": 0.0}, "filter": {"kind": "spectral_cutoff"},
+            "schedule": {"C_lambda": 0.01}}
+    cfg = tmp_path / "plan.json"
+    cfg.write_text(json.dumps(plan))
+    assert main(["rate-sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == "rate sweep: degenerate, a mean excess risk vanishes, so no slope (target -0.2500)\n"
+    summary = _strict_json((tmp_path / "out" / "summary.json").read_text())
+    assert summary["degenerate"] is True
+    assert summary["slope"] is None and summary["slope_stderr"] is None
 
 
 def test_failing_rate_sweep_cell_names_itself(tmp_path, capsys):

@@ -4,7 +4,6 @@ import pytest
 from reference import GaussianKernel
 from specrf.diagnostics import (
     DesignerKernel,
-    HardLearningError,
     MonteCarloKernel,
     compute_f_star,
     effective_dimension,
@@ -24,6 +23,7 @@ from specrf.features import (
     sample_feature_map,
 )
 from specrf.filters import DivergenceError, make_filter
+from specrf.harness import lambda_schedule, m_schedule
 
 
 def test_problem_construction_known_coefficients():
@@ -39,8 +39,11 @@ def test_problem_construction_known_coefficients():
 
 
 def test_hard_learning_regime_rejected():
-    with pytest.raises(HardLearningError):
-        make_designer_problem(J=8, b=0.5, r=0.25)
+    # one rule and one message, for the problem and for the schedules that assume it
+    for call in (lambda: make_designer_problem(J=8, b=0.5, r=0.25),
+                 lambda: lambda_schedule(100, 0.25, 0.5), lambda: m_schedule(100, 0.25, 0.5)):
+        with pytest.raises(ValueError, match=r"^2r \+ b = 1 <= 1: hard-learning regime not supported$"):
+            call()
 
 
 def test_construction_validation():
@@ -70,8 +73,22 @@ def test_dataset_seeded_and_noiseless_exact():
     np.testing.assert_array_equal(y1, y2)
     np.testing.assert_allclose(y1, designer_series(p.g_coeffs, X1[:, 0]), atol=1e-13)
     assert X1.min() >= 0.0 and X1.max() <= 1.0
-    with pytest.raises(ValueError, match="^n must be >= 1$"):
+    with pytest.raises(ValueError, match="^n must be an integer >= 1, not 0$"):
         sample_dataset(p, 0, 11)
+
+
+@pytest.mark.parametrize("n,seed,named", [
+    (2.5, 11, "n must be an integer >= 1, not 2.5"),
+    (True, 11, "n must be an integer >= 1, not True"),
+    ("3", 11, "n must be an integer >= 1, not '3'"),
+    (50, 2.5, "seed must be an integer >= 0, not 2.5"),
+])
+def test_dataset_counts_are_whole_numbers(n, seed, named):
+    p = make_designer_problem(J=6, b=1.0, r=0.5, noise_std=0.0)
+    with pytest.raises(ValueError, match=f"^{named}$"):
+        sample_dataset(p, n, seed)
+    # an integral float counts, as it does for every other count
+    np.testing.assert_array_equal(sample_dataset(p, 50.0, 11.0)[1], sample_dataset(p, 50, 11)[1])
 
 
 def test_dataset_target_over_row_blocks_is_one_basis_product():

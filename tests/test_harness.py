@@ -15,7 +15,6 @@ from specrf import harness
 from specrf.features import sample_feature_map
 from specrf.filters import make_filter
 from specrf.harness import (
-    SCHEDULE_DELTA_DEFAULT,
     ExperimentPlan,
     _heatmap_problem,
     default_heatmap_plan,
@@ -32,6 +31,7 @@ from specrf.harness import (
     splitmix64,
     standardize_features,
     trial_seed,
+    write_outputs,
     write_results_csv,
 )
 
@@ -54,6 +54,7 @@ def test_lambda_schedule_known_value():
     assert m_schedule(1024, 0.5, 1.0) == 888
     # capped at 1 for tiny n with a large constant
     assert lambda_schedule(8, 0.5, 1.0, C_lambda=100.0) == 1.0
+    assert lambda_schedule(1024, 0.5, 1.0, 2.0) == 2.0 * lambda_schedule(1024, 0.5, 1.0)
 
 
 def test_schedule_exponent_regimes():
@@ -76,8 +77,8 @@ def test_schedule_preconditions():
         lambda_schedule(100, 0.25, 0.5)
     with pytest.raises(ValueError, match="n0"):
         lambda_schedule(4, 0.5, 1.0)
-    with pytest.raises(ValueError, match="delta"):
-        lambda_schedule(100, 0.5, 1.0, delta=2.5)
+    with pytest.raises(ValueError, match="^C_lambda must be positive, not -2.5$"):
+        lambda_schedule(100, 0.5, 1.0, -2.5)  # the fourth argument is C_lambda
     for C in (0, 0.0, -1.0):
         with pytest.raises(ValueError, match=f"^C_lambda must be positive, not {C!r}$"):
             lambda_schedule(100, 0.5, 1.0, C_lambda=C)
@@ -308,7 +309,7 @@ def test_plan_roundtrip_and_validation():
     with pytest.raises(ValueError, match="repetitions"):
         ExperimentPlan(experiment="heatmap", repetitions=0)
     # the schedule's defaults are those of lambda_schedule and m_schedule
-    assert plan.schedule == {"C_lambda": 1.0, "C_M": 4.0, "delta": SCHEDULE_DELTA_DEFAULT}
+    assert plan.schedule == {"C_lambda": 1.0, "C_M": 4.0}
 
 
 def _tiny_heatmap_plan(seed=0):
@@ -379,9 +380,11 @@ def test_dataset_plan_needs_n_train_plus_n_test_rows(tmp_path):
         run_heatmap(plan)
 
 
-def test_dataset_plan_rejects_keys_ingest_does_not_take(tmp_path):
-    with pytest.raises(ValueError, match="input_dim"):
-        run_heatmap(_dataset_plan(tmp_path, input_dim=2))
+@pytest.mark.parametrize("key,value", [("input_dim", 2), ("standardize", True), ("standardize", False)])
+def test_dataset_plan_rejects_keys_ingest_does_not_take(tmp_path, key, value):
+    # standardize is the heatmap's own: it scales each split by its training rows
+    with pytest.raises(ValueError, match=f"^dataset problem keys not taken by ingest_csv_dataset: {key}$"):
+        run_heatmap(_dataset_plan(tmp_path, **{key: value}))
 
 
 def test_heatmap_deterministic_across_workers():
@@ -451,8 +454,16 @@ def test_rate_sweep_exact_recovery_flags_degenerate():
     )
     out = run_rate_sweep(plan)
     assert out["degenerate"]
-    assert math.isnan(out["slope"])
+    assert out["slope"] is None and out["slope_stderr"] is None
     assert max(out["mean_excess_risk"]) < 1e-10
+
+
+def test_summary_json_with_a_nan_is_an_error(tmp_path):
+    plan = _tiny_heatmap_plan()
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_outputs(tmp_path, plan, [], {"slope": math.nan})
+    write_outputs(tmp_path, plan, [], {"slope": None})
+    assert json.loads((tmp_path / "summary.json").read_text()) == {"slope": None}
 
 
 def test_rate_sweep_needs_enough_grid_points():
