@@ -133,10 +133,10 @@ def _cmd_audit_filters(args) -> int:
         make_filter("spectral_cutoff"),
     )
     q_values = (0.5, 1.0, 1.5, 2.0, 4.0)
-    reports = [json.loads(audit_filter(filt, q_values=q_values).to_json()) for filt in filters]
+    reports = [audit_filter(filt, q_values=q_values) for filt in filters]
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "filter_audits.json").write_text(json.dumps(reports, indent=2) + "\n")
+    (out / "filter_audits.json").write_text(json.dumps(reports, indent=2, sort_keys=True) + "\n")
     for rep in reports:
         print(f"{rep['filter']}: {'PASS' if rep['pass'] else 'FAIL'}")
     return EXIT_OK if all(rep["pass"] for rep in reports) else EXIT_CHECK_FAILED

@@ -64,13 +64,8 @@ class DesignerProblem:
         m = min(int(num_features), self.rank)
         if m < 1:
             raise ValueError("need at least one feature")
-        return sample_feature_map(
-            DESIGNER_FINITE_RANK,
-            1,
-            m,
-            {"eigenvalues": self.eigenvalues[:m], "decay_exponent": self.b},
-            self.seed,
-        )
+        params = {"eigenvalues": self.eigenvalues[:m]}
+        return sample_feature_map(DESIGNER_FINITE_RANK, 1, m, params, self.seed)
 
 
 def make_designer_problem(
@@ -103,9 +98,7 @@ def make_designer_problem(
     z = 1.0 / j
     h = R * z / np.linalg.norm(z)
     g = mu**r * h
-    fmap = sample_feature_map(
-        DESIGNER_FINITE_RANK, 1, J, {"eigenvalues": mu, "decay_exponent": b}, seed
-    )
+    fmap = sample_feature_map(DESIGNER_FINITE_RANK, 1, J, {"eigenvalues": mu}, seed)
     return DesignerProblem(
         map=fmap, b=b, r=r, R=R, h_coeffs=h, g_coeffs=g, noise_std=noise_std, seed=seed
     )

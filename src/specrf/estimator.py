@@ -253,14 +253,18 @@ def predict(model: RfModel, X: np.ndarray) -> np.ndarray:
     return np.concatenate([feature_matrix(model.map, Xb) @ model.theta for Xb in blocks])
 
 
-def mse(model: RfModel, X: np.ndarray, y: np.ndarray) -> float:
+def mse(model: RfModel, X: np.ndarray, y: np.ndarray):
+    """Mean squared error of predict(model, X) against y: a float for a 1-d theta,
+    and the k column errors as an array for a D x k theta."""
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.size == 0:
         raise ValueError("empty test set")
     pred = predict(model, X)
     if pred.shape[0] != y.size:
         raise ValueError("X and y length mismatch")
-    return float(np.mean((pred - y) ** 2))
+    if pred.ndim == 1:
+        return float(np.mean((pred - y) ** 2))
+    return np.mean((pred - y[:, None]) ** 2, axis=0)
 
 
 def save_model(model: RfModel, path: str) -> None:

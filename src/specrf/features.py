@@ -18,7 +18,9 @@ DESIGNER_FINITE_RANK = "designer_finite_rank"
 
 # kind -> {param: default}: the one place that says which params a kind reads, their
 # defaults and what descriptor() writes. A param whose default is a float is read
-# through real_number; designer eigenvalues None mean j^(-1/decay_exponent).
+# through real_number. A designer map takes eigenvalues or decay_exponent, not both:
+# decay_exponent only generates eigenvalues j^(-1/decay_exponent), so the built map's
+# params, and its descriptor, hold the eigenvalues alone.
 PARAMS = {
     GAUSSIAN_RFF: {"bandwidth": 1.0},
     NTK_ONE_LAYER: {"activation": "relu", "tau": 1.0, "gamma": 1.0, "rho_max": 10.0},
@@ -211,6 +213,8 @@ def sample_feature_map(
     num_samples = whole_number(num_samples, "num_samples")
     seed = whole_number(seed, "feature map seed", least=0)
     check_keys(params, "feature map params", (), PARAMS[kind], kind)
+    if "eigenvalues" in params and "decay_exponent" in params:
+        raise ValueError("designer map takes eigenvalues or decay_exponent, not both")
     params = {**PARAMS[kind], **params}
     for key, default in PARAMS[kind].items():
         if isinstance(default, float):
@@ -253,7 +257,7 @@ def sample_feature_map(
     else:
         if input_dim != 1:
             raise ValueError("designer map is defined on X = [0,1], input_dim must be 1")
-        decay = params["decay_exponent"]
+        decay = params.pop("decay_exponent")
         if decay <= 0:
             raise ValueError(f"decay_exponent must be positive, not {decay!r}")
         freqs = np.arange(1, num_samples + 1, dtype=float)

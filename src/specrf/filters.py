@@ -10,7 +10,6 @@ from __future__ import annotations
 import inspect
 import json
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -239,41 +238,15 @@ def qualification_sufficient(f: SpectralFilter, r: float) -> bool:
     return f.qualification >= max(1.0, 0.5 + r) - 1e-12
 
 
-@dataclass
-class QualificationEntry:
-    q: float
-    measured: float
-    declared: float | None
-    passed: bool | None  # None when the constant is reported, not certified
-
-
-@dataclass
-class AuditReport:
-    filter_name: str
-    declared: dict
-    measured: dict
-    qualification: list[QualificationEntry] = field(default_factory=list)
-    passed: bool = False
+class AuditReport(dict):
+    """One filter's audit, the record filter_audits.json holds: "filter" (its name),
+    "constants_declared" and "constants_measured" (each {"D", "E", "c0"}),
+    "qualification" (a list of {"q", "measured", "declared", "pass"}, where declared
+    and pass are None when c_q is reported, not certified) and "pass"."""
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "filter": self.filter_name,
-                "constants_declared": self.declared,
-                "constants_measured": self.measured,
-                "qualification": [
-                    {
-                        "q": e.q,
-                        "measured": e.measured,
-                        "declared": e.declared,
-                        "pass": e.passed,
-                    }
-                    for e in self.qualification
-                ],
-                "pass": self.passed,
-            },
-            sort_keys=True,
-        )
+        """The record as JSON with sorted keys; kept for perfbench/child.py, which calls it."""
+        return json.dumps(self, sort_keys=True)
 
 
 def audit_filter(
@@ -310,7 +283,8 @@ def audit_filter(
         value = float(np.max(np.max(res * t_grid**q, axis=1) / [lam**q for lam in lam_grid]))
         declared_q = f.declared_cq(q)
         ok = None if declared_q is None else value <= declared_q + AUDIT_SLACK
-        entries.append(QualificationEntry(q, value, declared_q, ok))
+        entries.append({"q": q, "measured": value, "declared": declared_q, "pass": ok})
         if ok is not None and q <= f.qualification:
             all_pass = all_pass and ok
-    return AuditReport(f.name, declared, measured, entries, all_pass)
+    return AuditReport({"filter": f.name, "constants_declared": declared,
+                        "constants_measured": measured, "qualification": entries, "pass": all_pass})

@@ -21,7 +21,7 @@ import numpy as np
 
 from .diagnostics import (DesignerProblem, check_easy_regime, excess_risk_exact,
                           make_designer_problem, sample_dataset)
-from .estimator import fit_iterative, fit_spectral, predict
+from .estimator import fit_iterative, fit_spectral, mse
 from .features import (
     call_checked,
     check_keys,
@@ -435,7 +435,7 @@ def _heatmap_grid(plan: ExperimentPlan, workers: int, draw, input_dim: int) -> d
             return [((*head, None), repr(exc)) for head in heads]
         # one streamed pass over the test set scores every snapshot
         thetas = np.column_stack([model.snapshots[t] for t in t_grid])
-        errors = np.mean((predict(replace(model, theta=thetas), X_te) - y_te[:, None]) ** 2, axis=0)
+        errors = mse(replace(model, theta=thetas), X_te, y_te)
         return [((*head, float(e)), None) for head, e in zip(heads, errors)]
 
     keys = itertools.product(range(len(plan.m_grid)), range(plan.repetitions))

@@ -49,16 +49,16 @@ def test_filter_axiom_audits():
         make_filter("spectral_cutoff"),
     ]
     reports = [audit_filter(f, q_values=(0.5, 1.0, 1.5, 2.0)) for f in filters]
-    all_audits = all(r.passed for r in reports)
+    all_audits = all(r["pass"] for r in reports)
     tik = reports[0]
-    tik_q2 = {e.q: e for e in tik.qualification}[2.0]
-    saturation_visible = tik_q2.passed is False and tik_q2.measured > tik_q2.declared
+    tik_q2 = {e["q"]: e for e in tik["qualification"]}[2.0]
+    saturation_visible = tik_q2["pass"] is False and tik_q2["measured"] > tik_q2["declared"]
     elapsed = time.monotonic() - t0
     ok = all_audits and saturation_visible and elapsed < 10.0
     _report(
         "filter axiom audits",
         ok,
-        f"4 filters audited, ridge q=2 ratio {tik_q2.measured:.1f}, {elapsed:.1f}s",
+        f"4 filters audited, ridge q=2 ratio {tik_q2['measured']:.1f}, {elapsed:.1f}s",
     )
     assert ok
 
@@ -185,7 +185,7 @@ def test_bias_bounded_by_filter_constants():
         for kind, kwargs in (("landweber", {"alpha": 1.0}), ("spectral_cutoff", {})):
             filt = make_filter(kind, **kwargs)
             report = audit_filter(filt, q_values=(0.5, 1.0, 1.5, 2.0))
-            c = {e.q: e.measured for e in report.qualification}[q]
+            c = {e["q"]: e["measured"] for e in report["qualification"]}[q]
             for lam in np.logspace(-3, 0, 20):
                 _, bias = compute_f_star(prob, filt, float(lam))
                 bound = 3.0 * prob.R * c * float(lam) ** r

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import specrf
 from specrf.cli import EXIT_CHECK_FAILED, EXIT_ERROR, EXIT_OK, main
 from specrf.estimator import load_model, mse
+from specrf.filters import audit_filter, make_filter
 from specrf.harness import ExperimentPlan, ingest_csv_dataset
 
 
@@ -65,6 +66,17 @@ def test_audit_filters_command(tmp_path, capsys):
     }
     lines = capsys.readouterr().out.strip().split("\n")
     assert all(line.endswith("PASS") for line in lines)
+
+
+def test_audit_filters_file_is_the_json_of_each_report(tmp_path):
+    # the bytes the command wrote when it round-tripped each report through to_json
+    out = tmp_path / "audits"
+    assert main(["audit-filters", "--out-dir", str(out)]) == EXIT_OK
+    filters = (make_filter("tikhonov"), make_filter("landweber", alpha=1.0),
+               make_filter("heavyball", alpha=0.1, beta=0.9), make_filter("spectral_cutoff"))
+    q_values = (0.5, 1.0, 1.5, 2.0, 4.0)
+    reports = [json.loads(audit_filter(f, q_values=q_values).to_json()) for f in filters]
+    assert (out / "filter_audits.json").read_text() == json.dumps(reports, indent=2) + "\n"
 
 
 def test_fit_command_designer(tmp_path, capsys):
@@ -454,6 +466,10 @@ _DESIGNER = {"type": "designer", "J": 8, "b": 1.0, "r": 0.5}
      "dataset problem keys not taken by ingest_csv_dataset: standardize"),
     ("fit", {"data": {"designer": {"J": 8, "b": 1.0, "r": 0.5, "seed": 0}, "n": 100}},
      "fit config data.designer keys not taken by make_designer_problem: seed"),
+    # decay_exponent only generates eigenvalues, so the pair is one value given twice
+    ("fit", {"feature_map": {"kind": "designer_finite_rank", "num_samples": 8, "params": {
+        "eigenvalues": [1.0 / j for j in range(1, 9)], "decay_exponent": 1.0}}},
+     "designer map takes eigenvalues or decay_exponent, not both"),
 ], ids=[
     "plan-filter-without-kind", "plan-feature_map-without-kind", "plan-feature_map-typo",
     "plan-feature_map-params-typo", "heatmap-problem-designer", "heatmap-problem-type-typo",
@@ -480,7 +496,7 @@ _DESIGNER = {"type": "designer", "J": 8, "b": 1.0, "r": 0.5}
     "rate-m_grid", "rate-t_grid", "rate-n_train",
     "rate-n_test", "rate-plateau_tol", "heatmap-n_grid", "heatmap-schedule", "plateau-n_grid",
     "plateau-schedule", "rate-schedule-delta", "heatmap-schedule-delta", "heatmap-dataset-standardize",
-    "plateau-dataset-standardize", "fit-designer-seed",
+    "plateau-dataset-standardize", "fit-designer-seed", "fit-eigenvalues-and-decay_exponent",
 ])
 def test_bad_config_exits_1_with_one_error_line(tmp_path, capsys, monkeypatch, command, change, named):
     (tmp_path / "labels.csv").write_text("1\n2\n3\n")

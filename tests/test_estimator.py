@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import json
 import re
 
@@ -8,7 +9,7 @@ from reference import iterate_in_parameter_space
 
 import specrf
 from specrf import estimator, features, filters
-from specrf.diagnostics import MonteCarloKernel, krr_gram_fit, krr_predict
+from specrf.diagnostics import MonteCarloKernel, krr_gram_fit, krr_predict, make_designer_problem
 from specrf.estimator import (
     ROW_BLOCK,
     DivergenceError,
@@ -633,6 +634,34 @@ def test_mse_rejects_length_mismatch(rows, labels):
     model = fit_spectral(fmap, X, y, make_filter("tikhonov"), lam=0.1)
     with pytest.raises(ValueError, match="X and y length mismatch"):
         mse(model, X[:rows], y[:labels])
+    with pytest.raises(ValueError, match="X and y length mismatch"):
+        mse(dataclasses.replace(model, theta=np.column_stack([model.theta] * 3)), X[:rows], y[:labels])
+
+
+def test_mse_of_a_column_theta_is_each_column_mse():
+    fmap, X, y = _toy()
+    model = fit_iterative(fmap, X, y, make_filter("landweber", alpha=0.5), 16, snapshots=(1, 4, 16))
+    columns = [model.snapshots[t] for t in (1, 4, 16)]
+    errors = mse(dataclasses.replace(model, theta=np.column_stack(columns)), X[:50], y[:50])
+    assert errors.shape == (3,)
+    singles = [mse(dataclasses.replace(model, theta=theta), X[:50], y[:50]) for theta in columns]
+    assert all(type(e) is float for e in singles)
+    np.testing.assert_allclose(errors, singles, rtol=1e-12)
+
+
+@pytest.mark.parametrize("map_of", [
+    lambda: sample_feature_map("designer_finite_rank", 1, 8, {"decay_exponent": 0.5}, 0),
+    lambda: make_designer_problem(J=8, b=0.5, r=0.5).truncated_map(4),
+], ids=["decay_exponent", "truncated"])
+def test_designer_map_records_only_its_eigenvalues(tmp_path, map_of):
+    fmap = map_of()
+    assert set(fmap.descriptor()["params"]) == {"eigenvalues"}
+    X = np.linspace(0.0, 1.0, 40)[:, None]
+    model = fit_spectral(fmap, X, np.cos(np.pi * X[:, 0]), make_filter("tikhonov"), lam=0.1)
+    save_model(model, tmp_path / "model.json")
+    loaded = load_model(tmp_path / "model.json")
+    np.testing.assert_array_equal(loaded.map.params["eigenvalues"], fmap.params["eigenvalues"])
+    assert loaded.map.descriptor() == fmap.descriptor()
 
 
 @pytest.mark.parametrize("bad", ["nan_label", "inf_input"])

@@ -307,14 +307,25 @@ def test_sample_feature_map_rejects_bad_param_values(kind, dim, params, named):
 
 
 def test_params_hold_every_default_of_the_kind():
+    # a designer map's decay_exponent only generates its eigenvalues, which it holds alone
     for kind, defaults in features.PARAMS.items():
         f = sample_feature_map(kind, 1, 3, {}, 0)
-        assert set(f.params) == set(defaults) == set(f.descriptor()["params"])
-        for key, default in defaults.items():
-            if default is not None:
-                assert f.params[key] == default
+        held = {"eigenvalues"} if kind == DESIGNER_FINITE_RANK else set(defaults)
+        assert set(f.params) == held == set(f.descriptor()["params"])
+        for key in held:
+            if defaults[key] is not None:
+                assert f.params[key] == defaults[key]
     f = sample_feature_map(DESIGNER_FINITE_RANK, 1, 3, {"decay_exponent": 0.5}, 0)
     np.testing.assert_array_equal(f.params["eigenvalues"], [1.0, 0.25, 1.0 / 9.0])
+    np.testing.assert_array_equal(sample_feature_map(DESIGNER_FINITE_RANK, 1, 3, {}, 0).params["eigenvalues"],
+                                  [1.0, 0.5, 1.0 / 3.0])
+
+
+@pytest.mark.parametrize("decay", [1.0, 0.5, -1.0])
+def test_designer_map_takes_eigenvalues_or_decay_exponent_not_both(decay):
+    params = {"eigenvalues": [1.0, 0.5, 1.0 / 3.0], "decay_exponent": decay}
+    with pytest.raises(ValueError, match="^designer map takes eigenvalues or decay_exponent, not both$"):
+        sample_feature_map(DESIGNER_FINITE_RANK, 1, 3, params, 0)
 
 
 def test_unhashable_kind_is_an_unknown_kind():

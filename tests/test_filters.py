@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -198,27 +199,27 @@ def test_qualification_threshold():
 )
 def test_audits_pass_for_declared_constants(filt):
     report = audit_filter(filt)
-    assert report.passed, report.to_json()
-    assert report.measured["D"] <= filt.D + 1e-9
-    assert report.measured["E"] <= filt.E + 1e-9
-    assert report.measured["c0"] <= filt.c0 + 1e-9
+    assert report["pass"], report.to_json()
+    assert report["constants_measured"]["D"] <= filt.D + 1e-9
+    assert report["constants_measured"]["E"] <= filt.E + 1e-9
+    assert report["constants_measured"]["c0"] <= filt.c0 + 1e-9
 
 
 def test_audit_exposes_tikhonov_saturation():
     # the ratio sup_t |r(t)| t^2 / lam^2 diverges like 1/lam for this filter
     report = audit_filter(make_filter("tikhonov"), q_values=(1.0, 2.0))
-    entry = {e.q: e for e in report.qualification}
-    assert entry[1.0].passed
-    assert entry[2.0].passed is False
-    assert entry[2.0].measured > 100.0
+    entry = {e["q"]: e for e in report["qualification"]}
+    assert entry[1.0]["pass"]
+    assert entry[2.0]["pass"] is False
+    assert entry[2.0]["measured"] > 100.0
     # exceeding the declared qualification does not sink the report
-    assert report.passed
+    assert report["pass"]
 
 
 def test_heavyball_constants_reported_not_certified():
     report = audit_filter(make_filter("heavyball", alpha=0.1, beta=0.9))
-    assert all(e.passed is None for e in report.qualification)
-    assert 3.0 not in {e.q for e in report.qualification}
+    assert all(e["pass"] is None for e in report["qualification"])
+    assert 3.0 not in {e["q"] for e in report["qualification"]}
 
 
 def _running_max_audit(f, lam_grid, q_values):
@@ -251,8 +252,8 @@ def test_audit_constants_equal_a_running_max_loop(filt):
     q_values = (0.5, 1.0, 1.5, 2.0, 4.0)
     report = audit_filter(filt, lam_grid=lam_grid, q_values=q_values)
     measured, cq = _running_max_audit(filt, lam_grid, q_values)
-    assert report.measured == measured
-    assert {e.q: e.measured for e in report.qualification} == cq
+    assert report["constants_measured"] == measured
+    assert {e["q"]: e["measured"] for e in report["qualification"]} == cq
 
 
 @pytest.mark.parametrize("kind,kwargs", [
@@ -291,13 +292,24 @@ def test_audit_grid_floor():
         audit_filter(make_filter("tikhonov"), lam_grid=np.linspace(0.01, 1, 10))
 
 
-def test_audit_report_json_shape():
-    import json
-
-    rep = json.loads(audit_filter(make_filter("landweber", alpha=1.0)).to_json())
-    assert rep["filter"] == "landweber"
-    assert set(rep["constants_declared"]) == {"D", "E", "c0"}
-    assert rep["pass"] is True
+@pytest.mark.parametrize("kind,kwargs", [
+    ("tikhonov", {}),
+    ("landweber", {"alpha": 1.0}),
+    ("heavyball", {"alpha": 0.1, "beta": 0.9}),
+    ("spectral_cutoff", {}),
+    ("heavyball", {"alpha": 0.05, "beta": 0.5}),
+])
+def test_audit_report_json_shape(kind, kwargs):
+    # the report is the record filter_audits.json holds: to_json loses nothing
+    report = audit_filter(make_filter(kind, **kwargs), lam_grid=np.logspace(-2, 0, 50),
+                          q_values=(0.5, 1.0, 2.0))
+    assert json.loads(report.to_json()) == report
+    assert set(report) == {"filter", "constants_declared", "constants_measured", "qualification", "pass"}
+    assert report["filter"] == kind
+    assert set(report["constants_declared"]) == set(report["constants_measured"]) == {"D", "E", "c0"}
+    assert [e["q"] for e in report["qualification"]] == [0.5, 1.0, 2.0]
+    assert all(set(e) == {"q", "measured", "declared", "pass"} for e in report["qualification"])
+    assert report["pass"] is True
 
 
 @settings(max_examples=50, deadline=None)
