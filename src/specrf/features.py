@@ -31,6 +31,8 @@ ACTIVATIONS = ("relu", "tanh", "identity")
 # empirical kappa^2 bounds for unbounded activations get this headroom
 NTK_KAPPA_MARGIN = 1.1
 DEFAULT_MEMORY_BUDGET = 2 * 1024**3  # bytes
+# floats of a Gaussian RFF embedding turned into cosines at a time (0.5 MB)
+COS_CHUNK = 1 << 16
 
 
 class MemoryBudgetError(RuntimeError):
@@ -369,6 +371,38 @@ def moments_from_means(feature_map: FeatureMap, means: tuple) -> tuple[np.ndarra
     return gram, zy
 
 
+def _rff_cosines(feature_map: FeatureMap, X: np.ndarray, scale: float) -> np.ndarray:
+    """scale * cos(theta) for the n x M arguments theta = X W^T + b of a Gaussian RFF
+    map, as scale * (1 - t^2) / (1 + t^2) with t = tan(theta / 2).
+
+    numpy's float64 tan is vectorised where its cos is a scalar libm loop (2.8 ns
+    against 28 ns an element on an AVX-512 host; where tan is scalar too they should
+    cost about the same). Halving rounds nothing short of a subnormal argument, whose
+    cosine is 1 either way, so X (W / 2)^T + b / 2 is exactly half of the argument
+    np.cos would read; and a double's tan stays below about 2^61 in magnitude, so
+    t^2 never overflows. Against a long double cosine of the same double argument
+    the error was at most 1.21 eps * scale over 10^7 entries with |theta| up to
+    1.5e10 (np.cos: 0.60). The output is the only n x M allocation: tangents,
+    squares and quotients are taken in place, COS_CHUNK floats at a time, next to
+    one buffer of at most COS_CHUNK squares, so both stay in cache, and an entry's
+    value does not depend on the chunk it falls in.
+    """
+    out = X @ (0.5 * feature_map.frequencies).T
+    out += 0.5 * feature_map.phases
+    flat = out.reshape(-1)
+    squares = np.empty(min(flat.size, COS_CHUNK))
+    for start in range(0, flat.size, COS_CHUNK):
+        t = flat[start : start + COS_CHUNK]
+        sq = squares[: t.size]
+        np.tan(t, out=t)
+        np.multiply(t, t, out=sq)
+        np.subtract(1.0, sq, out=t)
+        sq += 1.0
+        t /= sq
+        t *= scale
+    return out
+
+
 def feature_matrix(feature_map: FeatureMap, X: np.ndarray) -> np.ndarray:
     """Stack embeddings of the rows of X into an n x (p*M) matrix.
 
@@ -386,11 +420,7 @@ def feature_matrix(feature_map: FeatureMap, X: np.ndarray) -> np.ndarray:
         return np.zeros((0, feature_map.embedding_dim))
     scale = 1.0 / np.sqrt(feature_map.num_samples)
     if feature_map.kind == GAUSSIAN_RFF:
-        proj = X @ feature_map.frequencies.T
-        proj += feature_map.phases
-        np.cos(proj, out=proj)
-        proj *= scale * np.sqrt(2.0)
-        return proj
+        return _rff_cosines(feature_map, X, scale * np.sqrt(2.0))
 
     if feature_map.kind == DESIGNER_FINITE_RANK:
         mu = feature_map.params["eigenvalues"]

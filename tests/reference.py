@@ -1,6 +1,7 @@
 """Reference quantities that only the tests check the library against.
 
-The Gaussian kernel that gaussian_rff maps sample, a PSD check for gram
+The Gaussian kernel that gaussian_rff maps sample, their embedding through
+np.cos that feature_matrix's half-angle tangent replaced, a PSD check for gram
 matrices, the empirical N_M(lambda) / N_inf(lambda) effective-dimension
 ratio of Rudi & Rosasco 2017, the record-by-record CSV parser that
 ingest_csv_dataset must agree with, and the (momentum) gradient loop in R^D
@@ -49,6 +50,16 @@ class GaussianKernel:
         if X.ndim != 2 or X.shape[1] != self.input_dim:
             raise ValueError(f"expected n x {self.input_dim} matrix, got {X.shape}")
         return X
+
+
+def rff_embedding_cos(feature_map, X: np.ndarray) -> np.ndarray:
+    """sqrt(2/M) cos(X W^T + b) of a Gaussian RFF map through np.cos, as
+    feature_matrix computed it before it took cos from tan of the half angle."""
+    proj = X @ feature_map.frequencies.T
+    proj += feature_map.phases
+    np.cos(proj, out=proj)
+    proj *= 1.0 / np.sqrt(feature_map.num_samples) * np.sqrt(2.0)
+    return proj
 
 
 def check_psd(gram: np.ndarray) -> bool:

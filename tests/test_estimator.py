@@ -87,6 +87,27 @@ def test_predict_streams_over_row_blocks():
             predict(model, bad)
 
 
+def test_predict_over_row_splits():
+    # the embedding is the same bit for bit however X is split (d = 1: one product per
+    # argument; splits at 231 and 232 cut through the first COS_CHUNK boundary at
+    # M = 283); Z @ theta is not, as BLAS sums a dot product in an order that can depend
+    # on how many rows it multiplies, so predict agrees to the bound on that reordering
+    fmap = sample_feature_map("gaussian_rff", 1, 283, {}, 12)
+    X = np.random.default_rng(13).standard_normal((2 * ROW_BLOCK + 7, 1))
+    theta = np.random.default_rng(14).standard_normal((283, 3))
+    model = dataclasses.replace(
+        fit_spectral(fmap, X[:50], X[:50, 0], make_filter("tikhonov"), lam=0.1), theta=theta
+    )
+    whole = predict(model, X)
+    Z = feature_matrix(fmap, X)
+    bound = 2 * 283 * np.finfo(float).eps * (np.abs(Z) @ np.abs(theta))
+    for cuts in ([0, 231, 232, 4095, 4097, 2 * ROW_BLOCK + 7], [0, 1, 2, 5000, 2 * ROW_BLOCK + 7]):
+        pairs = list(zip(cuts, cuts[1:]))
+        assert np.array_equal(np.concatenate([feature_matrix(fmap, X[a:b]) for a, b in pairs]), Z)
+        split = np.concatenate([predict(model, X[a:b]) for a, b in pairs])
+        assert np.all(np.abs(split - whole) <= bound)
+
+
 def test_fit_streams_past_the_embedding_memory_budget(monkeypatch):
     n, M = 3 * ROW_BLOCK, 64
     fmap, X, y = _toy(seed=7, n=n, M=M)

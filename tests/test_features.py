@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,7 +94,10 @@ def _closed_form_embedding(f, X):
     """The embedding written as plain expressions, one temporary per step."""
     scale = 1.0 / np.sqrt(f.num_samples)
     if f.kind == GAUSSIAN_RFF:
-        return scale * np.sqrt(2.0) * np.cos(X @ f.frequencies.T + f.phases)
+        # cos(theta) = (1 - t^2) / (1 + t^2) for t = tan(theta / 2), as feature_matrix
+        # computes it; test_rff_cosines_within_2_5_eps_of_long_double checks the identity
+        t = np.tan(X @ (0.5 * f.frequencies).T + 0.5 * f.phases)
+        return scale * np.sqrt(2.0) * ((1.0 - t * t) / (1.0 + t * t))
     if f.kind == DESIGNER_FINITE_RANK:
         basis = np.sqrt(2.0) * np.cos(np.pi * np.outer(X[:, 0], np.arange(f.num_samples)))
         basis[:, 0] = 1.0
@@ -118,7 +123,9 @@ def _closed_form_embedding(f, X):
         (DESIGNER_FINITE_RANK, 1, {"decay_exponent": 0.5}),
     ],
 )
-def test_feature_matrix_equals_closed_form_bit_for_bit(kind, dim, params):
+def test_feature_matrix_equals_closed_form_bit_for_bit(kind, dim, params, monkeypatch):
+    # a chunk of 997 cosines cuts the 300 x 40 RFF embedding mid-row, 13 times
+    monkeypatch.setattr(features, "COS_CHUNK", 997)
     f = sample_feature_map(kind, dim, 40, params, 3)
     rng = np.random.default_rng(4)
     if kind == DESIGNER_FINITE_RANK:
@@ -331,3 +338,62 @@ def test_designer_map_takes_eigenvalues_or_decay_exponent_not_both(decay):
 def test_unhashable_kind_is_an_unknown_kind():
     with pytest.raises(ValueError, match="unknown feature map kind"):
         sample_feature_map(["gaussian_rff"], 1, 4, {}, 0)
+
+
+def _rff_error(f, X):
+    """The largest |feature_matrix(f, X) - scale cos(theta)| in units of eps * scale, for
+    theta = X W^T + b the double argument np.cos would read, its cosine taken in long
+    double."""
+    scale = 1.0 / np.sqrt(f.num_samples) * np.sqrt(2.0)
+    theta = (X @ f.frequencies.T + f.phases).astype(np.longdouble)
+    error = np.abs(feature_matrix(f, X) - scale * np.cos(theta))
+    return float(np.max(error)) / (scale * np.finfo(float).eps)
+
+
+# odd multiples of pi / 2 and of pi (where tan(theta / 2) is +-1 and has a pole), up to about
+# 2e12, and arguments up to 1e12 on a log scale
+_ODD = np.concatenate([np.arange(1, 2001, 2), 2 * np.geomspace(1e3, 3e11, 500).astype(np.int64) + 1])
+_RFF_ARGUMENTS = np.concatenate([
+    [0.0, 5e-324, 1e-300, 1e-8],
+    *(np.pi / 2 * _ODD, np.pi * _ODD),
+    np.geomspace(1e-3, 1e12, 2000),
+    np.random.default_rng(6).uniform(-1.0, 1.0, 20_000) * np.geomspace(1.0, 1e12, 20_000),
+])
+
+
+@pytest.mark.skipif(not _WIDE, reason="long double is no wider than double here")
+@pytest.mark.parametrize("bandwidth", [1e-9, 1e-6, 1e-3, 0.1, 1.0, 3.0])
+@pytest.mark.parametrize("dim", [1, 3])
+def test_rff_cosines_within_2_5_eps_of_long_double(dim, bandwidth):
+    # 2048 x 64 entries: two COS_CHUNKs; |theta| reaches about 1e10 at bandwidth 1e-9
+    f = sample_feature_map(GAUSSIAN_RFF, dim, 64, {"bandwidth": bandwidth}, 8)
+    X = np.random.default_rng(9).standard_normal((2048, dim))
+    assert _rff_error(f, X) <= 2.5
+
+
+@pytest.mark.skipif(not _WIDE, reason="long double is no wider than double here")
+def test_rff_cosines_at_explicit_arguments():
+    # a one-feature map with w = 1 and b = 0 reads theta = x exactly
+    f = dataclasses.replace(
+        sample_feature_map(GAUSSIAN_RFF, 1, 1, {}, 0), frequencies=np.ones((1, 1)), phases=np.zeros(1)
+    )
+    theta = np.concatenate([_RFF_ARGUMENTS, -_RFF_ARGUMENTS])[:, None]
+    assert np.abs(theta).max() > 9e11
+    assert _rff_error(f, theta) <= 2.5
+    Z = feature_matrix(f, theta)
+    assert np.array_equal(Z[theta[:, 0] == 0.0], np.full((2, 1), np.sqrt(2.0)))
+
+
+@pytest.mark.parametrize("kind", [GAUSSIAN_RFF, DESIGNER_FINITE_RANK])
+def test_feature_matrix_allocates_its_output_and_at_most_1_mib_more(kind):
+    # tracemalloc counts numpy's data buffers; 4096 x 1414 floats are 44.2 MiB
+    f = sample_feature_map(kind, 1, 1414, {}, 0)
+    X = np.random.default_rng(11).uniform(0.0, 1.0, (4096, 1))
+    tracemalloc.start()
+    try:
+        Z = feature_matrix(f, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert Z.shape == (4096, 1414)
+    assert peak <= Z.nbytes + 2**20

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from reference import scan_csv_dataset
+from reference import rff_embedding_cos, scan_csv_dataset
 
 from specrf.estimator import fit_iterative, mse
-from specrf import harness
+from specrf import estimator, features, harness
 from specrf.features import sample_feature_map
 from specrf.filters import make_filter
 from specrf.harness import (
@@ -352,6 +352,27 @@ def test_heatmap_rows_equal_mse_of_the_fit_iterative_snapshots():
                     assert value == pytest.approx(want, rel=1e-12, abs=0.0)
                     checked += 1
     assert checked == len(rows) == 8
+
+
+def test_heatmap_errors_match_the_np_cos_embedding(monkeypatch):
+    # 5000 rows embed in two ROW_BLOCKs; at M = 283 a block spans 18 COS_CHUNKs
+    plan = _tiny_heatmap_plan()
+    plan.n_train, plan.n_test, plan.m_grid, plan.t_grid = 5000, 5000, [64, 283], [1, 16, 64]
+    rows = run_heatmap(plan)["rows"]
+    embedded = []
+
+    def through_np_cos(fmap, X):
+        embedded.append(len(X))
+        return rff_embedding_cos(fmap, features.check_input(fmap, X))
+
+    # the moments read features.feature_matrix, predict the name estimator imported
+    for module in (features, estimator):
+        monkeypatch.setattr(module, "feature_matrix", through_np_cos)
+    reference = run_heatmap(plan)["rows"]
+    assert sum(embedded) == 2 * 2 * (5000 + 5000)  # every train and test row of 2 x 2 trials
+    assert [row[:-1] for row in rows] == [row[:-1] for row in reference]
+    for row, want in zip(rows, reference):
+        assert row[-1] == pytest.approx(want[-1], rel=1e-12, abs=0.0)
 
 
 def _dataset_plan(tmp_path, **problem):
