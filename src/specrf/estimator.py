@@ -10,18 +10,19 @@ each map's moment algebra (the identity for an embedded map, Toeplitz plus
 Hankel for the designer cosine sums, the blocks of L for the NTK factor). So
 a fit or a prediction holds O(ROW_BLOCK * D + D^2) floats however many rows
 it reads. The filter picks the path: an iterative filter, given lambda or T,
-runs fit_iterative and any other filter fit_spectral, which applies the filter
-to Sigma_hat directly: one linear solve for Tikhonov, an eigendecomposition for
-the others (for an iterative filter, the reference fit_iterative is checked
-against). fit_iterative runs (momentum) gradient descent, whose T-step
-polynomial is the filter. From theta = 0 the t-th iterate lies in the Krylov
-space K_t = span(s_hat, ..., Sigma_hat^(t-1) s_hat), so Lanczos (Saad 1992)
-builds an orthonormal basis V of K_k and the same T steps run on the k x k
-tridiagonal H = V Sigma_hat V^T and ||s_hat|| e_1. Lanczos stops at
-k = min(T, D), or once the next coupling is at rounding level against the
-trace of Sigma_hat (a Gaussian RFF Sigma_hat closes at k of about 20): k
-products with Sigma_hat and about 4 D k^2 flops, where an eigendecomposition
-costs O(D^3).
+runs fit_iterative and any other filter fit_spectral, and both end in
+filt.apply. fit_spectral applies the filter to Sigma_hat itself: one linear
+solve for Tikhonov, an eigendecomposition for the others (for an iterative
+filter, the reference fit_iterative is checked against). fit_iterative applies
+it to a projection. An iterative filter's phi_T is a polynomial of degree < T,
+so phi_T(Sigma_hat) s_hat lies in the Krylov space K_T = span(s_hat, ...,
+Sigma_hat^(T-1) s_hat): Lanczos (Saad 1992) builds an orthonormal basis V of
+K_k and the k x k tridiagonal H = V Sigma_hat V^T, and theta_T =
+V^T phi_T(H) ||s_hat|| e_1 is exact while k = T or K_k is invariant. Lanczos
+stops at k = min(T, D), or once the next coupling is at rounding level against
+the trace of Sigma_hat (a Gaussian RFF Sigma_hat closes at k of about 20): k
+products with Sigma_hat, about 4 D k^2 flops and a k x k eigendecomposition,
+where one of Sigma_hat costs O(D^3).
 """
 from __future__ import annotations
 
@@ -46,7 +47,8 @@ from .features import (
     sample_feature_map,
     whole_number,
 )
-from .filters import DivergenceError, IterativeFilter, SpectralFilter, make_filter
+from . import filters
+from .filters import DivergenceError, IterativeFilter, SpectralFilter, Tikhonov, make_filter
 
 # rows read at a time by the moments and by predict. Blocks of 2048 to
 # 8192 rows assembled the moments equally fast within noise on a 2-vCPU host
@@ -80,6 +82,10 @@ class Moments:
     s: np.ndarray = field(repr=False)
     yy: float
     fingerprint: dict
+
+    def loss(self, theta: np.ndarray) -> float:
+        """The training MSE of a 1-d theta: theta.Sigma_hat.theta - 2 theta.s_hat + yy."""
+        return float(theta @ (self.sigma @ theta) - 2.0 * theta @ self.s + self.yy)
 
 
 def assemble_empirical_operators(
@@ -133,17 +139,20 @@ def fit_spectral(
     iterations: int | None = None,
 ) -> RfModel:
     """Fit theta = phi(Sigma_hat) s_hat through filt.apply: one linear solve for
-    Tikhonov, an eigendecomposition of Sigma_hat for the other filters; for an
-    iterative filter, which no CLI or sweep fit runs here, the reference that
+    Tikhonov, an eigendecomposition of Sigma_hat for the other filters, whose
+    dimension is checked against filters.EIG_DIM_CAP before the data is read; for
+    an iterative filter, which no CLI or sweep fit runs here, the reference that
     fit_iterative is checked against. model.losses: the training loss at 0 and at theta."""
     lam, iterations = filt.resolve(lam, iterations)
+    dim, cap = feature_map.embedding_dim, filters.EIG_DIM_CAP
+    if dim > cap and not isinstance(filt, Tikhonov):
+        raise ValueError(f"embedding dimension {dim} exceeds eigensolver cap {cap}")
     moments = assemble_empirical_operators(feature_map, X, y)
     theta = filt.apply(moments.sigma, moments.s, lam, iterations)
-    s, yy = moments.s, moments.yy
     return RfModel(
         map=feature_map, theta=theta, filter=filt, lam=lam, iterations=iterations,
         fit_path="spectral", train_fingerprint=moments.fingerprint,
-        losses=np.array([yy, theta @ (moments.sigma @ theta) - 2.0 * theta @ s + yy]),
+        losses=np.array([moments.yy, moments.loss(theta)]),
     )
 
 
@@ -156,13 +165,14 @@ def fit_iterative(
     snapshots: tuple[int, ...] = (),
     lam: float | None = None,
 ) -> RfModel:
-    """Run the (momentum) gradient iteration for the T that filt.resolve(lam,
-    iterations) gives, as in fit_spectral, on the projected problem (H, ||s_hat||
-    e_1) of the Lanczos basis V: k <= min(T, D) products with Sigma_hat, each
-    theta read as c @ V. A filter that is not iterative is rejected.
-    model.losses holds the training loss before the first step and after each;
-    `snapshots` asks for theta after the listed iteration counts, each an
-    integer in [1, T], returned in model.snapshots keyed by T.
+    """Fit theta = phi_T(Sigma_hat) s_hat for the T that filt.resolve(lam,
+    iterations) gives, as fit_spectral does, through filt.apply on the projected
+    problem (H, ||s_hat|| e_1) of the Lanczos basis V: k <= min(T, D) products
+    with Sigma_hat, then one k x k eigendecomposition per theta, read as c @ V.
+    A filter that is not iterative is rejected. model.losses: the training loss
+    at 0 and at theta, as in fit_spectral. `snapshots` asks for theta after the
+    listed iteration counts, each an integer in [1, T] and filtered at its own
+    lambda = filt.resolve(iterations=t)[0], returned in model.snapshots keyed by T.
     """
     if not filt.iterative:
         raise ValueError(f"filter {filt.name} is not iterative and takes no iteration count")
@@ -171,51 +181,34 @@ def fit_iterative(
     if wanted and max(wanted) > iterations:
         raise ValueError(f"snapshot count {max(wanted)} exceeds iterations = {iterations}")
     moments = assemble_empirical_operators(feature_map, X, y)
-    sigma, s, yy = moments.sigma, moments.s, moments.yy
+    sigma, s = moments.sigma, moments.s
 
     bound = float(np.trace(sigma))  # >= ||Sigma_hat||, which is PSD
     try:  # the one stability rule, at the trace; eigvalsh only if the trace is loose
         filt.check_stable(bound)
     except DivergenceError:
         filt.check_stable(float(np.linalg.eigvalsh(sigma)[-1]))
-    basis, diag, off = _lanczos(sigma, s, min(iterations, s.size), bound)
-
-    def h_times(c):
-        h_c = diag * c
-        h_c[1:] += off * c[:-1]
-        h_c[:-1] += off * c[1:]
-        return h_c
-
-    alpha, beta = filt.alpha, filt.beta
-    s_proj = np.zeros_like(diag)
+    basis, h = _lanczos(sigma, s, min(iterations, s.size), bound)
+    s_proj = np.zeros(len(h))
     s_proj[:1] = np.linalg.norm(s)
-    c_prev = np.zeros_like(diag)
-    c = np.zeros_like(diag)
-    h_c = np.zeros_like(diag)  # H @ c, shared by a step's loss and the next gradient
-    losses = [yy]
-    taken: dict[int, np.ndarray] = {}
-    for t in range(1, iterations + 1):
-        c_next = c - alpha * (h_c - s_proj) + beta * (c - c_prev)
-        c_prev, c = c, c_next
-        h_c = h_times(c)
-        losses.append(float(c @ h_c - 2.0 * c @ s_proj + yy))
-        if t in wanted:
-            taken[t] = c
+    thetas = {t: filt.apply(h, s_proj, filt.resolve(iterations=t)[0], t) @ basis
+              for t in wanted | {iterations}}
+    theta = thetas[iterations]
     return RfModel(
-        map=feature_map, theta=c @ basis, filter=filt, lam=lam,
+        map=feature_map, theta=theta, filter=filt, lam=lam,
         iterations=iterations, fit_path="iterative", train_fingerprint=moments.fingerprint,
-        losses=np.asarray(losses),
-        snapshots={t: c_t @ basis for t, c_t in taken.items()} if snapshots else None,
+        losses=np.array([moments.yy, moments.loss(theta)]),
+        snapshots={t: thetas[t] for t in wanted} if snapshots else None,
     )
 
 
 def _lanczos(sigma: np.ndarray, s: np.ndarray, steps: int, bound: float):
     """Lanczos on Sigma from s / ||s||, with full reorthogonalisation (classical
     Gram-Schmidt, twice): the rows of an orthonormal basis V of the Krylov space
-    K_k(Sigma, s), and the diagonal and off-diagonal of the tridiagonal V Sigma
-    V^T. It takes k = `steps` steps, or stops after fewer once the next coupling
-    is at most eps * bound (bound >= ||Sigma||), where K_k is invariant up to
-    rounding. An s of 0 spans no basis (k = 0)."""
+    K_k(Sigma, s), and the k x k tridiagonal H = V Sigma V^T. It takes k =
+    `steps` steps, or stops after fewer once the next coupling is at most
+    eps * bound (bound >= ||Sigma||), where K_k is invariant up to rounding.
+    An s of 0 spans no basis (k = 0)."""
     rounding = np.finfo(float).eps * bound
     # doubled as it fills, as K usually closes far below `steps`: a basis allocated at
     # full size raised the peak RSS of a two-worker heatmap by 1.3 MB
@@ -238,7 +231,8 @@ def _lanczos(sigma: np.ndarray, s: np.ndarray, steps: int, bound: float):
         diag.append(proj[k] + again[k])
         coupling = float(np.linalg.norm(w))
         k += 1
-    return basis[:k], np.array(diag), np.array(off)
+    off = np.array(off)
+    return basis[:k], np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
 def predict(model: RfModel, X: np.ndarray) -> np.ndarray:

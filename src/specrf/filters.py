@@ -16,7 +16,7 @@ import numpy as np
 from .features import call_checked, real_number, whole_number
 
 AUDIT_SLACK = 1e-9
-EIG_DIM_CAP = 4096  # the largest Sigma that SpectralFilter.apply eigendecomposes
+EIG_DIM_CAP = 4096  # the largest Sigma_hat that estimator.fit_spectral eigendecomposes
 DEFAULT_Q_VALUES = (0.5, 1.0, 1.5, 2.0)
 
 
@@ -78,15 +78,12 @@ class SpectralFilter:
     def apply(self, sigma: np.ndarray, s: np.ndarray, lam: float, iterations: int | None):
         """phi(Sigma) s for a symmetric PSD Sigma, with (lam, iterations) as
         resolve returns them: Sigma's eigenvalues are filtered through value,
-        and the negatives that round-off can leave count as 0. A Sigma larger
-        than EIG_DIM_CAP is rejected before the eigendecomposition, and an
-        iterative filter's step size by check_stable at the top eigenvalue."""
-        dim = sigma.shape[0]
-        if dim > EIG_DIM_CAP:
-            raise ValueError(f"embedding dimension {dim} exceeds eigensolver cap {EIG_DIM_CAP}")
+        and the negatives that round-off can leave count as 0. An iterative
+        filter's step size is checked by check_stable at the top eigenvalue (0
+        for a 0 x 0 Sigma, whose phi(Sigma) s is empty)."""
         evals, evecs = np.linalg.eigh(sigma)
         if self.iterative:
-            self.check_stable(float(evals[-1]))
+            self.check_stable(float(evals.max(initial=0.0)))
         phi = self.value(np.maximum(evals, 0.0), lam, iterations)
         return evecs @ (phi * (evecs.T @ s))
 

@@ -413,9 +413,11 @@ def _heatmap_grid(plan: ExperimentPlan, workers: int, draw, input_dim: int) -> d
     """run_heatmap on the problem that _heatmap_problem(plan) returned."""
     filt = make_filter(**check_object(plan.filter, "plan filter"))  # make_filter checks the keys
     try:  # resolve checks each T, and that the filter is iterative, before any trial runs
-        t_grid = sorted({filt.resolve(iterations=t)[1] for t in plan.t_grid})
+        t_grid = [filt.resolve(iterations=t)[1] for t in plan.t_grid]
     except ValueError as exc:
         raise ValueError(f"plan t_grid: {exc}") from None
+    _check_distinct(t_grid, "plan t_grid")
+    t_grid.sort()
     fm = {"params": {}, **check_object(plan.feature_map, "plan feature_map")}  # checked once here
     call_checked(sample_feature_map, fm, "plan feature_map", input_dim=input_dim,
                  num_samples=plan.m_grid[0], seed=plan.base_seed)

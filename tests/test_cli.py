@@ -382,6 +382,7 @@ _DESIGNER = {"type": "designer", "J": 8, "b": 1.0, "r": 0.5}
      "fit config data.designer keys not taken by make_designer_problem: h_weights"),
     ("heatmap", {"t_grid": [0, 4]}, "plan t_grid: iterations must be an integer >= 1, not 0"),
     ("heatmap", {"t_grid": [2.5, 4]}, "plan t_grid: iterations must be an integer >= 1, not 2.5"),
+    ("heatmap", {"t_grid": [1, 4, 4.0]}, "plan t_grid repeats entries: 4"),
     ("heatmap", {"n_train": 0}, "plan n_train must be an integer >= 1, not 0"),
     ("fit", {"feature_map": {"kind": "gaussian_rff", "num_samples": 8.5}},
      "num_samples must be an integer >= 1, not 8.5"),
@@ -479,7 +480,7 @@ _DESIGNER = {"type": "designer", "J": 8, "b": 1.0, "r": 0.5}
     "plan-filter-list", "plan-problem-null", "fit-filter-null", "fit-data-null",
     "fit-feature_map-params-null", "fit-lambda-string", "fit-fractional-iterations",
     "fit-lambda-and-iterations", "fit-designer-h_weights",
-    "heatmap-t_grid-zero", "heatmap-t_grid-fraction", "heatmap-n_train-zero",
+    "heatmap-t_grid-zero", "heatmap-t_grid-fraction", "heatmap-t_grid-repeat", "heatmap-n_train-zero",
     "fit-fractional-num_samples", "heatmap-fractional-m_grid", "rate-fractional-n_grid",
     "plan-fractional-repetitions", "plan-string-n_train", "plan-string-base_seed",
     "rate-schedule-string", "rate-schedule-r", "rate-negative-C_M", "rate-zero-C_M",
