@@ -20,6 +20,7 @@ from .features import (
     DESIGNER_FINITE_RANK,
     FeatureMap,
     MemoryBudgetError,
+    check_budget,
     check_input,
     designer_series,
     feature_matrix,
@@ -116,6 +117,7 @@ def sample_dataset(
     with B^2 >= J and A = ceil(J / B), with no ROW_BLOCK x J basis.
     """
     n, seed = whole_number(n, "n"), whole_number(seed, "seed", least=0)
+    check_budget(n * 8, "designer dataset")
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, 1.0, n)
     y = np.empty(n)

@@ -10,19 +10,19 @@ each map's moment algebra (the identity for an embedded map, Toeplitz plus
 Hankel for the designer cosine sums, the blocks of L for the NTK factor). So
 a fit or a prediction holds O(ROW_BLOCK * D + D^2) floats however many rows
 it reads. The filter picks the path: an iterative filter, given lambda or T,
-runs fit_iterative and any other filter fit_spectral, and both end in
-filt.apply. fit_spectral applies the filter to Sigma_hat itself: one linear
-solve for Tikhonov, an eigendecomposition for the others (for an iterative
-filter, the reference fit_iterative is checked against). fit_iterative applies
-it to a projection. An iterative filter's phi_T is a polynomial of degree < T,
+runs fit_iterative and any other fit_spectral. Both apply the scalar phi
+through _filtered, one eigendecomposition for all requested (lambda, T): of
+Sigma_hat in fit_spectral, up to D = EIG_DIM_CAP (Tikhonov solves instead; an
+iterative filter gives the reference for fit_iterative), and of a projection
+in fit_iterative. An iterative filter's phi_T is a polynomial of degree < T,
 so phi_T(Sigma_hat) s_hat lies in the Krylov space K_T = span(s_hat, ...,
 Sigma_hat^(T-1) s_hat): Lanczos (Saad 1992) builds an orthonormal basis V of
-K_k and the k x k tridiagonal H = V Sigma_hat V^T, and theta_T =
-V^T phi_T(H) ||s_hat|| e_1 is exact while k = T or K_k is invariant. Lanczos
-stops at k = min(T, D), or once the next coupling is at rounding level against
-the trace of Sigma_hat (a Gaussian RFF Sigma_hat closes at k of about 20): k
-products with Sigma_hat, about 4 D k^2 flops and a k x k eigendecomposition,
-where one of Sigma_hat costs O(D^3).
+K_k and the k x k tridiagonal H = V Sigma_hat V^T, and theta_T = V^T phi_T(H)
+||s_hat|| e_1 is exact while k = T or K_k is invariant. Lanczos stops at k =
+min(T, D), or once the next coupling is at rounding level against the trace of
+Sigma_hat (a Gaussian RFF Sigma_hat closes at k of about 20): k products with
+Sigma_hat, about 4 D k^2 flops and one k x k eigendecomposition, where one of
+Sigma_hat costs O(D^3).
 """
 from __future__ import annotations
 
@@ -37,7 +37,6 @@ import numpy as np
 from . import features
 from .features import (
     FeatureMap,
-    MemoryBudgetError,
     call_checked,
     check_input,
     check_keys,
@@ -47,7 +46,6 @@ from .features import (
     sample_feature_map,
     whole_number,
 )
-from . import filters
 from .filters import DivergenceError, IterativeFilter, SpectralFilter, Tikhonov, make_filter
 
 # rows read at a time by the moments and by predict. Blocks of 2048 to
@@ -58,6 +56,7 @@ from .filters import DivergenceError, IterativeFilter, SpectralFilter, Tikhonov,
 # ROW_BLOCK * (d+1)M).
 ROW_BLOCK = 4096
 MODEL_FORMAT = 1  # written by save_model; load_model reads only this format
+EIG_DIM_CAP = 4096  # the largest Sigma_hat that fit_spectral eigendecomposes
 
 
 @dataclass
@@ -108,8 +107,7 @@ def assemble_empirical_operators(
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValueError("training data contains NaN or inf values")
     dim = feature_map.embedding_dim
-    if dim * dim * 8 > features.DEFAULT_MEMORY_BUDGET:
-        raise MemoryBudgetError(f"covariance of dimension {dim} exceeds memory budget")
+    features.check_budget(dim * dim * 8, f"covariance of dimension {dim}")
     n = X.shape[0]
     rows = (slice(start, start + ROW_BLOCK) for start in range(0, n, ROW_BLOCK))
     blocks = (features.moment_statistics(feature_map, X[r], y[r]) for r in rows)
@@ -138,17 +136,25 @@ def fit_spectral(
     lam: float | None = None,
     iterations: int | None = None,
 ) -> RfModel:
-    """Fit theta = phi(Sigma_hat) s_hat through filt.apply: one linear solve for
-    Tikhonov, an eigendecomposition of Sigma_hat for the other filters, whose
-    dimension is checked against filters.EIG_DIM_CAP before the data is read; for
-    an iterative filter, which no CLI or sweep fit runs here, the reference that
-    fit_iterative is checked against. model.losses: the training loss at 0 and at theta."""
+    """Fit theta = phi(Sigma_hat) s_hat: one linear solve on a copy of Sigma_hat for
+    Tikhonov (singular is a ValueError naming lambda), else _filtered on Sigma_hat,
+    whose dimension is checked against EIG_DIM_CAP before the data is read; for an
+    iterative filter, which no CLI or sweep fit runs here, the reference fit_iterative
+    is checked against. model.losses: the training loss at 0 and at theta."""
     lam, iterations = filt.resolve(lam, iterations)
-    dim, cap = feature_map.embedding_dim, filters.EIG_DIM_CAP
-    if dim > cap and not isinstance(filt, Tikhonov):
-        raise ValueError(f"embedding dimension {dim} exceeds eigensolver cap {cap}")
+    tikhonov, dim = isinstance(filt, Tikhonov), feature_map.embedding_dim
+    if dim > EIG_DIM_CAP and not tikhonov:
+        raise ValueError(f"embedding dimension {dim} exceeds eigensolver cap {EIG_DIM_CAP}")
     moments = assemble_empirical_operators(feature_map, X, y)
-    theta = filt.apply(moments.sigma, moments.s, lam, iterations)
+    if tikhonov:
+        shifted = moments.sigma.copy()
+        shifted.flat[:: shifted.shape[0] + 1] += lam
+        try:
+            theta = np.linalg.solve(shifted, moments.s)
+        except np.linalg.LinAlgError:
+            raise ValueError(f"{filt.name}: Sigma_hat + lam I is singular at lam = {lam!r}") from None
+    else:
+        (theta,) = _filtered(filt, moments.sigma, moments.s, [(lam, iterations)])
     return RfModel(
         map=feature_map, theta=theta, filter=filt, lam=lam, iterations=iterations,
         fit_path="spectral", train_fingerprint=moments.fingerprint,
@@ -166,9 +172,9 @@ def fit_iterative(
     lam: float | None = None,
 ) -> RfModel:
     """Fit theta = phi_T(Sigma_hat) s_hat for the T that filt.resolve(lam,
-    iterations) gives, as fit_spectral does, through filt.apply on the projected
+    iterations) gives, as fit_spectral does, through _filtered on the projected
     problem (H, ||s_hat|| e_1) of the Lanczos basis V: k <= min(T, D) products
-    with Sigma_hat, then one k x k eigendecomposition per theta, read as c @ V.
+    with Sigma_hat, then one k x k eigendecomposition for all thetas, each c @ V.
     A filter that is not iterative is rejected. model.losses: the training loss
     at 0 and at theta, as in fit_spectral. `snapshots` asks for theta after the
     listed iteration counts, each an integer in [1, T] and filtered at its own
@@ -191,8 +197,8 @@ def fit_iterative(
     basis, h = _lanczos(sigma, s, min(iterations, s.size), bound)
     s_proj = np.zeros(len(h))
     s_proj[:1] = np.linalg.norm(s)
-    thetas = {t: filt.apply(h, s_proj, filt.resolve(iterations=t)[0], t) @ basis
-              for t in wanted | {iterations}}
+    pairs = [filt.resolve(iterations=t) for t in sorted(wanted | {iterations})]
+    thetas = {t: c @ basis for (_, t), c in zip(pairs, _filtered(filt, h, s_proj, pairs))}
     theta = thetas[iterations]
     return RfModel(
         map=feature_map, theta=theta, filter=filt, lam=lam,
@@ -200,6 +206,16 @@ def fit_iterative(
         losses=np.array([moments.yy, moments.loss(theta)]),
         snapshots={t: thetas[t] for t in wanted} if snapshots else None,
     )
+
+
+def _filtered(filt: SpectralFilter, op: np.ndarray, s: np.ndarray, pairs) -> list:
+    """phi(op) s at each (lam, T) of `pairs` (as filt.resolve gives them) from one eigh of the
+    symmetric PSD op (round-off negatives count as 0), after an iterative filter's check_stable."""
+    evals, evecs = np.linalg.eigh(op)
+    if filt.iterative:
+        filt.check_stable(float(evals.max(initial=0.0)))
+    evals, coef = np.maximum(evals, 0.0), evecs.T @ s
+    return [evecs @ (filt.value(evals, lam, T) * coef) for lam, T in pairs]
 
 
 def _lanczos(sigma: np.ndarray, s: np.ndarray, steps: int, bound: float):

@@ -39,6 +39,12 @@ class MemoryBudgetError(RuntimeError):
     """Raised when an operation would allocate past the configured budget."""
 
 
+def check_budget(nbytes: int, what: str) -> None:
+    """MemoryBudgetError if `what` needs more than DEFAULT_MEMORY_BUDGET bytes (read now)."""
+    if nbytes > DEFAULT_MEMORY_BUDGET:
+        raise MemoryBudgetError(f"{what} needs {nbytes} bytes, budget is {DEFAULT_MEMORY_BUDGET}")
+
+
 def whole_number(value, name: str, least: int = 1) -> int:
     """`value` as an int, or a ValueError naming `name` unless it is an integer
     (an integral float such as 64.0 counts; a bool does not) of at least `least`."""
@@ -214,6 +220,7 @@ def sample_feature_map(
     input_dim = whole_number(input_dim, "input_dim")
     num_samples = whole_number(num_samples, "num_samples")
     seed = whole_number(seed, "feature map seed", least=0)
+    check_budget(num_samples * input_dim * 8, "frequency matrix")
     check_keys(params, "feature map params", (), PARAMS[kind], kind)
     if "eigenvalues" in params and "decay_exponent" in params:
         raise ValueError("designer map takes eigenvalues or decay_exponent, not both")
@@ -411,11 +418,7 @@ def feature_matrix(feature_map: FeatureMap, X: np.ndarray) -> np.ndarray:
     """
     X = check_input(feature_map, X)
     n = X.shape[0]
-    needed = n * feature_map.embedding_dim * 8
-    if needed > DEFAULT_MEMORY_BUDGET:
-        raise MemoryBudgetError(
-            f"feature matrix needs {needed} bytes, budget is {DEFAULT_MEMORY_BUDGET}"
-        )
+    check_budget(n * feature_map.embedding_dim * 8, "feature matrix")
     if n == 0:
         return np.zeros((0, feature_map.embedding_dim))
     scale = 1.0 / np.sqrt(feature_map.num_samples)

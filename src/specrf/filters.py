@@ -1,9 +1,9 @@
 """Spectral regularization filters and their axiom audits.
 
-Each filter is a family phi_lambda approximating t -> 1/t, with certified
-constants D >= sup|t*phi|, E >= sup lambda*|phi|, c0 >= sup|1 - t*phi|,
-and a qualification nu bounding how fast the residual can be traded
-against powers of t.
+Each filter is a scalar family phi_lambda approximating t -> 1/t, with
+certified constants D >= sup|t*phi|, E >= sup lambda*|phi|,
+c0 >= sup|1 - t*phi|, and a qualification nu bounding how fast the residual
+can be traded against powers of t; estimator applies phi to an operator.
 """
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ import numpy as np
 from .features import call_checked, real_number, whole_number
 
 AUDIT_SLACK = 1e-9
-EIG_DIM_CAP = 4096  # the largest Sigma_hat that estimator.fit_spectral eigendecomposes
 DEFAULT_Q_VALUES = (0.5, 1.0, 1.5, 2.0)
 
 
@@ -75,18 +74,6 @@ class SpectralFilter:
             iterations = max(1, math.ceil(1.0 / (self.alpha_eff * lam)))
         return lam, iterations
 
-    def apply(self, sigma: np.ndarray, s: np.ndarray, lam: float, iterations: int | None):
-        """phi(Sigma) s for a symmetric PSD Sigma, with (lam, iterations) as
-        resolve returns them: Sigma's eigenvalues are filtered through value,
-        and the negatives that round-off can leave count as 0. An iterative
-        filter's step size is checked by check_stable at the top eigenvalue (0
-        for a 0 x 0 Sigma, whose phi(Sigma) s is empty)."""
-        evals, evecs = np.linalg.eigh(sigma)
-        if self.iterative:
-            self.check_stable(float(evals.max(initial=0.0)))
-        phi = self.value(np.maximum(evals, 0.0), lam, iterations)
-        return evecs @ (phi * (evecs.T @ s))
-
     def descriptor(self) -> dict:
         """{"kind": name} plus each constructor parameter, the keys make_filter takes."""
         params = inspect.signature(type(self)).parameters
@@ -98,17 +85,6 @@ class Tikhonov(SpectralFilter):
 
     def _phi(self, t, lam, iterations):
         return 1.0 / (t + lam)
-
-    def apply(self, sigma, s, lam, iterations):
-        """(Sigma + lam I)^{-1} s by one linear solve, with no eigendecomposition;
-        sigma itself is not changed. A numerically singular system is a
-        ValueError that names the filter and lambda."""
-        shifted = np.array(sigma, dtype=float)
-        shifted.flat[:: shifted.shape[0] + 1] += lam
-        try:
-            return np.linalg.solve(shifted, s)
-        except np.linalg.LinAlgError:
-            raise ValueError(f"{self.name}: Sigma_hat + lam I is singular at lam = {lam!r}") from None
 
     def declared_cq(self, q):
         # sup_t lambda^{1-q} t^q / (t+lambda) <= 1 holds only for q <= 1

@@ -24,6 +24,7 @@ from .diagnostics import (DesignerProblem, check_easy_regime, excess_risk_exact,
 from .estimator import fit_iterative, fit_spectral, mse
 from .features import (
     call_checked,
+    check_budget,
     check_keys,
     check_object,
     real_number,
@@ -332,6 +333,7 @@ def _synthetic_data(seed: int, n: int, input_dim: int = 1, noise_std: float = 0.
     input_dim = whole_number(input_dim, "synthetic problem input_dim")
     if real_number(noise_std, "synthetic problem noise_std") < 0:
         raise ValueError(f"synthetic problem noise_std must be >= 0, not {noise_std!r}")
+    check_budget(n * input_dim * 8, "synthetic data")
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, input_dim))
     y = _synthetic_target(X)

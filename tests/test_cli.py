@@ -174,7 +174,7 @@ def test_an_iterative_filter_given_lambda_fits_the_derived_T_to_the_byte(tmp_pat
 
 
 def test_an_iterative_filter_given_lambda_is_not_capped_by_the_eigensolver(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(specrf.filters, "EIG_DIM_CAP", 8)
+    monkeypatch.setattr(specrf.estimator, "EIG_DIM_CAP", 8)
     cfg = tmp_path / "fit.json"
     cfg.write_text(json.dumps({**_FIT_CONFIG, "feature_map": {"kind": "gaussian_rff", "num_samples": 24},
                                "filter": {"kind": "landweber", "alpha": 0.5}}))
@@ -515,6 +515,27 @@ def test_bad_config_exits_1_with_one_error_line(tmp_path, capsys, monkeypatch, c
     assert named in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()  # nothing is written for a config that fails
+
+
+@pytest.mark.parametrize("command,change,named", [
+    ("fit", {"feature_map": {"kind": "gaussian_rff", "num_samples": 20000}}, "frequency matrix"),
+    ("fit", {"data": {"designer": {"J": 8, "b": 1.0, "r": 0.5}, "n": 20000}}, "designer dataset"),
+    ("heatmap", {"n_train": 20000}, "synthetic data"),
+    ("heatmap", {"m_grid": [20000]}, "frequency matrix"),
+], ids=["fit-num_samples", "fit-designer-n", "heatmap-n_train", "heatmap-m_grid"])
+def test_a_size_past_the_memory_budget_exits_1_before_it_is_allocated(
+    tmp_path, capsys, monkeypatch, command, change, named
+):
+    # the budget holds every array of the unchanged config (at most 200 x 16 floats) and
+    # not the 20000 x 1 floats the change asks for, which is refused before it is drawn
+    monkeypatch.setattr(specrf.features, "DEFAULT_MEMORY_BUDGET", 100_000)
+    base = {"heatmap": json.loads(_tiny_plan_file(tmp_path).read_text()), "fit": _FIT_CONFIG}[command]
+    for config, out in ((base, "ok"), ({**base, **change}, "big")):
+        cfg = tmp_path / f"{out}.json"
+        cfg.write_text(json.dumps(config))
+        status = main([command, "--config", str(cfg), "--out-dir", str(tmp_path / out)])
+        assert status == (EXIT_OK if out == "ok" else EXIT_ERROR)
+    assert capsys.readouterr().err == f"error: {named} needs 160000 bytes, budget is 100000\n"
 
 
 @pytest.mark.parametrize("command", ["heatmap", "rate-sweep"])

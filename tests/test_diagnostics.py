@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from reference import GaussianKernel
+from specrf import features
 from specrf.diagnostics import (
     DesignerKernel,
     MonteCarloKernel,
@@ -75,6 +76,15 @@ def test_dataset_seeded_and_noiseless_exact():
     assert X1.min() >= 0.0 and X1.max() <= 1.0
     with pytest.raises(ValueError, match="^n must be an integer >= 1, not 0$"):
         sample_dataset(p, 0, 11)
+
+
+def test_dataset_past_the_memory_budget_is_refused_before_it_is_drawn(monkeypatch):
+    # n floats: 100 x 8 = 800 bytes fit a budget of 800, 101 rows do not
+    p = make_designer_problem(J=6, b=1.0, r=0.5, noise_std=0.1, seed=0)
+    monkeypatch.setattr(features, "DEFAULT_MEMORY_BUDGET", 800)
+    assert sample_dataset(p, 100, 0)[1].shape == (100,)
+    with pytest.raises(MemoryBudgetError, match="^designer dataset needs 808 bytes, budget is 800$"):
+        sample_dataset(p, 101, 0)
 
 
 @pytest.mark.parametrize("n,seed,named", [

@@ -360,8 +360,63 @@ def test_fit_iterative_given_lambda_runs_the_T_it_resolves_to(kind, filt):
 def test_fit_iterative_keeps_to_the_loop_when_the_projection_exceeds_the_eigensolver_cap(monkeypatch):
     # EIG_DIM_CAP guards fit_spectral's D x D eigendecomposition, not the k x k one of the
     # projection: relu NTK (D = 40) closes at k = 33 > 8, and still matches the loop
-    monkeypatch.setattr(filters, "EIG_DIM_CAP", 8)
+    monkeypatch.setattr(estimator, "EIG_DIM_CAP", 8)
     _assert_fit_iterative_is_the_loop(*_map_of_kind("relu"), make_filter("landweber", alpha=0.5))
+
+
+def _count_calls(monkeypatch, name):
+    """Wrap np.linalg.<name> with a counter; returns the list of the shapes it was called on."""
+    calls, real = [], getattr(np.linalg, name)
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_each_fit_eigendecomposes_its_operator_once(monkeypatch):
+    # one k x k eigh serves every requested T of fit_iterative (relu NTK closes at k = 33),
+    # and one D x D eigh a spectral cutoff fit; a Tikhonov fit solves once instead, on a
+    # copy of the Sigma_hat it assembled
+    fmap, X, y = _map_of_kind("relu")
+    eighs, solves = _count_calls(monkeypatch, "eigh"), _count_calls(monkeypatch, "solve")
+    model = fit_iterative(fmap, X, y, make_filter("landweber", alpha=0.5), 64, (1, 4, 16, 64))
+    assert eighs == [(33, 33)] and sorted(model.snapshots) == [1, 4, 16, 64]
+    fit_spectral(fmap, X, y, make_filter("spectral_cutoff"), lam=0.01)
+    assert eighs[1:] == [(40, 40)]
+    assembled = []
+
+    def assemble(*args):
+        moments = assemble_empirical_operators(*args)
+        assembled.append((moments, moments.sigma.copy()))
+        return moments
+
+    monkeypatch.setattr(estimator, "assemble_empirical_operators", assemble)
+    fit_spectral(fmap, X, y, make_filter("tikhonov"), lam=0.01)
+    assert (len(eighs), solves) == (2, [(40, 40)])
+    ((moments, sigma),) = assembled
+    np.testing.assert_array_equal(moments.sigma, sigma)
+
+
+@pytest.mark.parametrize("filt", [
+    make_filter("landweber", alpha=0.5),
+    make_filter("heavyball", alpha=0.05, beta=0.5),
+    make_filter("spectral_cutoff"),
+    make_filter("tikhonov"),
+], ids=["landweber", "heavyball", "spectral_cutoff", "tikhonov"])
+def test_filtering_several_pairs_is_each_one_pair_call_to_the_bit(filt):
+    moments = assemble_empirical_operators(*_map_of_kind("relu"))
+    if filt.iterative:
+        pairs = [filt.resolve(iterations=t) for t in (1, 4, 16, 64)]
+    else:
+        pairs = [filt.resolve(lam) for lam in (0.5, 0.05, 0.01)]
+    together = estimator._filtered(filt, moments.sigma, moments.s, pairs)
+    assert len(together) == len(pairs)
+    for pair, theta in zip(pairs, together):
+        (alone,) = estimator._filtered(filt, moments.sigma, moments.s, [pair])
+        np.testing.assert_array_equal(theta, alone)
 
 
 def test_fit_iterative_with_zero_labels_spans_no_basis():
@@ -545,7 +600,7 @@ def test_fit_spectral_argument_validation(monkeypatch):
     with pytest.raises(ValueError, match="eigensolver cap"):
         fit_spectral(big, X, y, make_filter("spectral_cutoff"), lam=0.1)
     # the cap guards the eigendecomposition, which a Tikhonov fit does not run
-    monkeypatch.setattr(filters, "EIG_DIM_CAP", 8)
+    monkeypatch.setattr(estimator, "EIG_DIM_CAP", 8)
     assert fit_spectral(fmap, X, y, tik, lam=0.1).theta.shape == (fmap.embedding_dim,)
     with pytest.raises(ValueError, match="embedding dimension 24 exceeds eigensolver cap 8"):
         fit_spectral(fmap, X, y, make_filter("spectral_cutoff"), lam=0.1)

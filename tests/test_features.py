@@ -183,6 +183,17 @@ def test_descriptor_roundtrip_regenerates_frequencies():
         assert g.kappa_sq == f.kappa_sq
 
 
+def test_frequencies_past_the_memory_budget_are_refused_before_they_are_drawn(monkeypatch):
+    # num_samples x input_dim floats: 200 x 2 x 8 = 3200 bytes fit a budget of 3200, 201 rows do not
+    monkeypatch.setattr(features, "DEFAULT_MEMORY_BUDGET", 3200)
+    for kind in (GAUSSIAN_RFF, "ntk_one_layer"):
+        assert sample_feature_map(kind, 2, 200, {}, 0).frequencies.shape == (200, 2)
+        with pytest.raises(MemoryBudgetError, match="^frequency matrix needs 3216 bytes, budget is 3200$"):
+            sample_feature_map(kind, 2, 201, {}, 0)
+    with pytest.raises(MemoryBudgetError, match="frequency matrix needs 3208 bytes"):
+        sample_feature_map("designer_finite_rank", 1, 401, {}, 0)
+
+
 def test_feature_matrix_memory_budget(monkeypatch):
     f = sample_feature_map(GAUSSIAN_RFF, 2, 1000, {}, 0)
     monkeypatch.setattr(features, "DEFAULT_MEMORY_BUDGET", 1000)

@@ -642,6 +642,14 @@ def test_plan_grid_counts_may_be_integral_floats():
     assert all(type(v) is int for v in heatmap.m_grid + rate.n_grid)
 
 
+def test_synthetic_data_past_the_memory_budget_is_refused_before_it_is_drawn(monkeypatch):
+    # n x input_dim floats: 100 x 3 x 8 = 2400 bytes fit a budget of 2400, 101 rows do not
+    monkeypatch.setattr(features, "DEFAULT_MEMORY_BUDGET", 2400)
+    assert harness._synthetic_data(0, 100, 3)[0].shape == (100, 3)
+    with pytest.raises(features.MemoryBudgetError, match="^synthetic data needs 2424 bytes, budget is 2400$"):
+        harness._synthetic_data(0, 101, 3)
+
+
 @pytest.mark.parametrize("problem,named", [
     ({"input_dim": None}, "synthetic problem input_dim must be an integer >= 1, not None"),
     ({"input_dim": 1.5}, "synthetic problem input_dim must be an integer >= 1, not 1.5"),
