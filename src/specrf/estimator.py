@@ -7,22 +7,30 @@ map kind: it reads the data ROW_BLOCK rows at a time, adds up each block's
 features.moment_statistics, divides the sums by n once and turns the means
 into Sigma_hat and s_hat once with features.moments_from_means, which holds
 each map's moment algebra (the identity for an embedded map, Toeplitz plus
-Hankel for the designer cosine sums, the blocks of L for the NTK factor). So
-a fit or a prediction holds O(ROW_BLOCK * D + D^2) floats however many rows
-it reads. The filter picks the path: an iterative filter, given lambda or T,
-runs fit_iterative and any other fit_spectral. Both apply the scalar phi
-through _filtered, one eigendecomposition for all requested (lambda, T): of
-Sigma_hat in fit_spectral, up to D = EIG_DIM_CAP (Tikhonov solves instead; an
-iterative filter gives the reference for fit_iterative), and of a projection
-in fit_iterative. An iterative filter's phi_T is a polynomial of degree < T,
-so phi_T(Sigma_hat) s_hat lies in the Krylov space K_T = span(s_hat, ...,
+Hankel for the designer cosine sums, the blocks of L for the NTK factor). A
+map whose moments are its embedding's syrk (features.embedding_moments) with
+n <= ROW_BLOCK + D keeps its n x D embedding Z instead, at most ROW_BLOCK * D
++ D^2 floats: Moments then serves Sigma_hat @ v as Z^T (Z v) / n and forms
+Sigma_hat, by the same block sums, only when it is read or once Lanczos has
+taken about as many products as forming it costs. So a fit or a prediction
+holds O(ROW_BLOCK * D + D^2) floats however many rows it reads. The filter
+picks the path: an iterative filter, given lambda or T, runs fit_iterative
+and any other fit_spectral. Both apply the scalar phi through _filtered, one
+eigendecomposition for all requested (lambda, T): of Sigma_hat in
+fit_spectral, up to D = EIG_DIM_CAP (Tikhonov solves instead; an iterative
+filter gives the reference for fit_iterative), and of a projection in
+fit_iterative. An iterative filter's phi_T is a polynomial of degree < T, so
+phi_T(Sigma_hat) s_hat lies in the Krylov space K_T = span(s_hat, ...,
 Sigma_hat^(T-1) s_hat): Lanczos (Saad 1992) builds an orthonormal basis V of
 K_k and the k x k tridiagonal H = V Sigma_hat V^T, and theta_T = V^T phi_T(H)
 ||s_hat|| e_1 is exact while k = T or K_k is invariant. Lanczos stops at k =
 min(T, D), or once the next coupling is at rounding level against the trace of
 Sigma_hat (a Gaussian RFF Sigma_hat closes at k of about 20): k products with
 Sigma_hat, about 4 D k^2 flops and one k x k eigendecomposition, where one of
-Sigma_hat costs O(D^3).
+Sigma_hat costs O(D^3). From a kept Z, k <= ceil(D / SYRK_PARITY) products
+cost 4 n D k flops and no n D^2 syrk is taken (the ski-rental rule bounds a
+Krylov space that does not close at about one syrk more than forming
+Sigma_hat first).
 """
 from __future__ import annotations
 
@@ -57,6 +65,11 @@ from .filters import DivergenceError, IterativeFilter, SpectralFilter, Tikhonov,
 ROW_BLOCK = 4096
 MODEL_FORMAT = 1  # written by save_model; load_model reads only this format
 EIG_DIM_CAP = 4096  # the largest Sigma_hat that fit_spectral eigendecomposes
+# forming Sigma_hat from a kept n x D embedding Z (a syrk, n D^2 flops) took as long as
+# about D / SYRK_PARITY products Z^T (Z v) (4 n D flops each, bound by memory): D / 26
+# at D = 283 to D / 55 at D = 1414 for n = ROW_BLOCK + D or 5000 (one OpenBLAS thread,
+# 2-vCPU AVX2 host; D / 15 to D / 45 with two threads)
+SYRK_PARITY = 40
 
 
 @dataclass
@@ -72,19 +85,63 @@ class RfModel:
     snapshots: dict | None = field(default=None, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass
 class Moments:
-    """All a fit reads of its data: Sigma_hat = Z^T Z / n, s_hat = Z^T y / n,
-    yy = mean y^2, and a fingerprint holding n, the map seed and a data hash."""
+    """All a fit reads of its data: s_hat = Z^T y / n, yy = mean y^2, the trace of
+    Sigma_hat = Z^T Z / n, a fingerprint holding n, the map seed and a data hash, and
+    either Sigma_hat or the embedding Z, kept by assemble_empirical_operators in its
+    ROW_BLOCK row blocks. `product` serves Sigma_hat @ v, from a kept Z as
+    Z^T (Z v) / n. Sigma_hat is formed from Z when `sigma` is first read, or when
+    `product` has served ceil(D / SYRK_PARITY) products from Z, about the cost of
+    forming it, and then serves every product; forming it frees Z block by block."""
 
-    sigma: np.ndarray = field(repr=False)
     s: np.ndarray = field(repr=False)
     yy: float
+    trace: float
     fingerprint: dict
+    _sigma: np.ndarray | None = field(default=None, repr=False)
+    _blocks: list = field(default_factory=list, repr=False)
+    _served: int = field(default=0, repr=False)
+
+    @property
+    def sigma(self) -> np.ndarray:
+        """Sigma_hat, the sum of the blocks' syrks divided by n, as when Z is not kept."""
+        if self._sigma is None:
+            blocks = self._blocks
+            drained = (blocks.pop(0) for _ in range(len(blocks)))  # each freed once summed
+            (self._sigma,) = _block_means(((Z.T @ Z,) for Z in drained), self.fingerprint["n"])
+        return self._sigma
+
+    def product(self, v: np.ndarray) -> np.ndarray:
+        """Sigma_hat @ v."""
+        if self._blocks and self._served < -(-self.s.size // SYRK_PARITY):
+            self._served += 1
+            return sum(Z.T @ (Z @ v) for Z in self._blocks) / self.fingerprint["n"]
+        return self.sigma @ v
 
     def loss(self, theta: np.ndarray) -> float:
-        """The training MSE of a 1-d theta: theta.Sigma_hat.theta - 2 theta.s_hat + yy."""
-        return float(theta @ (self.sigma @ theta) - 2.0 * theta @ self.s + self.yy)
+        """The training MSE of a 1-d theta: theta.Sigma_hat.theta - 2 theta.s_hat + yy,
+        its first term as ||Z theta||^2 / n from a kept Z."""
+        if self._blocks:
+            fitted = [Z @ theta for Z in self._blocks]
+            quadratic = sum(float(z @ z) for z in fitted) / self.fingerprint["n"]
+        else:
+            quadratic = theta @ (self.sigma @ theta)
+        return float(quadratic - 2.0 * theta @ self.s + self.yy)
+
+
+def _block_means(parts, n: int) -> list:
+    """The sums over the iterable `parts` of equal-length tuples of arrays, summed in
+    order into the first tuple's arrays and divided by n. Overflow is left to the caller."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = iter(parts)
+        totals = list(next(parts))
+        for part in parts:
+            for total, value in zip(totals, part):
+                total += value
+        for total in totals:
+            total /= n
+    return totals
 
 
 def assemble_empirical_operators(
@@ -92,11 +149,13 @@ def assemble_empirical_operators(
 ) -> Moments:
     """Validate, reduce and hash the data; the one place a fit reads it.
 
-    Each ROW_BLOCK-row block gives the map's features.moment_statistics; their
-    sums are divided by n once and turned into Sigma_hat and s_hat once, by
-    features.moments_from_means. Non-finite data, and a non-finite Sigma_hat or
-    s_hat (data whose moments overflow), are rejected here, so both fit paths
-    reject them.
+    An embedding_moments map with n <= ROW_BLOCK + D keeps its embedding Z, in
+    ROW_BLOCK row blocks, and the sums of its blocks' Z^T y and column sums of
+    squares give s_hat and the trace. Any other fit sums each ROW_BLOCK-row block's
+    features.moment_statistics and turns the sums, divided by n once, into Sigma_hat
+    and s_hat, by features.moments_from_means. Non-finite data, and a non-finite
+    Sigma_hat (or diagonal, for a kept Z) or s_hat (data whose moments overflow), are
+    rejected here, so both fit paths reject them.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     X = check_input(feature_map, X)
@@ -109,23 +168,27 @@ def assemble_empirical_operators(
     dim = feature_map.embedding_dim
     features.check_budget(dim * dim * 8, f"covariance of dimension {dim}")
     n = X.shape[0]
-    rows = (slice(start, start + ROW_BLOCK) for start in range(0, n, ROW_BLOCK))
-    blocks = (features.moment_statistics(feature_map, X[r], y[r]) for r in rows)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-        stats = next(blocks)
-        for block in blocks:
-            for total, part in zip(stats, block):
-                total += part
-        for total in stats:
-            total /= n
-        gram, zy = features.moments_from_means(feature_map, stats)
-    if not (np.isfinite(gram).all() and np.isfinite(zy).all()):
+    rows = [slice(start, start + ROW_BLOCK) for start in range(0, n, ROW_BLOCK)]
+    blocks, gram = [], None
+    if features.embedding_moments(feature_map) and n <= ROW_BLOCK + dim:
+        # n * D floats are at most ROW_BLOCK * D + D^2, the streamed assembly's own bound
+        blocks = [feature_matrix(feature_map, X[r]) for r in rows]
+        parts = ((Z.T @ y[r], np.einsum("ij,ij->j", Z, Z)) for Z, r in zip(blocks, rows))
+        zy, diagonal = _block_means(parts, n)
+        checked = diagonal  # |Sigma_hat[i, j]| <= sqrt(Sigma_hat[i, i] Sigma_hat[j, j])
+    else:
+        means = _block_means((features.moment_statistics(feature_map, X[r], y[r]) for r in rows), n)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+            gram, zy = features.moments_from_means(feature_map, means)
+        checked, diagonal = gram, np.diagonal(gram)
+    if not (np.isfinite(checked).all() and np.isfinite(zy).all()):
         raise ValueError(f"{feature_map.kind} map embeds the data to a non-finite Sigma_hat or s_hat")
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(X).tobytes())
     h.update(np.ascontiguousarray(y).tobytes())
     fingerprint = {"n": n, "map_seed": int(feature_map.seed), "data_sha256": h.hexdigest()}
-    return Moments(gram, zy, float(np.mean(y**2)), fingerprint)
+    trace = float(np.sum(diagonal))  # >= ||Sigma_hat||, which is PSD
+    return Moments(zy, float(np.mean(y**2)), trace, fingerprint, gram, blocks)
 
 
 def fit_spectral(
@@ -187,14 +250,12 @@ def fit_iterative(
     if wanted and max(wanted) > iterations:
         raise ValueError(f"snapshot count {max(wanted)} exceeds iterations = {iterations}")
     moments = assemble_empirical_operators(feature_map, X, y)
-    sigma, s = moments.sigma, moments.s
-
-    bound = float(np.trace(sigma))  # >= ||Sigma_hat||, which is PSD
+    s = moments.s
     try:  # the one stability rule, at the trace; eigvalsh only if the trace is loose
-        filt.check_stable(bound)
+        filt.check_stable(moments.trace)
     except DivergenceError:
-        filt.check_stable(float(np.linalg.eigvalsh(sigma)[-1]))
-    basis, h = _lanczos(sigma, s, min(iterations, s.size), bound)
+        filt.check_stable(float(np.linalg.eigvalsh(moments.sigma)[-1]))
+    basis, h = _lanczos(moments.product, s, min(iterations, s.size), moments.trace)
     s_proj = np.zeros(len(h))
     s_proj[:1] = np.linalg.norm(s)
     pairs = [filt.resolve(iterations=t) for t in sorted(wanted | {iterations})]
@@ -218,13 +279,13 @@ def _filtered(filt: SpectralFilter, op: np.ndarray, s: np.ndarray, pairs) -> lis
     return [evecs @ (filt.value(evals, lam, T) * coef) for lam, T in pairs]
 
 
-def _lanczos(sigma: np.ndarray, s: np.ndarray, steps: int, bound: float):
-    """Lanczos on Sigma from s / ||s||, with full reorthogonalisation (classical
-    Gram-Schmidt, twice): the rows of an orthonormal basis V of the Krylov space
-    K_k(Sigma, s), and the k x k tridiagonal H = V Sigma V^T. It takes k =
-    `steps` steps, or stops after fewer once the next coupling is at most
-    eps * bound (bound >= ||Sigma||), where K_k is invariant up to rounding.
-    An s of 0 spans no basis (k = 0)."""
+def _lanczos(product, s: np.ndarray, steps: int, bound: float):
+    """Lanczos on the symmetric Sigma that `product(v)` multiplies by, from s / ||s||,
+    with full reorthogonalisation (classical Gram-Schmidt, twice): the rows of an
+    orthonormal basis V of the Krylov space K_k(Sigma, s), and the k x k tridiagonal
+    H = V Sigma V^T. It takes k = `steps` steps, one product each, or stops after
+    fewer once the next coupling is at most eps * bound (bound >= ||Sigma||), where
+    K_k is invariant up to rounding. An s of 0 spans no basis (k = 0)."""
     rounding = np.finfo(float).eps * bound
     # doubled as it fills, as K usually closes far below `steps`: a basis allocated at
     # full size raised the peak RSS of a two-worker heatmap by 1.3 MB
@@ -238,7 +299,7 @@ def _lanczos(sigma: np.ndarray, s: np.ndarray, steps: int, bound: float):
         if k == len(basis):
             basis = np.concatenate([basis, np.empty((min(k, steps - k), s.size))])
         basis[k] = w / coupling
-        w = sigma @ basis[k]
+        w = product(basis[k])
         done = basis[: k + 1]
         proj = done @ w
         w -= proj @ done

@@ -315,9 +315,12 @@ def ntk_factor(feature_map: FeatureMap, X: np.ndarray) -> np.ndarray:
     return Y.reshape(n, -1)
 
 
-def _factored(feature_map: FeatureMap) -> bool:
-    """Whether the map's moments come from ntk_factor: a relu or identity NTK map."""
-    return feature_map.kind == NTK_ONE_LAYER and feature_map.params["activation"] != "tanh"
+def embedding_moments(feature_map: FeatureMap) -> bool:
+    """Whether the map's moments are the syrk (Z^T Z, Z^T y) of its embedding Z =
+    feature_matrix, with no transform: a Gaussian RFF or tanh NTK map. A designer map
+    reads cosine sums and a relu or identity NTK map its factor instead."""
+    kind = feature_map.kind
+    return kind == GAUSSIAN_RFF or (kind == NTK_ONE_LAYER and feature_map.params["activation"] == "tanh")
 
 
 def moment_statistics(feature_map: FeatureMap, X: np.ndarray, y: np.ndarray) -> tuple:
@@ -325,11 +328,11 @@ def moment_statistics(feature_map: FeatureMap, X: np.ndarray, y: np.ndarray) -> 
     of rows, they are what moments_from_means reads. A designer map gives the 2m - 1
     sums c_k = sum_i cos(k pi x_i) and d_k = sum_i y_i cos(k pi x_i), from one table
     set; a relu or identity NTK map gives (Y^T Y, Y^T y) of its factor Y (ntk_factor);
-    every other map gives (Z^T Z, Z^T y) of its embedding. numpy sends F.T @ F to syrk."""
+    an embedding_moments map gives (Z^T Z, Z^T y). numpy sends F.T @ F to syrk."""
     if feature_map.kind == DESIGNER_FINITE_RANK:
         K = 2 * feature_map.num_samples - 1
         return tuple(cosine_sums(K, X[:, 0], np.column_stack((np.ones_like(y), y))))
-    F = ntk_factor(feature_map, X) if _factored(feature_map) else feature_matrix(feature_map, X)
+    F = feature_matrix(feature_map, X) if embedding_moments(feature_map) else ntk_factor(feature_map, X)
     return F.T @ F, F.T @ y
 
 
@@ -342,8 +345,8 @@ def moments_from_means(feature_map: FeatureMap, means: tuple) -> tuple[np.ndarra
     in the mean sums c, and s_hat = v * d[:m]. Relu or identity NTK: Z = Y L / sqrt(M),
     so Sigma_hat = L^T G L / M for G the mean Y^T Y, from diagonal scalings of its
     M x M blocks; the blocks above the diagonal are computed and mirrored. Either way
-    Sigma_hat is exactly symmetric, as a syrk's. Any other map: the means are the
-    moments."""
+    Sigma_hat is exactly symmetric, as a syrk's. An embedding_moments map: the means
+    are the moments."""
     if feature_map.kind == DESIGNER_FINITE_RANK:
         c, d = means
         m = feature_map.num_samples
@@ -354,7 +357,7 @@ def moments_from_means(feature_map: FeatureMap, means: tuple) -> tuple[np.ndarra
         gram = toeplitz + hankel
         gram *= 0.5 * np.outer(v, v)
         return gram, v * d[:m]
-    if not _factored(feature_map):
+    if embedding_moments(feature_map):
         return means
     W = feature_map.frequencies
     M, d = W.shape

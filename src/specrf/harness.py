@@ -361,6 +361,8 @@ def _heatmap_problem(plan: ExperimentPlan):
     kind, conf = _problem_conf(plan, "synthetic", "dataset")
     if kind == "synthetic":  # zero rows: checks the keys and gives the input dimension
         X0, _ = call_checked(_synthetic_data, conf, "synthetic problem", seed=0, n=0)
+        for n in (plan.n_train, plan.n_test):  # as _synthetic_data checks them, before any draw
+            check_budget(n * X0.shape[1] * 8, "synthetic data")
 
         def draw(rep_seed: int):
             X_tr, y_tr = _synthetic_data(trial_seed(rep_seed, 0), plan.n_train, **conf)
@@ -421,8 +423,12 @@ def _heatmap_grid(plan: ExperimentPlan, workers: int, draw, input_dim: int) -> d
     _check_distinct(t_grid, "plan t_grid")
     t_grid.sort()
     fm = {"params": {}, **check_object(plan.feature_map, "plan feature_map")}  # checked once here
-    call_checked(sample_feature_map, fm, "plan feature_map", input_dim=input_dim,
-                 num_samples=plan.m_grid[0], seed=plan.base_seed)
+    first = call_checked(sample_feature_map, fm, "plan feature_map", input_dim=input_dim,
+                         num_samples=plan.m_grid[0], seed=plan.base_seed)
+    for m in plan.m_grid:  # as sample_feature_map and the fit check them, before any trial
+        dim = first.component_count * m
+        check_budget(m * input_dim * 8, "frequency matrix")
+        check_budget(dim * dim * 8, f"covariance of dimension {dim}")
     lams = {t: filt.resolve(iterations=t)[0] for t in t_grid}
 
     def trial(mi: int, rep: int):

@@ -538,6 +538,24 @@ def test_a_size_past_the_memory_budget_exits_1_before_it_is_allocated(
     assert capsys.readouterr().err == f"error: {named} needs 160000 bytes, budget is 100000\n"
 
 
+@pytest.mark.parametrize("change,named", [
+    ({"m_grid": [283, 10**12]}, "frequency matrix needs 8000000000000 bytes"),
+    ({"m_grid": [283, 20000]}, "covariance of dimension 20000 needs 3200000000 bytes"),
+    ({"n_test": 10**12}, "synthetic data needs 8000000000000 bytes"),
+], ids=["m_grid-frequencies", "m_grid-covariance", "n_test"])
+def test_a_heatmap_checks_every_grid_size_before_its_first_trial(tmp_path, capsys, monkeypatch, change, named):
+    # under the default budget: a size past it anywhere in the plan is one error line, and
+    # no trial fits, whatever comes first in the grid
+    fits = []
+    monkeypatch.setattr(specrf.harness, "fit_iterative", lambda *args, **kwargs: fits.append(args))
+    cfg = tmp_path / "plan.json"
+    cfg.write_text(json.dumps({**json.loads(_tiny_plan().to_json()), **change}))
+    assert main(["heatmap", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == EXIT_ERROR
+    budget = specrf.features.DEFAULT_MEMORY_BUDGET
+    assert capsys.readouterr().err == f"error: {named}, budget is {budget}\n"
+    assert fits == [] and not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["heatmap", "rate-sweep"])
 def test_seed_flag_overrides_the_plan_base_seed(tmp_path, command):
     plan = json.loads(_tiny_plan().to_json()) if command == "heatmap" else _tiny_rate_plan()

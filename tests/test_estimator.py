@@ -77,6 +77,103 @@ def test_moments_accumulate_over_row_blocks():
     assert np.array_equal(single.s, Z1.T @ y1 / ROW_BLOCK)
 
 
+def _streamed_moments(fmap, X, y):
+    """Sigma_hat and s_hat as sums of features.moment_statistics over ROW_BLOCK row blocks,
+    divided by n: the assembly that keeps no embedding."""
+    n, sums = len(y), None
+    for start in range(0, n, ROW_BLOCK):
+        part = features.moment_statistics(fmap, X[start : start + ROW_BLOCK], y[start : start + ROW_BLOCK])
+        sums = list(part) if sums is None else [total + value for total, value in zip(sums, part)]
+    return [total / n for total in sums]
+
+
+def _spy_on_forming_sigma(monkeypatch):
+    """Record, each time a Moments forms Sigma_hat from its kept embedding, how many
+    products it had served from Z."""
+    formed, real = [], estimator.Moments.sigma
+
+    def sigma(moments):
+        if moments._sigma is None:
+            formed.append(moments._served)
+        return real.fget(moments)
+
+    monkeypatch.setattr(estimator.Moments, "sigma", property(sigma))
+    return formed
+
+
+def _rows_past_the_block(D):
+    """n inside (ROW_BLOCK, ROW_BLOCK + D], at ROW_BLOCK + D, and one row past it."""
+    return [ROW_BLOCK + D // 2, ROW_BLOCK + D, ROW_BLOCK + D + 1]
+
+
+@pytest.mark.parametrize("kind", ["rff", "tanh"])
+@pytest.mark.parametrize("extra", [32, 64, 65], ids=["inside", "edge", "past"])
+def test_kept_embedding_moments_are_the_streamed_ones_to_the_bit(kind, extra):
+    # D = 64: Gaussian RFF with M = 64, tanh NTK with d = 2 and M = 16. Up to n = ROW_BLOCK + D
+    # the embedding is kept and Sigma_hat formed from it on demand, past it Sigma_hat is
+    # assembled at once; either way Sigma_hat and s_hat are the streamed sums to the bit
+    n = ROW_BLOCK + extra
+    if kind == "rff":
+        fmap, X, y = _toy(seed=21, n=n, M=64)
+    else:
+        fmap, X, y = _ntk("tanh", 2, 16, n, seed=21)
+    moments = assemble_empirical_operators(fmap, X, y)
+    assert bool(moments._blocks) == (n <= ROW_BLOCK + 64)
+    sigma, s = _streamed_moments(fmap, X, y)
+    assert np.array_equal(moments.s, s)
+    assert moments.trace == pytest.approx(np.trace(sigma), rel=1e-13)
+    assert np.array_equal(moments.sigma, sigma) and not moments._blocks
+    assert moments.trace == pytest.approx(np.trace(moments.sigma), rel=1e-13)
+
+
+@pytest.mark.parametrize("n", _rows_past_the_block(1000), ids=["inside", "edge", "past"])
+def test_a_closing_rff_fit_never_forms_sigma(n, monkeypatch):
+    # the plateau heatmap's regime: d = 1, M = 1000 closes at k = 19, under the cut-off of
+    # ceil(1000 / SYRK_PARITY) = 25 products, so a kept Z serves every product
+    rng = np.random.default_rng(22)
+    X = rng.standard_normal((n, 1))
+    y = np.cos(X[:, 0]) + 0.3 * rng.standard_normal(n)
+    fmap = sample_feature_map("gaussian_rff", 1, 1000, {}, 22)
+    filt, wanted = make_filter("landweber", alpha=0.5), (1, 4, 16, 64, 256)
+    formed = _spy_on_forming_sigma(monkeypatch)
+    model = fit_iterative(fmap, X, y, filt, 256, snapshots=wanted)
+    assert formed == []
+    reference = fit_spectral(fmap, X, y, filt, iterations=256)
+    assert _relative_error(model.theta, reference.theta) <= 1e-12
+    # the snapshots against fit_spectral's filtering, from one eigendecomposition for all T
+    dense = assemble_empirical_operators(fmap, X, y)
+    pairs = [filt.resolve(iterations=t) for t in wanted]
+    for t, theta in zip(wanted, estimator._filtered(filt, dense.sigma, dense.s, pairs)):
+        assert _relative_error(model.snapshots[t], theta) <= 1e-12
+    # the losses, from a kept Z, are the quadratic of the dense Sigma_hat to rounding
+    np.testing.assert_allclose(model.losses, [dense.yy, dense.loss(model.theta)], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("n", _rows_past_the_block(160), ids=["inside", "edge", "past"])
+def test_a_tanh_fit_that_does_not_close_switches_to_sigma_at_the_cut_off(n, monkeypatch):
+    # tanh NTK with D = 160 runs 64 Lanczos steps; a kept Z serves the first ceil(160 /
+    # SYRK_PARITY) = 4 products, then Sigma_hat is formed and serves the rest. Theta, the
+    # snapshots and the losses match a fit whose Sigma_hat is formed before it starts
+    fmap, X, y = _ntk("tanh", 2, 40, n, seed=23, tau=0.7)
+    filt, wanted = make_filter("heavyball", alpha=0.2, beta=0.7), (1, 8, 64)
+    formed = _spy_on_forming_sigma(monkeypatch)
+    model = fit_iterative(fmap, X, y, filt, 64, snapshots=wanted)
+    cut_off = -(-160 // estimator.SYRK_PARITY)
+    assert formed == ([cut_off] if n <= ROW_BLOCK + 160 else [])
+
+    def assemble_dense(*args):
+        moments = assemble_empirical_operators(*args)
+        assert moments.sigma.shape == (160, 160)  # formed now, so it serves every product
+        return moments
+
+    monkeypatch.setattr(estimator, "assemble_empirical_operators", assemble_dense)
+    dense = fit_iterative(fmap, X, y, filt, 64, snapshots=wanted)
+    assert _relative_error(model.theta, dense.theta) <= 1e-12
+    for t in wanted:
+        assert _relative_error(model.snapshots[t], dense.snapshots[t]) <= 1e-12
+    np.testing.assert_allclose(model.losses, dense.losses, rtol=1e-12, atol=0)
+
+
 def test_predict_streams_over_row_blocks():
     fmap, X, y = _toy(seed=6, n=2 * ROW_BLOCK + 7, M=16)
     model = fit_spectral(fmap, X, y, make_filter("tikhonov"), lam=0.01)
@@ -469,13 +566,23 @@ def test_fit_spectral_losses_are_the_training_losses(kind, kwargs, fit):
 
 
 @pytest.mark.parametrize("fit", [fit_spectral, fit_iterative])
-def test_moments_loss_is_the_training_mse(fit):
-    # Moments.loss is the one quadratic both paths read model.losses from
+def test_moments_loss_is_the_training_mse(fit, monkeypatch):
+    # Moments.loss is the one quadratic both paths read model.losses from: the fit's own
+    # Moments gives them to the bit. A fresh one keeps Z (n = 120 <= ROW_BLOCK + 24) and
+    # takes its quadratic from Z, where the fit formed Sigma_hat, so it agrees to rounding
     fmap, X, y = _toy(seed=11)
     moments = assemble_empirical_operators(fmap, X, y)
+    assembled = []
+
+    def assemble(*args):
+        assembled.append(assemble_empirical_operators(*args))
+        return assembled[-1]
+
+    monkeypatch.setattr(estimator, "assemble_empirical_operators", assemble)
     model = fit(fmap, X, y, make_filter("landweber", alpha=0.9), iterations=30)
     assert moments.loss(model.theta) == pytest.approx(mse(model, X, y), rel=1e-10)
-    assert moments.loss(model.theta) == model.losses[-1]
+    assert moments.loss(model.theta) == pytest.approx(model.losses[-1], rel=1e-12)
+    assert assembled[0].loss(model.theta) == model.losses[-1]
     assert moments.loss(np.zeros_like(model.theta)) == model.losses[0] == moments.yy
 
 
@@ -803,13 +910,17 @@ def test_moments_divide_by_n_before_the_map_algebra():
     np.testing.assert_allclose(moments.s, Z.T @ y / np.sqrt(1000), rtol=1e-12, atol=0)
 
 
-def test_non_finite_moments_rejected_on_both_paths():
-    # finite data and a finite kappa_sq, but the mean of x y = 10 * 1e308 is past the
-    # double range
-    params = {"rho_max": 100.0, "activation": "identity"}
+@pytest.mark.parametrize("params,x,y,n", [
+    ({"rho_max": 100.0, "activation": "identity"}, 10.0, 1e308, 1000),
+    ({"tau": 1e153, "rho_max": 1.0, "activation": "tanh"}, 0.7, 1.0, 4000),
+], ids=["identity", "tanh-kept"])
+def test_non_finite_moments_rejected_on_both_paths(params, x, y, n):
+    # finite data and a finite kappa_sq, but a moment past the double range. Identity: the
+    # mean of x y = 10 * 1e308. Tanh (D = 4, so n = 4000 keeps Z): the column sums of
+    # squares of its x blocks, about 4000 * 4.9e305
     fmap = sample_feature_map("ntk_one_layer", 2, 1, params, 0)
-    X = np.full((1000, 2), 10.0)
-    y = np.full(1000, 1e308)
+    X = np.full((n, 2), x)
+    y = np.full(n, y)
     with pytest.raises(ValueError, match="non-finite Sigma_hat or s_hat"):
         fit_spectral(fmap, X, y, make_filter("tikhonov"), lam=0.1)
     with pytest.raises(ValueError, match="non-finite Sigma_hat or s_hat"):
