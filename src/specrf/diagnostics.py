@@ -23,6 +23,7 @@ from .features import (
     check_budget,
     check_input,
     designer_series,
+    designer_series_floats,
     feature_matrix,
     real_number,
     sample_feature_map,
@@ -113,11 +114,13 @@ def sample_dataset(
     All n uniforms are drawn before the n normals. g(x) is the designer series
     (features.designer_series), evaluated ROW_BLOCK rows at a time from
     angle-addition tables filled by rotation: 2 complex exponentials a row, and
-    ROW_BLOCK x 2(A + B) floats however large n is, for B the least power of two
-    with B^2 >= J and A = ceil(J / B), with no ROW_BLOCK x J basis.
+    ROW_BLOCK x 2(2A + B) floats however large n is, for B the least power of two
+    with B^2 >= J and A = ceil(J / B), with no ROW_BLOCK x J basis. The budget
+    check counts the peak: x, y and either one block's series or the noise.
     """
     n, seed = whole_number(n, "n"), whole_number(seed, "seed", least=0)
-    check_budget(n * 8, "designer dataset")
+    series = designer_series_floats(problem.g_coeffs.size, min(n, ROW_BLOCK))
+    check_budget((2 * n + max(n, series)) * 8, "designer dataset")
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, 1.0, n)
     y = np.empty(n)
@@ -125,7 +128,9 @@ def sample_dataset(
         rows = slice(start, start + ROW_BLOCK)
         y[rows] = designer_series(problem.g_coeffs, x[rows])
     if problem.noise_std > 0:
-        y += problem.noise_std * rng.standard_normal(n)
+        noise = rng.standard_normal(n)
+        noise *= problem.noise_std
+        y += noise
     return x[:, None], y
 
 

@@ -12,8 +12,9 @@ map whose moments are its embedding's syrk (features.embedding_moments) with
 n <= ROW_BLOCK + D keeps its n x D embedding Z instead, at most ROW_BLOCK * D
 + D^2 floats: Moments then serves Sigma_hat @ v as Z^T (Z v) / n and forms
 Sigma_hat, by the same block sums, only when it is read or once Lanczos has
-taken about as many products as forming it costs. So a fit or a prediction
-holds O(ROW_BLOCK * D + D^2) floats however many rows it reads. The filter
+taken about as many products as forming it costs. So a fit holds
+O(ROW_BLOCK * D + D^2) floats however many rows it reads; predict holds
+O(features.COS_CHUNK + n k) for a D x k theta. The filter
 picks the path: an iterative filter, given lambda or T, runs fit_iterative
 and any other fit_spectral. Both apply the scalar phi through _filtered, one
 eigendecomposition for all requested (lambda, T): of Sigma_hat in
@@ -56,12 +57,12 @@ from .features import (
 )
 from .filters import DivergenceError, IterativeFilter, SpectralFilter, Tikhonov, make_filter
 
-# rows read at a time by the moments and by predict. Blocks of 2048 to
-# 8192 rows assembled the moments equally fast within noise on a 2-vCPU host
-# (NTK n = 20000, D = 1152; RFF n = 5000, D = 1414), and a block bounds the
-# embedding's memory at ROW_BLOCK * D floats (a designer block's cosine tables
-# at ROW_BLOCK * 2(2A + B), a relu or identity NTK block's factor at
-# ROW_BLOCK * (d+1)M).
+# rows read at a time by the moments (predict reads tiles of features.COS_CHUNK
+# floats instead). Blocks of 2048 to 8192 rows assembled the moments equally fast
+# within noise on a 2-vCPU host (NTK n = 20000, D = 1152; RFF n = 5000, D = 1414),
+# and a block bounds the embedding's memory at ROW_BLOCK * D floats (a designer
+# block's cosine tables at ROW_BLOCK * 2(2A + B), a relu or identity NTK block's
+# factor at ROW_BLOCK * (d+1)M).
 ROW_BLOCK = 4096
 MODEL_FORMAT = 1  # written by save_model; load_model reads only this format
 EIG_DIM_CAP = 4096  # the largest Sigma_hat that fit_spectral eigendecomposes
@@ -313,15 +314,19 @@ def _lanczos(product, s: np.ndarray, steps: int, bound: float):
 
 
 def predict(model: RfModel, X: np.ndarray) -> np.ndarray:
-    """Z @ theta, embedding X ROW_BLOCK rows at a time; a D x k theta gives n x k.
+    """Z @ theta, embedding X one tile of max(1, features.COS_CHUNK // D) rows at a
+    time; a D x k theta gives n x k. A tile's embedding is at most the COS_CHUNK
+    floats the cosine loop works in (0.5 MB), so its product reads it from cache, and
+    a prediction holds one tile and the output, never the n x D embedding.
 
     An X with no rows or not 2-d goes to feature_matrix whole, which returns
     an empty embedding or rejects its shape.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0] if X.ndim == 2 else 0
-    blocks = [X[start : start + ROW_BLOCK] for start in range(0, n, ROW_BLOCK)] or [X]
-    return np.concatenate([feature_matrix(model.map, Xb) @ model.theta for Xb in blocks])
+    rows = max(1, features.COS_CHUNK // model.map.embedding_dim)
+    tiles = [X[start : start + rows] for start in range(0, n, rows)] or [X]
+    return np.concatenate([feature_matrix(model.map, tile) @ model.theta for tile in tiles])
 
 
 def mse(model: RfModel, X: np.ndarray, y: np.ndarray):

@@ -153,6 +153,14 @@ def _rotations(start, angle: np.ndarray, count: int) -> np.ndarray:
     return z
 
 
+def _table_shape(num_freqs: int) -> tuple[int, int]:
+    """(A, B) of _cosine_tables: B the least power of two with B^2 >= num_freqs, A = ceil(num_freqs / B)."""
+    B = 1
+    while B * B < num_freqs:
+        B *= 2
+    return -(-num_freqs // B), B
+
+
 def _cosine_tables(num_freqs: int, x: np.ndarray, start=1.0):
     """Angle-addition tables of the cosines cos(k pi x) for k < num_freqs, for B the
     least power of two with B^2 >= num_freqs and A = ceil(num_freqs / B).
@@ -162,10 +170,7 @@ def _cosine_tables(num_freqs: int, x: np.ndarray, start=1.0):
     complex exponentials a row, not one trig call per entry. Both are returned as
     float views, whose last axis holds the (real, imaginary) pairs of the n rows, so
     the dot product of the pairs hi[a] and lo[b] is start * cos((a B + b) pi x)."""
-    B = 1
-    while B * B < num_freqs:
-        B *= 2
-    A = -(-num_freqs // B)
+    A, B = _table_shape(num_freqs)
     px = np.pi * np.asarray(x, dtype=float).reshape(-1)
     return _rotations(start, B * px, A).view(float), _rotations(1.0, -px, B).view(float)
 
@@ -193,6 +198,14 @@ def designer_series(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     partial = grid.reshape(A, B) @ lo
     # the sum over a of the dot products of the pairs hi[a] and partial[a]
     return np.einsum("ak,ak->k", hi, partial).reshape(-1, 2).sum(axis=1)
+
+
+def designer_series_floats(num_coeffs: int, rows: int) -> int:
+    """The floats designer_series(coeffs, x) holds at its peak for len(coeffs) =
+    num_coeffs and `rows` points: 2A + 2B a row for the hi and lo tables, 2A for the
+    partial products and 4 for the row vectors (about 3.2 under tracemalloc)."""
+    A, B = _table_shape(num_coeffs)
+    return rows * (4 * A + 2 * B + 4)
 
 
 def _validate_designer_eigenvalues(mu, rank: int) -> np.ndarray:

@@ -326,14 +326,22 @@ def _synthetic_target(X: np.ndarray) -> np.ndarray:
     d = X.shape[1]
     s = X @ (np.ones(d) / math.sqrt(d))
     j = np.arange(1, 7, dtype=float)
-    return np.cos(np.outer(s, j - 1.0)) @ (j**-1.5)
+    table = np.outer(s, j - 1.0)
+    np.cos(table, out=table)
+    return table @ (j**-1.5)
+
+
+def _check_synthetic_budget(n: int, input_dim: int) -> None:
+    """Check the floats _synthetic_data holds at its peak: X, the projection s, the
+    n x 6 cosine table of _synthetic_target (taken in place) and y."""
+    check_budget(n * (input_dim + 8) * 8, "synthetic data")
 
 
 def _synthetic_data(seed: int, n: int, input_dim: int = 1, noise_std: float = 0.3):
     input_dim = whole_number(input_dim, "synthetic problem input_dim")
     if real_number(noise_std, "synthetic problem noise_std") < 0:
         raise ValueError(f"synthetic problem noise_std must be >= 0, not {noise_std!r}")
-    check_budget(n * input_dim * 8, "synthetic data")
+    _check_synthetic_budget(n, input_dim)
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, input_dim))
     y = _synthetic_target(X)
@@ -362,7 +370,7 @@ def _heatmap_problem(plan: ExperimentPlan):
     if kind == "synthetic":  # zero rows: checks the keys and gives the input dimension
         X0, _ = call_checked(_synthetic_data, conf, "synthetic problem", seed=0, n=0)
         for n in (plan.n_train, plan.n_test):  # as _synthetic_data checks them, before any draw
-            check_budget(n * X0.shape[1] * 8, "synthetic data")
+            _check_synthetic_budget(n, X0.shape[1])
 
         def draw(rep_seed: int):
             X_tr, y_tr = _synthetic_data(trial_seed(rep_seed, 0), plan.n_train, **conf)
@@ -390,12 +398,19 @@ def _run_cells(trial, keys, workers: int) -> tuple[list, list, dict]:
     """Run trial(*key) over `keys`, on a pool of `workers` threads. Each trial returns
     (row, error) pairs: a results.csv row and None, or the row its failed cell would
     have had and the error's repr. Returns, in key order, the rows of the cells that
-    ran, the failed-cell records, and {(n, M, T): [value, ...]} over those rows."""
+    ran, the failed-cell records, and {(n, M, T): [value, ...]} over those rows. A trial
+    that raises stops the run: the cells not yet started are cancelled, and the error
+    raised is the first in key order."""
     if workers <= 1:
         outcomes = list(itertools.starmap(trial, keys))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = [fut.result() for fut in [pool.submit(trial, *key) for key in keys]]
+            futures = [pool.submit(trial, *key) for key in keys]
+            try:
+                outcomes = [fut.result() for fut in futures]
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
     rows, failures, cells = [], [], {}
     for row, error in itertools.chain.from_iterable(outcomes):
         n, m, t, _, rep, _, value = row

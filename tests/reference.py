@@ -4,15 +4,17 @@ The Gaussian kernel that gaussian_rff maps sample, their embedding through
 np.cos that feature_matrix's half-angle tangent replaced, a PSD check for gram
 matrices, the empirical N_M(lambda) / N_inf(lambda) effective-dimension
 ratio of Rudi & Rosasco 2017, the record-by-record CSV parser that
-ingest_csv_dataset must agree with, and the (momentum) gradient loop in R^D
-that fit_iterative runs in a Krylov basis. GaussianKernel has the
-gram(X, Y=None) that specrf.krr_gram_fit and specrf.krr_predict take.
+ingest_csv_dataset must agree with, the (momentum) gradient loop in R^D
+that fit_iterative runs in a Krylov basis, and the tracemalloc peak of a call.
+GaussianKernel has the gram(X, Y=None) that specrf.krr_gram_fit and
+specrf.krr_predict take.
 """
 from __future__ import annotations
 
 import csv
 import math
 import os
+import tracemalloc
 
 import numpy as np
 
@@ -171,3 +173,13 @@ def iterate_in_parameter_space(moments, filt, iterations: int, snapshots=()):
         if t in snapshots:
             taken[t] = theta.copy()
     return theta, np.asarray(losses), taken
+
+
+def traced_peak(fn):
+    """fn() and the peak bytes traced while it ran; tracemalloc counts numpy's data buffers."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

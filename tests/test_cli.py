@@ -518,16 +518,17 @@ def test_bad_config_exits_1_with_one_error_line(tmp_path, capsys, monkeypatch, c
 
 
 @pytest.mark.parametrize("command,change,named", [
-    ("fit", {"feature_map": {"kind": "gaussian_rff", "num_samples": 20000}}, "frequency matrix"),
-    ("fit", {"data": {"designer": {"J": 8, "b": 1.0, "r": 0.5}, "n": 20000}}, "designer dataset"),
-    ("heatmap", {"n_train": 20000}, "synthetic data"),
-    ("heatmap", {"m_grid": [20000]}, "frequency matrix"),
+    ("fit", {"feature_map": {"kind": "gaussian_rff", "num_samples": 20000}}, "frequency matrix needs 160000"),
+    # x, y and one 4096-row block's series: 2 x 20000 + 4096 x 20 floats
+    ("fit", {"data": {"designer": {"J": 8, "b": 1.0, "r": 0.5}, "n": 20000}}, "designer dataset needs 975360"),
+    ("heatmap", {"n_train": 20000}, "synthetic data needs 1440000"),  # (1 + 8) x 20000 floats
+    ("heatmap", {"m_grid": [20000]}, "frequency matrix needs 160000"),
 ], ids=["fit-num_samples", "fit-designer-n", "heatmap-n_train", "heatmap-m_grid"])
 def test_a_size_past_the_memory_budget_exits_1_before_it_is_allocated(
     tmp_path, capsys, monkeypatch, command, change, named
 ):
-    # the budget holds every array of the unchanged config (at most 200 x 16 floats) and
-    # not the 20000 x 1 floats the change asks for, which is refused before it is drawn
+    # the budget holds every array of the unchanged config (at most 2200 floats, the peak
+    # of the fit's 100-row designer dataset) and not the 20000 rows the change asks for, refused before they are drawn
     monkeypatch.setattr(specrf.features, "DEFAULT_MEMORY_BUDGET", 100_000)
     base = {"heatmap": json.loads(_tiny_plan_file(tmp_path).read_text()), "fit": _FIT_CONFIG}[command]
     for config, out in ((base, "ok"), ({**base, **change}, "big")):
@@ -535,13 +536,13 @@ def test_a_size_past_the_memory_budget_exits_1_before_it_is_allocated(
         cfg.write_text(json.dumps(config))
         status = main([command, "--config", str(cfg), "--out-dir", str(tmp_path / out)])
         assert status == (EXIT_OK if out == "ok" else EXIT_ERROR)
-    assert capsys.readouterr().err == f"error: {named} needs 160000 bytes, budget is 100000\n"
+    assert capsys.readouterr().err == f"error: {named} bytes, budget is 100000\n"
 
 
 @pytest.mark.parametrize("change,named", [
     ({"m_grid": [283, 10**12]}, "frequency matrix needs 8000000000000 bytes"),
     ({"m_grid": [283, 20000]}, "covariance of dimension 20000 needs 3200000000 bytes"),
-    ({"n_test": 10**12}, "synthetic data needs 8000000000000 bytes"),
+    ({"n_test": 10**12}, "synthetic data needs 72000000000000 bytes"),
 ], ids=["m_grid-frequencies", "m_grid-covariance", "n_test"])
 def test_a_heatmap_checks_every_grid_size_before_its_first_trial(tmp_path, capsys, monkeypatch, change, named):
     # under the default budget: a size past it anywhere in the plan is one error line, and

@@ -1,7 +1,9 @@
+import bisect
+
 import numpy as np
 import pytest
 
-from reference import GaussianKernel
+from reference import GaussianKernel, traced_peak
 from specrf import features
 from specrf.diagnostics import (
     DesignerKernel,
@@ -78,13 +80,26 @@ def test_dataset_seeded_and_noiseless_exact():
         sample_dataset(p, 0, 11)
 
 
-def test_dataset_past_the_memory_budget_is_refused_before_it_is_drawn(monkeypatch):
-    # n floats: 100 x 8 = 800 bytes fit a budget of 800, 101 rows do not
-    p = make_designer_problem(J=6, b=1.0, r=0.5, noise_std=0.1, seed=0)
-    monkeypatch.setattr(features, "DEFAULT_MEMORY_BUDGET", 800)
-    assert sample_dataset(p, 100, 0)[1].shape == (100,)
-    with pytest.raises(MemoryBudgetError, match="^designer dataset needs 808 bytes, budget is 800$"):
-        sample_dataset(p, 101, 0)
+@pytest.mark.parametrize("J,budget", [(6, 2**20), (6, 8 * 2**20), (512, 2**20), (512, 8 * 2**20)])
+def test_dataset_past_the_memory_budget_is_refused_before_it_is_drawn(monkeypatch, J, budget):
+    # the check counts the draw's peak, x, y and the larger of the noise and one row block's
+    # series: the largest n it admits peaks within 64 KiB of the budget under tracemalloc,
+    # and one more row is refused (the noise binds at J = 6 and 8 MiB, the series elsewhere;
+    # at J = 512 and 1 MiB, n < ROW_BLOCK)
+    p = make_designer_problem(J=J, b=1.0, r=0.5, noise_std=0.1, seed=0)
+    monkeypatch.setattr(features, "DEFAULT_MEMORY_BUDGET", budget)
+    sample_dataset(p, 10, 0)  # numpy's first-call allocations are not the draw's
+
+    def floats(n):
+        return 2 * n + max(n, features.designer_series_floats(J, min(n, ROW_BLOCK)))
+
+    n = bisect.bisect_right(range(budget), budget, key=lambda n: floats(n) * 8) - 1
+    (x, y), peak = traced_peak(lambda: sample_dataset(p, n, 0))
+    assert x.shape == (n, 1) and y.shape == (n,)
+    assert budget - 2**16 <= peak <= budget + 2**16
+    named = f"^designer dataset needs {floats(n + 1) * 8} bytes, budget is {budget}$"
+    with pytest.raises(MemoryBudgetError, match=named):
+        sample_dataset(p, n + 1, 0)
 
 
 @pytest.mark.parametrize("n,seed,named", [

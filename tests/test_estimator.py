@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from reference import iterate_in_parameter_space
+from reference import iterate_in_parameter_space, traced_peak
 
 import specrf
 from specrf import estimator, features, filters
@@ -174,7 +174,7 @@ def test_a_tanh_fit_that_does_not_close_switches_to_sigma_at_the_cut_off(n, monk
     np.testing.assert_allclose(model.losses, dense.losses, rtol=1e-12, atol=0)
 
 
-def test_predict_streams_over_row_blocks():
+def test_predict_streams_over_row_tiles():
     fmap, X, y = _toy(seed=6, n=2 * ROW_BLOCK + 7, M=16)
     model = fit_spectral(fmap, X, y, make_filter("tikhonov"), lam=0.01)
     assert _relative_error(predict(model, X), feature_matrix(fmap, X) @ model.theta) <= 1e-12
@@ -203,6 +203,53 @@ def test_predict_over_row_splits():
         assert np.array_equal(np.concatenate([feature_matrix(fmap, X[a:b]) for a, b in pairs]), Z)
         split = np.concatenate([predict(model, X[a:b]) for a, b in pairs])
         assert np.all(np.abs(split - whole) <= bound)
+
+
+@pytest.mark.parametrize("kind,d,M,params", [
+    ("gaussian_rff", 1, 283, {}),
+    ("gaussian_rff", 1, 1414, {}),
+    ("gaussian_rff", 2, features.COS_CHUNK + 5, {}),  # D above COS_CHUNK: one row a tile
+    ("ntk_one_layer", 2, 40, {"activation": "relu"}),
+    ("ntk_one_layer", 2, 40, {"activation": "tanh"}),
+    ("designer_finite_rank", 1, 300, {}),
+], ids=["rff-283", "rff-1414", "rff-one-row", "ntk-relu", "ntk-tanh", "designer"])
+def test_predict_is_the_embedding_product_tile_by_tile(monkeypatch, kind, d, M, params):
+    fmap = sample_feature_map(kind, d, M, params, 21)
+    D = fmap.embedding_dim
+    rows = max(1, features.COS_CHUNK // D)
+    rng = np.random.default_rng(22)
+    big = 3 if D > features.COS_CHUNK else 5000  # the oracle holds all of n x D
+    X = rng.uniform(0.0, 1.0, (big, d)) if kind == "designer_finite_rank" else rng.standard_normal((big, d))
+    Z = feature_matrix(fmap, X)
+    embedded = []
+
+    def spy(fmap, X):
+        embedded.append(len(X))
+        return feature_matrix(fmap, X)
+
+    monkeypatch.setattr(estimator, "feature_matrix", spy)
+    for theta in (rng.standard_normal(D), rng.standard_normal((D, 3))):
+        model = estimator.RfModel(fmap, theta, make_filter("tikhonov"), 0.1, None, "spectral", {})
+        bound = 2 * D * np.finfo(float).eps * (np.abs(Z) @ np.abs(theta))
+        for n in sorted({1, rows - 1, rows, rows + 1, big} - {0}):
+            embedded.clear()
+            got = predict(model, X[:n])
+            assert got.shape == (n, *theta.shape[1:])
+            assert np.all(np.abs(got - Z[:n] @ theta) <= bound[:n])
+            assert embedded == [rows] * (n // rows) + [n % rows] * (n % rows > 0)
+
+
+def test_mse_holds_one_tile_not_the_test_embedding():
+    # n = 5000, D = 1414, k = 5: a tile of 46 x 1414 floats with its cosine buffer
+    # (1.0 MiB) and the n x k predictions, where the 4096-row embedding was 44 MiB
+    fmap = sample_feature_map("gaussian_rff", 1, 1414, {}, 23)
+    rng = np.random.default_rng(24)
+    X, y = rng.standard_normal((5000, 1)), rng.standard_normal(5000)
+    model = estimator.RfModel(fmap, rng.standard_normal((1414, 5)), make_filter("tikhonov"),
+                              0.1, None, "spectral", {})
+    errors, peak = traced_peak(lambda: mse(model, X, y))
+    assert errors.shape == (5,) and np.isfinite(errors).all()
+    assert peak < 2 * 2**20
 
 
 def test_fit_streams_past_the_embedding_memory_budget(monkeypatch):

@@ -1,11 +1,11 @@
 import dataclasses
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import traced_peak
 
 from specrf import features
 from specrf.features import (
@@ -400,11 +400,6 @@ def test_feature_matrix_allocates_its_output_and_at_most_1_mib_more(kind):
     # tracemalloc counts numpy's data buffers; 4096 x 1414 floats are 44.2 MiB
     f = sample_feature_map(kind, 1, 1414, {}, 0)
     X = np.random.default_rng(11).uniform(0.0, 1.0, (4096, 1))
-    tracemalloc.start()
-    try:
-        Z = feature_matrix(f, X)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    Z, peak = traced_peak(lambda: feature_matrix(f, X))
     assert Z.shape == (4096, 1414)
     assert peak <= Z.nbytes + 2**20

@@ -2,13 +2,14 @@ import dataclasses
 import functools
 import json
 import math
+import time
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from reference import rff_embedding_cos, scan_csv_dataset
+from reference import rff_embedding_cos, scan_csv_dataset, traced_peak
 
 from specrf.estimator import fit_iterative, mse
 from specrf import estimator, features, harness
@@ -414,6 +415,45 @@ def test_heatmap_deterministic_across_workers():
     assert rows1 == rows2
 
 
+def _faulting_fit(started, delays):
+    """A fit that records its map's M, sleeps delays[M] seconds and raises TypeError naming
+    M: a fault, which no sweep records as a failed cell."""
+    def fit(fmap, *args, **kwargs):
+        started.append(fmap.num_samples)
+        time.sleep(delays[fmap.num_samples])
+        raise TypeError(f"fault at M = {fmap.num_samples}")
+    return fit
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("sweep", ["heatmap", "rate_sweep"])
+def test_a_fault_stops_the_sweep_before_its_queued_cells_run(monkeypatch, sweep, workers):
+    # 100 cells whose fit takes 10 ms and raises: the first error stops the sweep, so the
+    # cells still queued on the pool never start
+    started = []
+    if sweep == "heatmap":
+        plan, run, fit = _tiny_heatmap_plan(), run_heatmap, "fit_iterative"
+        plan.repetitions = 50  # x 2 grid sizes
+    else:
+        plan = ExperimentPlan(experiment="rate_sweep", repetitions=20, n_grid=[64, 128, 256, 512, 1024],
+                              problem={"type": "designer", "J": 8}, filter={"kind": "tikhonov"})
+        run, fit = run_rate_sweep, "fit_spectral"
+    monkeypatch.setattr(harness, fit, _faulting_fit(started, {8: 0.01, 16: 0.01}))
+    with pytest.raises(TypeError, match="^fault at M = 8$"):
+        run(plan, workers=workers)
+    assert 1 <= len(started) < 10
+    assert workers > 1 or len(started) == 1
+
+
+def test_a_fault_raised_is_the_first_in_key_order(monkeypatch):
+    # the M = 8 cell comes first in key order and raises 50 ms after the M = 16 cell
+    plan = _tiny_heatmap_plan()
+    plan.repetitions = 1
+    monkeypatch.setattr(harness, "fit_iterative", _faulting_fit([], {8: 0.05, 16: 0.0}))
+    with pytest.raises(TypeError, match="^fault at M = 8$"):
+        run_heatmap(plan, workers=2)
+
+
 def test_heatmap_requires_iterative_filter():
     plan = _tiny_heatmap_plan()
     plan.filter = {"kind": "tikhonov"}
@@ -642,12 +682,21 @@ def test_plan_grid_counts_may_be_integral_floats():
     assert all(type(v) is int for v in heatmap.m_grid + rate.n_grid)
 
 
-def test_synthetic_data_past_the_memory_budget_is_refused_before_it_is_drawn(monkeypatch):
-    # n x input_dim floats: 100 x 3 x 8 = 2400 bytes fit a budget of 2400, 101 rows do not
-    monkeypatch.setattr(features, "DEFAULT_MEMORY_BUDGET", 2400)
-    assert harness._synthetic_data(0, 100, 3)[0].shape == (100, 3)
-    with pytest.raises(features.MemoryBudgetError, match="^synthetic data needs 2424 bytes, budget is 2400$"):
-        harness._synthetic_data(0, 101, 3)
+@pytest.mark.parametrize("input_dim", [1, 4])
+def test_synthetic_data_past_the_memory_budget_is_refused_before_it_is_drawn(monkeypatch, input_dim):
+    # the check counts the draw's peak, (input_dim + 8) n floats: the largest n it admits
+    # peaks within 64 KiB of the budget under tracemalloc, and one more row is refused
+    budget = 4 * 2**20
+    per_row = (input_dim + 8) * 8
+    n = budget // per_row
+    monkeypatch.setattr(features, "DEFAULT_MEMORY_BUDGET", budget)
+    harness._synthetic_data(0, 10, input_dim)  # numpy's first-call allocations are not the draw's
+    (X, _), peak = traced_peak(lambda: harness._synthetic_data(0, n, input_dim))
+    assert X.shape == (n, input_dim)
+    assert budget - 2**16 <= peak <= budget + 2**16
+    named = f"^synthetic data needs {(n + 1) * per_row} bytes, budget is {budget}$"
+    with pytest.raises(features.MemoryBudgetError, match=named):
+        harness._synthetic_data(0, n + 1, input_dim)
 
 
 @pytest.mark.parametrize("problem,named", [
