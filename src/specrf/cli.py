@@ -6,6 +6,7 @@ execution or usage error, reported as one `error:` line on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -81,7 +82,7 @@ def _cmd_fit(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     save_model(model, out / "model.json")
     report = {
-        "train_mse": float(model.losses[-1]),
+        "train_mse": model.train_mse,
         "lambda": model.lam,
         "iterations": model.iterations,
         "fit_path": model.fit_path,
@@ -95,8 +96,8 @@ def _run_sweep(args, fallback: ExperimentPlan, runner) -> tuple[list, dict]:
     """Run the --config plan (else `fallback`) and write its results.csv,
     plan.resolved.json and summary.json: the runner's result without its rows."""
     plan = call_checked(ExperimentPlan, _read_config(args.config), "plan") if args.config else fallback
-    if args.seed is not None:
-        plan.base_seed = args.seed
+    if args.seed is not None:  # replace reruns the plan's checks on the seed
+        plan = dataclasses.replace(plan, base_seed=args.seed)
     summary = runner(plan, workers=args.workers)
     rows = summary.pop("rows")
     write_outputs(args.out_dir, plan, rows, summary)
@@ -126,14 +127,8 @@ def _cmd_plateau(args) -> int:
 
 
 def _cmd_audit_filters(args) -> int:
-    filters = (
-        make_filter("tikhonov"),
-        make_filter("landweber", alpha=1.0),
-        make_filter("heavyball", alpha=0.1, beta=0.9),
-        make_filter("spectral_cutoff"),
-    )
-    q_values = (0.5, 1.0, 1.5, 2.0, 4.0)
-    reports = [audit_filter(filt, q_values=q_values) for filt in filters]
+    kinds = ("tikhonov", "landweber", "heavyball", "spectral_cutoff")
+    reports = [audit_filter(make_filter(kind)) for kind in kinds]
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "filter_audits.json").write_text(json.dumps(reports, indent=2, sort_keys=True) + "\n")
@@ -144,7 +139,7 @@ def _cmd_audit_filters(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     problem = make_designer_problem(J=args.rank, b=args.b, r=args.r, noise_std=0.0)
-    filt = make_filter("landweber", alpha=1.0)
+    filt = make_filter("landweber")
     records = []
     for lam in np.logspace(-4, 0, args.grid_points):
         lam = float(lam)

@@ -82,7 +82,7 @@ class RfModel:
     iterations: int | None
     fit_path: str  # "spectral" | "iterative"
     train_fingerprint: dict
-    losses: np.ndarray | None = field(default=None, repr=False)
+    train_mse: float | None = None  # the fit's Moments.loss(theta); None for a loaded model
     snapshots: dict | None = field(default=None, repr=False)
 
 
@@ -204,7 +204,7 @@ def fit_spectral(
     Tikhonov (singular is a ValueError naming lambda), else _filtered on Sigma_hat,
     whose dimension is checked against EIG_DIM_CAP before the data is read; for an
     iterative filter, which no CLI or sweep fit runs here, the reference fit_iterative
-    is checked against. model.losses: the training loss at 0 and at theta."""
+    is checked against. model.train_mse: the training loss at theta."""
     lam, iterations = filt.resolve(lam, iterations)
     tikhonov, dim = isinstance(filt, Tikhonov), feature_map.embedding_dim
     if dim > EIG_DIM_CAP and not tikhonov:
@@ -222,7 +222,7 @@ def fit_spectral(
     return RfModel(
         map=feature_map, theta=theta, filter=filt, lam=lam, iterations=iterations,
         fit_path="spectral", train_fingerprint=moments.fingerprint,
-        losses=np.array([moments.yy, moments.loss(theta)]),
+        train_mse=moments.loss(theta),
     )
 
 
@@ -239,8 +239,8 @@ def fit_iterative(
     iterations) gives, as fit_spectral does, through _filtered on the projected
     problem (H, ||s_hat|| e_1) of the Lanczos basis V: k <= min(T, D) products
     with Sigma_hat, then one k x k eigendecomposition for all thetas, each c @ V.
-    A filter that is not iterative is rejected. model.losses: the training loss
-    at 0 and at theta, as in fit_spectral. `snapshots` asks for theta after the
+    A filter that is not iterative is rejected. model.train_mse: the training
+    loss at theta, as in fit_spectral. `snapshots` asks for theta after the
     listed iteration counts, each an integer in [1, T] and filtered at its own
     lambda = filt.resolve(iterations=t)[0], returned in model.snapshots keyed by T.
     """
@@ -265,7 +265,7 @@ def fit_iterative(
     return RfModel(
         map=feature_map, theta=theta, filter=filt, lam=lam,
         iterations=iterations, fit_path="iterative", train_fingerprint=moments.fingerprint,
-        losses=np.array([moments.yy, moments.loss(theta)]),
+        train_mse=moments.loss(theta),
         snapshots={t: thetas[t] for t in wanted} if snapshots else None,
     )
 

@@ -16,7 +16,7 @@ import numpy as np
 from .features import call_checked, real_number, whole_number
 
 AUDIT_SLACK = 1e-9
-DEFAULT_Q_VALUES = (0.5, 1.0, 1.5, 2.0)
+DEFAULT_Q_VALUES = (0.5, 1.0, 1.5, 2.0, 4.0)  # the grid specrf audit-filters measures
 
 
 class DivergenceError(RuntimeError):

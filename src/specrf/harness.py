@@ -241,7 +241,7 @@ def standardize_features(
 
 @dataclass
 class ExperimentPlan:
-    experiment: str  # heatmap | rate_sweep | plateau_check
+    experiment: str  # heatmap | rate_sweep
     base_seed: int = 0
     repetitions: int = 20
     n_train: int = 5000
@@ -256,9 +256,11 @@ class ExperimentPlan:
     plateau_tol: float = 0.05
 
     def __post_init__(self):
-        if self.experiment not in ("heatmap", "rate_sweep", "plateau_check"):
+        if self.experiment not in ("heatmap", "rate_sweep"):
             raise ValueError(f"unknown experiment {self.experiment!r}")
         self.base_seed = whole_number(self.base_seed, "plan base_seed", least=0)
+        if self.base_seed > _MASK:  # trial_seed reads 64 bits, so a larger seed reruns a smaller one
+            raise ValueError(f"plan base_seed must be < 2**64, not {self.base_seed}")
         for key in ("repetitions", "n_train", "n_test"):
             setattr(self, key, whole_number(getattr(self, key), f"plan {key}"))
         if real_number(self.plateau_tol, "plan plateau_tol") < 0:
@@ -362,8 +364,8 @@ def _problem_conf(plan: ExperimentPlan, *types: str) -> tuple[str, dict]:
 def _heatmap_problem(plan: ExperimentPlan):
     """Check a heatmap plan; return its synthetic or dataset problem as a function from
     a repetition's seed to its (X_tr, y_tr, X_te, y_te), and the input dimension."""
-    if plan.experiment not in ("heatmap", "plateau_check"):
-        raise ValueError("plan.experiment must be heatmap or plateau_check")
+    if plan.experiment != "heatmap":
+        raise ValueError("plan.experiment must be heatmap")
     if not plan.m_grid or not plan.t_grid:
         raise ValueError("m_grid and t_grid must be nonempty")
     kind, conf = _problem_conf(plan, "synthetic", "dataset")
@@ -432,11 +434,12 @@ def _heatmap_grid(plan: ExperimentPlan, workers: int, draw, input_dim: int) -> d
     """run_heatmap on the problem that _heatmap_problem(plan) returned."""
     filt = make_filter(**check_object(plan.filter, "plan filter"))  # make_filter checks the keys
     try:  # resolve checks each T, and that the filter is iterative, before any trial runs
-        t_grid = [filt.resolve(iterations=t)[1] for t in plan.t_grid]
+        pairs = [filt.resolve(iterations=t) for t in plan.t_grid]
     except ValueError as exc:
         raise ValueError(f"plan t_grid: {exc}") from None
-    _check_distinct(t_grid, "plan t_grid")
-    t_grid.sort()
+    _check_distinct([t for _, t in pairs], "plan t_grid")
+    lams = {t: lam for lam, t in pairs}
+    t_grid = sorted(lams)
     fm = {"params": {}, **check_object(plan.feature_map, "plan feature_map")}  # checked once here
     first = call_checked(sample_feature_map, fm, "plan feature_map", input_dim=input_dim,
                          num_samples=plan.m_grid[0], seed=plan.base_seed)
@@ -444,7 +447,6 @@ def _heatmap_grid(plan: ExperimentPlan, workers: int, draw, input_dim: int) -> d
         dim = first.component_count * m
         check_budget(m * input_dim * 8, "frequency matrix")
         check_budget(dim * dim * 8, f"covariance of dimension {dim}")
-    lams = {t: filt.resolve(iterations=t)[0] for t in t_grid}
 
     def trial(mi: int, rep: int):
         m = plan.m_grid[mi]

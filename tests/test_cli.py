@@ -450,10 +450,11 @@ _DESIGNER = {"type": "designer", "J": 8, "b": 1.0, "r": 0.5}
     ("rate-sweep", {"plateau_tol": 0.9}, "plan plateau_tol is not read by a rate_sweep plan"),
     ("heatmap", {"n_grid": [64, 128, 256, 512, 1024]}, "plan n_grid is not read by a heatmap plan"),
     ("heatmap", {"schedule": {"C_M": 0.5}}, "plan schedule is not read by a heatmap plan; leave it out"),
-    ("heatmap", {"experiment": "plateau_check", "n_grid": [64]},
-     "plan n_grid is not read by a plateau_check plan"),
-    ("heatmap", {"experiment": "plateau_check", "schedule": {"C_lambda": 0.1}},
-     "plan schedule is not read by a plateau_check plan"),
+    # specrf heatmap and specrf plateau both read a heatmap plan, which has one name
+    ("heatmap", {"experiment": "plateau_check"}, "unknown experiment 'plateau_check'"),
+    ("plateau", {"experiment": "plateau_check"}, "unknown experiment 'plateau_check'"),
+    ("plateau", {"n_grid": [64]}, "plan n_grid is not read by a heatmap plan"),
+    ("plateau", {"schedule": {"C_lambda": 0.1}}, "plan schedule is not read by a heatmap plan"),
     # values that changed no output: delta repeated C_lambda, a heatmap scales each split by
     # its training rows anyway, and the designer map of a fit draws nothing from its seed
     ("rate-sweep", {"schedule": {"delta": 0.1}},
@@ -462,8 +463,7 @@ _DESIGNER = {"type": "designer", "J": 8, "b": 1.0, "r": 0.5}
      "plan schedule keys not taken by lambda_schedule or m_schedule: delta"),
     ("heatmap", {"problem": {"type": "dataset", "path": "labels.csv", "standardize": True}},
      "dataset problem keys not taken by ingest_csv_dataset: standardize"),
-    ("heatmap", {"experiment": "plateau_check",
-                 "problem": {"type": "dataset", "path": "labels.csv", "standardize": False}},
+    ("plateau", {"problem": {"type": "dataset", "path": "labels.csv", "standardize": False}},
      "dataset problem keys not taken by ingest_csv_dataset: standardize"),
     ("fit", {"data": {"designer": {"J": 8, "b": 1.0, "r": 0.5, "seed": 0}, "n": 100}},
      "fit config data.designer keys not taken by make_designer_problem: seed"),
@@ -495,7 +495,8 @@ _DESIGNER = {"type": "designer", "J": 8, "b": 1.0, "r": 0.5}
     "fit-tiny-bandwidth", "fit-overflowing-tau", "fit-overflowing-kappa_sq", "fit-non-finite-moments",
     "fit-unstable-landweber", "fit-label-only-csv", "heatmap-label-only-csv", "rate-feature_map",
     "rate-m_grid", "rate-t_grid", "rate-n_train",
-    "rate-n_test", "rate-plateau_tol", "heatmap-n_grid", "heatmap-schedule", "plateau-n_grid",
+    "rate-n_test", "rate-plateau_tol", "heatmap-n_grid", "heatmap-schedule",
+    "heatmap-plateau_check", "plateau-plateau_check", "plateau-n_grid",
     "plateau-schedule", "rate-schedule-delta", "heatmap-schedule-delta", "heatmap-dataset-standardize",
     "plateau-dataset-standardize", "fit-designer-seed", "fit-eigenvalues-and-decay_exponent",
 ])
@@ -504,6 +505,7 @@ def test_bad_config_exits_1_with_one_error_line(tmp_path, capsys, monkeypatch, c
     monkeypatch.chdir(tmp_path)
     base = {
         "heatmap": json.loads(_tiny_plan_file(tmp_path).read_text()),
+        "plateau": json.loads(_tiny_plan_file(tmp_path).read_text()),
         "rate-sweep": _tiny_rate_plan(),
         "fit": _FIT_CONFIG,
     }[command]
@@ -573,6 +575,29 @@ def test_seed_flag_overrides_the_plan_base_seed(tmp_path, command):
     for out in ("results.csv", "plan.resolved.json", "summary.json"):
         assert (flag / out).read_bytes() == (written / out).read_bytes()
     assert (flag / "results.csv").read_bytes() != (seed0 / "results.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["heatmap", "rate-sweep"])
+@pytest.mark.parametrize("source", ["plan", "flag"])
+def test_a_base_seed_of_2_to_the_64_exits_1_before_any_trial(tmp_path, capsys, monkeypatch, command,
+                                                             source):
+    # trial_seed reads 64 bits of the seed, so 2^64 would rerun seed 0; 2^64 - 1 runs
+    plan = json.loads(_tiny_plan().to_json()) if command == "heatmap" else _tiny_rate_plan()
+
+    def run(seed, out):
+        given, flags = ({**plan, "base_seed": seed}, []) if source == "plan" else (plan, ["--seed", str(seed)])
+        cfg = tmp_path / f"{out}.json"
+        cfg.write_text(json.dumps(given))
+        return main([command, "--config", str(cfg), *flags, "--out-dir", str(tmp_path / out)])
+
+    assert run(2**64 - 1, "top") == EXIT_OK
+    assert json.loads((tmp_path / "top" / "plan.resolved.json").read_text())["base_seed"] == 2**64 - 1
+    fits = []
+    for name in ("fit_iterative", "fit_spectral"):
+        monkeypatch.setattr(specrf.harness, name, lambda *args, **kwargs: fits.append(args))
+    assert run(2**64, "past") == EXIT_ERROR
+    assert capsys.readouterr().err == "error: plan base_seed must be < 2**64, not 18446744073709551616\n"
+    assert fits == [] and not (tmp_path / "past").exists()
 
 
 def test_audit_filters_rejects_flags_it_does_not_read(tmp_path, capsys):

@@ -145,15 +145,16 @@ def test_a_closing_rff_fit_never_forms_sigma(n, monkeypatch):
     pairs = [filt.resolve(iterations=t) for t in wanted]
     for t, theta in zip(wanted, estimator._filtered(filt, dense.sigma, dense.s, pairs)):
         assert _relative_error(model.snapshots[t], theta) <= 1e-12
-    # the losses, from a kept Z, are the quadratic of the dense Sigma_hat to rounding
-    np.testing.assert_allclose(model.losses, [dense.yy, dense.loss(model.theta)], rtol=1e-12, atol=0)
+    # the training MSE, from a kept Z, is the quadratic of the dense Sigma_hat to rounding
+    np.testing.assert_allclose(model.train_mse, dense.loss(model.theta), rtol=1e-12, atol=0)
+    assert dense.yy == np.mean(y**2)
 
 
 @pytest.mark.parametrize("n", _rows_past_the_block(160), ids=["inside", "edge", "past"])
 def test_a_tanh_fit_that_does_not_close_switches_to_sigma_at_the_cut_off(n, monkeypatch):
     # tanh NTK with D = 160 runs 64 Lanczos steps; a kept Z serves the first ceil(160 /
     # SYRK_PARITY) = 4 products, then Sigma_hat is formed and serves the rest. Theta, the
-    # snapshots and the losses match a fit whose Sigma_hat is formed before it starts
+    # snapshots and the training MSE match a fit whose Sigma_hat is formed before it starts
     fmap, X, y = _ntk("tanh", 2, 40, n, seed=23, tau=0.7)
     filt, wanted = make_filter("heavyball", alpha=0.2, beta=0.7), (1, 8, 64)
     formed = _spy_on_forming_sigma(monkeypatch)
@@ -171,7 +172,7 @@ def test_a_tanh_fit_that_does_not_close_switches_to_sigma_at_the_cut_off(n, monk
     assert _relative_error(model.theta, dense.theta) <= 1e-12
     for t in wanted:
         assert _relative_error(model.snapshots[t], dense.snapshots[t]) <= 1e-12
-    np.testing.assert_allclose(model.losses, dense.losses, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(model.train_mse, dense.train_mse, rtol=1e-12, atol=0)
 
 
 def test_predict_streams_over_row_tiles():
@@ -428,7 +429,8 @@ def _map_of_kind(kind, n=300):
 
 
 def _assert_fit_iterative_is_the_loop(fmap, X, y, filt):
-    # theta, each snapshot, and the losses at 0 and at theta, within 1e-12 relative of the
+    # theta, each snapshot, and the losses at 0 (Moments.yy) and at theta (the model's
+    # train_mse), within 1e-12 relative of the
     # loop in R^D, for T from one step to past D, where the Krylov basis closes at k = D or
     # earlier
     moments = assemble_empirical_operators(fmap, X, y)
@@ -439,7 +441,7 @@ def _assert_fit_iterative_is_the_loop(fmap, X, y, filt):
         theta, losses, taken = iterate_in_parameter_space(moments, filt, T, snapshots)
         for ours, loop in [(model.theta, theta), *((model.snapshots[t], taken[t]) for t in snapshots)]:
             assert _relative_error(ours, loop) <= 1e-12, T
-        np.testing.assert_allclose(model.losses, losses[[0, -1]], rtol=1e-12, atol=0)
+        np.testing.assert_allclose([moments.yy, model.train_mse], losses[[0, -1]], rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("kind", ["rff", "designer", "relu", "tanh"])
@@ -478,10 +480,11 @@ def test_fit_iterative_keeps_a_lanczos_direction_far_above_rounding():
     y = 1.0 + 1e-9 * np.cos(np.pi * X[:, 0])
     fmap = sample_feature_map("designer_finite_rank", 1, 2, {}, 0)
     filt = make_filter("landweber", alpha=0.5)
-    theta, losses, _ = iterate_in_parameter_space(assemble_empirical_operators(fmap, X, y), filt, 6)
+    moments = assemble_empirical_operators(fmap, X, y)
+    theta, losses, _ = iterate_in_parameter_space(moments, filt, 6)
     model = fit_iterative(fmap, X, y, filt, 6)
     assert _relative_error(model.theta, theta) <= 1e-12
-    np.testing.assert_allclose(model.losses, losses[[0, -1]], rtol=1e-12, atol=0)
+    np.testing.assert_allclose([moments.yy, model.train_mse], losses[[0, -1]], rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("kind", ["rff", "designer", "relu", "tanh"])
@@ -565,13 +568,15 @@ def test_filtering_several_pairs_is_each_one_pair_call_to_the_bit(filt):
 
 def test_fit_iterative_with_zero_labels_spans_no_basis():
     # s_hat = 0: the filter applies to a 0 x 0 projection, so theta stays 0, every
-    # snapshot is 0 and both losses are mean y^2 = 0
+    # snapshot is 0, and Moments.yy and train_mse are both 0
     fmap, X, _ = _map_of_kind("rff")
+    y = np.zeros(len(X))
     for filt in (make_filter("landweber", alpha=0.5), make_filter("heavyball", alpha=0.05, beta=0.5)):
-        model = fit_iterative(fmap, X, np.zeros(len(X)), filt, 8, (1, 8))
+        model = fit_iterative(fmap, X, y, filt, 8, (1, 8))
         assert model.theta.shape == (40,) and not model.theta.any()
         assert not any(theta.any() for theta in model.snapshots.values())
-        np.testing.assert_array_equal(model.losses, np.zeros(2))
+        np.testing.assert_array_equal([assemble_empirical_operators(fmap, X, y).yy, model.train_mse],
+                                      np.zeros(2))
 
 
 def test_fit_invariant_under_row_permutation():
@@ -593,28 +598,29 @@ def test_gradient_descent_loss_monotone():
     model = fit_iterative(fmap, X, y, make_filter("landweber", alpha=0.9), 200, snapshots=range(1, 201))
     losses = np.concatenate([[np.mean(y**2)], _snapshot_mses(model, X, y)])
     assert np.all(np.diff(losses) <= 1e-12)
-    # losses[0] is mean y^2 (theta = 0); the last is the training MSE of the final theta
-    assert model.losses is not None and len(model.losses) == 2
-    assert model.losses[0] == pytest.approx(np.mean(y**2), rel=1e-15)
-    assert model.losses[-1] == pytest.approx(mse(model, X, y), rel=1e-10)
+    # Moments.yy is the loss at theta = 0, mean y^2; train_mse that of the final theta
+    assert isinstance(model.train_mse, float)
+    assert assemble_empirical_operators(fmap, X, y).yy == pytest.approx(np.mean(y**2), rel=1e-15)
+    assert model.train_mse == pytest.approx(mse(model, X, y), rel=1e-10)
 
 
 @pytest.mark.parametrize("kind,kwargs,fit", [
     ("tikhonov", {}, {"lam": 0.05}),
     ("landweber", {"alpha": 0.9}, {"iterations": 30}),
 ], ids=["tikhonov-lam", "landweber-iterations"])
-def test_fit_spectral_losses_are_the_training_losses(kind, kwargs, fit):
+def test_fit_spectral_train_mse_is_the_training_loss(kind, kwargs, fit):
     fmap, X, y = _toy(seed=11)
     model = fit_spectral(fmap, X, y, make_filter(kind, **kwargs), **fit)
-    # the same contract as fit_iterative: loss at theta = 0, then at the returned theta
-    assert len(model.losses) == 2
-    assert model.losses[0] == pytest.approx(np.mean(y**2), rel=1e-15)
-    assert model.losses[-1] == pytest.approx(mse(model, X, y), rel=1e-10)
+    # the same contract as fit_iterative: Moments.yy is the loss at theta = 0, train_mse
+    # the loss at the returned theta
+    assert isinstance(model.train_mse, float)
+    assert assemble_empirical_operators(fmap, X, y).yy == pytest.approx(np.mean(y**2), rel=1e-15)
+    assert model.train_mse == pytest.approx(mse(model, X, y), rel=1e-10)
 
 
 @pytest.mark.parametrize("fit", [fit_spectral, fit_iterative])
 def test_moments_loss_is_the_training_mse(fit, monkeypatch):
-    # Moments.loss is the one quadratic both paths read model.losses from: the fit's own
+    # Moments.loss is the one quadratic both paths read model.train_mse from: the fit's own
     # Moments gives them to the bit. A fresh one keeps Z (n = 120 <= ROW_BLOCK + 24) and
     # takes its quadratic from Z, where the fit formed Sigma_hat, so it agrees to rounding
     fmap, X, y = _toy(seed=11)
@@ -628,9 +634,9 @@ def test_moments_loss_is_the_training_mse(fit, monkeypatch):
     monkeypatch.setattr(estimator, "assemble_empirical_operators", assemble)
     model = fit(fmap, X, y, make_filter("landweber", alpha=0.9), iterations=30)
     assert moments.loss(model.theta) == pytest.approx(mse(model, X, y), rel=1e-10)
-    assert moments.loss(model.theta) == pytest.approx(model.losses[-1], rel=1e-12)
-    assert assembled[0].loss(model.theta) == model.losses[-1]
-    assert moments.loss(np.zeros_like(model.theta)) == model.losses[0] == moments.yy
+    assert moments.loss(model.theta) == pytest.approx(model.train_mse, rel=1e-12)
+    assert assembled[0].loss(model.theta) == model.train_mse
+    assert moments.loss(np.zeros_like(model.theta)) == assembled[0].yy == moments.yy
 
 
 def test_snapshots_track_requested_iterations():
@@ -683,12 +689,12 @@ def test_heavyball_stability_bound_grows_with_momentum():
     y = np.cos(np.pi * X[:, 0]) + 0.5
     fmap = sample_feature_map("designer_finite_rank", 1, 1, {"eigenvalues": [25.0]}, 0)
     hb = make_filter("heavyball", alpha=0.1, beta=0.9)
-    sigma = assemble_empirical_operators(fmap, X, y).sigma
-    assert 2.0 <= hb.alpha * sigma[0, 0] < 2.0 * (1.0 + hb.beta)
+    moments = assemble_empirical_operators(fmap, X, y)
+    assert 2.0 <= hb.alpha * moments.sigma[0, 0] < 2.0 * (1.0 + hb.beta)
     iterative = fit_iterative(fmap, X, y, hb, 100)
     spectral = fit_spectral(fmap, X, y, hb, iterations=100)
     np.testing.assert_allclose(iterative.theta, spectral.theta, rtol=0, atol=1e-8)
-    assert iterative.losses[-1] < iterative.losses[0]
+    assert iterative.train_mse < moments.yy
     # about 4.9 >= 3.8: rejected by the precheck, not by the loss check of a step
     fmap = sample_feature_map("designer_finite_rank", 1, 1, {"eigenvalues": [50.0]}, 0)
     with pytest.raises(DivergenceError, match=r"unstable: alpha \* \|\|Sigma\|\| = \S+ >= 3.8$"):
@@ -706,7 +712,7 @@ def test_heavyball_fit_just_inside_its_stability_bound_converges():
     iterative = fit_iterative(fmap, X, y, hb, 400, snapshots=range(1, 401))
     spectral = fit_spectral(fmap, X, y, hb, iterations=400)
     np.testing.assert_allclose(iterative.theta, spectral.theta, rtol=0, atol=1e-8)
-    assert _snapshot_mses(iterative, X, y).max() > 1e3 * iterative.losses[0]
+    assert _snapshot_mses(iterative, X, y).max() > 1e3 * assemble_empirical_operators(fmap, X, y).yy
 
 
 @pytest.mark.parametrize("kind,kwargs,limit", [
@@ -778,6 +784,8 @@ def test_model_roundtrip_through_disk(tmp_path):
     X_test = np.random.default_rng(2).standard_normal((20, 2))
     np.testing.assert_array_equal(predict(loaded, X_test), predict(model, X_test))
     assert loaded.train_fingerprint == model.train_fingerprint
+    # model.json holds no training loss, so a loaded model has none
+    assert isinstance(model.train_mse, float) and loaded.train_mse is None
 
 
 def test_load_model_rejects_theta_of_wrong_length(tmp_path):

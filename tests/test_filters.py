@@ -222,6 +222,14 @@ def test_heavyball_constants_reported_not_certified():
     assert 3.0 not in {e["q"] for e in report["qualification"]}
 
 
+def test_audit_measures_q_up_to_4_by_default():
+    # the default q grid is the one specrf audit-filters measures; Landweber certifies
+    # c_4 = (4 / e)^4
+    entries = audit_filter(make_filter("landweber"))["qualification"]
+    assert [e["q"] for e in entries] == [0.5, 1.0, 1.5, 2.0, 4.0]
+    assert entries[-1]["declared"] == pytest.approx((4 / math.e) ** 4) and entries[-1]["pass"]
+
+
 def _running_max_audit(f, lam_grid, q_values):
     """The audit's constants as a per-lambda loop with running maxima."""
     t_grid = np.logspace(-6, 0, 200)

@@ -307,6 +307,9 @@ def test_plan_roundtrip_and_validation():
     assert again.to_json() == plan.to_json()
     with pytest.raises(ValueError, match="unknown experiment"):
         ExperimentPlan(experiment="mystery")
+    # a plateau check reads a heatmap plan, so the experiment has no second name for it
+    with pytest.raises(ValueError, match="^unknown experiment 'plateau_check'$"):
+        ExperimentPlan(experiment="plateau_check")
     with pytest.raises(ValueError, match="repetitions"):
         ExperimentPlan(experiment="heatmap", repetitions=0)
     # the schedule's defaults are those of lambda_schedule and m_schedule
@@ -462,11 +465,11 @@ def test_heatmap_requires_iterative_filter():
 
 
 @pytest.mark.parametrize("runner,plan,named", [
-    (run_heatmap, default_rate_plan(), "^plan.experiment must be heatmap or plateau_check$"),
-    (run_plateau_check, default_rate_plan(), "^plan.experiment must be heatmap or plateau_check$"),
+    (run_heatmap, default_rate_plan(), "^plan.experiment must be heatmap$"),
+    (run_plateau_check, default_rate_plan(), "^plan.experiment must be heatmap$"),
     (run_rate_sweep, default_heatmap_plan(), "^plan.experiment must be rate_sweep$"),
-    (run_rate_sweep, ExperimentPlan(experiment="plateau_check"), "^plan.experiment must be rate_sweep$"),
-], ids=["heatmap-rate-plan", "plateau-rate-plan", "rate-heatmap-plan", "rate-plateau-plan"])
+    (run_rate_sweep, ExperimentPlan(experiment="heatmap"), "^plan.experiment must be rate_sweep$"),
+], ids=["heatmap-rate-plan", "plateau-rate-plan", "rate-heatmap-plan", "rate-bare-heatmap-plan"])
 def test_each_runner_rejects_a_plan_of_another_experiment(runner, plan, named):
     with pytest.raises(ValueError, match=named):
         runner(plan)
@@ -574,7 +577,7 @@ def test_rate_sweep_schedules_read_the_problem_r_and_b():
 
 def test_plateau_anchors_use_the_dataset_input_dimension(tmp_path):
     plan = _dataset_plan(tmp_path)  # two feature columns, n_train = 80
-    plan.experiment, plan.repetitions = "plateau_check", 10
+    plan.repetitions = 10
     plan.m_grid = [round(4 * math.sqrt(80)), round(20 * math.sqrt(80))]  # the d = 1 anchors
     with pytest.raises(ValueError, match="need M = 72 and M = 358"):
         run_plateau_check(plan)
@@ -582,7 +585,7 @@ def test_plateau_anchors_use_the_dataset_input_dimension(tmp_path):
 
 def test_plateau_plan_reads_its_dataset_once(tmp_path, monkeypatch):
     plan = _dataset_plan(tmp_path)  # two feature columns, n_train = 80
-    plan.experiment, plan.repetitions = "plateau_check", 10
+    plan.repetitions = 10
     plan.m_grid = list(plateau_anchors(plan.n_train, 2))
     calls = []
 
@@ -622,7 +625,7 @@ def test_heatmap_records_only_fit_errors(monkeypatch):
         run_heatmap(_tiny_heatmap_plan(), workers=2)
 
 
-@pytest.mark.parametrize("kind", ["rate_sweep", "heatmap", "plateau_check"])
+@pytest.mark.parametrize("kind", ["rate_sweep", "heatmap"])
 def test_plan_fields_at_their_defaults_load_whatever_the_experiment(kind):
     # every field spelled out at its default, with the schedule given empty, in part, or
     # merged with its defaults as plan.resolved.json holds it
