@@ -3,7 +3,8 @@
 Both paths realize theta = phi_lambda(Sigma_hat) s_hat with
 Sigma_hat = Z^T Z / n and s_hat = Z^T y / n, and read the data only through
 the Moments record that assemble_empirical_operators returns. It names no
-map kind: it reads the data ROW_BLOCK rows at a time, adds up each block's
+map kind: it reads the data ROW_BLOCK rows at a time (FACTOR_BLOCK for a map
+whose moments come from its factor, features.ntk_factored), adds up each block's
 features.moment_statistics, divides the sums by n once and turns the means
 into Sigma_hat and s_hat once with features.moments_from_means, which holds
 each map's moment algebra (the identity for an embedded map, Toeplitz plus
@@ -13,7 +14,9 @@ n <= ROW_BLOCK + D keeps its n x D embedding Z instead, at most ROW_BLOCK * D
 + D^2 floats: Moments then serves Sigma_hat @ v as Z^T (Z v) / n and forms
 Sigma_hat, by the same block sums, only when it is read or once Lanczos has
 taken about as many products as forming it costs. So a fit holds
-O(ROW_BLOCK * D + D^2) floats however many rows it reads; predict holds
+O(ROW_BLOCK * D + D^2) floats however many rows it reads (a relu or identity
+NTK fit streams one FACTOR_BLOCK x (d+1)M factor and two (d+1)M x (d+1)M
+Grams); predict holds
 O(features.COS_CHUNK + n k) for a D x k theta. The filter
 picks the path: an iterative filter, given lambda or T, runs fit_iterative
 and any other fit_spectral. Both apply the scalar phi through _filtered, one
@@ -61,9 +64,15 @@ from .filters import DivergenceError, IterativeFilter, SpectralFilter, Tikhonov,
 # floats instead). Blocks of 2048 to 8192 rows assembled the moments equally fast
 # within noise on a 2-vCPU host (NTK n = 20000, D = 1152; RFF n = 5000, D = 1414),
 # and a block bounds the embedding's memory at ROW_BLOCK * D floats (a designer
-# block's cosine tables at ROW_BLOCK * 2(2A + B), a relu or identity NTK block's
-# factor at ROW_BLOCK * (d+1)M).
+# block's cosine tables at ROW_BLOCK * 2(2A + B)).
 ROW_BLOCK = 4096
+# rows read at a time by a relu or identity NTK map's moments (features.ntk_factored):
+# a block holds its feature-major (d+1)M x FACTOR_BLOCK factor, two (d+1)M squared Grams
+# (the block's and the running sum) and no n x M projection, 29.1 MiB under tracemalloc at
+# d = 4, M = 192, where 4096-row blocks of a row-major factor peaked at 37.0 MiB. Against
+# those, perfbench's fit_csv (n = 20000, two BLAS threads, 2-vCPU host) fell from 101.6 to
+# 84.2 MB peak RSS in 10 of 10 pairs, with wall_s 0.533 -> 0.528 s (5 of 10, within noise).
+FACTOR_BLOCK = ROW_BLOCK // 2
 MODEL_FORMAT = 1  # written by save_model; load_model reads only this format
 EIG_DIM_CAP = 4096  # the largest Sigma_hat that fit_spectral eigendecomposes
 # forming Sigma_hat from a kept n x D embedding Z (a syrk, n D^2 flops) took as long as
@@ -153,8 +162,9 @@ def assemble_empirical_operators(
     An embedding_moments map with n <= ROW_BLOCK + D keeps its embedding Z, in
     ROW_BLOCK row blocks, and the sums of its blocks' Z^T y and column sums of
     squares give s_hat and the trace. Any other fit sums each ROW_BLOCK-row block's
-    features.moment_statistics and turns the sums, divided by n once, into Sigma_hat
-    and s_hat, by features.moments_from_means. Non-finite data, and a non-finite
+    (FACTOR_BLOCK-row, for an ntk_factored map) features.moment_statistics and turns
+    the sums, divided by n once, into Sigma_hat and s_hat, by
+    features.moments_from_means. Non-finite data, and a non-finite
     Sigma_hat (or diagonal, for a kept Z) or s_hat (data whose moments overflow), are
     rejected here, so both fit paths reject them.
     """
@@ -169,7 +179,8 @@ def assemble_empirical_operators(
     dim = feature_map.embedding_dim
     features.check_budget(dim * dim * 8, f"covariance of dimension {dim}")
     n = X.shape[0]
-    rows = [slice(start, start + ROW_BLOCK) for start in range(0, n, ROW_BLOCK)]
+    block = FACTOR_BLOCK if features.ntk_factored(feature_map) else ROW_BLOCK
+    rows = [slice(start, start + block) for start in range(0, n, block)]
     blocks, gram = [], None
     if features.embedding_moments(feature_map) and n <= ROW_BLOCK + dim:
         # n * D floats are at most ROW_BLOCK * D + D^2, the streamed assembly's own bound

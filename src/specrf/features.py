@@ -302,51 +302,67 @@ def check_input(feature_map: FeatureMap, X) -> np.ndarray:
     return X
 
 
-def ntk_projection(feature_map: FeatureMap, X: np.ndarray) -> np.ndarray:
-    """The n x M pre-activations X W^T of an NTK map, or a ValueError when a row
-    of X lies outside the ball of radius rho_max that kappa_sq is bounded on."""
+def check_ntk_ball(feature_map: FeatureMap, X: np.ndarray) -> None:
+    """A ValueError when a row of X lies outside the ball of radius rho_max that an
+    NTK map's kappa_sq is bounded on."""
     rho_max = feature_map.params["rho_max"]
     if np.any(np.linalg.norm(X, axis=1) > rho_max):
         raise ValueError(f"NTK input norm exceeds rho_max = {rho_max}")
-    return X @ feature_map.frequencies.T
 
 
 def ntk_factor(feature_map: FeatureMap, X: np.ndarray) -> np.ndarray:
-    """The n x (d+1)M factor Y = [x_1 * D', ..., x_d * D', D'], D' = act'(X W^T), of a
-    relu or identity NTK map, for an n x d array X. As act(p) = p act'(p), the map's
-    embedding is Z = Y L / sqrt(M), with L made of diagonal blocks: x block a of Z is
-    tau Y_a, the act block sum_a Y_a diag(W[:, a]) and the bias block tau gamma Y_d."""
-    proj = ntk_projection(feature_map, X)
-    n, M = proj.shape
-    d = feature_map.input_dim
-    Y = np.empty((n, d + 1, M))
+    """The factor F = [D' diag(x_1); ...; D' diag(x_d); D'], D' = act'(W X^T), of a relu
+    or identity NTK map for an n x d array X, feature-major: one contiguous (d+1)M x n
+    array whose row a * M + m is unit m of block a. As act(p) = p act'(p), the map's
+    embedding is Z = F^T L / sqrt(M), with L made of diagonal blocks: x block a of Z is
+    tau F_a^T, the act block sum_a F_a^T diag(W[:, a]) and the bias block tau gamma F_d^T.
+
+    F is built in place: W X^T is written into its last block and thresholded there
+    (relu), or the block is set to 1 (identity), and x block a is x_a^T times it. So
+    F is the only allocation of its size; no n x M projection is taken."""
+    check_ntk_ball(feature_map, X)
+    W = feature_map.frequencies
+    M, d = W.shape
+    F = np.empty((d + 1, M, X.shape[0]))
+    last = F[d]
     if feature_map.params["activation"] == "relu":
-        np.greater(proj, 0.0, out=Y[:, d])  # act'(0) := 0, as in feature_matrix
+        np.matmul(W, X.T, out=last)
+        np.greater(last, 0.0, out=last)  # act'(0) := 0, as in feature_matrix
     else:
-        Y[:, d] = 1.0
-    np.multiply(X[:, :, None], Y[:, d:], out=Y[:, :d])
-    return Y.reshape(n, -1)
+        last[...] = 1.0
+    for a in range(d):
+        np.multiply(X[:, a], last, out=F[a])
+    return F.reshape((d + 1) * M, -1)
 
 
 def embedding_moments(feature_map: FeatureMap) -> bool:
     """Whether the map's moments are the syrk (Z^T Z, Z^T y) of its embedding Z =
     feature_matrix, with no transform: a Gaussian RFF or tanh NTK map. A designer map
-    reads cosine sums and a relu or identity NTK map its factor instead."""
+    reads cosine sums and a relu or identity NTK map (ntk_factored) its factor instead."""
     kind = feature_map.kind
     return kind == GAUSSIAN_RFF or (kind == NTK_ONE_LAYER and feature_map.params["activation"] == "tanh")
+
+
+def ntk_factored(feature_map: FeatureMap) -> bool:
+    """Whether the map's moments come from its factor (ntk_factor): a relu or identity NTK map."""
+    return feature_map.kind == NTK_ONE_LAYER and not embedding_moments(feature_map)
 
 
 def moment_statistics(feature_map: FeatureMap, X: np.ndarray, y: np.ndarray) -> tuple:
     """Statistics of the rows X, y that add up over row blocks; divided by the number
     of rows, they are what moments_from_means reads. A designer map gives the 2m - 1
     sums c_k = sum_i cos(k pi x_i) and d_k = sum_i y_i cos(k pi x_i), from one table
-    set; a relu or identity NTK map gives (Y^T Y, Y^T y) of its factor Y (ntk_factor);
-    an embedding_moments map gives (Z^T Z, Z^T y). numpy sends F.T @ F to syrk."""
+    set; a relu or identity NTK map gives (F F^T, F y) of its feature-major factor F
+    (ntk_factor); an embedding_moments map gives (Z^T Z, Z^T y) of its n x D embedding
+    Z. numpy sends F @ F.T and Z.T @ Z to syrk."""
     if feature_map.kind == DESIGNER_FINITE_RANK:
         K = 2 * feature_map.num_samples - 1
         return tuple(cosine_sums(K, X[:, 0], np.column_stack((np.ones_like(y), y))))
-    F = feature_matrix(feature_map, X) if embedding_moments(feature_map) else ntk_factor(feature_map, X)
-    return F.T @ F, F.T @ y
+    if embedding_moments(feature_map):
+        Z = feature_matrix(feature_map, X)
+        return Z.T @ Z, Z.T @ y
+    F = ntk_factor(feature_map, X)
+    return F @ F.T, F @ y
 
 
 def moments_from_means(feature_map: FeatureMap, means: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -355,8 +371,8 @@ def moments_from_means(feature_map: FeatureMap, means: tuple) -> tuple[np.ndarra
     Designer: Z = E diag(v) with E[i, a] = cos(a pi x_i) and v = sqrt(mu) * (1, sqrt 2,
     ..., sqrt 2), and cos(a t) cos(b t) = (cos((a-b) t) + cos((a+b) t)) / 2, so
     Sigma_hat = v v^T * P with P[a, b] = (c_|a-b| + c_(a+b)) / 2, Toeplitz plus Hankel
-    in the mean sums c, and s_hat = v * d[:m]. Relu or identity NTK: Z = Y L / sqrt(M),
-    so Sigma_hat = L^T G L / M for G the mean Y^T Y, from diagonal scalings of its
+    in the mean sums c, and s_hat = v * d[:m]. Relu or identity NTK: Z = F^T L / sqrt(M),
+    so Sigma_hat = L^T G L / M for G the mean F F^T, from diagonal scalings of its
     M x M blocks; the blocks above the diagonal are computed and mirrored. Either way
     Sigma_hat is exactly symmetric, as a syrk's. An embedding_moments map: the means
     are the moments."""
@@ -452,7 +468,8 @@ def feature_matrix(feature_map: FeatureMap, X: np.ndarray) -> np.ndarray:
     activation = feature_map.params["activation"]
     tau = feature_map.params["tau"]
     gamma = feature_map.params["gamma"]
-    proj = ntk_projection(feature_map, X)
+    check_ntk_ball(feature_map, X)
+    proj = X @ feature_map.frequencies.T
     if activation == "relu":
         act = np.maximum(proj, 0.0)
         dact = (proj > 0).astype(float)  # act'(0) := 0

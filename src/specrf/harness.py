@@ -47,7 +47,12 @@ def splitmix64(x: int) -> int:
 
 
 def trial_seed(base_seed: int, *indices: int) -> int:
-    s = splitmix64(base_seed & _MASK)
+    """The splitmix64 seed of the trial at `indices` of a run seeded with base_seed.
+    base_seed is read as 64 bits, so one outside [0, 2**64) would rerun another
+    (2**64 reruns 0, -1 reruns 2**64 - 1): it is a ValueError instead."""
+    if not 0 <= base_seed <= _MASK:
+        raise ValueError(f"base_seed must be in [0, 2**64), not {base_seed}")
+    s = splitmix64(base_seed)
     for idx in indices:
         s = splitmix64(s ^ ((idx + 1) & _MASK))
     return s
@@ -259,8 +264,7 @@ class ExperimentPlan:
         if self.experiment not in ("heatmap", "rate_sweep"):
             raise ValueError(f"unknown experiment {self.experiment!r}")
         self.base_seed = whole_number(self.base_seed, "plan base_seed", least=0)
-        if self.base_seed > _MASK:  # trial_seed reads 64 bits, so a larger seed reruns a smaller one
-            raise ValueError(f"plan base_seed must be < 2**64, not {self.base_seed}")
+        trial_seed(self.base_seed)  # its range check, before any trial runs
         for key in ("repetitions", "n_train", "n_test"):
             setattr(self, key, whole_number(getattr(self, key), f"plan {key}"))
         if real_number(self.plateau_tol, "plan plateau_tol") < 0:

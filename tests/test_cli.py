@@ -581,7 +581,7 @@ def test_seed_flag_overrides_the_plan_base_seed(tmp_path, command):
 @pytest.mark.parametrize("source", ["plan", "flag"])
 def test_a_base_seed_of_2_to_the_64_exits_1_before_any_trial(tmp_path, capsys, monkeypatch, command,
                                                              source):
-    # trial_seed reads 64 bits of the seed, so 2^64 would rerun seed 0; 2^64 - 1 runs
+    # trial_seed reads 64 bits of the seed and rejects 2^64, which would rerun seed 0; 2^64 - 1 runs
     plan = json.loads(_tiny_plan().to_json()) if command == "heatmap" else _tiny_rate_plan()
 
     def run(seed, out):
@@ -596,7 +596,7 @@ def test_a_base_seed_of_2_to_the_64_exits_1_before_any_trial(tmp_path, capsys, m
     for name in ("fit_iterative", "fit_spectral"):
         monkeypatch.setattr(specrf.harness, name, lambda *args, **kwargs: fits.append(args))
     assert run(2**64, "past") == EXIT_ERROR
-    assert capsys.readouterr().err == "error: plan base_seed must be < 2**64, not 18446744073709551616\n"
+    assert capsys.readouterr().err == "error: base_seed must be in [0, 2**64), not 18446744073709551616\n"
     assert fits == [] and not (tmp_path / "past").exists()
 
 

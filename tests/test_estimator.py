@@ -11,6 +11,7 @@ import specrf
 from specrf import estimator, features, filters
 from specrf.diagnostics import MonteCarloKernel, krr_gram_fit, krr_predict, make_designer_problem
 from specrf.estimator import (
+    FACTOR_BLOCK,
     ROW_BLOCK,
     DivergenceError,
     assemble_empirical_operators,
@@ -332,7 +333,9 @@ def _assert_moments_match_the_embedding(moments, fmap, X, y):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
-@pytest.mark.parametrize("n", [1, 3, ROW_BLOCK + 5])
+# the edges of the factor's FACTOR_BLOCK-row blocks (2 * FACTOR_BLOCK + 5 is ROW_BLOCK + 5)
+@pytest.mark.parametrize("n", sorted({1, 3, ROW_BLOCK + 5, FACTOR_BLOCK - 1, FACTOR_BLOCK,
+                                      FACTOR_BLOCK + 1, 2 * FACTOR_BLOCK + 5}))
 @pytest.mark.parametrize("M", [1, 3, 192])
 @pytest.mark.parametrize("d", [1, 2, 4])
 @pytest.mark.parametrize("params", [{}, {"tau": 0.7, "gamma": 1.9}], ids=["default", "tau-gamma"])
@@ -342,6 +345,22 @@ def test_ntk_factored_moments_match_the_embedding(activation, params, d, M, n):
     moments = assemble_empirical_operators(fmap, X, y)
     _assert_moments_match_the_embedding(moments, fmap, X, y)
     assert np.array_equal(moments.sigma, moments.sigma.T)
+
+
+def test_relu_ntk_assembly_holds_one_factor_block():
+    d, M = 4, 192
+    fmap, X, y = _ntk("relu", d, M, 2 * FACTOR_BLOCK + 5)
+    width, D = (d + 1) * M, (d + 2) * M
+    # the floats held while the blocks stream (a block's feature-major factor, its Gram and
+    # the running sum), then in moments_from_means (the summed Gram, its scaled copy, the
+    # (d+1) M^2 act rows and Sigma_hat)
+    floats = max(width * FACTOR_BLOCK + 2 * width**2, 2 * width**2 + (d + 1) * M**2 + D**2)
+    bound = 8 * floats + 2**20
+    # a row-major ROW_BLOCK-row factor and its ROW_BLOCK x M projection alone pass the bound
+    assert 8 * (width + M) * ROW_BLOCK > bound
+    moments, peak = traced_peak(lambda: assemble_empirical_operators(fmap, X, y))
+    assert np.isfinite(moments.sigma).all()
+    assert peak <= bound
 
 
 @pytest.mark.parametrize("d,M", [(1, 3), (4, 16)])
@@ -358,7 +377,8 @@ def test_ntk_tanh_moments_are_the_embedded_ones(d, M):
 def test_ntk_inputs_outside_rho_max_rejected_on_both_paths(activation):
     fmap, X, y = _ntk(activation, 2, 8, ROW_BLOCK + 5, rho_max=3.0)
     X = np.clip(X, -1.0, 1.0)
-    X[ROW_BLOCK + 2] = [3.0, 0.1]  # the one row outside, in the second row block
+    block = ROW_BLOCK if activation == "tanh" else FACTOR_BLOCK
+    X[block + 2] = [3.0, 0.1]  # the one row outside, in the second row block
     with pytest.raises(ValueError, match="NTK input norm exceeds rho_max = 3.0"):
         fit_spectral(fmap, X, y, make_filter("tikhonov"), lam=0.1)
     with pytest.raises(ValueError, match="NTK input norm exceeds rho_max = 3.0"):

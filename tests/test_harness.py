@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import time
 import warnings
 
@@ -48,6 +49,20 @@ def test_trial_seed_sensitivity():
     seeds = {trial_seed(7, i, j, k) for i in range(4) for j in range(4) for k in range(4)}
     assert len(seeds) == 64
     assert all(0 <= s < 2**64 for s in seeds)
+
+
+def test_trial_seed_rejects_a_base_seed_outside_64_bits():
+    # read as 64 bits, 2^64 would rerun seed 0 and -1 would rerun 2^64 - 1
+    for bad in (2**64, -1):
+        with pytest.raises(ValueError, match=re.escape(f"base_seed must be in [0, 2**64), not {bad}")):
+            trial_seed(bad, 0, 1)
+    assert trial_seed(2**64 - 1, 0, 1) != trial_seed(0, 0, 1)
+    # the range check leaves every seed inside the range as it was
+    assert trial_seed(0) == 0xE220A8397B1DCDAF == splitmix64(0)
+    assert trial_seed(0, 0) == 0x08B4FDA8C892B50E
+    assert trial_seed(1, 1) == 0xBCD9DBB49673066B
+    assert trial_seed(3, 0, 1, 0, 2) == 0x4450498A3221731F
+    assert trial_seed(0, 0xD5) == 0xA4AFEF2959342094
 
 
 def test_lambda_schedule_known_value():
