@@ -21,7 +21,7 @@ from .diagnostics import (
     sample_dataset,
     sup_norm_f_star,
 )
-from .estimator import fit_iterative, fit_spectral, save_model
+from .estimator import fit, save_model
 from .features import call_checked, check_keys, check_object, sample_feature_map, whole_number
 from .filters import audit_filter, make_filter
 from .harness import (
@@ -76,7 +76,6 @@ def _cmd_fit(args) -> int:
     fm_where = f"{where} feature_map"
     fm = {"params": {}, **check_object(config["feature_map"], fm_where)}
     fmap = call_checked(sample_feature_map, fm, fm_where, input_dim=X.shape[1], seed=seed)
-    fit = fit_iterative if filt.iterative else fit_spectral
     model = fit(fmap, X, y, filt, lam=lam, iterations=iterations)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

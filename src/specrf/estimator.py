@@ -15,26 +15,28 @@ n <= ROW_BLOCK + D keeps its n x D embedding Z instead, at most ROW_BLOCK * D
 Sigma_hat, by the same block sums, only when it is read or once Lanczos has
 taken about as many products as forming it costs. So a fit holds
 O(ROW_BLOCK * D + D^2) floats however many rows it reads (a relu or identity
-NTK fit streams one FACTOR_BLOCK x (d+1)M factor and two (d+1)M x (d+1)M
-Grams); predict holds
-O(features.COS_CHUNK + n k) for a D x k theta. The filter
-picks the path: an iterative filter, given lambda or T, runs fit_iterative
-and any other fit_spectral. Both apply the scalar phi through _filtered, one
-eigendecomposition for all requested (lambda, T): of Sigma_hat in
-fit_spectral, up to D = EIG_DIM_CAP (Tikhonov solves instead; an iterative
-filter gives the reference for fit_iterative), and of a projection in
-fit_iterative. An iterative filter's phi_T is a polynomial of degree < T, so
-phi_T(Sigma_hat) s_hat lies in the Krylov space K_T = span(s_hat, ...,
-Sigma_hat^(T-1) s_hat): Lanczos (Saad 1992) builds an orthonormal basis V of
-K_k and the k x k tridiagonal H = V Sigma_hat V^T, and theta_T = V^T phi_T(H)
-||s_hat|| e_1 is exact while k = T or K_k is invariant. Lanczos stops at k =
-min(T, D), or once the next coupling is at rounding level against the trace of
-Sigma_hat (a Gaussian RFF Sigma_hat closes at k of about 20): k products with
-Sigma_hat, about 4 D k^2 flops and one k x k eigendecomposition, where one of
-Sigma_hat costs O(D^3). From a kept Z, k <= ceil(D / SYRK_PARITY) products
-cost 4 n D k flops and no n D^2 syrk is taken (the ski-rental rule bounds a
-Krylov space that does not close at about one syrk more than forming
-Sigma_hat first).
+NTK fit streams one FACTOR_BLOCK x (d+1)M factor and two (d+1)M x (d+1)M Grams);
+predict holds O(features.COS_CHUNK + n k) for a D x k theta. The filter picks
+the path in one place, fit: an iterative filter, given lambda or T, runs
+fit_iterative and any other fit_spectral (the CLI and the rate sweep call fit;
+the heatmap calls fit_iterative, the one fit that takes snapshots). Both fits
+hand their Moments to one moments-level solve, _solve, which reads nothing else:
+one linear solve for Tikhonov, else the scalar phi through _filtered, one
+eigendecomposition for all requested (lambda, T): of Sigma_hat in fit_spectral,
+up to D = EIG_DIM_CAP, and of a Krylov projection in fit_iterative. fit_spectral
+on an iterative filter, which fit never runs, is kept as the eigendecomposition
+reference the Krylov path is checked against. An iterative filter's phi_T is a
+polynomial of degree < T, so phi_T(Sigma_hat) s_hat lies in the Krylov space K_T
+= span(s_hat, ..., Sigma_hat^(T-1) s_hat): Lanczos (Saad 1992) builds an
+orthonormal basis V of K_k and the k x k tridiagonal H = V Sigma_hat V^T, and
+theta_T = V^T phi_T(H) ||s_hat|| e_1 is exact while k = T or K_k is invariant.
+Lanczos stops at k = min(T, D), or once the next coupling is at rounding level
+against the trace of Sigma_hat (a Gaussian RFF Sigma_hat closes at k of about
+20): k products with Sigma_hat, about 4 D k^2 flops and one k x k
+eigendecomposition, where one of Sigma_hat costs O(D^3). From a kept Z, k <=
+ceil(D / SYRK_PARITY) products cost 4 n D k flops and no n D^2 syrk is taken
+(the ski-rental rule bounds a Krylov space that does not close at about one syrk
+more than forming Sigma_hat first).
 """
 from __future__ import annotations
 
@@ -203,6 +205,14 @@ def assemble_empirical_operators(
     return Moments(zy, float(np.mean(y**2)), trace, fingerprint, gram, blocks)
 
 
+def fit(feature_map: FeatureMap, X: np.ndarray, y: np.ndarray, filt: SpectralFilter,
+        lam: float | None = None, iterations: int | None = None) -> RfModel:
+    """The fit the filter picks, the one place the path is chosen: fit_iterative for an
+    iterative filter and fit_spectral for any other, given lam or iterations."""
+    path = fit_iterative if filt.iterative else fit_spectral
+    return path(feature_map, X, y, filt, lam=lam, iterations=iterations)
+
+
 def fit_spectral(
     feature_map: FeatureMap,
     X: np.ndarray,
@@ -211,30 +221,16 @@ def fit_spectral(
     lam: float | None = None,
     iterations: int | None = None,
 ) -> RfModel:
-    """Fit theta = phi(Sigma_hat) s_hat: one linear solve on a copy of Sigma_hat for
-    Tikhonov (singular is a ValueError naming lambda), else _filtered on Sigma_hat,
-    whose dimension is checked against EIG_DIM_CAP before the data is read; for an
-    iterative filter, which no CLI or sweep fit runs here, the reference fit_iterative
-    is checked against. model.train_mse: the training loss at theta."""
+    """Fit theta = phi(Sigma_hat) s_hat by _solve: one linear solve for Tikhonov, else
+    _filtered on Sigma_hat, whose dimension is checked against EIG_DIM_CAP before the
+    data is read; for an iterative filter, which `fit` sends to fit_iterative, this
+    eigendecomposition is the reference the Krylov path is checked against.
+    model.train_mse: the training loss at theta."""
     lam, iterations = filt.resolve(lam, iterations)
-    tikhonov, dim = isinstance(filt, Tikhonov), feature_map.embedding_dim
-    if dim > EIG_DIM_CAP and not tikhonov:
+    dim = feature_map.embedding_dim
+    if dim > EIG_DIM_CAP and not isinstance(filt, Tikhonov):
         raise ValueError(f"embedding dimension {dim} exceeds eigensolver cap {EIG_DIM_CAP}")
-    moments = assemble_empirical_operators(feature_map, X, y)
-    if tikhonov:
-        shifted = moments.sigma.copy()
-        shifted.flat[:: shifted.shape[0] + 1] += lam
-        try:
-            theta = np.linalg.solve(shifted, moments.s)
-        except np.linalg.LinAlgError:
-            raise ValueError(f"{filt.name}: Sigma_hat + lam I is singular at lam = {lam!r}") from None
-    else:
-        (theta,) = _filtered(filt, moments.sigma, moments.s, [(lam, iterations)])
-    return RfModel(
-        map=feature_map, theta=theta, filter=filt, lam=lam, iterations=iterations,
-        fit_path="spectral", train_fingerprint=moments.fingerprint,
-        train_mse=moments.loss(theta),
-    )
+    return _fitted(feature_map, X, y, filt, lam, iterations, [(lam, iterations)], "spectral")
 
 
 def fit_iterative(
@@ -247,11 +243,10 @@ def fit_iterative(
     lam: float | None = None,
 ) -> RfModel:
     """Fit theta = phi_T(Sigma_hat) s_hat for the T that filt.resolve(lam,
-    iterations) gives, as fit_spectral does, through _filtered on the projected
-    problem (H, ||s_hat|| e_1) of the Lanczos basis V: k <= min(T, D) products
-    with Sigma_hat, then one k x k eigendecomposition for all thetas, each c @ V.
-    A filter that is not iterative is rejected. model.train_mse: the training
-    loss at theta, as in fit_spectral. `snapshots` asks for theta after the
+    iterations) gives, as fit_spectral does, through _solve's Krylov path: k <=
+    min(T, D) products with Sigma_hat, then one k x k eigendecomposition for all
+    thetas. A filter that is not iterative is rejected. model.train_mse: the
+    training loss at theta, as in fit_spectral. `snapshots` asks for theta after the
     listed iteration counts, each an integer in [1, T] and filtered at its own
     lambda = filt.resolve(iterations=t)[0], returned in model.snapshots keyed by T.
     """
@@ -261,24 +256,50 @@ def fit_iterative(
     wanted = {whole_number(T, "snapshot count") for T in snapshots}
     if wanted and max(wanted) > iterations:
         raise ValueError(f"snapshot count {max(wanted)} exceeds iterations = {iterations}")
+    pairs = [filt.resolve(iterations=t) for t in sorted(wanted | {iterations})]
+    return _fitted(feature_map, X, y, filt, lam, iterations, pairs, "iterative", wanted)
+
+
+def _fitted(feature_map, X, y, filt, lam, iterations, pairs, fit_path, wanted=()) -> RfModel:
+    """Assemble the data's moments, _solve them at each (lam, T) of `pairs` and build the
+    fit's model: theta at `iterations`, and the thetas at the T of `wanted` as snapshots."""
     moments = assemble_empirical_operators(feature_map, X, y)
+    thetas = dict(zip((T for _, T in pairs), _solve(moments, filt, pairs, fit_path == "iterative")))
+    theta = thetas[iterations]
+    return RfModel(
+        map=feature_map, theta=theta, filter=filt, lam=lam, iterations=iterations,
+        fit_path=fit_path, train_fingerprint=moments.fingerprint, train_mse=moments.loss(theta),
+        snapshots={t: thetas[t] for t in wanted} if wanted else None,
+    )
+
+
+def _solve(moments: Moments, filt: SpectralFilter, pairs, krylov: bool) -> list:
+    """phi(Sigma_hat) s_hat at each (lam, T) of `pairs` (as filt.resolve gives them, T
+    ascending), read from `moments` alone. Tikhonov is one linear solve on a copy of
+    Sigma_hat (singular is a ValueError naming lambda). With `krylov`, an iterative
+    filter checks its stability at the trace (eigvalsh only if the trace is loose),
+    then filters the projected problem (H, ||s_hat|| e_1) of the Lanczos basis V,
+    each theta c @ V. Any other filter, or an iterative one without `krylov`, is
+    _filtered on Sigma_hat."""
     s = moments.s
+    if isinstance(filt, Tikhonov):
+        ((lam, _),) = pairs
+        shifted = moments.sigma.copy()
+        shifted.flat[:: shifted.shape[0] + 1] += lam
+        try:
+            return [np.linalg.solve(shifted, s)]
+        except np.linalg.LinAlgError:
+            raise ValueError(f"{filt.name}: Sigma_hat + lam I is singular at lam = {lam!r}") from None
+    if not krylov:
+        return _filtered(filt, moments.sigma, s, pairs)
     try:  # the one stability rule, at the trace; eigvalsh only if the trace is loose
         filt.check_stable(moments.trace)
     except DivergenceError:
         filt.check_stable(float(np.linalg.eigvalsh(moments.sigma)[-1]))
-    basis, h = _lanczos(moments.product, s, min(iterations, s.size), moments.trace)
+    basis, h = _lanczos(moments.product, s, min(pairs[-1][1], s.size), moments.trace)
     s_proj = np.zeros(len(h))
     s_proj[:1] = np.linalg.norm(s)
-    pairs = [filt.resolve(iterations=t) for t in sorted(wanted | {iterations})]
-    thetas = {t: c @ basis for (_, t), c in zip(pairs, _filtered(filt, h, s_proj, pairs))}
-    theta = thetas[iterations]
-    return RfModel(
-        map=feature_map, theta=theta, filter=filt, lam=lam,
-        iterations=iterations, fit_path="iterative", train_fingerprint=moments.fingerprint,
-        train_mse=moments.loss(theta),
-        snapshots={t: thetas[t] for t in wanted} if snapshots else None,
-    )
+    return [c @ basis for c in _filtered(filt, h, s_proj, pairs)]
 
 
 def _filtered(filt: SpectralFilter, op: np.ndarray, s: np.ndarray, pairs) -> list:
@@ -355,6 +376,10 @@ def mse(model: RfModel, X: np.ndarray, y: np.ndarray):
 
 
 def save_model(model: RfModel, path: str) -> None:
+    """Write `model` to `path` as load_model reads it. A theta that load_model would
+    reject (not embedding_dim entries, say a D x k theta, or NaN or inf entries) is
+    its ValueError, raised before the file is opened."""
+    theta = _checked_theta(np.ascontiguousarray(model.theta, dtype="<f8"), model.map)
     payload = {
         "format": MODEL_FORMAT,
         "map": model.map.descriptor(),
@@ -362,9 +387,7 @@ def save_model(model: RfModel, path: str) -> None:
         "lam": model.lam,
         "iterations": model.iterations,
         "fit_path": model.fit_path,
-        "theta_b64": base64.b64encode(
-            np.ascontiguousarray(model.theta, dtype="<f8").tobytes()
-        ).decode("ascii"),
+        "theta_b64": base64.b64encode(theta.tobytes()).decode("ascii"),
         "train_fingerprint": model.train_fingerprint,
     }
     with open(path, "w") as fh:
@@ -399,11 +422,7 @@ def _decode_model(payload) -> RfModel:
         theta = np.frombuffer(raw, dtype="<f8").copy()
     except (TypeError, ValueError):  # not a string, not base64, or not whole float64s
         raise ValueError("model theta_b64 is not the base64 of float64 values") from None
-    dim = feature_map.embedding_dim
-    if theta.size != dim:
-        raise ValueError(f"model theta has {theta.size} entries, its map's embedding_dim is {dim}")
-    if not np.isfinite(theta).all():
-        raise ValueError("model theta has NaN or inf entries")
+    _checked_theta(theta, feature_map)
     fingerprint = payload["train_fingerprint"]
     where = "model train_fingerprint"
     check_keys(fingerprint, where, ("n", "map_seed", "data_sha256"), (), "load_model")
@@ -418,3 +437,14 @@ def _decode_model(payload) -> RfModel:
         map=feature_map, theta=theta, filter=filt, lam=lam,
         iterations=iterations, fit_path=payload["fit_path"], train_fingerprint=fingerprint,
     )
+
+
+def _checked_theta(theta: np.ndarray, feature_map: FeatureMap) -> np.ndarray:
+    """theta, if it holds the map's embedding_dim finite entries; the one check of a
+    model's theta that save_model and load_model share."""
+    dim = feature_map.embedding_dim
+    if theta.size != dim:
+        raise ValueError(f"model theta has {theta.size} entries, its map's embedding_dim is {dim}")
+    if not np.isfinite(theta).all():
+        raise ValueError("model theta has NaN or inf entries")
+    return theta

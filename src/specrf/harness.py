@@ -21,7 +21,7 @@ import numpy as np
 
 from .diagnostics import (DesignerProblem, check_easy_regime, excess_risk_exact,
                           make_designer_problem, sample_dataset)
-from .estimator import fit_iterative, fit_spectral, mse
+from .estimator import fit, fit_iterative, mse
 from .features import (
     call_checked,
     check_budget,
@@ -559,7 +559,6 @@ def run_rate_sweep(plan: ExperimentPlan, workers: int = 1) -> dict:
     problem = _problem_from_plan(plan)
     r, b = problem.r, problem.b  # the problem's source condition and capacity set both schedules
     filt = make_filter(**check_object(plan.filter, "plan filter"))
-    fit = fit_iterative if filt.iterative else fit_spectral  # the filter picks the solver
     configs = []
     for n in plan.n_grid:
         lam = lambda_schedule(n, r, b, sched["C_lambda"])

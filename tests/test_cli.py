@@ -593,8 +593,10 @@ def test_a_base_seed_of_2_to_the_64_exits_1_before_any_trial(tmp_path, capsys, m
     assert run(2**64 - 1, "top") == EXIT_OK
     assert json.loads((tmp_path / "top" / "plan.resolved.json").read_text())["base_seed"] == 2**64 - 1
     fits = []
-    for name in ("fit_iterative", "fit_spectral"):
-        monkeypatch.setattr(specrf.harness, name, lambda *args, **kwargs: fits.append(args))
+    # a heatmap calls fit_iterative, a rate sweep estimator.fit, which calls one of the two
+    for home, name in ((specrf.harness, "fit_iterative"), (specrf.estimator, "fit_iterative"),
+                       (specrf.estimator, "fit_spectral")):
+        monkeypatch.setattr(home, name, lambda *args, **kwargs: fits.append(args))
     assert run(2**64, "past") == EXIT_ERROR
     assert capsys.readouterr().err == "error: base_seed must be in [0, 2**64), not 18446744073709551616\n"
     assert fits == [] and not (tmp_path / "past").exists()

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from reference import iterate_in_parameter_space, traced_peak
 
 import specrf
@@ -905,6 +907,84 @@ def test_saved_model_loads_and_saves_to_the_same_bytes(tmp_path, kind, fit):
     save_model(fit(fmap, X, y, make_filter(kind)), first)
     save_model(load_model(first), second)
     assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("bad,named", [
+    (lambda theta: np.column_stack([theta, theta]), "model theta has 32 entries, its map's embedding_dim is 16"),
+    (lambda theta: theta[:10], "model theta has 10 entries, its map's embedding_dim is 16"),
+    (lambda theta: np.full_like(theta, np.nan), "model theta has NaN or inf entries"),
+    (lambda theta: np.where(np.arange(theta.size) == 3, -np.inf, theta), "model theta has NaN or inf entries"),
+], ids=["D-by-2", "short", "nan", "inf"])
+def test_save_model_refuses_a_theta_that_load_model_refuses(tmp_path, bad, named):
+    # a heatmap builds a D x k theta with replace(model, theta=...); such a model, or a
+    # non-finite one, is refused before the file is opened, with load_model's own message
+    fmap, X, y = _toy(M=16)
+    model = fit_spectral(fmap, X, y, make_filter("tikhonov"), lam=0.1)
+    refused = dataclasses.replace(model, theta=bad(model.theta))
+    path = tmp_path / "model.json"
+    with pytest.raises(ValueError) as exc:
+        save_model(refused, path)
+    assert str(exc.value) == named
+    assert not path.exists()
+    save_model(model, path)  # the same theta written past save_model fails to load as named
+    payload = json.loads(path.read_text())
+    payload["theta_b64"] = base64.b64encode(refused.theta.astype("<f8").tobytes()).decode("ascii")
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError) as exc:
+        load_model(path)
+    assert str(exc.value) == f"{path}: {named}"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(shape=st.sampled_from([(16,), (16, 1), (8, 2), (16, 2), (15,), (17,)]),
+       special=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+       where=st.integers(0, 31), scale=st.floats(-1e300, 1e300))
+def test_every_file_save_model_writes_loads(tmp_path, shape, special, where, scale):
+    fmap, X, y = _toy(M=16)
+    model = fit_spectral(fmap, X, y, make_filter("tikhonov"), lam=0.1)
+    theta = scale * np.linspace(-1.0, 1.0, int(np.prod(shape))).reshape(shape)
+    if special is not None:
+        theta.flat[where % theta.size] = special
+    path = tmp_path / "model.json"
+    path.unlink(missing_ok=True)
+    try:
+        save_model(dataclasses.replace(model, theta=theta), path)
+    except ValueError:
+        assert not path.exists()
+        assert theta.size != 16 or special is not None
+    else:
+        np.testing.assert_array_equal(load_model(path).theta, theta.reshape(-1))
+
+
+@pytest.mark.parametrize("choice", [{"lam": 0.05}, {"iterations": 40}], ids=["lam", "iterations"])
+@pytest.mark.parametrize("kind,params,path", [
+    ("landweber", {"alpha": 0.5}, "fit_iterative"),
+    ("heavyball", {"alpha": 0.2, "beta": 0.7}, "fit_iterative"),
+    ("tikhonov", {}, "fit_spectral"),
+    ("spectral_cutoff", {}, "fit_spectral"),
+], ids=["landweber", "heavyball", "tikhonov", "spectral_cutoff"])
+def test_fit_runs_the_fit_its_filter_picks(monkeypatch, choice, kind, params, path):
+    # estimator.fit is the one place the filter picks the path; a filter that is not
+    # iterative goes to fit_spectral with an iteration count too, and is refused there
+    fmap, X, y = _toy(M=16)
+    filt = make_filter(kind, **params)
+    direct, calls = getattr(estimator, path), []
+
+    def recording(*args, **kwargs):
+        calls.append(path)
+        return direct(*args, **kwargs)
+
+    for name in ("fit_iterative", "fit_spectral"):
+        monkeypatch.setattr(estimator, name, recording if name == path else None)
+    if filt.iterative or "lam" in choice:
+        model = estimator.fit(fmap, X, y, filt, **choice)
+        assert model.theta.tobytes() == direct(fmap, X, y, filt, **choice).theta.tobytes()
+        assert model.fit_path == path.removeprefix("fit_")
+    else:
+        with pytest.raises(ValueError, match=f"^filter {kind} is not iterative and takes no iteration count$"):
+            estimator.fit(fmap, X, y, filt, **choice)
+    assert calls == [path]
 
 
 def test_mse_rejects_empty_test_set():

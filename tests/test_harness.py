@@ -450,13 +450,13 @@ def test_a_fault_stops_the_sweep_before_its_queued_cells_run(monkeypatch, sweep,
     # cells still queued on the pool never start
     started = []
     if sweep == "heatmap":
-        plan, run, fit = _tiny_heatmap_plan(), run_heatmap, "fit_iterative"
+        plan, run, home, fit = _tiny_heatmap_plan(), run_heatmap, harness, "fit_iterative"
         plan.repetitions = 50  # x 2 grid sizes
-    else:
+    else:  # a rate sweep fits through estimator.fit, which picks fit_spectral for Tikhonov
         plan = ExperimentPlan(experiment="rate_sweep", repetitions=20, n_grid=[64, 128, 256, 512, 1024],
                               problem={"type": "designer", "J": 8}, filter={"kind": "tikhonov"})
-        run, fit = run_rate_sweep, "fit_spectral"
-    monkeypatch.setattr(harness, fit, _faulting_fit(started, {8: 0.01, 16: 0.01}))
+        run, home, fit = run_rate_sweep, estimator, "fit_spectral"
+    monkeypatch.setattr(home, fit, _faulting_fit(started, {8: 0.01, 16: 0.01}))
     with pytest.raises(TypeError, match="^fault at M = 8$"):
         run(plan, workers=workers)
     assert 1 <= len(started) < 10
@@ -659,7 +659,7 @@ def test_rate_sweep_with_an_iterative_filter_runs_fit_iterative(monkeypatch):
         steps.append(model.iterations)
         return model
 
-    monkeypatch.setattr(harness, "fit_iterative", counting_fit)
+    monkeypatch.setattr(estimator, "fit_iterative", counting_fit)  # the fit estimator.fit picks
     plan = ExperimentPlan(
         experiment="rate_sweep",
         repetitions=2,
