@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .features import (
     FeatureMap,
     MemoryBudgetError,
-    designer_basis,
     feature_matrix,
     sample_feature_map,
 )

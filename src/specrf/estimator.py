@@ -377,8 +377,9 @@ def mse(model: RfModel, X: np.ndarray, y: np.ndarray):
 
 def save_model(model: RfModel, path: str) -> None:
     """Write `model` to `path` as load_model reads it. A theta that load_model would
-    reject (not embedding_dim entries, say a D x k theta, or NaN or inf entries) is
-    its ValueError, raised before the file is opened."""
+    reject (not embedding_dim entries, say a D x k theta, or NaN or inf entries), or
+    would give back in another shape (a D x 1 theta), is its ValueError, raised
+    before the file is opened."""
     theta = _checked_theta(np.ascontiguousarray(model.theta, dtype="<f8"), model.map)
     payload = {
         "format": MODEL_FORMAT,
@@ -440,11 +441,13 @@ def _decode_model(payload) -> RfModel:
 
 
 def _checked_theta(theta: np.ndarray, feature_map: FeatureMap) -> np.ndarray:
-    """theta, if it holds the map's embedding_dim finite entries; the one check of a
-    model's theta that save_model and load_model share."""
+    """theta, if it is 1-d with the map's embedding_dim finite entries; the one check
+    of a model's theta that save_model and load_model share."""
     dim = feature_map.embedding_dim
     if theta.size != dim:
         raise ValueError(f"model theta has {theta.size} entries, its map's embedding_dim is {dim}")
+    if theta.ndim != 1:
+        raise ValueError(f"model theta must be 1-d, not of shape {theta.shape}")
     if not np.isfinite(theta).all():
         raise ValueError("model theta has NaN or inf entries")
     return theta

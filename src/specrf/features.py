@@ -124,19 +124,9 @@ class FeatureMap:
         }
 
 
-def designer_basis(num_funcs: int, x: np.ndarray) -> np.ndarray:
-    """Orthonormal cosine basis on L^2([0,1]): e_1 = 1, e_j = sqrt(2) cos((j-1) pi x)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float)).reshape(-1)
-    out = np.outer(x, np.arange(num_funcs))
-    out *= np.pi
-    np.cos(out, out=out)
-    out *= np.sqrt(2.0)
-    out[:, 0] = 1.0
-    return out
-
-
 def designer_norms(num_funcs: int) -> np.ndarray:
-    """(1, sqrt 2, ..., sqrt 2): column a of designer_basis is norms[a] * cos(a pi x)."""
+    """(1, sqrt 2, ..., sqrt 2): the designer map's orthonormal cosine basis on
+    L^2([0,1]) is e_(a+1)(x) = norms[a] * cos(a pi x) for a < num_funcs."""
     out = np.full(num_funcs, np.sqrt(2.0))
     out[0] = 1.0
     return out
@@ -187,8 +177,8 @@ def cosine_sums(num_freqs: int, x: np.ndarray, weights: np.ndarray) -> np.ndarra
 
 
 def designer_series(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_j coeffs_j e_j(x), which is designer_basis(len(coeffs), x) @ coeffs, from
-    the angle-addition tables: one GEMM and no n x len(coeffs) basis."""
+    """sum_j coeffs_j e_j(x) over the cosine basis of designer_norms, from the
+    angle-addition tables: one GEMM and no n x len(coeffs) basis."""
     coeffs = np.asarray(coeffs, dtype=float)
     hi, lo = _cosine_tables(coeffs.size, x)
     A, B = hi.shape[0], lo.shape[0]
@@ -445,8 +435,12 @@ def _rff_cosines(feature_map: FeatureMap, X: np.ndarray, scale: float) -> np.nda
 def feature_matrix(feature_map: FeatureMap, X: np.ndarray) -> np.ndarray:
     """Stack embeddings of the rows of X into an n x (p*M) matrix.
 
-    The output is the only n x (p*M) allocation: every map writes into it in
-    place. Its size is checked against DEFAULT_MEMORY_BUDGET, read at call time.
+    The output is the only n x (p*M) allocation, and no temporary is the size of
+    one of its M-column blocks: every map writes into it in place. An NTK map
+    writes X W^T into its act block and act' into its bias block, fills each x
+    block from act' and then scales the bias block; a designer map takes np.cos
+    of its arguments in the output and scales them by designer_norms and by
+    sqrt(mu). Its size is checked against DEFAULT_MEMORY_BUDGET, read at call time.
     """
     X = check_input(feature_map, X)
     n = X.shape[0]
@@ -458,33 +452,33 @@ def feature_matrix(feature_map: FeatureMap, X: np.ndarray) -> np.ndarray:
         return _rff_cosines(feature_map, X, scale * np.sqrt(2.0))
 
     if feature_map.kind == DESIGNER_FINITE_RANK:
-        mu = feature_map.params["eigenvalues"]
         # deterministic features sqrt(mu_j) e_j(x); no Monte Carlo scaling
-        out = designer_basis(feature_map.num_samples, X[:, 0])
-        out *= np.sqrt(mu)
+        out = np.outer(X[:, 0], np.arange(feature_map.num_samples))
+        out *= np.pi
+        np.cos(out, out=out)
+        out *= designer_norms(feature_map.num_samples)
+        out *= np.sqrt(feature_map.params["eigenvalues"])
         return out
 
     # NTK: components tau*x_i*act'(w.x) for i in [d], act(w.x), tau*gamma*act'(w.x)
     activation = feature_map.params["activation"]
-    tau = feature_map.params["tau"]
-    gamma = feature_map.params["gamma"]
+    tau, gamma = feature_map.params["tau"], feature_map.params["gamma"]
     check_ntk_ball(feature_map, X)
-    proj = X @ feature_map.frequencies.T
-    if activation == "relu":
-        act = np.maximum(proj, 0.0)
-        dact = (proj > 0).astype(float)  # act'(0) := 0
-    elif activation == "tanh":
-        act = np.tanh(proj)
-        dact = 1.0 - act**2
-    else:
-        act = proj
-        dact = np.ones_like(proj)
-    M = proj.shape[1]
-    d = feature_map.input_dim
+    M, d = feature_map.frequencies.shape
     out = np.empty((n, (d + 2) * M))
-    for i in range(d):
-        np.multiply(tau * X[:, i : i + 1], dact, out=out[:, i * M : (i + 1) * M])
-    out[:, d * M : (d + 1) * M] = act
-    np.multiply(tau * gamma, dact, out=out[:, (d + 1) * M :])
+    *x_blocks, act, dact = out.reshape(n, d + 2, M).transpose(1, 0, 2)  # n x M views
+    np.matmul(X, feature_map.frequencies.T, out=act)
+    if activation == "relu":
+        np.greater(act, 0.0, out=dact)  # act'(0) := 0
+        np.maximum(act, 0.0, out=act)
+    elif activation == "tanh":
+        np.tanh(act, out=act)
+        np.multiply(act, act, out=dact)
+        np.subtract(1.0, dact, out=dact)
+    else:
+        dact[...] = 1.0
+    for i, block in enumerate(x_blocks):
+        np.multiply(tau * X[:, i : i + 1], dact, out=block)
+    dact *= tau * gamma
     out *= scale
     return out

@@ -1,7 +1,9 @@
 """Reference quantities that only the tests check the library against.
 
 The Gaussian kernel that gaussian_rff maps sample, their embedding through
-np.cos that feature_matrix's half-angle tangent replaced, a PSD check for gram
+np.cos that feature_matrix's half-angle tangent replaced, the designer map's
+cosine basis through np.cos that the angle-addition tables of the designer
+moments and series are checked against, a PSD check for gram
 matrices, the empirical N_M(lambda) / N_inf(lambda) effective-dimension
 ratio of Rudi & Rosasco 2017, the record-by-record CSV parser that
 ingest_csv_dataset must agree with, the (momentum) gradient loop in R^D
@@ -62,6 +64,18 @@ def rff_embedding_cos(feature_map, X: np.ndarray) -> np.ndarray:
     np.cos(proj, out=proj)
     proj *= 1.0 / np.sqrt(feature_map.num_samples) * np.sqrt(2.0)
     return proj
+
+
+def designer_basis(num_funcs: int, x: np.ndarray) -> np.ndarray:
+    """Orthonormal cosine basis on L^2([0,1]) through np.cos, as an n x num_funcs
+    array: e_1 = 1, e_j = sqrt(2) cos((j-1) pi x)."""
+    x = np.atleast_1d(np.asarray(x, dtype=float)).reshape(-1)
+    out = np.outer(x, np.arange(num_funcs))
+    out *= np.pi
+    np.cos(out, out=out)
+    out *= np.sqrt(2.0)
+    out[:, 0] = 1.0
+    return out
 
 
 def check_psd(gram: np.ndarray) -> bool:

@@ -3,7 +3,7 @@ import bisect
 import numpy as np
 import pytest
 
-from reference import GaussianKernel, traced_peak
+from reference import GaussianKernel, designer_basis, traced_peak
 from specrf import features
 from specrf.diagnostics import (
     DesignerKernel,
@@ -20,7 +20,6 @@ from specrf.diagnostics import (
 from specrf.estimator import ROW_BLOCK, fit_spectral
 from specrf.features import (
     MemoryBudgetError,
-    designer_basis,
     designer_series,
     feature_matrix,
     sample_feature_map,

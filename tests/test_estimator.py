@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from reference import iterate_in_parameter_space, traced_peak
+from reference import designer_basis, iterate_in_parameter_space, traced_peak
 
 import specrf
 from specrf import estimator, features, filters
@@ -26,7 +26,6 @@ from specrf.estimator import (
 )
 from specrf.features import (
     MemoryBudgetError,
-    designer_basis,
     designer_series,
     feature_matrix,
     sample_feature_map,
@@ -360,6 +359,21 @@ def test_relu_ntk_assembly_holds_one_factor_block():
     bound = 8 * floats + 2**20
     # a row-major ROW_BLOCK-row factor and its ROW_BLOCK x M projection alone pass the bound
     assert 8 * (width + M) * ROW_BLOCK > bound
+    moments, peak = traced_peak(lambda: assemble_empirical_operators(fmap, X, y))
+    assert np.isfinite(moments.sigma).all()
+    assert peak <= bound
+
+
+def test_streamed_tanh_assembly_holds_one_row_block():
+    d, M = 4, 192
+    fmap, X, y = _ntk("tanh", d, M, 2 * ROW_BLOCK + 5)
+    D = fmap.embedding_dim
+    assert D == 1152 and X.shape[0] > ROW_BLOCK + D  # streamed, not kept
+    # the floats held while the blocks stream: one ROW_BLOCK-row embedding, its Gram and
+    # the running sum
+    bound = 8 * (ROW_BLOCK * D + 2 * D * D) + 2**20
+    # one block's ROW_BLOCK x M projection and derivative next to its embedding pass the bound
+    assert 8 * (ROW_BLOCK * D + 2 * D * D + 2 * ROW_BLOCK * M) > bound
     moments, peak = traced_peak(lambda: assemble_empirical_operators(fmap, X, y))
     assert np.isfinite(moments.sigma).all()
     assert peak <= bound
@@ -935,6 +949,17 @@ def test_save_model_refuses_a_theta_that_load_model_refuses(tmp_path, bad, named
     assert str(exc.value) == f"{path}: {named}"
 
 
+def test_save_model_refuses_a_d_by_1_theta(tmp_path):
+    # load_model gives back a 1-d theta, so a D x 1 one would not load as it was saved
+    fmap, X, y = _toy(M=16)
+    model = fit_spectral(fmap, X, y, make_filter("tikhonov"), lam=0.1)
+    path = tmp_path / "model.json"
+    with pytest.raises(ValueError) as exc:
+        save_model(dataclasses.replace(model, theta=model.theta[:, None]), path)
+    assert str(exc.value) == "model theta must be 1-d, not of shape (16, 1)"
+    assert not path.exists()
+
+
 @settings(max_examples=200, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(shape=st.sampled_from([(16,), (16, 1), (8, 2), (16, 2), (15,), (17,)]),
@@ -952,9 +977,12 @@ def test_every_file_save_model_writes_loads(tmp_path, shape, special, where, sca
         save_model(dataclasses.replace(model, theta=theta), path)
     except ValueError:
         assert not path.exists()
-        assert theta.size != 16 or special is not None
+        assert theta.shape != (16,) or not np.isfinite(theta).all()
     else:
-        np.testing.assert_array_equal(load_model(path).theta, theta.reshape(-1))
+        assert theta.shape == (16,) and np.isfinite(theta).all()
+        loaded = load_model(path).theta
+        assert loaded.shape == theta.shape
+        np.testing.assert_array_equal(loaded, theta)
 
 
 @pytest.mark.parametrize("choice", [{"lam": 0.05}, {"iterations": 40}], ids=["lam", "iterations"])

@@ -13,18 +13,18 @@ from specrf.features import (
     GAUSSIAN_RFF,
     NTK_ONE_LAYER,
     MemoryBudgetError,
-    designer_basis,
     feature_matrix,
     sample_feature_map,
 )
 
 
 def test_designer_basis_orthonormal_under_quadrature():
-    # e_1 = 1, e_j = sqrt(2) cos((j-1) pi x) are orthonormal in L2([0,1]);
-    # check with a fine midpoint rule
+    # with unit eigenvalues the designer embedding is the basis e_1 = 1,
+    # e_j = sqrt(2) cos((j-1) pi x), orthonormal in L2([0,1]); check with a fine midpoint rule
     n = 20000
     x = (np.arange(n) + 0.5) / n
-    E = designer_basis(6, x)
+    f = sample_feature_map(DESIGNER_FINITE_RANK, 1, 6, {"eigenvalues": np.ones(6)}, 0)
+    E = feature_matrix(f, x[:, None])
     gram = E.T @ E / n
     assert np.allclose(gram, np.eye(6), atol=1e-6)
 
@@ -133,6 +133,19 @@ def test_feature_matrix_equals_closed_form_bit_for_bit(kind, dim, params, monkey
     else:
         X = rng.standard_normal((300, dim))
     assert np.array_equal(feature_matrix(f, X), _closed_form_embedding(f, X))
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
+def test_ntk_embedding_holds_no_block_sized_temporary(activation):
+    n, d, M = 4096, 4, 192
+    f = sample_feature_map(NTK_ONE_LAYER, d, M, {"activation": activation}, 0)
+    X = np.random.default_rng(0).standard_normal((n, d))
+    bound = 8 * n * f.embedding_dim + 2**20
+    # one n x M projection next to the output alone passes the bound
+    assert 8 * n * M > 2**20
+    Z, peak = traced_peak(lambda: feature_matrix(f, X))
+    assert Z.shape == (n, f.embedding_dim)
+    assert peak <= bound
 
 
 def test_ntk_component_count_and_dim():
