@@ -11,9 +11,9 @@ each map's moment algebra (the identity for an embedded map, Toeplitz plus
 Hankel for the designer cosine sums, the blocks of L for the NTK factor). A
 map whose moments are its embedding's syrk (features.embedding_moments) with
 n <= ROW_BLOCK + D keeps its n x D embedding Z instead, at most ROW_BLOCK * D
-+ D^2 floats: Moments then serves Sigma_hat @ v as Z^T (Z v) / n and forms
-Sigma_hat, by the same block sums, only when it is read or once Lanczos has
-taken about as many products as forming it costs. So a fit holds
++ D^2 floats: Moments then serves a block of rows V as V Sigma_hat = (V Z^T) Z / n,
+one pass over Z, and forms Sigma_hat, by the same block sums, only when it is
+read. So a fit holds
 O(ROW_BLOCK * D + D^2) floats however many rows it reads (a relu or identity
 NTK fit streams one FACTOR_BLOCK x (d+1)M factor and two (d+1)M x (d+1)M Grams);
 predict holds O(features.COS_CHUNK + n k) for a D x k theta. The filter picks
@@ -33,10 +33,18 @@ theta_T = V^T phi_T(H) ||s_hat|| e_1 is exact while k = T or K_k is invariant.
 Lanczos stops at k = min(T, D), or once the next coupling is at rounding level
 against the trace of Sigma_hat (a Gaussian RFF Sigma_hat closes at k of about
 20): k products with Sigma_hat, about 4 D k^2 flops and one k x k
-eigendecomposition, where one of Sigma_hat costs O(D^3). From a kept Z, k <=
-ceil(D / SYRK_PARITY) products cost 4 n D k flops and no n D^2 syrk is taken
-(the ski-rental rule bounds a Krylov space that does not close at about one syrk
-more than forming Sigma_hat first).
+eigendecomposition, where one of Sigma_hat costs O(D^3). A kept Z is read only by
+passes (V Z^T) Z, 4 n D flops a row and no n D^2 syrk: a fit takes its T passes of
+one row while they cost less than forming Sigma_hat, T <= ceil(D / SYRK_PARITY).
+Past that, block Lanczos (Golub & Underwood 1977) multiplies up to BLOCK rows a
+pass, from s_hat and BLOCK - 1 fixed-seed Gaussian rows, as a pass of 16 rows costs
+about 3.4 of one row on a memory-bound Z; a span that closes is invariant and holds
+s_hat, so theta_T is exact on it for every T (the plateau heatmap's M = 1414 fit
+closes after 3 passes, 34 rows, against 18-19 single products). Ski rental: a span
+that has not closed once its passes have multiplied BLOCK ceil(D / (6 SYRK_PARITY))
+rows (about half a syrk) forms Sigma_hat and starts width-1 Lanczos over on it from
+s_hat, so a fit that does not close pays about half a syrk more than forming
+Sigma_hat first.
 """
 from __future__ import annotations
 
@@ -78,10 +86,21 @@ FACTOR_BLOCK = ROW_BLOCK // 2
 MODEL_FORMAT = 1  # written by save_model; load_model reads only this format
 EIG_DIM_CAP = 4096  # the largest Sigma_hat that fit_spectral eigendecomposes
 # forming Sigma_hat from a kept n x D embedding Z (a syrk, n D^2 flops) took as long as
-# about D / SYRK_PARITY products Z^T (Z v) (4 n D flops each, bound by memory): D / 26
-# at D = 283 to D / 55 at D = 1414 for n = ROW_BLOCK + D or 5000 (one OpenBLAS thread,
-# 2-vCPU AVX2 host; D / 15 to D / 45 with two threads)
+# about D / SYRK_PARITY passes (V Z^T) Z of one row: D / 23 at D = 160, D / 28 at D = 283
+# and D / 40 to D / 41 at D = 1152 and 1414, for n = ROW_BLOCK + D or 5000 (one OpenBLAS
+# thread, 2-vCPU AVX2 host). So a fit takes its T passes of one row from Z only when T <=
+# ceil(D / SYRK_PARITY), and block passes otherwise
 SYRK_PARITY = 40
+# rows a pass over a kept Z multiplies when T > ceil(D / SYRK_PARITY). A pass of 16 rows took
+# as long as 3.4 passes of one row at D = 1414 (4 at D = 160), so half a syrk is about
+# D / (6 SYRK_PARITY) passes of 16 rows: a span that has not closed once its passes have
+# multiplied BLOCK ceil(D / (6 SYRK_PARITY)) rows forms Sigma_hat and starts over on it.
+# The budget counts rows, not passes, so the narrow last pass of a span that closes (it
+# adds no row) fits in it. With a whole syrk's passes, the fits that do not close were
+# slower than with single products. Below the cut-off the block passes lost to single rows on a span that
+# does not close (4x at T = 16, tanh NTK D = 1152) more than they won on one that does
+# (2x at T = 16, Gaussian RFF D = 1414)
+BLOCK = 16
 
 
 @dataclass
@@ -102,10 +121,11 @@ class Moments:
     """All a fit reads of its data: s_hat = Z^T y / n, yy = mean y^2, the trace of
     Sigma_hat = Z^T Z / n, a fingerprint holding n, the map seed and a data hash, and
     either Sigma_hat or the embedding Z, kept by assemble_empirical_operators in its
-    ROW_BLOCK row blocks. `product` serves Sigma_hat @ v, from a kept Z as
-    Z^T (Z v) / n. Sigma_hat is formed from Z when `sigma` is first read, or when
-    `product` has served ceil(D / SYRK_PARITY) products from Z, about the cost of
-    forming it, and then serves every product; forming it frees Z block by block."""
+    ROW_BLOCK row blocks. `product` serves V Sigma_hat for a block of rows V, from a
+    kept Z as one pass (V Z^T) Z / n. Sigma_hat is formed from Z when `sigma` is first
+    read (by fit_spectral, the eigvalsh fallback of the stability rule, or _solve once
+    a block fit has spent its budget without closing), and then serves every
+    product; forming it frees Z block by block."""
 
     s: np.ndarray = field(repr=False)
     yy: float
@@ -113,7 +133,6 @@ class Moments:
     fingerprint: dict
     _sigma: np.ndarray | None = field(default=None, repr=False)
     _blocks: list = field(default_factory=list, repr=False)
-    _served: int = field(default=0, repr=False)
 
     @property
     def sigma(self) -> np.ndarray:
@@ -124,12 +143,12 @@ class Moments:
             (self._sigma,) = _block_means(((Z.T @ Z,) for Z in drained), self.fingerprint["n"])
         return self._sigma
 
-    def product(self, v: np.ndarray) -> np.ndarray:
-        """Sigma_hat @ v."""
-        if self._blocks and self._served < -(-self.s.size // SYRK_PARITY):
-            self._served += 1
-            return sum(Z.T @ (Z @ v) for Z in self._blocks) / self.fingerprint["n"]
-        return self.sigma @ v
+    def product(self, V: np.ndarray) -> np.ndarray:
+        """V Sigma_hat for a block V of rows: one pass over a kept Z, the sum of its
+        blocks' (V Z^T) Z divided by n, else (Sigma_hat V^T)^T."""
+        if self._blocks:
+            return sum((V @ Z.T) @ Z for Z in self._blocks) / self.fingerprint["n"]
+        return (self.sigma @ V.T).T
 
     def loss(self, theta: np.ndarray) -> float:
         """The training MSE of a 1-d theta: theta.Sigma_hat.theta - 2 theta.s_hat + yy,
@@ -176,8 +195,8 @@ def assemble_empirical_operators(
         raise ValueError("need at least one sample")
     if y.size != X.shape[0]:
         raise ValueError("X and y length mismatch")
-    if not (np.isfinite(X).all() and np.isfinite(y).all()):
-        raise ValueError("training data contains NaN or inf values")
+    if not np.isfinite(y).all():
+        raise ValueError("training labels contain NaN or inf values")
     dim = feature_map.embedding_dim
     features.check_budget(dim * dim * 8, f"covariance of dimension {dim}")
     n = X.shape[0]
@@ -243,8 +262,8 @@ def fit_iterative(
     lam: float | None = None,
 ) -> RfModel:
     """Fit theta = phi_T(Sigma_hat) s_hat for the T that filt.resolve(lam,
-    iterations) gives, as fit_spectral does, through _solve's Krylov path: k <=
-    min(T, D) products with Sigma_hat, then one k x k eigendecomposition for all
+    iterations) gives, as fit_spectral does, through _solve's Krylov path: at most
+    T passes of Lanczos, then one eigendecomposition of the projection for all
     thetas. A filter that is not iterative is rejected. model.train_mse: the
     training loss at theta, as in fit_spectral. `snapshots` asks for theta after the
     listed iteration counts, each an integer in [1, T] and filtered at its own
@@ -279,8 +298,11 @@ def _solve(moments: Moments, filt: SpectralFilter, pairs, krylov: bool) -> list:
     Sigma_hat (singular is a ValueError naming lambda). With `krylov`, an iterative
     filter checks its stability at the trace (eigvalsh only if the trace is loose),
     then filters the projected problem (H, ||s_hat|| e_1) of the Lanczos basis V,
-    each theta c @ V. Any other filter, or an iterative one without `krylov`, is
-    _filtered on Sigma_hat."""
+    each theta c @ V: from s_hat alone, or, with a kept Z and T > ceil(D /
+    SYRK_PARITY), from BLOCK rows a pass until they have multiplied BLOCK ceil(D /
+    (6 SYRK_PARITY)) rows, after which a span that has not closed starts over from
+    s_hat on Sigma_hat. Any other filter, or an iterative one without `krylov`, is _filtered
+    on Sigma_hat."""
     s = moments.s
     if isinstance(filt, Tikhonov):
         ((lam, _),) = pairs
@@ -296,7 +318,17 @@ def _solve(moments: Moments, filt: SpectralFilter, pairs, krylov: bool) -> list:
         filt.check_stable(moments.trace)
     except DivergenceError:
         filt.check_stable(float(np.linalg.eigvalsh(moments.sigma)[-1]))
-    basis, h = _lanczos(moments.product, s, min(pairs[-1][1], s.size), moments.trace)
+    T, D = pairs[-1][1], s.size
+    closed = False
+    if moments._blocks and s.any() and T > -(-D // SYRK_PARITY):
+        # T passes of one row over Z would cost more than forming Sigma_hat: BLOCK rows a pass
+        start = np.vstack([s, np.random.default_rng(0).standard_normal((BLOCK - 1, D))])
+        budget = BLOCK * -(-D // (6 * SYRK_PARITY))
+        basis, h, closed = _lanczos(moments.product, start, budget, moments.trace)
+        if not closed:  # half a syrk spent on Z: form Sigma_hat, start over
+            moments.sigma
+    if not closed:
+        basis, h, _ = _lanczos(moments.product, s[None], T, moments.trace)
     s_proj = np.zeros(len(h))
     s_proj[:1] = np.linalg.norm(s)
     return [c @ basis for c in _filtered(filt, h, s_proj, pairs)]
@@ -312,37 +344,52 @@ def _filtered(filt: SpectralFilter, op: np.ndarray, s: np.ndarray, pairs) -> lis
     return [evecs @ (filt.value(evals, lam, T) * coef) for lam, T in pairs]
 
 
-def _lanczos(product, s: np.ndarray, steps: int, bound: float):
-    """Lanczos on the symmetric Sigma that `product(v)` multiplies by, from s / ||s||,
-    with full reorthogonalisation (classical Gram-Schmidt, twice): the rows of an
-    orthonormal basis V of the Krylov space K_k(Sigma, s), and the k x k tridiagonal
-    H = V Sigma V^T. It takes k = `steps` steps, one product each, or stops after
-    fewer once the next coupling is at most eps * bound (bound >= ||Sigma||), where
-    K_k is invariant up to rounding. An s of 0 spans no basis (k = 0)."""
-    rounding = np.finfo(float).eps * bound
-    # doubled as it fills, as K usually closes far below `steps`: a basis allocated at
-    # full size raised the peak RSS of a two-worker heatmap by 1.3 MB
-    basis = np.empty((min(steps, 32), s.size))
-    diag, off = [], []
-    w, coupling = s, float(np.linalg.norm(s))
-    k = 0
-    while k < steps and coupling > (rounding if k else 0.0):
-        if k:
-            off.append(coupling)
-        if k == len(basis):
-            basis = np.concatenate([basis, np.empty((min(k, steps - k), s.size))])
-        basis[k] = w / coupling
-        w = product(basis[k])
-        done = basis[: k + 1]
+def _lanczos(product, start: np.ndarray, rows: int, bound: float):
+    """Block Lanczos on the symmetric Sigma that `product(V)` multiplies a block of rows
+    by (V Sigma), from the rows of `start`, with full reorthogonalisation (classical
+    Gram-Schmidt, twice). Each pass multiplies the block of rows the last one added;
+    each row of the product, orthogonalised against every row so far, becomes a new
+    row unless its norm is at most eps * bound (bound >= ||Sigma||; 0 for a row of
+    `start`) or the basis already spans R^D. Once it has multiplied at least `rows`
+    rows, or a pass adds no row (the span is invariant up to rounding), it returns the
+    k rows it multiplied, an orthonormal basis V, the k x k banded H = V Sigma V^T, whose
+    column j is row j's Gram-Schmidt coefficients on itself and the rows after it,
+    and whether the span closed. One row at a time this is Lanczos (Saad 1992)."""
+    dim = start.shape[1]
+    basis, size, columns = np.empty((min(dim, 32), dim)), 0, []
+
+    def extend(w, tol):
+        """Orthogonalise w in place and append it as a row if its norm exceeds tol; its
+        coefficients on the rows so far, and its norm if it was appended."""
+        nonlocal basis, size
+        done = basis[:size]
         proj = done @ w
         w -= proj @ done
         again = done @ w  # the second pass keeps V orthonormal to rounding
         w -= again @ done
-        diag.append(proj[k] + again[k])
-        coupling = float(np.linalg.norm(w))
-        k += 1
-    off = np.array(off)
-    return basis[:k], np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        coef, coupling = proj + again, float(np.linalg.norm(w))
+        if coupling > tol and size < dim:
+            if size == len(basis):  # doubled as it fills, as the span usually closes early:
+                # a basis allocated at full size raised a two-worker heatmap's peak RSS by 1.3 MB
+                basis = np.concatenate([basis, np.empty((min(size, dim - size), dim))])
+            basis[size] = w / coupling
+            size += 1
+            coef = np.append(coef, coupling)
+        return coef
+
+    for w in start:
+        extend(w.copy(), 0.0)
+    rounding, k = np.finfo(float).eps * bound, 0
+    while k < min(rows, size):
+        end = size
+        for j, w in zip(range(k, end), product(basis[k:end])):
+            columns.append(extend(w, rounding)[j:])
+        k = end
+    h = np.zeros((k, k))
+    for j, column in enumerate(columns):
+        column = column[: k - j]
+        h[j : j + len(column), j] = h[j, j : j + len(column)] = column
+    return basis[:k], h, k == size
 
 
 def predict(model: RfModel, X: np.ndarray) -> np.ndarray:
@@ -351,13 +398,12 @@ def predict(model: RfModel, X: np.ndarray) -> np.ndarray:
     floats the cosine loop works in (0.5 MB), so its product reads it from cache, and
     a prediction holds one tile and the output, never the n x D embedding.
 
-    An X with no rows or not 2-d goes to feature_matrix whole, which returns
-    an empty embedding or rejects its shape.
+    X is checked whole before its first tile (features.check_input: n x d with
+    finite entries); an X with no rows is one empty tile.
     """
-    X = np.asarray(X, dtype=float)
-    n = X.shape[0] if X.ndim == 2 else 0
+    X = check_input(model.map, X)
     rows = max(1, features.COS_CHUNK // model.map.embedding_dim)
-    tiles = [X[start : start + rows] for start in range(0, n, rows)] or [X]
+    tiles = [X[start : start + rows] for start in range(0, len(X), rows)] or [X]
     return np.concatenate([feature_matrix(model.map, tile) @ model.theta for tile in tiles])
 
 

@@ -283,12 +283,15 @@ def sample_feature_map(
 
 
 def check_input(feature_map: FeatureMap, X) -> np.ndarray:
-    """X as a float array, or a ValueError unless it is n x input_dim (or has no rows)."""
+    """X as a float array, or a ValueError unless it is n x input_dim (or has no rows)
+    with finite entries: the one check of X before it is embedded."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or (X.shape[0] > 0 and X.shape[1] != feature_map.input_dim):
         raise ValueError(
             f"expected n x {feature_map.input_dim} input, got shape {X.shape}"
         )
+    if not np.isfinite(X).all():
+        raise ValueError("input X contains NaN or inf values")
     return X
 
 

@@ -248,6 +248,31 @@ def test_fit_rejects_non_finite_csv_cell(tmp_path, capsys):
     assert not (tmp_path / "m" / "model.json").exists()
 
 
+def test_a_dataset_heatmap_whose_test_split_is_not_finite_exits_1(tmp_path, capsys, monkeypatch):
+    # ingest_csv_dataset refuses a non-finite cell, so the NaN is put into the test split
+    # after the split is standardized: predict refuses it, and the run stops with one
+    # `error:` line, not a NaN test_mse
+    real = specrf.harness.standardize_features
+
+    def with_a_nan(X_train, X_other=None):
+        X_train, X_other = real(X_train, X_other)
+        X_other[len(X_other) // 2, 0] = np.nan
+        return X_train, X_other
+
+    monkeypatch.setattr(specrf.harness, "standardize_features", with_a_nan)
+    rows = np.column_stack([np.sin(np.arange(60.0)), (0.37 * np.arange(60.0)) % 1.0])
+    data = tmp_path / "data.csv"
+    np.savetxt(data, rows, delimiter=",", fmt="%.17g")
+    plan = {"experiment": "heatmap", "repetitions": 1, "n_train": 40, "n_test": 20,
+            "m_grid": [8], "t_grid": [1, 4], "problem": {"type": "dataset", "path": str(data)}}
+    cfg = tmp_path / "plan.json"
+    cfg.write_text(json.dumps(plan))
+    code = main(["heatmap", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err == "error: input X contains NaN or inf values\n"
+    assert not (tmp_path / "out" / "results.csv").exists()
+
+
 def test_fit_on_a_csv_with_an_unclosed_quote_exits_1_naming_its_line(tmp_path, capsys):
     # csv reads the rest of the 20000-row file into one field, past csv's field size limit
     data = tmp_path / "train.csv"

@@ -90,17 +90,32 @@ def _streamed_moments(fmap, X, y):
 
 
 def _spy_on_forming_sigma(monkeypatch):
-    """Record, each time a Moments forms Sigma_hat from its kept embedding, how many
-    products it had served from Z."""
-    formed, real = [], estimator.Moments.sigma
+    """Record the width of each pass a kept embedding serves (Moments.product while Z is
+    kept), and, each time a Moments forms Sigma_hat from its kept Z, how many passes
+    had been served by then. Returns (formed, passes)."""
+    formed, passes = [], []
+    real_product, real_sigma = estimator.Moments.product, estimator.Moments.sigma
+
+    def product(moments, V):
+        if moments._blocks:
+            passes.append(len(V))
+        return real_product(moments, V)
 
     def sigma(moments):
         if moments._sigma is None:
-            formed.append(moments._served)
-        return real.fget(moments)
+            formed.append(len(passes))
+        return real_sigma.fget(moments)
 
+    monkeypatch.setattr(estimator.Moments, "product", product)
     monkeypatch.setattr(estimator.Moments, "sigma", property(sigma))
-    return formed
+    return formed, passes
+
+
+def _budget(D):
+    """The passes of BLOCK rows a kept embedding of dimension D serves a fit with T >
+    ceil(D / SYRK_PARITY) whose span does not close, before it forms Sigma_hat: BLOCK
+    ceil(D / (6 SYRK_PARITY)) rows."""
+    return -(-D // (6 * estimator.SYRK_PARITY))
 
 
 def _rows_past_the_block(D):
@@ -130,16 +145,21 @@ def test_kept_embedding_moments_are_the_streamed_ones_to_the_bit(kind, extra):
 
 @pytest.mark.parametrize("n", _rows_past_the_block(1000), ids=["inside", "edge", "past"])
 def test_a_closing_rff_fit_never_forms_sigma(n, monkeypatch):
-    # the plateau heatmap's regime: d = 1, M = 1000 closes at k = 19, under the cut-off of
-    # ceil(1000 / SYRK_PARITY) = 25 products, so a kept Z serves every product
+    # the plateau heatmap's regime: d = 1, M = 1000 closes after 3 passes of up to BLOCK
+    # rows, under the budget of BLOCK ceil(1000 / (6 SYRK_PARITY)) = 80 rows, so a kept Z
+    # serves every pass
     rng = np.random.default_rng(22)
     X = rng.standard_normal((n, 1))
     y = np.cos(X[:, 0]) + 0.3 * rng.standard_normal(n)
     fmap = sample_feature_map("gaussian_rff", 1, 1000, {}, 22)
     filt, wanted = make_filter("landweber", alpha=0.5), (1, 4, 16, 64, 256)
-    formed = _spy_on_forming_sigma(monkeypatch)
+    formed, passes = _spy_on_forming_sigma(monkeypatch)
     model = fit_iterative(fmap, X, y, filt, 256, snapshots=wanted)
     assert formed == []
+    if n <= ROW_BLOCK + 1000:
+        assert passes[:2] == [estimator.BLOCK] * 2 and 3 <= len(passes) <= _budget(1000)
+    else:
+        assert passes == []
     reference = fit_spectral(fmap, X, y, filt, iterations=256)
     assert _relative_error(model.theta, reference.theta) <= 1e-12
     # the snapshots against fit_spectral's filtering, from one eigendecomposition for all T
@@ -154,15 +174,17 @@ def test_a_closing_rff_fit_never_forms_sigma(n, monkeypatch):
 
 @pytest.mark.parametrize("n", _rows_past_the_block(160), ids=["inside", "edge", "past"])
 def test_a_tanh_fit_that_does_not_close_switches_to_sigma_at_the_cut_off(n, monkeypatch):
-    # tanh NTK with D = 160 runs 64 Lanczos steps; a kept Z serves the first ceil(160 /
-    # SYRK_PARITY) = 4 products, then Sigma_hat is formed and serves the rest. Theta, the
-    # snapshots and the training MSE match a fit whose Sigma_hat is formed before it starts
+    # tanh NTK with D = 160 and T = 64 does not close within the budget of BLOCK ceil(160 /
+    # (6 SYRK_PARITY)) rows, one pass over a kept Z; then Sigma_hat is formed and width-1
+    # Lanczos runs on it from s_hat. Theta, the snapshots and the training MSE match a fit whose
+    # Sigma_hat is formed before it starts
     fmap, X, y = _ntk("tanh", 2, 40, n, seed=23, tau=0.7)
     filt, wanted = make_filter("heavyball", alpha=0.2, beta=0.7), (1, 8, 64)
-    formed = _spy_on_forming_sigma(monkeypatch)
+    formed, passes = _spy_on_forming_sigma(monkeypatch)
     model = fit_iterative(fmap, X, y, filt, 64, snapshots=wanted)
-    cut_off = -(-160 // estimator.SYRK_PARITY)
-    assert formed == ([cut_off] if n <= ROW_BLOCK + 160 else [])
+    kept = n <= ROW_BLOCK + 160
+    assert formed == ([_budget(160)] if kept else [])
+    assert passes == [estimator.BLOCK] * _budget(160) * kept
 
     def assemble_dense(*args):
         moments = assemble_empirical_operators(*args)
@@ -175,6 +197,114 @@ def test_a_tanh_fit_that_does_not_close_switches_to_sigma_at_the_cut_off(n, monk
     for t in wanted:
         assert _relative_error(model.snapshots[t], dense.snapshots[t]) <= 1e-12
     np.testing.assert_allclose(model.train_mse, dense.train_mse, rtol=1e-12, atol=0)
+
+
+def _kept_fit_against_the_dense_filter(monkeypatch, fmap, X, y, T, wanted=()):
+    """fit_iterative on a kept Z against _filtered on the dense Sigma_hat, theta and each
+    snapshot within 1e-12 relative, and its training MSE within 1e-12. Returns what
+    _spy_on_forming_sigma recorded during the fit: (formed, passes)."""
+    filt = make_filter("landweber", alpha=0.5)
+    formed, passes = _spy_on_forming_sigma(monkeypatch)
+    model = fit_iterative(fmap, X, y, filt, T, snapshots=wanted)
+    during = list(formed), list(passes)
+    dense = assemble_empirical_operators(fmap, X, y)
+    ts = sorted(set(wanted) | {T})
+    pairs = [filt.resolve(iterations=t) for t in ts]
+    for t, theta in zip(ts, estimator._filtered(filt, dense.sigma, dense.s, pairs)):
+        got = model.theta if t == T else model.snapshots[t]
+        assert np.linalg.norm(got - theta) <= 1e-12 * np.linalg.norm(theta)
+    np.testing.assert_allclose(model.train_mse, dense.loss(model.theta), rtol=1e-12, atol=0)
+    return during
+
+
+def test_a_kept_fit_with_s_hat_zero_takes_no_pass(monkeypatch):
+    # y = 0 gives s_hat = 0 exactly: the Krylov space is {0}, theta is 0, and neither a
+    # pass over Z nor Sigma_hat is taken
+    fmap, X, _ = _toy(seed=24, n=300, M=64)
+    formed, passes = _spy_on_forming_sigma(monkeypatch)
+    model = fit_iterative(fmap, X, np.zeros(300), make_filter("landweber", alpha=0.5), 64,
+                          snapshots=(1, 64))
+    assert (formed, passes) == ([], [])
+    assert not model.theta.any() and not model.snapshots[1].any()
+    assert model.train_mse == 0.0
+
+
+def test_a_kept_fit_of_dimension_at_most_block_closes_in_one_pass(monkeypatch):
+    # Gaussian RFF with M = 8: s_hat and 7 Gaussian rows span R^8, so the first pass
+    # adds no row and the fit is exact
+    fmap = sample_feature_map("gaussian_rff", 1, 8, {}, 25)
+    rng = np.random.default_rng(25)
+    X = rng.standard_normal((200, 1))
+    y = np.cos(X[:, 0]) + 0.3 * rng.standard_normal(200)
+    assert _kept_fit_against_the_dense_filter(monkeypatch, fmap, X, y, 64, (1, 2, 4, 17)) == ([], [8])
+
+
+@pytest.mark.parametrize("n", [1, 5, estimator.BLOCK - 1])
+def test_a_kept_fit_with_fewer_rows_than_block_deflates_in_the_first_pass(n, monkeypatch):
+    # Gaussian RFF with D = 300 and n < BLOCK rows: Z has rank at most n and s_hat lies
+    # in its row space, so the first pass adds at most n - 1 rows (none for n = 1) and the
+    # second closes the span, within the budget
+    fmap = sample_feature_map("gaussian_rff", 1, 300, {}, 26)
+    rng = np.random.default_rng(26)
+    X = rng.standard_normal((n, 1))
+    y = np.cos(X[:, 0]) + 0.3 * rng.standard_normal(n)
+    formed, passes = _spy_on_forming_sigma(monkeypatch)
+    model = fit_iterative(fmap, X, y, make_filter("landweber", alpha=0.5), 64)
+    assert formed == [] and passes[0] == estimator.BLOCK and sum(passes[1:]) <= n - 1
+    assert len(passes) == 1 + (n > 1)
+    reference = fit_spectral(fmap, X, y, make_filter("landweber", alpha=0.5), iterations=64)
+    assert _relative_error(model.theta, reference.theta) <= 1e-12
+
+
+@pytest.mark.parametrize("M,T", [(1000, 1), (1000, 2), (1000, 4), (1000, 25), (1000, 26), (160, 4), (160, 5)])
+def test_a_kept_fit_takes_single_rows_while_they_cost_less_than_a_syrk(M, T, monkeypatch):
+    # T <= ceil(D / SYRK_PARITY) (25 at D = 1000, 4 at D = 160): T passes of one row over Z,
+    # exact by degree; past it, passes of BLOCK rows, which do not close within the budget
+    # here, so Sigma_hat is formed after them
+    fmap = sample_feature_map("gaussian_rff", 2, M, {}, 29)
+    rng = np.random.default_rng(29)
+    X = rng.standard_normal((1500, 2))
+    y = np.cos(X[:, 0]) + 0.3 * rng.standard_normal(1500)
+    during = _kept_fit_against_the_dense_filter(monkeypatch, fmap, X, y, T, (1, 2)[:T])
+    on_z = T <= -(-M // estimator.SYRK_PARITY)
+    assert during == (([], [1] * T) if on_z else ([_budget(M)], [estimator.BLOCK] * _budget(M)))
+
+
+def test_a_block_fit_that_does_not_close_keeps_none_of_its_passes(monkeypatch):
+    # Gaussian RFF at d = 4 with D = 600 and T = 17 > ceil(600 / SYRK_PARITY) does not close
+    # within its budget of block passes: theta and the snapshots at T = 1, 2 and 4 are then
+    # those of a fit whose Sigma_hat is formed before it starts, to the byte
+    fmap = sample_feature_map("gaussian_rff", 4, 600, {}, 27)
+    rng = np.random.default_rng(27)
+    X = rng.standard_normal((700, 4))
+    y = np.cos(X[:, 0]) + 0.3 * rng.standard_normal(700)
+    during = _kept_fit_against_the_dense_filter(monkeypatch, fmap, X, y, 17, (1, 2, 4))
+    assert during == ([_budget(600)], [estimator.BLOCK] * _budget(600))
+    filt = make_filter("landweber", alpha=0.5)
+    moments = assemble_empirical_operators(fmap, X, y)
+    moments.sigma
+    pairs = [filt.resolve(iterations=t) for t in (1, 2, 4, 17)]
+    dense = estimator._solve(moments, filt, pairs, True)
+    model = fit_iterative(fmap, X, y, filt, 17, snapshots=(1, 2, 4))
+    for t, theta in zip((1, 2, 4, 17), dense):
+        assert (model.theta if t == 17 else model.snapshots[t]).tobytes() == theta.tobytes()
+
+
+def test_a_block_fit_is_the_same_bytes_across_reruns_and_threads():
+    # the Gaussian rows come from a fixed seed, so a rerun, or a fit on a second thread
+    # while another runs, gives the same theta to the byte
+    from concurrent.futures import ThreadPoolExecutor
+
+    fmap, X, y = _toy(seed=28, n=2000, d=1, M=500)
+    filt = make_filter("landweber", alpha=0.5)
+
+    def theta(_):
+        return fit_iterative(fmap, X, y, filt, 64, snapshots=(4,)).theta
+
+    first = theta(0)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for other in [theta(0), *pool.map(theta, range(4))]:
+            assert other.tobytes() == first.tobytes()
 
 
 def test_predict_streams_over_row_tiles():
@@ -1070,6 +1200,20 @@ def test_non_finite_training_data_rejected_on_both_paths(bad):
         fit_spectral(fmap, X, y, make_filter("tikhonov"), lam=0.1)
     with pytest.raises(ValueError, match="NaN or inf"):
         fit_iterative(fmap, X, y, make_filter("landweber", alpha=0.5), 8)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("kind", ["rff", "designer", "relu", "tanh", "identity"])
+def test_non_finite_input_rejected_by_predict_and_feature_matrix(kind, bad):
+    # features.check_input is the one finiteness check of X: feature_matrix, and predict
+    # and mse before their first tile, refuse a non-finite row (before, each map embedded
+    # it to NaN, or, for a rank-1 designer map, to a finite value)
+    fmap, X, y = _map_of_kind(kind)
+    model = fit_spectral(fmap, X, y, make_filter("tikhonov"), lam=0.1)
+    X[-1, 0] = bad
+    for embed in (lambda: feature_matrix(fmap, X), lambda: predict(model, X), lambda: mse(model, X, y)):
+        with pytest.raises(ValueError, match="^input X contains NaN or inf values$"):
+            embed()
 
 
 def test_length_mismatch_rejected():

@@ -433,6 +433,20 @@ def test_heatmap_deterministic_across_workers():
     assert rows1 == rows2
 
 
+@pytest.mark.parametrize("t_grid", [[1, 2], [1, 4, 16]], ids=["single-rows", "block"])
+def test_a_heatmap_at_perfbench_tiny_scale_scores_every_cell(t_grid):
+    # perfbench's tiny heatmap, n = 200, M in {57, 283} and T up to 16: each fit keeps its
+    # Z, which at M = 283 has rank at most 200 < D. T = 16 > ceil(D / SYRK_PARITY) makes
+    # both block fits, which deflate rows in their passes and may end on an empty block;
+    # T = 2 takes single rows. Every cell is scored, the same on 1 and 2 workers
+    plan = _tiny_heatmap_plan()
+    plan.repetitions, plan.m_grid, plan.t_grid = 1, [57, 283], t_grid
+    out = run_heatmap(plan)
+    assert out["failures"] == [] and len(out["rows"]) == 2 * len(t_grid)
+    assert all(np.isfinite(row[-1]) for row in out["rows"])
+    assert run_heatmap(plan, workers=2)["rows"] == out["rows"]
+
+
 def _faulting_fit(started, delays):
     """A fit that records its map's M, sleeps delays[M] seconds and raises TypeError naming
     M: a fault, which no sweep records as a failed cell."""
