@@ -32,6 +32,7 @@ from .harness import (
     run_heatmap,
     run_plateau_check,
     run_rate_sweep,
+    write_json,
     write_outputs,
 )
 
@@ -128,9 +129,7 @@ def _cmd_plateau(args) -> int:
 def _cmd_audit_filters(args) -> int:
     kinds = ("tikhonov", "landweber", "heavyball", "spectral_cutoff")
     reports = [audit_filter(make_filter(kind)) for kind in kinds]
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "filter_audits.json").write_text(json.dumps(reports, indent=2, sort_keys=True) + "\n")
+    write_json(Path(args.out_dir) / "filter_audits.json", reports)
     for rep in reports:
         print(f"{rep['filter']}: {'PASS' if rep['pass'] else 'FAIL'}")
     return EXIT_OK if all(rep["pass"] for rep in reports) else EXIT_CHECK_FAILED
@@ -145,18 +144,9 @@ def _cmd_diagnose(args) -> int:
         n_eff = effective_dimension(problem.eigenvalues, lam)
         _, bias = compute_f_star(problem, filt, lam)
         sup = sup_norm_f_star(problem, filt, lam)
-        records.append(
-            {
-                "lambda": lam,
-                "effective_dimension": n_eff,
-                "bias": bias,
-                "sup_norm": sup["value"],
-                "sup_norm_bound": sup["bound"],
-            }
-        )
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "diagnostics.json").write_text(json.dumps(records, indent=2) + "\n")
+        records.append({"lambda": lam, "effective_dimension": n_eff, "bias": bias,
+                        "sup_norm": sup["value"], "sup_norm_bound": sup["bound"]})
+    write_json(Path(args.out_dir) / "diagnostics.json", records)
     print(f"diagnose: wrote {len(records)} records")
     return EXIT_OK
 

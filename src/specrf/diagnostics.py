@@ -166,17 +166,20 @@ def compute_f_star(
 
 
 def excess_risk_exact(problem: DesignerProblem, model: RfModel) -> dict:
-    """Exact L2 excess risk of a designer fit, split into bias and variance."""
+    """L2 excess risk of a designer fit: `total` = ||g - f||, with `bias` and `variance`.
+
+    Every designer map has the cosine basis e_j of the problem, and its features are
+    sqrt(w_j) e_j for the map's own eigenvalues w, so a fit of rank m <= J predicts
+    f = sum_j sqrt(w_j) theta_j e_j and `total` is exact for any such fit, whatever its
+    w. `bias` = ||g - S f*_lambda|| and `variance` = ||S f*_lambda - f|| refer to the
+    problem's population filter (compute_f_star) at the fit's lambda and T."""
     if model.map.kind != DESIGNER_FINITE_RANK:
         raise ValueError("excess_risk_exact needs a designer feature map")
     m = model.map.num_samples
-    mu = problem.eigenvalues
-    if m > problem.rank or not np.allclose(
-        model.map.params["eigenvalues"], mu[:m], rtol=1e-12, atol=0.0
-    ):
-        raise ValueError("model map is not a truncation of this problem's map")
+    if m > problem.rank:
+        raise ValueError(f"model map has rank {m}, above the problem's rank J = {problem.rank}")
     coeffs = np.zeros(problem.rank)
-    coeffs[:m] = np.sqrt(mu[:m]) * model.theta  # designer features are sqrt(mu_j) e_j
+    coeffs[:m] = np.sqrt(model.map.params["eigenvalues"]) * model.theta
     star, bias = compute_f_star(problem, model.filter, model.lam, model.iterations)
     total = float(np.linalg.norm(problem.g_coeffs - coeffs))
     variance = float(np.linalg.norm(star - coeffs))
@@ -196,13 +199,19 @@ def sup_norm_f_star(
     values = designer_series(coeffs, grid)
     sup = float(np.max(np.abs(values)))
     kappa = math.sqrt(problem.map.kappa_sq)
-    bound = (
-        2.0
-        * kappa ** (2.0 * problem.r + 1.0)
-        * problem.R
-        * filt.D
-        * lam ** (-max(0.5 - problem.r, 0.0))
-    )
+    try:  # a float power past the double range raises OverflowError; a product gives inf
+        bound = (
+            2.0
+            * kappa ** (2.0 * problem.r + 1.0)
+            * problem.R
+            * filt.D
+            * lam ** (-max(0.5 - problem.r, 0.0))
+        )
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise ValueError(f"the sup-norm bound overflows the float range at r = {problem.r}, "
+                         f"R = {problem.R}, kappa = {kappa}, lambda = {lam}")
     return {
         "value": sup,
         "bound": bound,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import inspect
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,18 +48,21 @@ def check_budget(nbytes: int, what: str) -> None:
 
 def whole_number(value, name: str, least: int = 1) -> int:
     """`value` as an int, or a ValueError naming `name` unless it is an integer
-    (an integral float such as 64.0 counts; a bool does not) of at least `least`."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (real and float(value).is_integer() and value >= least):
+    (an integral float such as 64.0 counts; a bool does not) of at least `least`.
+    An int is never converted to a float, which one past the float range would overflow."""
+    whole = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer())
+    if isinstance(value, bool) or not (whole and value >= least):
         raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
     return int(value)
 
 
 def real_number(value, name: str) -> float:
     """`value` as a float, or a ValueError naming `name` unless it is a finite
-    real number (an int or a float; a bool, a string, NaN or inf is not)."""
+    real number (an int or a float; a bool, a string, NaN, inf or an int past the
+    float range is not)."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (real and np.isfinite(value)):
+    if not (real and abs(value) <= sys.float_info.max):  # exact for an int of any size
         raise ValueError(f"{name} must be a real number, not {value!r}")
     return float(value)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -55,8 +56,8 @@ class SpectralFilter:
         Give lam, iterations or both; this is the one home of the lambda <-> T
         rules. An iterative filter derives a missing T = max(1, ceil(1 / (alpha_eff
         lam))) or lambda = min(1, 1 / (alpha_eff T)); every other filter takes no T
-        and gets None. lam must be a real number in (0, 1] and T an integer >= 1,
-        where an integral float such as 64.0 counts.
+        and gets None. lam must be a real number in (0, 1] and T an integer >= 1
+        within the float range, where an integral float such as 64.0 counts.
         """
         if lam is None and iterations is None:
             raise ValueError("one of lam or iterations is required")
@@ -66,6 +67,8 @@ class SpectralFilter:
             if not self.iterative:
                 raise ValueError(f"filter {self.name} is not iterative and takes no iteration count")
             iterations = whole_number(iterations, "iterations")
+            if iterations > sys.float_info.max:  # 1 / (alpha_eff T) would convert it to a float
+                raise ValueError(f"iterations = {iterations} is past the float range")
         if lam is None:
             lam = min(1.0, 1.0 / (self.alpha_eff * iterations))
         if not 0.0 < lam <= 1.0:

@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 import os
+import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
@@ -67,6 +68,8 @@ def _check_regime(n: int, r: float, b: float) -> None:
     n0 = math.ceil(math.exp((2.0 * r + b) / (2.0 * r + b - 1.0)))
     if n < n0:
         raise ValueError(f"n = {n} below the schedule threshold n0 = {n0}")
+    if n > sys.float_info.max:  # the schedules take powers of n as a float
+        raise ValueError(f"n = {n} is past the float range of the schedules")
 
 
 def lambda_schedule(n: int, r: float, b: float, C_lambda: float = 1.0) -> float:
@@ -90,7 +93,10 @@ def m_schedule(n: int, r: float, b: float, C_M: float = 4.0) -> int:
     _check_regime(n, r, b)
     if C_M <= 0:
         raise ValueError(f"C_M must be positive, not {C_M!r}")
-    return math.ceil(C_M * math.log(n) * n ** m_schedule_exponent(r, b))
+    m = C_M * math.log(n) * n ** m_schedule_exponent(r, b)
+    if not math.isfinite(m):
+        raise ValueError(f"the M schedule overflows the float range at n = {n}, C_M = {C_M!r}")
+    return math.ceil(m)
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +236,25 @@ def _check_distinct(values: list, option: str) -> None:
 def standardize_features(
     X_train: np.ndarray, X_other: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Zero-mean unit-variance scaling with training-split statistics only."""
-    mean = X_train.mean(axis=0)
-    std = X_train.std(axis=0)
-    std = np.where(std > 0, std, 1.0)
-    out = (X_train - mean) / std
-    return out, None if X_other is None else (X_other - mean) / std
+    """Zero-mean unit-variance scaling with training-split statistics only.
+
+    A ValueError names the first column whose training mean or std, or whose scaled
+    value in either split, is not finite: a cell near the float range overflows the
+    std's squares, which would scale its column to zeros, or its scaled value."""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported next, naming the column
+        mean = X_train.mean(axis=0)
+        std = X_train.std(axis=0)
+        scale = np.where(std > 0, std, 1.0)
+        out = (X_train - mean) / scale
+        other = None if X_other is None else (X_other - mean) / scale
+    for what, values in (("its mean over the training split", mean),
+                         ("its std over the training split", std),
+                         ("a scaled value in the training split", out),
+                         ("a scaled value in the test split", other)):
+        if values is not None and not np.isfinite(values).all():
+            column = np.flatnonzero(~np.isfinite(values).reshape(-1, mean.size).all(axis=0))[0]
+            raise ValueError(f"cannot standardize feature column {column}: {what} is not finite")
+    return out, other
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +310,8 @@ class ExperimentPlan:
                 raise ValueError(f"plan {key} is not read by a {self.experiment} plan; leave it out")
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
+        """The text of this plan's plan.resolved.json."""
+        return json_text(asdict(self))
 
 
 def default_heatmap_plan(n: int = 5000, repetitions: int = 20, base_seed: int = 0) -> ExperimentPlan:
@@ -614,9 +634,22 @@ def write_results_csv(path: str | Path, rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def json_text(value) -> str:
+    """The text of a run's JSON file: sorted keys, a 2-space indent and one trailing
+    newline. It is standard JSON: a NaN or inf in `value` is a ValueError."""
+    return json.dumps(value, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def write_json(path: str | Path, value) -> None:
+    """Write `json_text(value)` to `path`, making the directory if it is missing;
+    a value json_text refuses writes no file."""
+    text = json_text(value)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    Path(path).write_text(text)
+
+
 def write_outputs(out_dir: str | Path, plan: ExperimentPlan, rows, summary: dict) -> None:
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    write_json(out / "summary.json", summary)
+    write_json(out / "plan.resolved.json", asdict(plan))
     write_results_csv(out / "results.csv", rows)
-    (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2, allow_nan=False) + "\n")
-    (out / "plan.resolved.json").write_text(plan.to_json() + "\n")

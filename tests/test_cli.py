@@ -184,18 +184,8 @@ def test_an_iterative_filter_given_lambda_is_not_capped_by_the_eigensolver(tmp_p
 
 
 def test_plateau_command_exit_codes(tmp_path):
-    # n = 100 makes the anchor columns 40 and 200; small enough to run fast
-    plan = ExperimentPlan(
-        experiment="heatmap",
-        base_seed=1,
-        repetitions=10,
-        n_train=100,
-        n_test=100,
-        m_grid=[40, 200],
-        t_grid=[1, 4, 16],
-    )
     cfg = tmp_path / "plan.json"
-    cfg.write_text(plan.to_json())
+    cfg.write_text(_plateau_plan().to_json())
     code = main(["plateau", "--config", str(cfg), "--out-dir", str(tmp_path / "p")])
     assert code in (EXIT_OK, EXIT_CHECK_FAILED)
     summary = json.loads((tmp_path / "p" / "summary.json").read_text())
@@ -271,6 +261,97 @@ def test_a_dataset_heatmap_whose_test_split_is_not_finite_exits_1(tmp_path, caps
     assert code == EXIT_ERROR
     assert capsys.readouterr().err == "error: input X contains NaN or inf values\n"
     assert not (tmp_path / "out" / "results.csv").exists()
+
+
+def _run_quietly(argv):
+    """main(argv) and the warnings it gave, each recorded (under pytest a numpy warning
+    is recorded instead of printed to stderr, as the command line prints it)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("command", ["fit", "heatmap"])
+def test_a_csv_feature_that_cannot_be_standardized_exits_1_naming_its_column(tmp_path, capsys, command):
+    # 1.5e308 among features in [0, 1): in the training rows it overflows the std's squares,
+    # which scaled the column to -0.0 (a fit that ignored its feature); in the test split
+    # it scales to inf. Whichever split the heatmap puts the row in, the column is named
+    rows = np.column_stack([np.sin(np.arange(60.0)), (0.37 * np.arange(60.0)) % 1.0])
+    rows[7, 1] = 1.5e308
+    data = tmp_path / "data.csv"
+    np.savetxt(data, rows, delimiter=",", fmt="%.17g")
+    config = {
+        "fit": {**_FIT_CONFIG, "data": {"path": str(data), "options": {"standardize": True}}},
+        "heatmap": {"experiment": "heatmap", "repetitions": 1, "n_train": 40, "n_test": 20, "m_grid": [8],
+                    "t_grid": [1, 4], "problem": {"type": "dataset", "path": str(data)}},
+    }[command]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    code, caught = _run_quietly([command, "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert (code, caught) == (EXIT_ERROR, [])
+    assert err.startswith("error: cannot standardize feature column 0: ") and err.count("\n") == 1
+    if command == "fit":
+        assert err == "error: cannot standardize feature column 0: its std over the training split is not finite\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv,plan,named", [
+    (["rate-sweep", "--seed", str(10**400)], None, f"base_seed must be in [0, 2**64), not {10**400}"),
+    (["heatmap", "--seed", str(10**400)], None, f"base_seed must be in [0, 2**64), not {10**400}"),
+    (["rate-sweep"], {"n_grid": [64, 128, 256, 512, 10**400]},
+     f"n = {10**400} is past the float range of the schedules"),
+    (["rate-sweep"], {"schedule": {"C_M": 1e308}},
+     "the M schedule overflows the float range at n = 64, C_M = 1e+308"),
+    (["diagnose", "--r", "400"], None, "the sup-norm bound overflows the float range at r = 400.0, R = 1.0, "),
+    (["fit"], {"filter": {"kind": "landweber", "alpha": 0.5}, "lambda": None, "iterations": 10**400},
+     f"iterations = {10**400} is past the float range"),
+    (["heatmap"], {"t_grid": [1, 10**400]}, f"plan t_grid: iterations = {10**400} is past the float range"),
+], ids=["rate-seed", "heatmap-seed", "rate-n_grid", "rate-C_M", "diagnose-r",
+        "fit-iterations-past-float-range", "heatmap-t_grid-past-float-range"])
+def test_a_value_past_the_float_range_exits_1_naming_it(tmp_path, capsys, argv, plan, named):
+    # each was an OverflowError traceback: int(10**400) converted to a float, math.ceil(inf)
+    # and the float power kappa ** (2r + 1)
+    if plan is not None:
+        base = {"fit": _FIT_CONFIG, "heatmap": json.loads(_tiny_plan().to_json())}.get(argv[0])
+        config = {**(base or _tiny_rate_plan()), **plan}
+        cfg = tmp_path / "plan.json"
+        cfg.write_text(json.dumps({key: value for key, value in config.items() if value is not None}))
+        argv = [*argv, "--config", str(cfg)]
+    code, caught = _run_quietly([*argv, "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert (code, caught) == (EXIT_ERROR, [])
+    assert err.startswith(f"error: {named}") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def _plateau_plan():
+    # n = 100 makes the anchor columns 40 and 200; small enough to run fast
+    return ExperimentPlan(experiment="heatmap", base_seed=1, repetitions=10, n_train=100, n_test=100,
+                          m_grid=[40, 200], t_grid=[1, 4, 16])
+
+
+@pytest.mark.parametrize("argv,plan", [
+    (["heatmap"], lambda: json.loads(_tiny_plan().to_json())),
+    (["plateau"], lambda: json.loads(_plateau_plan().to_json())),
+    (["rate-sweep"], lambda: _tiny_rate_plan()),
+    (["audit-filters"], None),
+    (["diagnose", "--rank", "16", "--grid-points", "5"], None),
+], ids=["heatmap", "plateau", "rate-sweep", "audit-filters", "diagnose"])
+def test_every_json_file_a_command_writes_is_standard_sorted_json(tmp_path, argv, plan):
+    # one writer: sorted keys, a 2-space indent, one trailing newline, no NaN or Infinity
+    if plan is not None:
+        cfg = tmp_path / "plan.json"
+        cfg.write_text(json.dumps(plan()))
+        argv = [*argv, "--config", str(cfg)]
+    out = tmp_path / "out"
+    assert main([*argv, "--out-dir", str(out)]) in (EXIT_OK, EXIT_CHECK_FAILED)
+    written = sorted(out.glob("*.json"))
+    assert written
+    for path in written:
+        text = path.read_text()
+        assert text == json.dumps(_strict_json(text), sort_keys=True, indent=2) + "\n", path.name
 
 
 def test_fit_on_a_csv_with_an_unclosed_quote_exits_1_naming_its_line(tmp_path, capsys):
@@ -418,6 +499,7 @@ _DESIGNER = {"type": "designer", "J": 8, "b": 1.0, "r": 0.5}
     ("heatmap", {"n_train": "200"}, "plan n_train must be an integer >= 1, not '200'"),
     ("heatmap", {"base_seed": "x"}, "plan base_seed must be an integer >= 0, not 'x'"),
     ("rate-sweep", {"schedule": {"C_M": "4"}}, "plan schedule C_M must be a real number, not '4'"),
+    ("rate-sweep", {"schedule": {"C_M": 10**400}}, f"plan schedule C_M must be a real number, not {10**400}"),
     ("rate-sweep", {"schedule": {"r": 0.5}}, "plan schedule keys not taken by lambda_schedule or m_schedule: r"),
     ("rate-sweep", {"schedule": {"C_M": -1}}, "C_M must be positive, not -1"),
     ("rate-sweep", {"schedule": {"C_M": 0}}, "C_M must be positive, not 0"),
@@ -508,7 +590,7 @@ _DESIGNER = {"type": "designer", "J": 8, "b": 1.0, "r": 0.5}
     "heatmap-t_grid-zero", "heatmap-t_grid-fraction", "heatmap-t_grid-repeat", "heatmap-n_train-zero",
     "fit-fractional-num_samples", "heatmap-fractional-m_grid", "rate-fractional-n_grid",
     "plan-fractional-repetitions", "plan-string-n_train", "plan-string-base_seed",
-    "rate-schedule-string", "rate-schedule-r", "rate-negative-C_M", "rate-zero-C_M",
+    "rate-schedule-string", "rate-schedule-int-past-float-range", "rate-schedule-r", "rate-negative-C_M", "rate-zero-C_M",
     "rate-zero-C_lambda", "heatmap-tikhonov", "plan-string-plateau_tol",
     "plan-negative-plateau_tol",
     "fit-fractional-n", "fit-string-n", "fit-bool-n", "fit-landweber-string-alpha",
@@ -596,7 +678,7 @@ def test_seed_flag_overrides_the_plan_base_seed(tmp_path, command):
     flag, written, seed0 = (tmp_path / name for name in runs)
     resolved = (flag / "plan.resolved.json").read_text()
     assert json.loads(resolved)["base_seed"] == 3
-    assert ExperimentPlan(**json.loads(resolved)).to_json() + "\n" == resolved  # it loads as a plan
+    assert ExperimentPlan(**json.loads(resolved)).to_json() == resolved  # it loads as a plan
     for out in ("results.csv", "plan.resolved.json", "summary.json"):
         assert (flag / out).read_bytes() == (written / out).read_bytes()
     assert (flag / "results.csv").read_bytes() != (seed0 / "results.csv").read_bytes()

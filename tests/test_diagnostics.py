@@ -17,7 +17,7 @@ from specrf.diagnostics import (
     sample_dataset,
     sup_norm_f_star,
 )
-from specrf.estimator import ROW_BLOCK, fit_spectral
+from specrf.estimator import ROW_BLOCK, fit_spectral, predict
 from specrf.features import (
     MemoryBudgetError,
     designer_series,
@@ -164,18 +164,32 @@ def test_excess_risk_decomposition_triangle():
 
 
 def test_excess_risk_rejects_foreign_map():
+    # a map of another kind, or a designer map of rank above J
     p = make_designer_problem(J=8, b=1.0, r=0.5, noise_std=0.0, seed=0)
-    other = sample_feature_map(
-        "designer_finite_rank", 1, 4, {"eigenvalues": np.full(4, 0.1)}, 0
-    )
     X, y = sample_dataset(p, 50, 0)
-    model = fit_spectral(other, X, y, make_filter("tikhonov"), lam=0.1)
-    with pytest.raises(ValueError, match="truncation"):
-        excess_risk_exact(p, model)
     rff = sample_feature_map("gaussian_rff", 1, 4, {}, 0)
     model = fit_spectral(rff, X, y, make_filter("tikhonov"), lam=0.1)
     with pytest.raises(ValueError, match="designer"):
         excess_risk_exact(p, model)
+    wide = sample_feature_map("designer_finite_rank", 1, 9, {}, 0)
+    model = fit_spectral(wide, X, y, make_filter("tikhonov"), lam=0.1)
+    with pytest.raises(ValueError, match="model map has rank 9, above the problem's rank J = 8"):
+        excess_risk_exact(p, model)
+
+
+def test_excess_risk_is_exact_for_a_designer_map_of_other_eigenvalues():
+    # weights 0.1 are not the problem's 1/j: the squared total matches the mean squared
+    # gap between the fit and the noiseless target on a 4096-point midpoint grid, which
+    # integrates a cosine series of these degrees exactly
+    p = make_designer_problem(J=8, b=1.0, r=0.5, noise_std=0.0, seed=0)
+    other = sample_feature_map("designer_finite_rank", 1, 4, {"eigenvalues": np.full(4, 0.1)}, 0)
+    X, y = sample_dataset(p, 50, 0)
+    model = fit_spectral(other, X, y, make_filter("tikhonov"), lam=0.1)
+    grid = (np.arange(4096) + 0.5) / 4096
+    gap = predict(model, grid[:, None]) - designer_series(p.g_coeffs, grid)
+    total = excess_risk_exact(p, model)["total"]
+    assert total > 0.01
+    assert total**2 == pytest.approx(np.mean(gap**2), rel=1e-12, abs=1e-15)
 
 
 def test_truncated_map_is_prefix():

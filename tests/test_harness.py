@@ -33,6 +33,7 @@ from specrf.harness import (
     splitmix64,
     standardize_features,
     trial_seed,
+    write_json,
     write_outputs,
     write_results_csv,
 )
@@ -100,6 +101,16 @@ def test_schedule_preconditions():
             lambda_schedule(100, 0.5, 1.0, C_lambda=C)
         with pytest.raises(ValueError, match=f"^C_M must be positive, not {C!r}$"):
             m_schedule(100, 0.5, 1.0, C_M=C)
+
+
+def test_schedules_refuse_an_overflow_naming_the_value():
+    with pytest.raises(ValueError, match=f"^n = {10**400} is past the float range of the schedules$"):
+        lambda_schedule(10**400, 0.5, 1.0)
+    with pytest.raises(ValueError, match="^n = 1(0)+ is past the float range"):
+        m_schedule(10**400, 0.5, 1.0)
+    with pytest.raises(ValueError, match=r"^the M schedule overflows the float range at n = 64, C_M = 1e\+308$"):
+        m_schedule(64, 0.5, 1.0, C_M=1e308)
+    assert m_schedule(10**300, 0.5, 1.0) > 10**150  # an int inside the float range is taken as before
 
 
 def test_ingest_basic_and_label_column(tmp_path):
@@ -302,6 +313,29 @@ def test_standardize_uses_training_statistics_only():
     out_tr, out_te = standardize_features(X_tr, X_te)
     np.testing.assert_allclose(out_tr.mean(axis=0), 0.0, atol=1e-15)
     np.testing.assert_allclose(out_te, [[3.0]])  # (4 - 1) / 1
+
+
+@pytest.mark.parametrize("train,test,named", [
+    ([[0.5, 1e308], [0.25, 1e308]], None, "column 1: its mean over the training split"),
+    ([[0.5, 0.0], [0.25, 1.5e308]], None, "column 1: its std over the training split"),
+    ([[0.5, 0.0], [0.25, 1.0]], [[0.0, 1.7e308]], "column 1: a scaled value in the test split"),
+], ids=["mean", "std", "test-value"])
+def test_standardize_refuses_a_column_it_cannot_scale(train, test, named):
+    # a cell near the float range overflows the std's squares (which scaled the column
+    # to -0.0) or the scaled value: one ValueError naming the column, no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^cannot standardize feature {named} is not finite$"):
+            standardize_features(np.array(train), None if test is None else np.array(test))
+
+
+def test_write_json_refuses_a_nan_and_writes_no_file(tmp_path):
+    path = tmp_path / "new" / "out.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_json(path, {"b": [1.0, math.nan]})
+    assert not path.exists()
+    write_json(path, {"b": [1.0, None], "a": 2})  # the directory is made
+    assert path.read_text() == '{\n  "a": 2,\n  "b": [\n    1.0,\n    null\n  ]\n}\n'
 
 
 def test_results_csv_formatting(tmp_path):
