@@ -34,7 +34,6 @@ from .estimator import (
 from .diagnostics import (
     DesignerKernel,
     DesignerProblem,
-    MonteCarloKernel,
     compute_f_star,
     effective_dimension,
     excess_risk_exact,

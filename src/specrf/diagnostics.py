@@ -1,12 +1,12 @@
-"""Exact reference quantities: designer problems and reference kernels.
+"""Exact reference quantities: designer problems and the designer kernel.
 
 A designer problem fixes a finite-rank kernel with known eigenpairs and a
 target on the range of a power of its integral operator, so bias,
 variance, excess risk and effective dimension are exact finite sums in
-coefficient space -- no quadrature anywhere. The reference kernels give
-dense gram matrices and the dual-form ridge solve
-alpha = (K + lambda*n*I)^{-1} y that the random-feature fits are checked
-against.
+coefficient space -- no quadrature anywhere. DesignerKernel gives that
+kernel's dense gram matrix, and krr_gram_fit the dual-form ridge solve
+alpha = (K + lambda*n*I)^{-1} y of any kernel with a gram, that the
+random-feature fits are checked against.
 """
 from __future__ import annotations
 
@@ -221,16 +221,18 @@ def sup_norm_f_star(
     }
 
 
-class MonteCarloKernel:
-    """The kernel K_M = <z(x), z(y)> of a feature map; with a high sample
-    count it serves as a sampled reference kernel."""
+class DesignerKernel:
+    """Finite-rank kernel sum_j mu_j e_j(x) e_j(y) on X = [0,1]: the Gram of the
+    designer map with these eigenvalues, exact because the map has finite rank.
+    The eigenvalues follow the map's rule: finite, positive, non-increasing."""
 
-    def __init__(self, feature_map: FeatureMap):
-        self.feature_map = feature_map
+    def __init__(self, eigenvalues: np.ndarray):
+        rank, params = np.size(eigenvalues), {"eigenvalues": eigenvalues}
+        self.feature_map = sample_feature_map(DESIGNER_FINITE_RANK, 1, rank, params, 0)
 
     def gram(self, X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
-        """K(X, Y) over the rows of X and Y; K(X, X), with X embedded once, when
-        Y is None. Each side must be n x input_dim (features.check_input) with
+        """K(X, Y) = <z(x), z(y)> over the rows of X and Y; K(X, X), with X embedded
+        once, when Y is None. Each side must be n x 1 (features.check_input) with
         n <= GRAM_N_CAP."""
         sides = [check_input(self.feature_map, A) for A in ((X,) if Y is None else (X, Y))]
         rows = max(A.shape[0] for A in sides)
@@ -238,16 +240,6 @@ class MonteCarloKernel:
             raise MemoryBudgetError(f"gram capped at n <= {GRAM_N_CAP}, got n = {rows}")
         Z = [feature_matrix(self.feature_map, A) for A in sides]
         return Z[0] @ Z[-1].T
-
-
-class DesignerKernel(MonteCarloKernel):
-    """Finite-rank kernel sum_j mu_j e_j(x) e_j(y) on X = [0,1]: the Gram of the
-    designer map with these eigenvalues, exact because the map has finite rank.
-    The eigenvalues follow the map's rule: finite, positive, non-increasing."""
-
-    def __init__(self, eigenvalues: np.ndarray):
-        params = {"eigenvalues": eigenvalues}
-        super().__init__(sample_feature_map(DESIGNER_FINITE_RANK, 1, np.size(eigenvalues), params, 0))
 
 
 def krr_gram_fit(kernel, X: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:

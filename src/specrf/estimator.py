@@ -37,10 +37,12 @@ eigendecomposition, where one of Sigma_hat costs O(D^3). A kept Z is read only b
 passes (V Z^T) Z, 4 n D flops a row and no n D^2 syrk: a fit takes its T passes of
 one row while they cost less than forming Sigma_hat, T <= ceil(D / SYRK_PARITY).
 Past that, block Lanczos (Golub & Underwood 1977) multiplies up to BLOCK rows a
-pass, from s_hat and BLOCK - 1 fixed-seed Gaussian rows, as a pass of 16 rows costs
-about 3.4 of one row on a memory-bound Z; a span that closes is invariant and holds
-s_hat, so theta_T is exact on it for every T (the plateau heatmap's M = 1414 fit
-closes after 3 passes, 34 rows, against 18-19 single products). Ski rental: a span
+pass, as a pass of 16 rows costs about 3.4 of one row on a memory-bound Z. It starts
+from s_hat and BLOCK - 1 evenly spaced rows of Z, which lie in the range of
+Sigma_hat, less any of those rows within sqrt(eps) of the span of the rows before
+it; a span that closes is invariant and holds s_hat, so theta_T is exact on it for
+every T (the plateau heatmap's M = 1414 fits close after two passes, of 13 to 15
+rows and then 10 to 12, against 18-19 single products). Ski rental: a span
 that has not closed once its passes have multiplied BLOCK ceil(D / (6 SYRK_PARITY))
 rows (about half a syrk) forms Sigma_hat and starts width-1 Lanczos over on it from
 s_hat, so a fit that does not close pays about half a syrk more than forming
@@ -299,10 +301,12 @@ def _solve(moments: Moments, filt: SpectralFilter, pairs, krylov: bool) -> list:
     filter checks its stability at the trace (eigvalsh only if the trace is loose),
     then filters the projected problem (H, ||s_hat|| e_1) of the Lanczos basis V,
     each theta c @ V: from s_hat alone, or, with a kept Z and T > ceil(D /
-    SYRK_PARITY), from BLOCK rows a pass until they have multiplied BLOCK ceil(D /
-    (6 SYRK_PARITY)) rows, after which a span that has not closed starts over from
-    s_hat on Sigma_hat. Any other filter, or an iterative one without `krylov`, is _filtered
-    on Sigma_hat."""
+    SYRK_PARITY), from s_hat and the BLOCK - 1 rows of Z at i n // (BLOCK - 1), BLOCK
+    rows a pass until they have multiplied BLOCK ceil(D / (6 SYRK_PARITY)) rows, after
+    which a span that has not closed starts over from s_hat on Sigma_hat. Rows of Z
+    lie in the range of Sigma_hat, where a fixed-seed Gaussian block also probed its
+    null space: plateau fits at M = 1414 closed after 26 or 27 rows against 33 to 35.
+    Any other filter, or an iterative one without `krylov`, is _filtered on Sigma_hat."""
     s = moments.s
     if isinstance(filt, Tikhonov):
         ((lam, _),) = pairs
@@ -322,7 +326,9 @@ def _solve(moments: Moments, filt: SpectralFilter, pairs, krylov: bool) -> list:
     closed = False
     if moments._blocks and s.any() and T > -(-D // SYRK_PARITY):
         # T passes of one row over Z would cost more than forming Sigma_hat: BLOCK rows a pass
-        start = np.vstack([s, np.random.default_rng(0).standard_normal((BLOCK - 1, D))])
+        n = moments.fingerprint["n"]
+        rows = ((i * n) // (BLOCK - 1) for i in range(BLOCK - 1))
+        start = np.vstack([s, *(moments._blocks[r // ROW_BLOCK][r % ROW_BLOCK] for r in rows)])
         budget = BLOCK * -(-D // (6 * SYRK_PARITY))
         basis, h, closed = _lanczos(moments.product, start, budget, moments.trace)
         if not closed:  # half a syrk spent on Z: form Sigma_hat, start over
@@ -349,8 +355,14 @@ def _lanczos(product, start: np.ndarray, rows: int, bound: float):
     by (V Sigma), from the rows of `start`, with full reorthogonalisation (classical
     Gram-Schmidt, twice). Each pass multiplies the block of rows the last one added;
     each row of the product, orthogonalised against every row so far, becomes a new
-    row unless its norm is at most eps * bound (bound >= ||Sigma||; 0 for a row of
-    `start`) or the basis already spans R^D. Once it has multiplied at least `rows`
+    row unless its norm is at most eps * bound (bound >= ||Sigma||) or the basis
+    already spans R^D. The first row of `start` is kept unless it is 0; any other is
+    dropped if what is left of it is at most sqrt(eps) of its norm, as normalising
+    such a remainder would amplify its rounding past what the second Gram-Schmidt
+    pass removes (kept, they took a start of 32 or 48 rows of a d = 1 Gaussian RFF Z,
+    whose span closes at 24 rows, to a basis 1.0 from orthogonal that never closed).
+    Dropping a start row costs no exactness: the span still holds the first row, and
+    is still checked for closure. Once it has multiplied at least `rows`
     rows, or a pass adds no row (the span is invariant up to rounding), it returns the
     k rows it multiplied, an orthonormal basis V, the k x k banded H = V Sigma V^T, whose
     column j is row j's Gram-Schmidt coefficients on itself and the rows after it,
@@ -377,8 +389,9 @@ def _lanczos(product, start: np.ndarray, rows: int, bound: float):
             coef = np.append(coef, coupling)
         return coef
 
-    for w in start:
-        extend(w.copy(), 0.0)
+    extend(start[0].copy(), 0.0)
+    for w in start[1:]:
+        extend(w.copy(), np.sqrt(np.finfo(float).eps) * float(np.linalg.norm(w)))
     rounding, k = np.finfo(float).eps * bound, 0
     while k < min(rows, size):
         end = size

@@ -418,18 +418,28 @@ def _rff_cosines(feature_map: FeatureMap, X: np.ndarray, scale: float) -> np.nda
     np.cos would read; and a double's tan stays below about 2^61 in magnitude, so
     t^2 never overflows. Against a long double cosine of the same double argument
     the error was at most 1.21 eps * scale over 10^7 entries with |theta| up to
-    1.5e10 (np.cos: 0.60). The output is the only n x M allocation: tangents,
-    squares and quotients are taken in place, COS_CHUNK floats at a time, next to
-    one buffer of at most COS_CHUNK squares, so both stay in cache, and an entry's
-    value does not depend on the chunk it falls in.
+    1.5e10 (np.cos: 0.60); the tiling below changes no step of that arithmetic.
+
+    The output is the only n x M allocation. It is written a tile of max(1,
+    COS_CHUNK // M) rows at a time: np.dot writes the tile's half-arguments into it,
+    and its tangents, squares and quotients are taken in place next to one buffer
+    of at most a tile of squares, so both stay in cache. np.dot, not @: for a
+    one-column X, @ reads (W / 2)^T as a strided 1 x M matrix and runs numpy's own
+    loop, 95 us for a 46 x 1414 tile's product against 33 us through BLAS, of
+    about 290 us for the whole tile (one BLAS thread, 2-vCPU Xeon). A product with
+    one term is one rounding either way, so at d = 1 every entry has the bits of the
+    untiled X @ (W / 2)^T + b / 2, whatever tile it falls in.
     """
-    out = X @ (0.5 * feature_map.frequencies).T
-    out += 0.5 * feature_map.phases
-    flat = out.reshape(-1)
-    squares = np.empty(min(flat.size, COS_CHUNK))
-    for start in range(0, flat.size, COS_CHUNK):
-        t = flat[start : start + COS_CHUNK]
-        sq = squares[: t.size]
+    W, b = 0.5 * feature_map.frequencies, 0.5 * feature_map.phases
+    n, M = X.shape[0], W.shape[0]
+    out = np.empty((n, M))
+    rows = max(1, COS_CHUNK // M)
+    squares = np.empty((min(n, rows), M))
+    for start in range(0, n, rows):
+        t = out[start : start + rows]
+        np.dot(X[start : start + rows], W.T, out=t)
+        t += b
+        sq = squares[: len(t)]
         np.tan(t, out=t)
         np.multiply(t, t, out=sq)
         np.subtract(1.0, sq, out=t)

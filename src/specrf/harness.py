@@ -420,6 +420,14 @@ def _heatmap_problem(plan: ExperimentPlan):
 # Runners
 
 
+def _check_results_budget(plan: ExperimentPlan, rows_per_rep: int) -> None:
+    """check_budget on the results table of `repetitions` reps of `rows_per_rep` rows,
+    before any trial runs: _run_cells submits every key to its pool up front."""
+    rows = rows_per_rep * plan.repetitions
+    check_budget(rows * len(RESULTS_HEADER) * 8,
+                 f"a results table of {rows} rows (plan repetitions = {plan.repetitions})")
+
+
 def _run_cells(trial, keys, workers: int) -> tuple[list, list, dict]:
     """Run trial(*key) over `keys`, on a pool of `workers` threads. Each trial returns
     (row, error) pairs: a results.csv row and None, or the row its failed cell would
@@ -471,6 +479,7 @@ def _heatmap_grid(plan: ExperimentPlan, workers: int, draw, input_dim: int) -> d
         dim = first.component_count * m
         check_budget(m * input_dim * 8, "frequency matrix")
         check_budget(dim * dim * 8, f"covariance of dimension {dim}")
+    _check_results_budget(plan, len(plan.m_grid) * len(t_grid))
 
     def trial(mi: int, rep: int):
         m = plan.m_grid[mi]
@@ -575,6 +584,7 @@ def run_rate_sweep(plan: ExperimentPlan, workers: int = 1) -> dict:
         raise ValueError("plan.experiment must be rate_sweep")
     if len(plan.n_grid) < 5:
         raise ValueError("rate sweep needs an n-grid with at least 5 points")
+    _check_results_budget(plan, len(plan.n_grid))
     sched = plan.schedule
     problem = _problem_from_plan(plan)
     r, b = problem.r, problem.b  # the problem's source condition and capacity set both schedules

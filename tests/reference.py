@@ -3,13 +3,13 @@
 The Gaussian kernel that gaussian_rff maps sample, their embedding through
 np.cos that feature_matrix's half-angle tangent replaced, the designer map's
 cosine basis through np.cos that the angle-addition tables of the designer
-moments and series are checked against, a PSD check for gram
-matrices, the empirical N_M(lambda) / N_inf(lambda) effective-dimension
-ratio of Rudi & Rosasco 2017, the record-by-record CSV parser that
+moments and series are checked against, the kernel <z(x), z(y)> of a feature
+map, a PSD check for gram matrices, the empirical N_M(lambda) / N_inf(lambda)
+effective-dimension ratio of Rudi & Rosasco 2017, the record-by-record CSV parser that
 ingest_csv_dataset must agree with, the (momentum) gradient loop in R^D
 that fit_iterative runs in a Krylov basis, and the tracemalloc peak of a call.
-GaussianKernel has the gram(X, Y=None) that specrf.krr_gram_fit and
-specrf.krr_predict take.
+GaussianKernel and MonteCarloKernel have the gram(X, Y=None) that
+specrf.krr_gram_fit and specrf.krr_predict take.
 """
 from __future__ import annotations
 
@@ -54,6 +54,19 @@ class GaussianKernel:
         if X.ndim != 2 or X.shape[1] != self.input_dim:
             raise ValueError(f"expected n x {self.input_dim} matrix, got {X.shape}")
         return X
+
+
+class MonteCarloKernel:
+    """The kernel K_M(x, y) = <z(x), z(y)> of a feature map; with a high sample
+    count it serves as a sampled reference kernel."""
+
+    def __init__(self, feature_map):
+        self.feature_map = feature_map
+
+    def gram(self, X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
+        """K(X, Y) over the rows of X and Y; K(X, X), with X embedded once, when Y is None."""
+        Z = [feature_matrix(self.feature_map, A) for A in ((X,) if Y is None else (X, Y))]
+        return Z[0] @ Z[-1].T
 
 
 def rff_embedding_cos(feature_map, X: np.ndarray) -> np.ndarray:

@@ -10,10 +10,9 @@ import time
 import numpy as np
 import pytest
 
-from reference import GaussianKernel
+from reference import GaussianKernel, MonteCarloKernel
 from specrf.cli import EXIT_OK, main
 from specrf.diagnostics import (
-    MonteCarloKernel,
     compute_f_star,
     effective_dimension,
     krr_gram_fit,

@@ -709,6 +709,26 @@ def test_a_base_seed_of_2_to_the_64_exits_1_before_any_trial(tmp_path, capsys, m
     assert fits == [] and not (tmp_path / "past").exists()
 
 
+@pytest.mark.parametrize("command", ["heatmap", "rate-sweep"])
+def test_a_huge_repetitions_exits_1_before_any_trial(tmp_path, capsys, monkeypatch, command):
+    # 10^10 repetitions ask for a results table of 4 x 10^10 (heatmap: 2 M x 2 T) or 5 x 10^10
+    # (rate sweep: 5 n) rows of 7 floats, past the memory budget: refused by check_budget
+    # before a key is made or a trial fits, where itertools.product was a MemoryError
+    plan = json.loads(_tiny_plan().to_json()) if command == "heatmap" else _tiny_rate_plan()
+    fits = []
+    for home, name in ((specrf.harness, "fit_iterative"), (specrf.estimator, "fit_iterative"),
+                       (specrf.estimator, "fit_spectral")):
+        monkeypatch.setattr(home, name, lambda *args, **kwargs: fits.append(args))
+    cfg = tmp_path / "plan.json"
+    cfg.write_text(json.dumps({**plan, "repetitions": 10**10}))
+    assert main([command, "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == EXIT_ERROR
+    rows = 10**10 * (4 if command == "heatmap" else 5)
+    budget = specrf.features.DEFAULT_MEMORY_BUDGET
+    assert capsys.readouterr().err == (f"error: a results table of {rows} rows (plan repetitions = "
+                                       f"{10**10}) needs {rows * 56} bytes, budget is {budget}\n")
+    assert fits == [] and not (tmp_path / "out").exists()
+
+
 def test_audit_filters_rejects_flags_it_does_not_read(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["audit-filters", "--config", "x", "--out-dir", str(tmp_path / "audits")])

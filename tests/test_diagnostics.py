@@ -7,7 +7,6 @@ from reference import GaussianKernel, designer_basis, traced_peak
 from specrf import features
 from specrf.diagnostics import (
     DesignerKernel,
-    MonteCarloKernel,
     compute_f_star,
     effective_dimension,
     excess_risk_exact,
@@ -21,7 +20,6 @@ from specrf.estimator import ROW_BLOCK, fit_spectral, predict
 from specrf.features import (
     MemoryBudgetError,
     designer_series,
-    feature_matrix,
     sample_feature_map,
 )
 from specrf.filters import DivergenceError, make_filter
@@ -255,30 +253,6 @@ def test_designer_kernel_matches_eigen_expansion():
     # the designer map's eigenvalue rule
     with pytest.raises(ValueError, match="non-increasing"):
         DesignerKernel(np.array([0.5, 1.0]))
-
-
-def test_monte_carlo_kernel_error_shrinks_with_samples():
-    rng = np.random.default_rng(3)
-    X = rng.standard_normal((30, 2))
-    ref = GaussianKernel(2, 1.0).gram(X)
-
-    def med_err(M, seed):
-        km = MonteCarloKernel(sample_feature_map("gaussian_rff", 2, M, {"bandwidth": 1.0}, seed))
-        return np.median(np.abs(km.gram(X) - ref))
-
-    small = np.median([med_err(128, s) for s in range(20)])
-    large = np.median([med_err(2048, s) for s in range(20)])
-    # quadrupling twice should shrink the error by roughly 4x
-    assert 2.5 < small / large < 6.5
-
-
-def test_feature_map_kernel_is_embedding_inner_product():
-    f = sample_feature_map("gaussian_rff", 2, 32, {}, 1)
-    k = MonteCarloKernel(f)
-    rng = np.random.default_rng(1)
-    X = rng.standard_normal((10, 2))
-    Z = feature_matrix(f, X)
-    np.testing.assert_allclose(k.gram(X), Z @ Z.T, atol=1e-13)
 
 
 def test_krr_fit_matches_direct_solve():

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from reference import designer_basis, iterate_in_parameter_space, traced_peak
+from reference import MonteCarloKernel, designer_basis, iterate_in_parameter_space, traced_peak
 
 import specrf
 from specrf import estimator, features, filters
-from specrf.diagnostics import MonteCarloKernel, krr_gram_fit, krr_predict, make_designer_problem
+from specrf.diagnostics import krr_gram_fit, krr_predict, make_designer_problem
 from specrf.estimator import (
     FACTOR_BLOCK,
     ROW_BLOCK,
@@ -143,21 +143,31 @@ def test_kept_embedding_moments_are_the_streamed_ones_to_the_bit(kind, extra):
     assert moments.trace == pytest.approx(np.trace(moments.sigma), rel=1e-13)
 
 
-@pytest.mark.parametrize("n", _rows_past_the_block(1000), ids=["inside", "edge", "past"])
-def test_a_closing_rff_fit_never_forms_sigma(n, monkeypatch):
-    # the plateau heatmap's regime: d = 1, M = 1000 closes after 3 passes of up to BLOCK
-    # rows, under the budget of BLOCK ceil(1000 / (6 SYRK_PARITY)) = 80 rows, so a kept Z
-    # serves every pass
+def _closing_problem(n):
+    """n rows of a d = 1 Gaussian RFF problem at M = 1000, the plateau heatmap's regime."""
     rng = np.random.default_rng(22)
     X = rng.standard_normal((n, 1))
     y = np.cos(X[:, 0]) + 0.3 * rng.standard_normal(n)
-    fmap = sample_feature_map("gaussian_rff", 1, 1000, {}, 22)
+    return sample_feature_map("gaussian_rff", 1, 1000, {}, 22), X, y
+
+
+@pytest.mark.parametrize("n", _rows_past_the_block(1000), ids=["inside", "edge", "past"])
+def test_a_closing_rff_fit_never_forms_sigma(n, monkeypatch):
+    # the plateau heatmap's regime: d = 1, M = 1000, T = 256 > ceil(1000 / SYRK_PARITY). The
+    # start block is s_hat and BLOCK - 1 = 15 evenly spaced rows of Z; 3 of those rows lie within
+    # sqrt(eps) of the span of the rows before them (relative Gram-Schmidt residuals 2.6e-9,
+    # 5.3e-10 and 4.2e-12 at n = 4596; 3.4e-9, 1.4e-11 and 6.7e-13 at n = 5096; the smallest
+    # kept one is 1.6e-7) and are dropped, so the first pass multiplies 13 rows. Its products
+    # add 11 rows above eps * trace (k = 24), and the second pass, of those 11, adds none: the
+    # span closes after passes of [13, 11] rows, under the budget of BLOCK ceil(1000 / (6
+    # SYRK_PARITY)) = 80 rows, so a kept Z serves every pass
+    fmap, X, y = _closing_problem(n)
     filt, wanted = make_filter("landweber", alpha=0.5), (1, 4, 16, 64, 256)
     formed, passes = _spy_on_forming_sigma(monkeypatch)
     model = fit_iterative(fmap, X, y, filt, 256, snapshots=wanted)
     assert formed == []
     if n <= ROW_BLOCK + 1000:
-        assert passes[:2] == [estimator.BLOCK] * 2 and 3 <= len(passes) <= _budget(1000)
+        assert passes == [13, 11]
     else:
         assert passes == []
     reference = fit_spectral(fmap, X, y, filt, iterations=256)
@@ -230,8 +240,8 @@ def test_a_kept_fit_with_s_hat_zero_takes_no_pass(monkeypatch):
 
 
 def test_a_kept_fit_of_dimension_at_most_block_closes_in_one_pass(monkeypatch):
-    # Gaussian RFF with M = 8: s_hat and 7 Gaussian rows span R^8, so the first pass
-    # adds no row and the fit is exact
+    # Gaussian RFF with M = 8: s_hat and 7 of the 15 rows picked from Z span R^8, so the
+    # first pass adds no row and the fit is exact
     fmap = sample_feature_map("gaussian_rff", 1, 8, {}, 25)
     rng = np.random.default_rng(25)
     X = rng.standard_normal((200, 1))
@@ -241,19 +251,85 @@ def test_a_kept_fit_of_dimension_at_most_block_closes_in_one_pass(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 5, estimator.BLOCK - 1])
 def test_a_kept_fit_with_fewer_rows_than_block_deflates_in_the_first_pass(n, monkeypatch):
-    # Gaussian RFF with D = 300 and n < BLOCK rows: Z has rank at most n and s_hat lies
-    # in its row space, so the first pass adds at most n - 1 rows (none for n = 1) and the
-    # second closes the span, within the budget
+    # Gaussian RFF with D = 300 and n < BLOCK rows: Z has rank n, s_hat lies in its row space,
+    # and the BLOCK - 1 evenly spaced rows picked from Z are every row, each picked
+    # 15 // n times or more. For n = 1 and 5 the start keeps s_hat and n - 1 rows (a row
+    # picked again, and the last new row, have relative residuals below 5e-16 against the
+    # sqrt(eps) cut), so the first pass multiplies n rows, adds none and closes: [n]. For
+    # n = 15 two or three rows fall under the cut (residuals 1.8e-11, 4.1e-9 and 1.4e-8,
+    # the last within 7% of sqrt(eps) = 1.49e-8, so the split depends on rounding): the
+    # first pass adds the directions they held and the second closes the n-dimensional span
     fmap = sample_feature_map("gaussian_rff", 1, 300, {}, 26)
     rng = np.random.default_rng(26)
     X = rng.standard_normal((n, 1))
     y = np.cos(X[:, 0]) + 0.3 * rng.standard_normal(n)
     formed, passes = _spy_on_forming_sigma(monkeypatch)
     model = fit_iterative(fmap, X, y, make_filter("landweber", alpha=0.5), 64)
-    assert formed == [] and passes[0] == estimator.BLOCK and sum(passes[1:]) <= n - 1
-    assert len(passes) == 1 + (n > 1)
+    assert formed == [] and sum(passes) == n
+    if n < estimator.BLOCK - 1:
+        assert passes == [n]
+    else:
+        assert passes in ([13, 2], [14, 1])
     reference = fit_spectral(fmap, X, y, make_filter("landweber", alpha=0.5), iterations=64)
     assert _relative_error(model.theta, reference.theta) <= 1e-12
+
+
+def _spy_on_lanczos_bases(monkeypatch):
+    """Record the basis V of each _lanczos call."""
+    bases, real = [], estimator._lanczos
+
+    def spy(*args):
+        out = real(*args)
+        bases.append(out[0])
+        return out
+
+    monkeypatch.setattr(estimator, "_lanczos", spy)
+    return bases
+
+
+@pytest.mark.parametrize("block", [32, 48])
+@pytest.mark.parametrize("n", _rows_past_the_block(1000)[:2], ids=["inside", "edge"])
+def test_a_start_block_wider_than_the_rank_of_z_drops_its_dependent_rows(n, block, monkeypatch):
+    # s_hat and 31 or 47 rows of Z, more than the 24 rows its span closes at with BLOCK = 16:
+    # kept, the rows within sqrt(eps) of the span before them are normalised rounding, and the
+    # basis ended 1.0 from orthogonal without closing. Dropped, the one block fit closes on Z
+    # (no restart on Sigma_hat) with an orthonormal basis and theta at fit_spectral's
+    monkeypatch.setattr(estimator, "BLOCK", block)
+    fmap, X, y = _closing_problem(n)
+    filt = make_filter("landweber", alpha=0.5)
+    formed, _ = _spy_on_forming_sigma(monkeypatch)
+    bases = _spy_on_lanczos_bases(monkeypatch)
+    model = fit_iterative(fmap, X, y, filt, 256)
+    (basis,) = bases
+    assert formed == [] and len(basis) < block
+    assert np.abs(basis @ basis.T - np.eye(len(basis))).max() <= 1e-14
+    reference = fit_spectral(fmap, X, y, filt, iterations=256)
+    assert _relative_error(model.theta, reference.theta) <= 1e-12
+
+
+@pytest.mark.parametrize("layout", ["three-points", "duplicated-rows"])
+def test_a_kept_fit_on_a_rank_deficient_z_is_exact(layout, monkeypatch):
+    # 3000 rows of Z, kept (n <= ROW_BLOCK + D), from 3 distinct x (rank 3), or from 100 x
+    # repeated 30 times, so that every one of the evenly spaced start rows (every 200th)
+    # is the same row of Z: the start block drops its dependent rows, and the fit on the
+    # kept Z matches fit_spectral on the dense Sigma_hat
+    rng = np.random.default_rng(30)
+    fmap = sample_feature_map("gaussian_rff", 1, 1000, {}, 30)
+    if layout == "three-points":
+        X = rng.choice(rng.standard_normal(3), size=(3000, 1))
+    else:
+        X = np.tile(rng.standard_normal((100, 1)), (30, 1))
+    y = np.cos(X[:, 0]) + 0.3 * rng.standard_normal(3000)
+    filt = make_filter("landweber", alpha=0.5)
+    formed, passes = _spy_on_forming_sigma(monkeypatch)
+    model = fit_iterative(fmap, X, y, filt, 256, snapshots=(1, 16))
+    assert formed == [] and passes
+    reference = fit_spectral(fmap, X, y, filt, iterations=256)
+    assert _relative_error(model.theta, reference.theta) <= 1e-12
+    dense = assemble_empirical_operators(fmap, X, y)
+    pairs = [filt.resolve(iterations=t) for t in (1, 16)]
+    for t, theta in zip((1, 16), estimator._filtered(filt, dense.sigma, dense.s, pairs)):
+        assert _relative_error(model.snapshots[t], theta) <= 1e-12
 
 
 @pytest.mark.parametrize("M,T", [(1000, 1), (1000, 2), (1000, 4), (1000, 25), (1000, 26), (160, 4), (160, 5)])
@@ -291,7 +367,7 @@ def test_a_block_fit_that_does_not_close_keeps_none_of_its_passes(monkeypatch):
 
 
 def test_a_block_fit_is_the_same_bytes_across_reruns_and_threads():
-    # the Gaussian rows come from a fixed seed, so a rerun, or a fit on a second thread
+    # the start rows are rows of Z, so a rerun, or a fit on a second thread
     # while another runs, gives the same theta to the byte
     from concurrent.futures import ThreadPoolExecutor
 

@@ -408,6 +408,22 @@ def test_rff_cosines_at_explicit_arguments():
     assert np.array_equal(Z[theta[:, 0] == 0.0], np.full((2, 1), np.sqrt(2.0)))
 
 
+@pytest.mark.parametrize("rows", [5000, 1], ids=["plateau", "one-row"])
+def test_a_one_column_rff_embedding_is_the_whole_product_to_the_bit(rows):
+    # d = 1: each half-argument is one product x w / 2 plus b / 2, so writing them a tile of
+    # COS_CHUNK // M rows at a time through np.dot gives the bits of the whole X @ (W / 2)^T
+    # + b / 2, the argument the embedding took before it was tiled. M = 1414 is the plateau
+    # heatmap's larger map (46-row tiles; 5000 rows end in a partial tile of 32)
+    f = sample_feature_map(GAUSSIAN_RFF, 1, 1414, {}, 14)
+    X = np.random.default_rng(15).standard_normal((rows, 1))
+    t = X @ (0.5 * f.frequencies).T
+    t += 0.5 * f.phases
+    np.tan(t, out=t)
+    sq = t * t
+    want = (1.0 - sq) / (1.0 + sq) * (1.0 / np.sqrt(1414) * np.sqrt(2.0))
+    assert np.array_equal(feature_matrix(f, X), want)
+
+
 @pytest.mark.parametrize("kind", [GAUSSIAN_RFF, DESIGNER_FINITE_RANK])
 def test_feature_matrix_allocates_its_output_and_at_most_1_mib_more(kind):
     # tracemalloc counts numpy's data buffers; 4096 x 1414 floats are 44.2 MiB

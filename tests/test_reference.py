@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from reference import GaussianKernel, check_psd, effective_dimension_comparison
-from specrf.features import sample_feature_map
+from reference import GaussianKernel, MonteCarloKernel, check_psd, effective_dimension_comparison
+from specrf.features import feature_matrix, sample_feature_map
 
 
 def test_gaussian_pair_known_value():
@@ -34,3 +34,27 @@ def test_effective_dimension_comparison_on_rff():
     assert 0.2 < out["ratio"] < out["threshold"]
     with pytest.raises(ValueError, match="500"):
         effective_dimension_comparison(fmap, GaussianKernel(2, 1.0), X[:100], 0.05)
+
+
+def test_monte_carlo_kernel_error_shrinks_with_samples():
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((30, 2))
+    ref = GaussianKernel(2, 1.0).gram(X)
+
+    def med_err(M, seed):
+        km = MonteCarloKernel(sample_feature_map("gaussian_rff", 2, M, {"bandwidth": 1.0}, seed))
+        return np.median(np.abs(km.gram(X) - ref))
+
+    small = np.median([med_err(128, s) for s in range(20)])
+    large = np.median([med_err(2048, s) for s in range(20)])
+    # quadrupling twice should shrink the error by roughly 4x
+    assert 2.5 < small / large < 6.5
+
+
+def test_feature_map_kernel_is_embedding_inner_product():
+    f = sample_feature_map("gaussian_rff", 2, 32, {}, 1)
+    k = MonteCarloKernel(f)
+    rng = np.random.default_rng(1)
+    X = rng.standard_normal((10, 2))
+    Z = feature_matrix(f, X)
+    np.testing.assert_allclose(k.gram(X), Z @ Z.T, atol=1e-13)
