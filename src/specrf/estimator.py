@@ -438,7 +438,8 @@ def save_model(model: RfModel, path: str) -> None:
     """Write `model` to `path` as load_model reads it. A theta that load_model would
     reject (not embedding_dim entries, say a D x k theta, or NaN or inf entries), or
     would give back in another shape (a D x 1 theta), is its ValueError, raised
-    before the file is opened."""
+    before the file is opened, as is a (lam, T, fit_path) that no fit records (_checked_fit)."""
+    _checked_fit(model.filter, model.lam, model.iterations, model.fit_path)
     theta = _checked_theta(np.ascontiguousarray(model.theta, dtype="<f8"), model.map)
     payload = {
         "format": MODEL_FORMAT,
@@ -474,9 +475,7 @@ def _decode_model(payload) -> RfModel:
     check_keys(payload, "model file", ("format", *keys), (), "load_model")
     feature_map = call_checked(sample_feature_map, payload["map"], "model map")
     filt = make_filter(**check_object(payload["filter"], "model filter"))
-    lam, iterations = filt.resolve(real_number(payload["lam"], "lam"), payload["iterations"])
-    if payload["fit_path"] not in ("spectral", "iterative"):
-        raise ValueError(f"fit_path must be spectral or iterative, not {payload['fit_path']!r}")
+    lam, iterations = _checked_fit(filt, payload["lam"], payload["iterations"], payload["fit_path"])
     try:
         raw = base64.b64decode(payload["theta_b64"], validate=True)
         theta = np.frombuffer(raw, dtype="<f8").copy()
@@ -497,6 +496,24 @@ def _decode_model(payload) -> RfModel:
         map=feature_map, theta=theta, filter=filt, lam=lam,
         iterations=iterations, fit_path=payload["fit_path"], train_fingerprint=fingerprint,
     )
+
+
+def _checked_fit(filt: SpectralFilter, lam, iterations, fit_path) -> tuple[float, int | None]:
+    """filt.resolve(lam, iterations), if a fit could have recorded (lam, iterations,
+    fit_path): every fit records filt.resolve(lam) or filt.resolve(iterations=T), and
+    only an iterative filter fits on the iterative path. The one check of a model's
+    fit that save_model and load_model share."""
+    lam, iterations = filt.resolve(real_number(lam, "lam"), iterations)
+    if fit_path not in ("spectral", "iterative"):
+        raise ValueError(f"fit_path must be spectral or iterative, not {fit_path!r}")
+    if fit_path == "iterative" and not filt.iterative:
+        raise ValueError(f"fit_path iterative needs an iterative filter, not {filt.name}")
+    if filt.iterative:
+        (_, steps), (lam_of_t, _) = filt.resolve(lam), filt.resolve(iterations=iterations)
+        if iterations != steps and lam != lam_of_t:
+            raise ValueError(f"lam = {lam!r} and iterations = {iterations} are not a fit's pair: "
+                             f"{filt.name} resolves lam to T = {steps} and T to lam = {lam_of_t!r}")
+    return lam, iterations
 
 
 def _checked_theta(theta: np.ndarray, feature_map: FeatureMap) -> np.ndarray:

@@ -309,10 +309,6 @@ class ExperimentPlan:
             if getattr(self, key) != defaults.get(key, sched):
                 raise ValueError(f"plan {key} is not read by a {self.experiment} plan; leave it out")
 
-    def to_json(self) -> str:
-        """The text of this plan's plan.resolved.json."""
-        return json_text(asdict(self))
-
 
 def default_heatmap_plan(n: int = 5000, repetitions: int = 20, base_seed: int = 0) -> ExperimentPlan:
     """Synthetic d=1 plan mirroring the gradient-descent heatmap experiment."""
@@ -630,30 +626,20 @@ def run_rate_sweep(plan: ExperimentPlan, workers: int = 1) -> dict:
 # Output files
 
 
-def format_value(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(float(v))
-    return str(v)
-
-
 def write_results_csv(path: str | Path, rows) -> None:
-    lines = [",".join(RESULTS_HEADER)]
-    lines.extend(",".join(format_value(v) for v in row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def json_text(value) -> str:
-    """The text of a run's JSON file: sorted keys, a 2-space indent and one trailing
-    newline. It is standard JSON: a NaN or inf in `value` is a ValueError."""
-    return json.dumps(value, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Write the header and `rows` through csv, which writes None as an empty field and
+    any other value by str (for a float, numpy's included, its shortest repr)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(RESULTS_HEADER)
+        writer.writerows(rows)
 
 
 def write_json(path: str | Path, value) -> None:
-    """Write `json_text(value)` to `path`, making the directory if it is missing;
-    a value json_text refuses writes no file."""
-    text = json_text(value)
+    """Write `value` to `path` as a run's JSON file: sorted keys, a 2-space indent and one
+    trailing newline, making the directory if it is missing. It is standard JSON: a NaN
+    or inf in `value` is a ValueError, raised before any file or directory is made."""
+    text = json.dumps(value, sort_keys=True, indent=2, allow_nan=False) + "\n"
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text(text)
 

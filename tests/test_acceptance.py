@@ -4,6 +4,7 @@ Each test exercises one headline guarantee of the library at its stated
 tolerance and runtime budget, and prints a single PASS/FAIL line so the
 whole battery can be skimmed from the log.
 """
+import dataclasses
 import json
 import time
 
@@ -30,6 +31,7 @@ from specrf.harness import (
     run_heatmap,
     run_plateau_check,
     run_rate_sweep,
+    write_json,
     write_results_csv,
 )
 
@@ -247,7 +249,7 @@ def test_rate_exponent_where_qualification_fails(tmp_path, r, b, filt, sufficien
     plan.problem.update(r=r, b=b)
     plan.filter = filt
     cfg = tmp_path / "plan.json"
-    cfg.write_text(plan.to_json())
+    write_json(cfg, dataclasses.asdict(plan))
     code = main(["rate-sweep", "--config", str(cfg), "--workers", "2", "--out-dir", str(tmp_path / "out")])
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     gap = abs(summary["slope"] - summary["target_slope"])

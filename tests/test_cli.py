@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -18,7 +19,7 @@ import specrf
 from specrf.cli import EXIT_CHECK_FAILED, EXIT_ERROR, EXIT_OK, main
 from specrf.estimator import load_model, mse
 from specrf.filters import audit_filter, make_filter
-from specrf.harness import ExperimentPlan, ingest_csv_dataset
+from specrf.harness import ExperimentPlan, ingest_csv_dataset, write_json
 
 
 def _tiny_plan(seed=0):
@@ -35,7 +36,7 @@ def _tiny_plan(seed=0):
 
 def _tiny_plan_file(tmp_path, seed=0):
     path = tmp_path / "plan.json"
-    path.write_text(_tiny_plan(seed).to_json())
+    write_json(path, dataclasses.asdict(_tiny_plan(seed)))
     return path
 
 
@@ -185,7 +186,7 @@ def test_an_iterative_filter_given_lambda_is_not_capped_by_the_eigensolver(tmp_p
 
 def test_plateau_command_exit_codes(tmp_path):
     cfg = tmp_path / "plan.json"
-    cfg.write_text(_plateau_plan().to_json())
+    write_json(cfg, dataclasses.asdict(_plateau_plan()))
     code = main(["plateau", "--config", str(cfg), "--out-dir", str(tmp_path / "p")])
     assert code in (EXIT_OK, EXIT_CHECK_FAILED)
     summary = json.loads((tmp_path / "p" / "summary.json").read_text())
@@ -205,7 +206,7 @@ def test_plateau_exits_2_with_a_reason_when_every_cell_fails(tmp_path, capsys):
         feature_map={"kind": "ntk_one_layer", "params": {"tau": 10.0, "gamma": 10.0}},
     )
     cfg = tmp_path / "plan.json"
-    cfg.write_text(plan.to_json())
+    write_json(cfg, dataclasses.asdict(plan))
     code = main(["plateau", "--config", str(cfg), "--out-dir", str(tmp_path / "p")])
     assert code == EXIT_CHECK_FAILED
     assert capsys.readouterr().out == "plateau check: FAIL\n"
@@ -314,7 +315,7 @@ def test_a_value_past_the_float_range_exits_1_naming_it(tmp_path, capsys, argv, 
     # each was an OverflowError traceback: int(10**400) converted to a float, math.ceil(inf)
     # and the float power kappa ** (2r + 1)
     if plan is not None:
-        base = {"fit": _FIT_CONFIG, "heatmap": json.loads(_tiny_plan().to_json())}.get(argv[0])
+        base = {"fit": _FIT_CONFIG, "heatmap": dataclasses.asdict(_tiny_plan())}.get(argv[0])
         config = {**(base or _tiny_rate_plan()), **plan}
         cfg = tmp_path / "plan.json"
         cfg.write_text(json.dumps({key: value for key, value in config.items() if value is not None}))
@@ -333,8 +334,8 @@ def _plateau_plan():
 
 
 @pytest.mark.parametrize("argv,plan", [
-    (["heatmap"], lambda: json.loads(_tiny_plan().to_json())),
-    (["plateau"], lambda: json.loads(_plateau_plan().to_json())),
+    (["heatmap"], lambda: dataclasses.asdict(_tiny_plan())),
+    (["plateau"], lambda: dataclasses.asdict(_plateau_plan())),
     (["rate-sweep"], lambda: _tiny_rate_plan()),
     (["audit-filters"], None),
     (["diagnose", "--rank", "16", "--grid-points", "5"], None),
@@ -436,13 +437,13 @@ def test_unknown_plan_key_is_an_error(tmp_path, capsys):
 
 
 def _tiny_rate_plan():
-    return json.loads(ExperimentPlan(
+    return dataclasses.asdict(ExperimentPlan(
         experiment="rate_sweep",
         repetitions=1,
         n_grid=[64, 128, 256, 512, 1024],
         problem={"type": "designer", "J": 8, "b": 1.0, "r": 0.5},
         filter={"kind": "tikhonov"},
-    ).to_json())
+    ))
 
 
 _FIT_CONFIG = {
@@ -659,7 +660,7 @@ def test_a_heatmap_checks_every_grid_size_before_its_first_trial(tmp_path, capsy
     fits = []
     monkeypatch.setattr(specrf.harness, "fit_iterative", lambda *args, **kwargs: fits.append(args))
     cfg = tmp_path / "plan.json"
-    cfg.write_text(json.dumps({**json.loads(_tiny_plan().to_json()), **change}))
+    cfg.write_text(json.dumps({**dataclasses.asdict(_tiny_plan()), **change}))
     assert main(["heatmap", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == EXIT_ERROR
     budget = specrf.features.DEFAULT_MEMORY_BUDGET
     assert capsys.readouterr().err == f"error: {named}, budget is {budget}\n"
@@ -668,7 +669,7 @@ def test_a_heatmap_checks_every_grid_size_before_its_first_trial(tmp_path, capsy
 
 @pytest.mark.parametrize("command", ["heatmap", "rate-sweep"])
 def test_seed_flag_overrides_the_plan_base_seed(tmp_path, command):
-    plan = json.loads(_tiny_plan().to_json()) if command == "heatmap" else _tiny_rate_plan()
+    plan = dataclasses.asdict(_tiny_plan()) if command == "heatmap" else _tiny_rate_plan()
     runs = {"flag": (plan, ["--seed", "3"]), "plan": ({**plan, "base_seed": 3}, []),
             "seed0": (plan, [])}
     for name, (given, flags) in runs.items():
@@ -678,7 +679,9 @@ def test_seed_flag_overrides_the_plan_base_seed(tmp_path, command):
     flag, written, seed0 = (tmp_path / name for name in runs)
     resolved = (flag / "plan.resolved.json").read_text()
     assert json.loads(resolved)["base_seed"] == 3
-    assert ExperimentPlan(**json.loads(resolved)).to_json() == resolved  # it loads as a plan
+    # it loads as a plan, which write_json writes back to the same bytes
+    write_json(tmp_path / "again.json", dataclasses.asdict(ExperimentPlan(**json.loads(resolved))))
+    assert (tmp_path / "again.json").read_text() == resolved
     for out in ("results.csv", "plan.resolved.json", "summary.json"):
         assert (flag / out).read_bytes() == (written / out).read_bytes()
     assert (flag / "results.csv").read_bytes() != (seed0 / "results.csv").read_bytes()
@@ -689,7 +692,7 @@ def test_seed_flag_overrides_the_plan_base_seed(tmp_path, command):
 def test_a_base_seed_of_2_to_the_64_exits_1_before_any_trial(tmp_path, capsys, monkeypatch, command,
                                                              source):
     # trial_seed reads 64 bits of the seed and rejects 2^64, which would rerun seed 0; 2^64 - 1 runs
-    plan = json.loads(_tiny_plan().to_json()) if command == "heatmap" else _tiny_rate_plan()
+    plan = dataclasses.asdict(_tiny_plan()) if command == "heatmap" else _tiny_rate_plan()
 
     def run(seed, out):
         given, flags = ({**plan, "base_seed": seed}, []) if source == "plan" else (plan, ["--seed", str(seed)])
@@ -714,7 +717,7 @@ def test_a_huge_repetitions_exits_1_before_any_trial(tmp_path, capsys, monkeypat
     # 10^10 repetitions ask for a results table of 4 x 10^10 (heatmap: 2 M x 2 T) or 5 x 10^10
     # (rate sweep: 5 n) rows of 7 floats, past the memory budget: refused by check_budget
     # before a key is made or a trial fits, where itertools.product was a MemoryError
-    plan = json.loads(_tiny_plan().to_json()) if command == "heatmap" else _tiny_rate_plan()
+    plan = dataclasses.asdict(_tiny_plan()) if command == "heatmap" else _tiny_rate_plan()
     fits = []
     for home, name in ((specrf.harness, "fit_iterative"), (specrf.estimator, "fit_iterative"),
                        (specrf.estimator, "fit_spectral")):
@@ -953,7 +956,7 @@ def test_one_mutation_of_a_valid_config_exits_0_or_1_with_one_error_line(data):
     command, conf = data.draw(st.sampled_from([
         ("fit", _FIT_CONFIG),
         ("fit", _CSV_FIT_CONFIG),
-        ("heatmap", json.loads(_tiny_plan().to_json())),
+        ("heatmap", dataclasses.asdict(_tiny_plan())),
         ("rate-sweep", _tiny_rate_plan()),
     ]))
     paths = list(_key_paths(conf))

@@ -1068,6 +1068,8 @@ def test_load_model_rejects_unknown_format_or_missing_key(tmp_path, drop, change
 
 
 _FP = "model train_fingerprint"
+_NOT_A_PAIR = ("lam = 1.0 and iterations = 12 are not a fit's pair: "
+               "landweber resolves lam to T = 2 and T to lam = 0.16666666666666666")
 
 
 def _nan_theta(payload):
@@ -1097,6 +1099,11 @@ def _nan_theta(payload):
      f"{_FP} map_seed 7 is not the map's seed 1"),
     (lambda p: {"train_fingerprint": {**p["train_fingerprint"], "data_sha256": "abc"}},
      f"{_FP} data_sha256 must be 64 hex digits, not 'abc'"),
+    # no fit writes these: a Tikhonov model on the iterative path, and a lam that is neither
+    # the lam of T = 12 (1/6) nor one that resolves to T = 12 (1.0 resolves to T = 2)
+    (lambda p: {"filter": {"kind": "tikhonov"}, "iterations": None, "fit_path": "iterative"},
+     "fit_path iterative needs an iterative filter, not tikhonov"),
+    (lambda p: {"lam": 1.0}, _NOT_A_PAIR),
 ])
 def test_load_model_names_the_file_in_every_error(tmp_path, edit, named):
     fmap, X, y = _toy()
@@ -1150,6 +1157,27 @@ def test_save_model_refuses_a_theta_that_load_model_refuses(tmp_path, bad, named
     payload = json.loads(path.read_text())
     payload["theta_b64"] = base64.b64encode(refused.theta.astype("<f8").tobytes()).decode("ascii")
     path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError) as exc:
+        load_model(path)
+    assert str(exc.value) == f"{path}: {named}"
+
+
+@pytest.mark.parametrize("fit,edit,named", [
+    (lambda fmap, X, y: fit_spectral(fmap, X, y, make_filter("tikhonov"), lam=0.1),
+     {"fit_path": "iterative"}, "fit_path iterative needs an iterative filter, not tikhonov"),
+    (lambda fmap, X, y: fit_iterative(fmap, X, y, make_filter("landweber", alpha=0.5), 12),
+     {"lam": 1.0}, _NOT_A_PAIR),
+], ids=["tikhonov-iterative", "landweber-lam-not-of-T"])
+def test_save_model_refuses_a_fit_that_load_model_refuses(tmp_path, fit, edit, named):
+    fmap, X, y = _toy()
+    model = fit(fmap, X, y)
+    path = tmp_path / "model.json"
+    with pytest.raises(ValueError) as exc:
+        save_model(dataclasses.replace(model, **edit), path)
+    assert str(exc.value) == named
+    assert not path.exists()
+    save_model(model, path)  # the same edit written past save_model fails to load as named
+    path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
     with pytest.raises(ValueError) as exc:
         load_model(path)
     assert str(exc.value) == f"{path}: {named}"
