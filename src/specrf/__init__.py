@@ -40,8 +40,8 @@ from .diagnostics import (
     krr_gram_fit,
     krr_predict,
     make_designer_problem,
+    proof_bounds,
     sample_dataset,
-    sup_norm_f_star,
 )
 from .harness import (
     ExperimentPlan,

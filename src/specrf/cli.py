@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 acceptance-check failure (audit or plateau), 1
+Exit codes: 0 success, 2 acceptance-check failure (audit, plateau or diagnose), 1
 execution or usage error, reported as one `error:` line on stderr.
 """
 from __future__ import annotations
@@ -18,12 +18,13 @@ from .diagnostics import (
     compute_f_star,
     effective_dimension,
     make_designer_problem,
+    proof_bounds,
     sample_dataset,
-    sup_norm_f_star,
 )
 from .estimator import fit, save_model
-from .features import call_checked, check_keys, check_object, sample_feature_map, whole_number
-from .filters import audit_filter, make_filter
+from .features import (call_checked, check_budget, check_keys, check_object, sample_feature_map,
+                       whole_number)
+from .filters import AUDIT_SLACK, audit_filter, make_filter
 from .harness import (
     ExperimentPlan,
     default_heatmap_plan,
@@ -138,17 +139,20 @@ def _cmd_audit_filters(args) -> int:
 def _cmd_diagnose(args) -> int:
     problem = make_designer_problem(J=args.rank, b=args.b, r=args.r, noise_std=0.0)
     filt = make_filter("landweber")
+    # a point's record and its JSON text take about 1.4 KB under tracemalloc
+    check_budget(args.grid_points * 2048, f"a lambda grid of {args.grid_points} points")
     records = []
-    for lam in np.logspace(-4, 0, args.grid_points):
-        lam = float(lam)
-        n_eff = effective_dimension(problem.eigenvalues, lam)
-        _, bias = compute_f_star(problem, filt, lam)
-        sup = sup_norm_f_star(problem, filt, lam)
-        records.append({"lambda": lam, "effective_dimension": n_eff, "bias": bias,
-                        "sup_norm": sup["value"], "sup_norm_bound": sup["bound"]})
+    for lam in map(float, np.logspace(-4, 0, args.grid_points)):
+        record = {"lambda": lam, "bias": compute_f_star(problem, filt, lam)[1],
+                  "effective_dimension": effective_dimension(problem.eigenvalues, lam),
+                  **proof_bounds(problem, filt, lam)}
+        record["pass"] = all(record[key] <= record[f"{key}_bound"] + AUDIT_SLACK
+                             for key in ("bias", "effective_dimension"))
+        records.append(record)
     write_json(Path(args.out_dir) / "diagnostics.json", records)
-    print(f"diagnose: wrote {len(records)} records")
-    return EXIT_OK
+    failed = sum(not record["pass"] for record in records)
+    print(f"diagnose: wrote {len(records)} records, {failed} past a bound")
+    return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
 def _integer_from(least: int):

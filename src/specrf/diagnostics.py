@@ -31,7 +31,6 @@ from .features import (
 )
 from .filters import SpectralFilter
 
-SUP_NORM_GRID = 2001  # points of the [0,1] grid sup_norm_f_star maximizes over
 GRAM_N_CAP = 5000
 
 
@@ -81,7 +80,9 @@ def make_designer_problem(
 ) -> DesignerProblem:
     """Finite-rank problem with mu_j = scale * j^(-1/b) and g = L^r h.
 
-    h is the normalized weights z_j = 1/j scaled to norm R.
+    h is the normalized weights z_j = 1/j scaled to norm R. The J-length arrays are
+    checked against the memory budget before any is made: eight of J floats at the
+    peak, the map's included (7.1 measured at large J).
     """
     J = whole_number(J, "rank J", least=2)
     seed = whole_number(seed, "designer seed", least=0)
@@ -95,6 +96,7 @@ def make_designer_problem(
     if noise_std < 0:
         raise ValueError("noise_std must be >= 0")
     check_easy_regime(r, b)
+    check_budget(8 * J * 8, f"designer problem of rank J = {J}")
     j = np.arange(1, J + 1, dtype=float)
     mu = eigenvalue_scale * j ** (-1.0 / b)
     z = 1.0 / j
@@ -186,39 +188,23 @@ def excess_risk_exact(problem: DesignerProblem, model: RfModel) -> dict:
     return {"total": total, "bias": bias, "variance": variance}
 
 
-def sup_norm_f_star(
-    problem: DesignerProblem,
-    filt: SpectralFilter,
-    lam: float | None,
-    iterations: int | None = None,
-) -> dict:
-    """Sup norm of S f*_lambda on [0,1] against its monitored bound at the resolved lambda."""
-    lam, iterations = filt.resolve(lam, iterations)
-    coeffs, _ = compute_f_star(problem, filt, lam, iterations)
-    grid = np.linspace(0.0, 1.0, SUP_NORM_GRID)
-    values = designer_series(coeffs, grid)
-    sup = float(np.max(np.abs(values)))
-    kappa = math.sqrt(problem.map.kappa_sq)
-    try:  # a float power past the double range raises OverflowError; a product gives inf
-        bound = (
-            2.0
-            * kappa ** (2.0 * problem.r + 1.0)
-            * problem.R
-            * filt.D
-            * lam ** (-max(0.5 - problem.r, 0.0))
-        )
+def proof_bounds(problem: DesignerProblem, filt: SpectralFilter, lam: float) -> dict:
+    """The two inequalities the rate proof reads (Bauer, Pereverzev & Rosasco 2007), at
+    lambda, for the unit-scale spectrum mu_j = j^(-1/b). `bias_bound` = c_r lambda^r R
+    bounds ||g - S f*_lambda|| (source condition), for c_r = filt.declared_cq(r).
+    `effective_dimension_bound` bounds N(lambda) = sum_j 1/(1 + lambda j^(1/b))
+    (capacity condition) by its integral over [0, J]: ln(1 + lambda J) / lambda at b = 1,
+    and at most (pi b / sin(pi b)) lambda^(-b) for b < 1."""
+    r, b = problem.r, problem.b
+    try:  # a float power past the double range raises OverflowError
+        c_r = filt.declared_cq(r)
     except OverflowError:
-        bound = math.inf
-    if not math.isfinite(bound):
-        raise ValueError(f"the sup-norm bound overflows the float range at r = {problem.r}, "
-                         f"R = {problem.R}, kappa = {kappa}, lambda = {lam}")
-    return {
-        "value": sup,
-        "bound": bound,
-        "lam": lam,
-        "within_bound": bool(sup <= bound),
-        "status": "monitored",
-    }
+        raise ValueError(f"c_r of filter {filt.name} overflows the float range at r = {r}") from None
+    if b == 1.0:
+        capacity = math.log1p(lam * problem.rank) / lam
+    else:
+        capacity = math.pi * b / math.sin(math.pi * b) * lam ** -b
+    return {"bias_bound": c_r * lam**r * problem.R, "effective_dimension_bound": capacity}
 
 
 class DesignerKernel:

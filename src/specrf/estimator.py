@@ -247,7 +247,7 @@ def fit_spectral(
     data is read; for an iterative filter, which `fit` sends to fit_iterative, this
     eigendecomposition is the reference the Krylov path is checked against.
     model.train_mse: the training loss at theta."""
-    lam, iterations = filt.resolve(lam, iterations)
+    lam, iterations = _fit_pair(filt, lam, iterations)
     dim = feature_map.embedding_dim
     if dim > EIG_DIM_CAP and not isinstance(filt, Tikhonov):
         raise ValueError(f"embedding dimension {dim} exceeds eigensolver cap {EIG_DIM_CAP}")
@@ -273,12 +273,22 @@ def fit_iterative(
     """
     if not filt.iterative:
         raise ValueError(f"filter {filt.name} is not iterative and takes no iteration count")
-    lam, iterations = filt.resolve(lam, iterations)
+    lam, iterations = _fit_pair(filt, lam, iterations)
     wanted = {whole_number(T, "snapshot count") for T in snapshots}
     if wanted and max(wanted) > iterations:
         raise ValueError(f"snapshot count {max(wanted)} exceeds iterations = {iterations}")
     pairs = [filt.resolve(iterations=t) for t in sorted(wanted | {iterations})]
     return _fitted(feature_map, X, y, filt, lam, iterations, pairs, "iterative", wanted)
+
+
+def _fit_pair(filt: SpectralFilter, lam, iterations) -> tuple[float, int | None]:
+    """filt.resolve(lam, iterations) for a fit, which takes lam or iterations, not both: given
+    both, it would record lam while an iterative filter filters at T's lambda. A bad value
+    is named before the pair is refused."""
+    pair = filt.resolve(lam, iterations)
+    if lam is not None and iterations is not None:
+        raise ValueError("a fit takes lam or iterations, not both")
+    return pair
 
 
 def _fitted(feature_map, X, y, filt, lam, iterations, pairs, fit_path, wanted=()) -> RfModel:

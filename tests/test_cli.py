@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specrf
+from reference import traced_peak
 from specrf.cli import EXIT_CHECK_FAILED, EXIT_ERROR, EXIT_OK, main
 from specrf.estimator import load_model, mse
 from specrf.filters import audit_filter, make_filter
@@ -127,7 +128,69 @@ def test_diagnose_command(tmp_path):
     assert code == EXIT_OK
     records = json.loads((out / "diagnostics.json").read_text())
     assert len(records) == 5
-    assert all("effective_dimension" in r for r in records)
+    keys = {"lambda", "bias", "bias_bound", "effective_dimension", "effective_dimension_bound", "pass"}
+    assert all(set(r) == keys and r["pass"] is True for r in records)
+
+
+def _scaled_cq(scale):
+    declared_cq = specrf.filters.Landweber.declared_cq
+    return lambda self, q: scale * declared_cq(self, q)
+
+
+def _scaled_spectrum(scale):
+    make = specrf.diagnostics.make_designer_problem
+    return lambda **kwargs: make(**kwargs, eigenvalue_scale=scale)
+
+
+@pytest.mark.parametrize("home,name,mutant,failing", [
+    (specrf.filters.Landweber, "declared_cq", _scaled_cq(1.0), 0),
+    (specrf.filters.Landweber, "declared_cq", _scaled_cq(0.2), 1),
+    (specrf.cli, "make_designer_problem", _scaled_spectrum(1.1), 18),
+], ids=["unchanged", "c_r-times-0.2", "eigenvalues-times-1.1"])
+def test_diagnose_exits_2_when_a_record_is_past_a_bound(tmp_path, capsys, monkeypatch, home, name, mutant,
+                                                        failing):
+    # at the default flags the bias peaks at 0.213 of c_r lambda^r R and N(lambda) at 0.99995
+    # of its bound: a c_r a fifth as large (bias up to 1.067 of the bound), or a spectrum 1.1
+    # times mu_j = j^(-1/b) (N up to 1.034), fails records and exits 2 with the file written
+    monkeypatch.setattr(home, name, mutant)
+    out = tmp_path / "diag"
+    assert main(["diagnose", "--out-dir", str(out)]) == (EXIT_CHECK_FAILED if failing else EXIT_OK)
+    records = json.loads((out / "diagnostics.json").read_text())
+    assert sum(not r["pass"] for r in records) == failing
+    assert capsys.readouterr().out == f"diagnose: wrote 20 records, {failing} past a bound\n"
+
+
+def test_diagnose_admits_the_grid_its_records_fit_within_the_budget(tmp_path, capsys, monkeypatch):
+    # 2048 bytes a grid point: 4000 points, records and JSON text included, peak within the
+    # budget under tracemalloc, and one more point is refused
+    budget = 4000 * 2048
+    monkeypatch.setattr(specrf.features, "DEFAULT_MEMORY_BUDGET", budget)
+    argv = ["diagnose", "--rank", "2", "--out-dir", str(tmp_path / "out")]
+    code, peak = traced_peak(lambda: main([*argv, "--grid-points", "4000"]))
+    assert code == EXIT_OK and peak <= budget
+    assert main([*argv, "--grid-points", "4001"]) == EXIT_ERROR
+    named = f"error: a lambda grid of 4001 points needs {4001 * 2048} bytes, budget is {budget}\n"
+    assert capsys.readouterr().err == named
+
+
+@pytest.mark.parametrize("argv,config,named", [
+    (["diagnose", "--rank", str(10**11)], None, f"designer problem of rank J = {10**11} needs {64 * 10**11}"),
+    (["diagnose", "--grid-points", str(10**11)], None, f"a lambda grid of {10**11} points needs {2048 * 10**11}"),
+    (["rate-sweep"], lambda: {**_tiny_rate_plan(), "problem": {**_DESIGNER, "J": 10**11}},
+     f"designer problem of rank J = {10**11} needs {64 * 10**11}"),
+    (["fit"], lambda: {**_FIT_CONFIG, "data": {"designer": {"J": 10**11, "b": 1.0, "r": 0.5}}},
+     f"designer problem of rank J = {10**11} needs {64 * 10**11}"),
+], ids=["diagnose-rank", "diagnose-grid-points", "rate-plan-J", "fit-config-J"])
+def test_a_huge_designer_rank_or_lambda_grid_exits_1_before_it_is_made(tmp_path, capsys, argv, config, named):
+    # each was an _ArrayMemoryError traceback from np.arange or np.logspace
+    if config is not None:
+        cfg = tmp_path / "config.json"
+        write_json(cfg, config())
+        argv = [*argv, "--config", str(cfg)]
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == EXIT_ERROR
+    budget = specrf.features.DEFAULT_MEMORY_BUDGET
+    assert capsys.readouterr().err == f"error: {named} bytes, budget is {budget}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_fit_requires_config(capsys):
@@ -305,7 +368,7 @@ def test_a_csv_feature_that_cannot_be_standardized_exits_1_naming_its_column(tmp
      f"n = {10**400} is past the float range of the schedules"),
     (["rate-sweep"], {"schedule": {"C_M": 1e308}},
      "the M schedule overflows the float range at n = 64, C_M = 1e+308"),
-    (["diagnose", "--r", "400"], None, "the sup-norm bound overflows the float range at r = 400.0, R = 1.0, "),
+    (["diagnose", "--r", "400"], None, "c_r of filter landweber overflows the float range at r = 400.0\n"),
     (["fit"], {"filter": {"kind": "landweber", "alpha": 0.5}, "lambda": None, "iterations": 10**400},
      f"iterations = {10**400} is past the float range"),
     (["heatmap"], {"t_grid": [1, 10**400]}, f"plan t_grid: iterations = {10**400} is past the float range"),
@@ -313,7 +376,7 @@ def test_a_csv_feature_that_cannot_be_standardized_exits_1_naming_its_column(tmp
         "fit-iterations-past-float-range", "heatmap-t_grid-past-float-range"])
 def test_a_value_past_the_float_range_exits_1_naming_it(tmp_path, capsys, argv, plan, named):
     # each was an OverflowError traceback: int(10**400) converted to a float, math.ceil(inf)
-    # and the float power kappa ** (2r + 1)
+    # and the float power (r / e) ** r of Landweber's c_r
     if plan is not None:
         base = {"fit": _FIT_CONFIG, "heatmap": dataclasses.asdict(_tiny_plan())}.get(argv[0])
         config = {**(base or _tiny_rate_plan()), **plan}

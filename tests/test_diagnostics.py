@@ -13,8 +13,8 @@ from specrf.diagnostics import (
     krr_gram_fit,
     krr_predict,
     make_designer_problem,
+    proof_bounds,
     sample_dataset,
-    sup_norm_f_star,
 )
 from specrf.estimator import ROW_BLOCK, fit_spectral, predict
 from specrf.features import (
@@ -22,7 +22,7 @@ from specrf.features import (
     designer_series,
     sample_feature_map,
 )
-from specrf.filters import DivergenceError, make_filter
+from specrf.filters import AUDIT_SLACK, DivergenceError, make_filter
 from specrf.harness import lambda_schedule, m_schedule
 
 
@@ -200,32 +200,47 @@ def test_truncated_map_is_prefix():
         p.truncated_map(0)
 
 
-def test_sup_norm_within_monitored_bound():
-    p = make_designer_problem(J=32, b=1.0, r=0.5, noise_std=0.0, seed=0)
-    for lam in (0.01, 0.1, 0.5):
-        out = sup_norm_f_star(p, make_filter("tikhonov"), lam)
-        assert out["within_bound"]
-        assert out["status"] == "monitored"
-
-
-def test_sup_norm_resolves_lambda_from_iterations():
-    p = make_designer_problem(J=32, b=1.0, r=0.5, noise_std=0.0, seed=0)
-    out = sup_norm_f_star(p, make_filter("landweber", alpha=0.5), None, iterations=8)
-    assert out["lam"] == 0.25
-    assert np.isfinite(out["bound"])
-    assert out["within_bound"]
-
-
 def test_population_filter_rejects_an_unstable_step_size():
     # alpha * mu_1 = 5 >= 2: the filter polynomial at mu_1 grows like 4^T, which gave an
-    # inf bias and a nan sup norm with overflow warnings
+    # inf bias with overflow warnings
     p = make_designer_problem(J=16, b=1.0, r=0.5, eigenvalue_scale=5.0)
     filt = make_filter("landweber", alpha=1.0)
-    for call in (compute_f_star, sup_norm_f_star):
-        with pytest.raises(DivergenceError, match=r"^step size 1.0 unstable: alpha \* \|\|Sigma\|\| = 5 >= 2$"):
-            call(p, filt, 1e-3)
+    with pytest.raises(DivergenceError, match=r"^step size 1.0 unstable: alpha \* \|\|Sigma\|\| = 5 >= 2$"):
+        compute_f_star(p, filt, 1e-3)
     _, bias = compute_f_star(p, make_filter("landweber", alpha=0.3), 1e-3)  # 0.3 * 5 < 2
     assert np.isfinite(bias)
+
+
+# r = 0.25 with b = 0.25 or 0.5 is the hard-learning regime, which make_designer_problem refuses
+@pytest.mark.parametrize("r,b", [(r, b) for r in (0.25, 0.5, 1.0, 2.0) for b in (0.25, 0.5, 1.0)
+                                 if 2 * r + b > 1])
+@pytest.mark.parametrize("J", [16, 64, 512])
+def test_the_bias_and_the_effective_dimension_keep_within_their_proof_bounds(r, b, J):
+    # the two inequalities diagnose checks, over its lambda grid with its filter: bias <= c_r
+    # lambda^r R and N(lambda) <= the integral of sum_j 1/(1 + lambda j^(1/b)) over [0, J]
+    p = make_designer_problem(J=J, b=b, r=r, noise_std=0.0)
+    filt = make_filter("landweber")
+    for lam in map(float, np.logspace(-4, 0, 20)):
+        bounds = proof_bounds(p, filt, lam)
+        assert compute_f_star(p, filt, lam)[1] <= bounds["bias_bound"] + AUDIT_SLACK
+        assert effective_dimension(p.eigenvalues, lam) <= bounds["effective_dimension_bound"] + AUDIT_SLACK
+    if b < 1:  # at lambda = 1, the integral over [0, inf), which bounds the one over [0, J]
+        assert bounds["effective_dimension_bound"] == pytest.approx(np.pi * b / np.sin(np.pi * b), rel=1e-15)
+
+
+def test_a_designer_problem_past_the_memory_budget_is_refused_before_it_is_made(monkeypatch):
+    # eight J-length float arrays: the largest J the budget admits peaks within 64 KiB of it
+    # under tracemalloc (8.07 J floats at this J, 7.1 at large J), and J + 1 is refused
+    J, budget = 4096, 8 * 4096 * 8
+    monkeypatch.setattr(features, "DEFAULT_MEMORY_BUDGET", budget)
+    make_designer_problem(J=16, b=1.0, r=0.5)  # numpy's first-call allocations are not the problem's
+    problem, peak = traced_peak(lambda: make_designer_problem(J=J, b=1.0, r=0.5))
+    assert problem.rank == J and peak <= budget + 2**16
+    named = f"^designer problem of rank J = {J + 1} needs {(J + 1) * 64} bytes, budget is {budget}$"
+    with pytest.raises(MemoryBudgetError, match=named):
+        make_designer_problem(J=J + 1, b=1.0, r=0.5)
+    with pytest.raises(MemoryBudgetError, match="^designer problem of rank J = 100000000000 needs"):
+        make_designer_problem(J=10**11, b=1.0, r=0.5)
 
 
 @pytest.mark.parametrize("change,named", [

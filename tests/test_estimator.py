@@ -914,6 +914,18 @@ def test_fit_iterative_rejects_a_filter_that_is_not_iterative():
             fit_iterative(fmap, X, y, make_filter("tikhonov"), **fit)
 
 
+@pytest.mark.parametrize("fit", [fit_spectral, fit_iterative])
+def test_a_fit_given_both_lam_and_iterations_is_refused(fit):
+    # Landweber(0.5) resolves T = 12 to lambda = 1/6: given lam = 1.0 too, a fit recorded
+    # lam 1.0 with the theta of lambda = 1/6. A bad value is still named first
+    fmap, X, y = _toy()
+    filt = make_filter("landweber", alpha=0.5)
+    with pytest.raises(ValueError, match="^a fit takes lam or iterations, not both$"):
+        fit(fmap, X, y, filt, lam=1.0, iterations=12)
+    with pytest.raises(ValueError, match="^lam must lie in"):
+        fit(fmap, X, y, filt, lam=2.0, iterations=12)
+
+
 def test_unstable_step_size_detected_before_iterating():
     # the designer map below has operator norm well above 1/alpha
     fmap = sample_feature_map(
