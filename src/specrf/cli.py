@@ -24,7 +24,7 @@ from .diagnostics import (
 from .estimator import fit, save_model
 from .features import (call_checked, check_budget, check_keys, check_object, sample_feature_map,
                        whole_number)
-from .filters import AUDIT_SLACK, audit_filter, make_filter
+from .filters import AUDIT_SLACK, FILTERS, audit_filter, make_filter
 from .harness import (
     ExperimentPlan,
     default_heatmap_plan,
@@ -128,8 +128,7 @@ def _cmd_plateau(args) -> int:
 
 
 def _cmd_audit_filters(args) -> int:
-    kinds = ("tikhonov", "landweber", "heavyball", "spectral_cutoff")
-    reports = [audit_filter(make_filter(kind)) for kind in kinds]
+    reports = [audit_filter(cls()) for cls in FILTERS]  # each kind at its defaults
     write_json(Path(args.out_dir) / "filter_audits.json", reports)
     for rep in reports:
         print(f"{rep['filter']}: {'PASS' if rep['pass'] else 'FAIL'}")

@@ -131,7 +131,8 @@ def sample_dataset(
         y[rows] = designer_series(problem.g_coeffs, x[rows])
     if problem.noise_std > 0:
         noise = rng.standard_normal(n)
-        noise *= problem.noise_std
+        with np.errstate(over="ignore"):  # an infinite label is reported where a fit checks them
+            noise *= problem.noise_std
         y += noise
     return x[:, None], y
 

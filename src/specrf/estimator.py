@@ -247,11 +247,7 @@ def fit_spectral(
     data is read; for an iterative filter, which `fit` sends to fit_iterative, this
     eigendecomposition is the reference the Krylov path is checked against.
     model.train_mse: the training loss at theta."""
-    lam, iterations = _fit_pair(filt, lam, iterations)
-    dim = feature_map.embedding_dim
-    if dim > EIG_DIM_CAP and not isinstance(filt, Tikhonov):
-        raise ValueError(f"embedding dimension {dim} exceeds eigensolver cap {EIG_DIM_CAP}")
-    return _fitted(feature_map, X, y, filt, lam, iterations, [(lam, iterations)], "spectral")
+    return _fit(feature_map, X, y, filt, lam, iterations, (), krylov=False)
 
 
 def fit_iterative(
@@ -271,36 +267,38 @@ def fit_iterative(
     listed iteration counts, each an integer in [1, T] and filtered at its own
     lambda = filt.resolve(iterations=t)[0], returned in model.snapshots keyed by T.
     """
-    if not filt.iterative:
+    return _fit(feature_map, X, y, filt, lam, iterations, snapshots, krylov=True)
+
+
+def _fit(feature_map, X, y, filt, lam, iterations, snapshots, krylov: bool) -> RfModel:
+    """The one fit behind fit_spectral and fit_iterative: the data's moments _solved at
+    filt.resolve(lam, iterations), on the Krylov path with `krylov`, and the fit's model,
+    with the thetas at the T of `snapshots` as model.snapshots. Before the data is read it
+    refuses, in this order: a filter that is not iterative (Krylov path); a bad lam or T
+    (resolve); lam given with iterations, as the fit would record lam while an iterative
+    filter filters at T's lambda; an embedding past EIG_DIM_CAP (spectral path, but for
+    Tikhonov, which solves instead); and a snapshot count outside [1, T]."""
+    if krylov and not filt.iterative:
         raise ValueError(f"filter {filt.name} is not iterative and takes no iteration count")
-    lam, iterations = _fit_pair(filt, lam, iterations)
-    wanted = {whole_number(T, "snapshot count") for T in snapshots}
-    if wanted and max(wanted) > iterations:
-        raise ValueError(f"snapshot count {max(wanted)} exceeds iterations = {iterations}")
-    pairs = [filt.resolve(iterations=t) for t in sorted(wanted | {iterations})]
-    return _fitted(feature_map, X, y, filt, lam, iterations, pairs, "iterative", wanted)
-
-
-def _fit_pair(filt: SpectralFilter, lam, iterations) -> tuple[float, int | None]:
-    """filt.resolve(lam, iterations) for a fit, which takes lam or iterations, not both: given
-    both, it would record lam while an iterative filter filters at T's lambda. A bad value
-    is named before the pair is refused."""
     pair = filt.resolve(lam, iterations)
     if lam is not None and iterations is not None:
         raise ValueError("a fit takes lam or iterations, not both")
-    return pair
-
-
-def _fitted(feature_map, X, y, filt, lam, iterations, pairs, fit_path, wanted=()) -> RfModel:
-    """Assemble the data's moments, _solve them at each (lam, T) of `pairs` and build the
-    fit's model: theta at `iterations`, and the thetas at the T of `wanted` as snapshots."""
+    lam, iterations = pair
+    dim = feature_map.embedding_dim
+    if not krylov and dim > EIG_DIM_CAP and not isinstance(filt, Tikhonov):
+        raise ValueError(f"embedding dimension {dim} exceeds eigensolver cap {EIG_DIM_CAP}")
+    wanted = {whole_number(T, "snapshot count") for T in snapshots}
+    if wanted and max(wanted) > iterations:
+        raise ValueError(f"snapshot count {max(wanted)} exceeds iterations = {iterations}")
+    # each snapshot at its own pair, then the fit's: phi_T of an iterative filter reads T alone
+    pairs = [filt.resolve(iterations=t) for t in sorted(wanted - {iterations})] + [(lam, iterations)]
     moments = assemble_empirical_operators(feature_map, X, y)
-    thetas = dict(zip((T for _, T in pairs), _solve(moments, filt, pairs, fit_path == "iterative")))
+    thetas = dict(zip((T for _, T in pairs), _solve(moments, filt, pairs, krylov)))
     theta = thetas[iterations]
     return RfModel(
         map=feature_map, theta=theta, filter=filt, lam=lam, iterations=iterations,
-        fit_path=fit_path, train_fingerprint=moments.fingerprint, train_mse=moments.loss(theta),
-        snapshots={t: thetas[t] for t in wanted} if wanted else None,
+        fit_path="iterative" if krylov else "spectral", train_fingerprint=moments.fingerprint,
+        train_mse=moments.loss(theta), snapshots={t: thetas[t] for t in wanted} if wanted else None,
     )
 
 

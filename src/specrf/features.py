@@ -252,11 +252,8 @@ def sample_feature_map(
             raise ValueError(f"unknown activation {params['activation']!r}")
         if tau < 0 or gamma < 0 or rho_max <= 0:
             raise ValueError("tau, gamma must be >= 0 and rho_max > 0")
-        overflow = f"kappa_sq overflows: tau={tau}, gamma={gamma}, rho_max={rho_max}"
-        try:  # a float power past the double range raises OverflowError
-            tau_sq, gamma_sq, rho_sq = tau**2, gamma**2, rho_max**2
-        except OverflowError:
-            raise ValueError(overflow) from None
+        # squares by product, which give inf past the double range where ** raises OverflowError
+        tau_sq, gamma_sq, rho_sq = tau * tau, gamma * gamma, rho_max * rho_max
         freqs = rng.standard_normal((num_samples, input_dim))
         count = input_dim + 2
         if params["activation"] == "tanh":
@@ -268,8 +265,8 @@ def sample_feature_map(
             sup_wx_sq = float(np.max(np.sum(freqs**2, axis=1))) * rho_sq
             kappa_sq = NTK_KAPPA_MARGIN * (tau_sq * rho_sq + sup_wx_sq + tau_sq * gamma_sq)
             certified = False
-        if not np.isfinite(kappa_sq):  # finite squares, infinite products (tau = 1e154)
-            raise ValueError(overflow)
+        if not np.isfinite(kappa_sq):  # an infinite square or product (tau = 1e154), or 0 * inf
+            raise ValueError(f"kappa_sq overflows: tau={tau}, gamma={gamma}, rho_max={rho_max}")
     else:
         if input_dim != 1:
             raise ValueError("designer map is defined on X = [0,1], input_dim must be 1")

@@ -57,7 +57,8 @@ class SpectralFilter:
         rules. An iterative filter derives a missing T = max(1, ceil(1 / (alpha_eff
         lam))) or lambda = min(1, 1 / (alpha_eff T)); every other filter takes no T
         and gets None. lam must be a real number in (0, 1] and T an integer >= 1
-        within the float range, where an integral float such as 64.0 counts.
+        within the float range, where an integral float such as 64.0 counts; a lam
+        whose T would be past the float range is refused.
         """
         if lam is None and iterations is None:
             raise ValueError("one of lam or iterations is required")
@@ -74,7 +75,11 @@ class SpectralFilter:
         if not 0.0 < lam <= 1.0:
             raise ValueError("lam must lie in (0, 1]")
         if self.iterative and iterations is None:
-            iterations = max(1, math.ceil(1.0 / (self.alpha_eff * lam)))
+            scaled = self.alpha_eff * lam
+            if scaled == 0.0 or 1.0 / scaled == math.inf:  # underflowed, or T = 1 / scaled overflows
+                raise ValueError(f"lam = {lam!r} is too small for filter {self.name}: "
+                                 "T = ceil(1 / (alpha_eff lam)) is past the float range")
+            iterations = max(1, math.ceil(1.0 / scaled))
         return lam, iterations
 
     def descriptor(self) -> dict:
@@ -194,12 +199,15 @@ class Heavyball(IterativeFilter):
         return u
 
 
+# every filter kind, in the order specrf audit-filters reports them; make_filter builds only these
+FILTERS = (Tikhonov, Landweber, Heavyball, SpectralCutoff)
+
+
 def make_filter(kind: str | None = None, **kwargs) -> SpectralFilter:
     """Build a filter from its descriptor; a missing kind or a key it does not take is an error."""
     if kind is None:
         raise ValueError("filter is missing required keys: kind")
-    kinds = (Tikhonov, SpectralCutoff, Landweber, Heavyball)
-    cls = next((c for c in kinds if c.name == kind), None)
+    cls = next((c for c in FILTERS if c.name == kind), None)
     if cls is None:
         raise ValueError(f"unknown filter kind {kind!r}")
     return call_checked(cls, kwargs, f"filter {kind}")

@@ -368,7 +368,8 @@ def _synthetic_data(seed: int, n: int, input_dim: int = 1, noise_std: float = 0.
     X = rng.standard_normal((n, input_dim))
     y = _synthetic_target(X)
     if noise_std > 0:
-        y = y + noise_std * rng.standard_normal(n)
+        with np.errstate(over="ignore"):  # an infinite label is reported where a fit checks them
+            y = y + noise_std * rng.standard_normal(n)
     return X, y
 
 

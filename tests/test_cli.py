@@ -19,7 +19,7 @@ import specrf
 from reference import traced_peak
 from specrf.cli import EXIT_CHECK_FAILED, EXIT_ERROR, EXIT_OK, main
 from specrf.estimator import load_model, mse
-from specrf.filters import audit_filter, make_filter
+from specrf.filters import FILTERS, audit_filter, make_filter
 from specrf.harness import ExperimentPlan, ingest_csv_dataset, write_json
 
 
@@ -66,6 +66,7 @@ def test_audit_filters_command(tmp_path, capsys):
     assert {r["filter"] for r in reports} == {
         "tikhonov", "landweber", "heavyball", "spectral_cutoff"
     }
+    assert [r["filter"] for r in reports] == [cls.name for cls in FILTERS]  # in the tuple's order
     lines = capsys.readouterr().out.strip().split("\n")
     assert all(line.endswith("PASS") for line in lines)
 
@@ -361,6 +362,9 @@ def test_a_csv_feature_that_cannot_be_standardized_exits_1_naming_its_column(tmp
     assert not (tmp_path / "out").exists()
 
 
+_PAST_FLOAT_T = "T = ceil(1 / (alpha_eff lam)) is past the float range"
+
+
 @pytest.mark.parametrize("argv,plan,named", [
     (["rate-sweep", "--seed", str(10**400)], None, f"base_seed must be in [0, 2**64), not {10**400}"),
     (["heatmap", "--seed", str(10**400)], None, f"base_seed must be in [0, 2**64), not {10**400}"),
@@ -372,11 +376,25 @@ def test_a_csv_feature_that_cannot_be_standardized_exits_1_naming_its_column(tmp
     (["fit"], {"filter": {"kind": "landweber", "alpha": 0.5}, "lambda": None, "iterations": 10**400},
      f"iterations = {10**400} is past the float range"),
     (["heatmap"], {"t_grid": [1, 10**400]}, f"plan t_grid: iterations = {10**400} is past the float range"),
+    (["fit"], {"filter": {"kind": "landweber", "alpha": 1e-300}, "lambda": 1e-300},
+     f"lam = 1e-300 is too small for filter landweber: {_PAST_FLOAT_T}"),
+    (["fit"], {"filter": {"kind": "heavyball", "alpha": 1e-320, "beta": 0.5}, "lambda": 0.5},
+     f"lam = 0.5 is too small for filter heavyball: {_PAST_FLOAT_T}"),
+    (["rate-sweep"], {"filter": {"kind": "landweber", "alpha": 1e-320}},
+     f"rate sweep cell n = 64, rep = 0: lam = 0.125 is too small for filter landweber: {_PAST_FLOAT_T}"),
+    # a noise std near the largest double draws infinite labels, which the fit refuses
+    (["fit"], {"data": {"designer": {"J": 8, "b": 1.0, "r": 0.5, "noise_std": 1e308}, "n": 100}},
+     "training labels contain NaN or inf values"),
+    (["rate-sweep"], {"problem": {"type": "designer", "J": 8, "b": 1.0, "r": 0.5, "noise_std": 1e308}},
+     "rate sweep cell n = 64, rep = 0: training labels contain NaN or inf values"),
 ], ids=["rate-seed", "heatmap-seed", "rate-n_grid", "rate-C_M", "diagnose-r",
-        "fit-iterations-past-float-range", "heatmap-t_grid-past-float-range"])
+        "fit-iterations-past-float-range", "heatmap-t_grid-past-float-range", "fit-landweber-tiny-step",
+        "fit-heavyball-tiny-step", "rate-landweber-tiny-step", "fit-designer-noise", "rate-designer-noise"])
 def test_a_value_past_the_float_range_exits_1_naming_it(tmp_path, capsys, argv, plan, named):
     # each was an OverflowError traceback: int(10**400) converted to a float, math.ceil(inf)
-    # and the float power (r / e) ** r of Landweber's c_r
+    # and the float power (r / e) ** r of Landweber's c_r; a tiny step was a ZeroDivisionError
+    # or OverflowError traceback out of math.ceil(1 / (alpha_eff lam)), and an overflowing noise
+    # draw printed numpy's RuntimeWarning before its error line
     if plan is not None:
         base = {"fit": _FIT_CONFIG, "heatmap": dataclasses.asdict(_tiny_plan())}.get(argv[0])
         config = {**(base or _tiny_rate_plan()), **plan}
@@ -388,6 +406,20 @@ def test_a_value_past_the_float_range_exits_1_naming_it(tmp_path, capsys, argv, 
     assert (code, caught) == (EXIT_ERROR, [])
     assert err.startswith(f"error: {named}") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_a_heatmap_whose_noise_overflows_fails_every_cell_and_prints_nothing_on_stderr(tmp_path, capsys):
+    # each draw of the labels printed numpy's overflow RuntimeWarning and its source line
+    plan = {**dataclasses.asdict(_tiny_plan()), "problem": {"type": "synthetic", "input_dim": 1, "noise_std": 1e308}}
+    cfg = tmp_path / "plan.json"
+    cfg.write_text(json.dumps(plan))
+    code, caught = _run_quietly(["heatmap", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert (code, caught, err) == (EXIT_OK, [], "")
+    assert out == "heatmap: 0 rows, 8 failed cells\n"
+    failures = json.loads((tmp_path / "out" / "summary.json").read_text())["failures"]
+    assert len(failures) == 8
+    assert {f["error"] for f in failures} == {"ValueError('training labels contain NaN or inf values')"}
 
 
 def _plateau_plan():

@@ -1013,6 +1013,8 @@ def test_fit_spectral_argument_validation(monkeypatch):
     big = sample_feature_map("gaussian_rff", 2, 5000, {}, 0)
     with pytest.raises(ValueError, match="eigensolver cap"):
         fit_spectral(big, X, y, make_filter("spectral_cutoff"), lam=0.1)
+    with pytest.raises(ValueError, match="lam must lie"):  # a bad lam is named before the cap
+        fit_spectral(big, X, y, make_filter("spectral_cutoff"), lam=1.5)
     # the cap guards the eigendecomposition, which a Tikhonov fit does not run
     monkeypatch.setattr(estimator, "EIG_DIM_CAP", 8)
     assert fit_spectral(fmap, X, y, tik, lam=0.1).theta.shape == (fmap.embedding_dim,)
@@ -1116,6 +1118,10 @@ def _nan_theta(payload):
     (lambda p: {"filter": {"kind": "tikhonov"}, "iterations": None, "fit_path": "iterative"},
      "fit_path iterative needs an iterative filter, not tikhonov"),
     (lambda p: {"lam": 1.0}, _NOT_A_PAIR),
+    # a step so small that the T of lam = 1/6 is past the float range: an OverflowError once
+    (lambda p: {"filter": {"kind": "landweber", "alpha": 1e-320}},
+     "lam = 0.16666666666666666 is too small for filter landweber: "
+     "T = ceil(1 / (alpha_eff lam)) is past the float range"),
 ])
 def test_load_model_names_the_file_in_every_error(tmp_path, edit, named):
     fmap, X, y = _toy()

@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specrf import filters
 from specrf.filters import (
+    FILTERS,
     DivergenceError,
     Heavyball,
     Landweber,
+    SpectralFilter,
     audit_filter,
     make_filter,
     qualification_sufficient,
@@ -139,6 +142,30 @@ def test_resolve_checks_lambda_and_iteration_count():
     for T in (2.5, "8", True, 0, math.nan):
         with pytest.raises(ValueError, match="iterations must be an integer >= 1"):
             lw.resolve(iterations=T)
+
+
+@pytest.mark.parametrize("filt,lam", [
+    (Landweber(alpha=1e-300), 1e-300),  # alpha lam underflows to 0
+    (Landweber(alpha=1e-320), 0.5),  # 1 / (alpha lam) overflows to inf
+    (Heavyball(alpha=1e-320, beta=0.5), 0.5),
+], ids=["landweber-underflow", "landweber-overflow", "heavyball-overflow"])
+def test_resolve_refuses_a_lambda_whose_step_count_is_past_the_float_range(filt, lam):
+    # each was a ZeroDivisionError or OverflowError out of math.ceil(1 / (alpha_eff lam))
+    with pytest.raises(ValueError, match=rf"^lam = {lam!r} is too small for filter {filt.name}: "
+                                         r"T = ceil\(1 / \(alpha_eff lam\)\) is past the float range$"):
+        filt.resolve(lam)
+    # a lam whose T is still a float resolves: 1 / (1e-300 * 1e-8) = 1e308
+    assert Landweber(alpha=1e-300).resolve(1e-8)[1] >= 10**307
+
+
+def test_filters_holds_every_kind_make_filter_builds():
+    # the one tuple of kinds: every named filter class, each built by make_filter from its
+    # name, in the order specrf audit-filters reports them
+    named = {cls for cls in vars(filters).values()
+             if isinstance(cls, type) and issubclass(cls, SpectralFilter) and cls.name}
+    assert len(FILTERS) == len(set(FILTERS)) and set(FILTERS) == named
+    assert [type(make_filter(cls.name)) for cls in FILTERS] == list(FILTERS)
+    assert [cls.name for cls in FILTERS] == ["tikhonov", "landweber", "heavyball", "spectral_cutoff"]
 
 
 def test_make_filter_unknown_kind():
